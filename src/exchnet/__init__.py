@@ -44,6 +44,7 @@ from .estimation import (
     summarized_constraints,
 )
 from .extendability import (
+    CertificateError,
     ExtendabilityReport,
     dissociated_extendable_check,
     extendable_check,

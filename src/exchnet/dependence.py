@@ -77,9 +77,6 @@ class DependenceGraph:
     def degree(self, k: int) -> int:
         return bin(self.adjacency[k]).count("1")
 
-    def with_kind(self, kind: str) -> "DependenceGraph":
-        return DependenceGraph(self.n, kind, self.adjacency)
-
     def complement(self) -> "DependenceGraph":
         full = (1 << self.m) - 1
         adj = tuple(

@@ -2,8 +2,9 @@
 
 An exchangeable distribution on n nodes extends to m > n nodes iff some
 class distribution on m nodes reproduces all of its class moments.  That is
-a linear feasibility problem over the m-node class simplex, solved exactly
-by rational pivoting when the input moments are rational.  The dissociated
+a linear feasibility problem over the m-node class simplex, decided exactly
+when the input moments are rational (a float simplex whose final basis is
+proved optimal in rational arithmetic; see ``lp``).  The dissociated
 variant adds product constraints on the extension and is handled by
 restarted constrained optimization (no longer a linear program); its
 negative verdicts are best-effort, positive certificates are validated.
@@ -62,6 +63,10 @@ def marginalize_mobius(mv: MobiusVector, n2: int) -> MobiusVector:
     return mv.restrict(n2)
 
 
+class CertificateError(RuntimeError):
+    """A feasibility certificate failed its independent re-check."""
+
+
 @dataclass
 class ExtendabilityReport:
     feasible: bool
@@ -70,6 +75,9 @@ class ExtendabilityReport:
     infeasibility_margin: object | None  # total violation when infeasible
     worst_constraint: str | None = None
     method: str = "lp"
+    # infeasible LP verdicts: the Farkas multipliers, one per moment row (by
+    # class key) and one for "normalization"; exact when the input is exact
+    dual: dict | None = None
 
     def summary(self) -> str:
         if self.feasible:
@@ -116,7 +124,9 @@ def extendable_check(mv: MobiusVector, m: int) -> ExtendabilityReport:
     """Can mv arise as the margin of an exchangeable distribution on m nodes?
 
     Feasibility over the m-node class simplex: q >= 0, sums to one, and all
-    class moments up to n match.  Exact rational pivoting when mv is exact.
+    class moments up to n match.  When mv is exact the verdict is exact: a
+    feasible one carries a rational certificate, an infeasible one exact
+    Farkas multipliers in ``dual`` (see ``lp``).
     """
     n = mv.n
     if not (n <= m <= MAX_EXTEND_NODES):
@@ -136,14 +146,16 @@ def extendable_check(mv: MobiusVector, m: int) -> ExtendabilityReport:
     if res.feasible:
         q = {w: v for w, v in zip(classes_m, res.x) if v}
         cert = ClassDistribution(m, q)
-        assert _certificate_valid(mv, cert, 1e-9), "certificate failed to round-trip"
+        if not _certificate_valid(mv, cert, 1e-9):
+            raise CertificateError(
+                f"extension certificate at m={m} does not reproduce the moments"
+            )
         return ExtendabilityReport(True, m, cert, None)
-    worst = None
-    if res.worst_row is not None and res.worst_row < len(targets):
-        worst = targets[res.worst_row].key()
-    elif res.worst_row is not None:
-        worst = "normalization"
-    return ExtendabilityReport(False, m, None, res.residual, worst)
+    keys = [u.key() for u in targets] + ["normalization"]
+    worst = None if res.worst_row is None else keys[res.worst_row]
+    return ExtendabilityReport(
+        False, m, None, res.residual, worst, dual=dict(zip(keys, res.dual))
+    )
 
 
 def dissociated_extendable_check(

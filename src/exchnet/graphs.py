@@ -280,12 +280,6 @@ def canonical_form(g: LabeledNetwork) -> CanonicalForm:
     return CanonicalForm(g.n, _canon_bits(g.n, g.mask))
 
 
-def are_isomorphic(g: LabeledNetwork, h: LabeledNetwork) -> bool:
-    if g.n != h.n:
-        return False
-    return canonical_form(g) == canonical_form(h)
-
-
 @dataclass(frozen=True)
 class UnlabeledClass:
     """An isomorphism class, keyed by the canonical form of its edge-induced
@@ -392,11 +386,6 @@ def enumerate_classes(n: int, include_empty: bool = True) -> list:
     if not include_empty:
         classes = [c for c in classes if not c.is_empty]
     return classes
-
-
-def class_index(n: int) -> dict:
-    """Map class -> position in the deterministic order at n."""
-    return {c: k for k, c in enumerate(enumerate_classes(n, True))}
 
 
 def aut_count(g: LabeledNetwork) -> int:

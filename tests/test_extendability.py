@@ -5,7 +5,9 @@ import pytest
 
 from exchnet.dependence import dissociated_check
 from exchnet.estimation import exch_mle
+from exchnet import extendability
 from exchnet.extendability import (
+    CertificateError,
     dissociated_extendable_check,
     extendable_check,
     marginalize_joint,
@@ -18,7 +20,12 @@ from exchnet.genmodels import (
     er_mobius,
     marginal_beta_joint,
 )
-from exchnet.graphs import LabeledNetwork, SizeCapError, num_dyads
+from exchnet.graphs import (
+    LabeledNetwork,
+    SizeCapError,
+    enumerate_classes,
+    num_dyads,
+)
 from exchnet.mobius import (
     JointTable,
     MobiusVector,
@@ -27,6 +34,7 @@ from exchnet.mobius import (
     mobius_from_class_distribution,
     validate_mobius,
 )
+from oracles import oracle_inj
 
 
 def random_rational_joint(n, rng):
@@ -103,6 +111,40 @@ class TestExtendableCheck:
         rep = extendable_check(exch_mle(paw), 5)
         assert not rep.feasible
         assert rep.infeasibility_margin > 0
+
+    def test_paw_mle_farkas_certificate_at_five(self, paw):
+        # the dual is checked against injection densities counted by brute
+        # force: for every class W on 5 nodes sum_U y_U t(U, W) + y_0 <= 0,
+        # while sum_U y_U z_U + y_0 > 0 for the paw's moments z
+        mv = exch_mle(paw)
+        rep = extendable_check(mv, 5)
+        y = rep.dual
+        targets = [u for u in enumerate_classes(4, True) if not u.is_empty]
+        assert set(y) == {u.key() for u in targets} | {"normalization"}
+        assert all(isinstance(v, Fraction) for v in y.values())
+        full = LabeledNetwork.complete(5)
+        for w in enumerate_classes(5, True):
+            wnet = w.padded(5)
+            total = y["normalization"] + sum(
+                y[u.key()]
+                * Fraction(oracle_inj(u.padded(5), wnet), oracle_inj(u.padded(5), full))
+                for u in targets
+            )
+            assert total <= 0, w.key()
+        value = y["normalization"] + sum(y[u.key()] * mv.z[u] for u in targets)
+        assert value > 0
+        assert value == rep.infeasibility_margin
+
+    def test_feasible_verdict_carries_no_dual(self):
+        rep = extendable_check(er_mobius(4, Fraction(1, 3)), 5)
+        assert rep.dual is None
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            extendability, "_certificate_valid", lambda *args: False
+        )
+        with pytest.raises(CertificateError):
+            extendable_check(er_mobius(4, Fraction(1, 3)), 5)
 
     def test_infeasibility_is_monotone_in_m(self, paw):
         mv = exch_mle(paw)

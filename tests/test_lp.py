@@ -1,0 +1,207 @@
+"""The phase-one LP: the certified float basis against pure exact Bland.
+
+``solve_feasibility`` on rational data pivots in floats and proves the final
+basis in rationals; ``_phase_one(..., exact=True)`` pivots in Fractions all
+the way.  Both must give the same verdict, residual and point, and every
+exact answer is re-checked here in Fraction arithmetic.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exchnet.estimation import exch_mle
+from exchnet.extendability import _sigma_rows
+from exchnet.genmodels import er_mobius
+from exchnet.graphs import LabeledNetwork
+from exchnet.lp import _exact_from_basis, _phase_one, _Scaled, solve_feasibility
+from exchnet.mobius import MobiusVector
+
+PAW = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
+
+
+def extension_lp(mv, m):
+    """The rows extendable_check hands to the LP: moments, then normalization."""
+    targets, classes_m, rows = _sigma_rows(m, mv.n)
+    a_rows = [list(r) for r in rows] + [[Fraction(1)] * len(classes_m)]
+    b = [mv.z[u] for u in targets] + [Fraction(1)]
+    return a_rows, b
+
+
+def bad_mv():
+    """Certain ties with no triangle at n = 3: not a moment vector at all."""
+    bad = dict(er_mobius(3, Fraction(1)).z)
+    tri = [u for u in bad if u.edge_count == 3][0]
+    bad[tri] = Fraction(0)
+    return MobiusVector(3, bad)
+
+
+def assert_exactly_certified(a_rows, b, res):
+    """A feasible x solves A x = b, x >= 0 in Fractions; an infeasible
+    verdict's dual is a Farkas certificate and its value is the residual."""
+    assert isinstance(res.residual, Fraction)
+    if res.feasible:
+        assert res.residual == 0
+        assert all(isinstance(v, Fraction) and v >= 0 for v in res.x)
+        for row, bi in zip(a_rows, b):
+            assert sum(Fraction(a) * v for a, v in zip(row, res.x)) == bi
+    else:
+        y = res.dual
+        assert all(isinstance(v, Fraction) for v in y)
+        for j in range(len(a_rows[0])):
+            assert sum(yi * Fraction(row[j]) for yi, row in zip(y, a_rows)) <= 0
+        yb = sum(yi * Fraction(bi) for yi, bi in zip(y, b))
+        assert yb > 0
+        assert yb == res.residual
+
+
+def assert_same_answer(got, want):
+    assert got.feasible == want.feasible
+    assert got.residual == want.residual
+    assert got.x == want.x
+
+
+CASES = (
+    [(f"er4-{p}-m{m}", er_mobius(4, p), m)
+     for m in (5, 6)
+     for p in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5))]
+    + [("er5-1/5-m6", er_mobius(5, Fraction(1, 5)), 6),
+       ("paw-mle-m5", exch_mle(PAW), 5),
+       ("bad-mv-m3", bad_mv(), 3)]
+)
+
+
+@pytest.mark.parametrize("mv,m", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_certified_equals_exact_bland(mv, m):
+    a_rows, b = extension_lp(mv, m)
+    got = solve_feasibility(a_rows, b)
+    want = _phase_one(a_rows, b, exact=True)
+    assert_same_answer(got, want)
+    # the float pass took the exact pass's path, so the bases agree too
+    assert got.pivots == want.pivots
+    assert got.worst_row == want.worst_row
+    assert got.dual == want.dual
+    assert_exactly_certified(a_rows, b, got)
+
+
+def test_verdicts_of_the_cases():
+    verdicts = {name: solve_feasibility(*extension_lp(mv, m)).feasible
+                for name, mv, m in CASES}
+    assert not verdicts.pop("paw-mle-m5")
+    assert not verdicts.pop("bad-mv-m3")
+    assert all(verdicts.values())
+
+
+class TestForcedFallback:
+    """_exact_from_basis handed a basis that is not optimal."""
+
+    def test_artificial_basis_continues_by_exact_pivoting(self):
+        a_rows, b = extension_lp(er_mobius(4, Fraction(1, 2)), 5)
+        system = _Scaled.of(a_rows, b)
+        start = [system.n + i for i in range(len(a_rows))]
+        got = _exact_from_basis(system, start, 0)
+        want = _phase_one(a_rows, b, exact=True)
+        assert got.pivots == want.pivots > 0
+        assert_same_answer(got, want)
+        assert_exactly_certified(a_rows, b, got)
+
+    def test_reduced_cost_below_tolerance_continues_exactly(self):
+        # x1 + x2 = 1, d x2 = d: the float pass stops at x = (1, 0) with
+        # reduced cost -d on x2, above -FLOAT_EPS; one exact pivot more
+        # reaches the only solution (0, 1)
+        d = Fraction(1, 10**12)
+        a_rows, b = [[1, 1], [0, d]], [Fraction(1), d]
+        got = solve_feasibility(a_rows, b)
+        assert got.feasible
+        assert got.x == [0, 1]
+        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
+
+    def test_ratios_merged_by_rounding_restart_exactly(self):
+        # x = 1 + d and x = 1: the float ratio test takes 1 + d and 1 as a
+        # tie and ends on a basis with an artificial at -d
+        d = Fraction(1, 10**12)
+        a_rows, b = [[1], [1]], [1 + d, Fraction(1)]
+        got = solve_feasibility(a_rows, b)
+        assert not got.feasible
+        assert got.residual == d
+        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
+        assert_exactly_certified(a_rows, b, got)
+
+    def test_artificial_with_negative_reduced_cost_continues(self):
+        # -2 x = 1, x = 1; the basis {a0, x} has value 3 and the dual
+        # y = (1, 2), so the nonbasic a1 has reduced cost 1 - 2 < 0.  The
+        # optimum is x = 0 with value 2.
+        a_rows, b = [[-2], [1]], [Fraction(1), Fraction(1)]
+        got = _exact_from_basis(_Scaled.of(a_rows, b), [1, 0], 0)
+        assert got.residual == 2
+        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
+        assert_exactly_certified(a_rows, b, got)
+
+    def test_infeasible_start_restarts_from_artificials(self):
+        # x1 + x2 = 1, x1 - x2 = 1/2; the basis {x1, a2} gives a2 = -1/2
+        a_rows = [[1, 1], [1, -1]]
+        b = [Fraction(1), Fraction(1, 2)]
+        got = _exact_from_basis(_Scaled.of(a_rows, b), [0, 3], 0)
+        assert got.feasible
+        assert got.x == [Fraction(3, 4), Fraction(1, 4)]
+
+    def test_singular_start_restarts_from_artificials(self):
+        a_rows, b = extension_lp(exch_mle(PAW), 5)
+        system = _Scaled.of(a_rows, b)
+        singular = [0] * len(a_rows)  # one column in every position
+        got = _exact_from_basis(system, singular, 0)
+        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
+        assert_exactly_certified(a_rows, b, got)
+
+
+def test_negative_rhs_rows_are_signed():
+    # -x1 = -1/3, x1 + x2 = 1: feasible at (1/3, 2/3); the dual is in the
+    # caller's row signs
+    a_rows = [[-1, 0], [1, 1]]
+    b = [Fraction(-1, 3), Fraction(1)]
+    res = solve_feasibility(a_rows, b)
+    assert res.x == [Fraction(1, 3), Fraction(2, 3)]
+    # -x1 = -2, x1 + x2 = 1: infeasible
+    b = [Fraction(-2), Fraction(1)]
+    res = solve_feasibility(a_rows, b)
+    assert not res.feasible
+    assert_exactly_certified(a_rows, b, res)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rational_systems(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    a_rows = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        # b = A x0 for some x0 >= 0, so that feasible systems are common
+        x0 = [draw(st.fractions(min_value=0, max_value=2, max_denominator=3))
+              for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in a_rows]
+    else:
+        b = [draw(rationals) for _ in range(m)]
+    return a_rows, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_random_systems_match_exact_bland(system):
+    a_rows, b = system
+    got = solve_feasibility(a_rows, b)
+    want = _phase_one(a_rows, b, exact=True)
+    assert got.feasible == want.feasible
+    # the phase-one optimum is unique even where the optimal basis is not
+    assert got.residual == want.residual
+    assert_exactly_certified(a_rows, b, got)
+
+
+def test_float_data_stay_on_the_float_pass():
+    res = solve_feasibility([[0.5, 0.25], [1.0, 1.0]], [0.375, 1.0])
+    assert res.feasible
+    assert all(isinstance(v, float) for v in res.x)
+    assert abs(0.5 * res.x[0] + 0.25 * res.x[1] - 0.375) < 1e-12
