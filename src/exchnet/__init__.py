@@ -8,6 +8,8 @@ networks with up to about seven nodes.
 """
 
 from .counting import (
+    ClassTable,
+    class_table,
     inj,
     r_count,
     sigma,
@@ -66,6 +68,7 @@ from .genmodels import (
 from .graphs import (
     CanonicalForm,
     DegreeDistribution,
+    InvariantError,
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,

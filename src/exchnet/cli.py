@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import battery as battery_mod
+from .counting import sigma_vector
 from .dependence import (
     classify_skeleton,
     global_markov_check,
@@ -193,12 +194,7 @@ def _parse_phi(spec: str) -> Graphon:
 
 def _cmd_stats(args) -> int:
     x = _read_network(args.edgelist)
-    sigma_map = {}
-    from .counting import sigma
-    from .graphs import enumerate_classes
-
-    for u in enumerate_classes(x.n, True):
-        sigma_map[u.key()] = sigma(u, x)
+    sigma_map = {u.key(): s for u, s in sigma_vector(x).items()}
     families = {}
     for family in sorted(FAMILIES):
         spec = ErgmSpec(family, x.n)

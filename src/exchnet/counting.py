@@ -3,6 +3,9 @@
 Conventions: the empty graph maps into anything in exactly one way, so
 ``inj(empty, G) = 1`` and every sigma vector carries a 1 for the empty class.
 A pattern larger than its target yields 0.
+
+:func:`class_table` holds the sigma counts between all classes at a node
+count, which every class-moment computation reads.
 """
 
 from __future__ import annotations
@@ -13,11 +16,27 @@ from functools import lru_cache
 
 from .graphs import (
     DegreeDistribution,
+    InvariantError,
     LabeledNetwork,
     UnlabeledClass,
+    aut_count,
     class_aut,
+    dyad_index,
+    dyads,
     enumerate_classes,
+    num_dyads,
 )
+
+# Node counts up to this build the class table from the labeled dyad lattice
+# (2^15 masks at n = 6); n = 7 would need 2^21, so it counts pair by pair.
+LATTICE_TABLE_NODES = 6
+
+
+def _exact_div(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InvariantError(f"{what}: {num} is not divisible by {den}")
+    return q
 
 
 def _falling_factorial(n: int, k: int) -> int:
@@ -105,20 +124,19 @@ def inj(f: LabeledNetwork, g: LabeledNetwork) -> int:
 def sub(f: LabeledNetwork, g: LabeledNetwork) -> int:
     """Number of subgraphs of g isomorphic to f: inj(f,g) / aut(f)."""
     fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
-    a = aut_of_support(fs)
-    num = inj(fs, g)
-    q, r = divmod(num, a)
-    assert r == 0, "inj not divisible by aut"
-    return q
+    return _exact_div(inj(fs, g), aut_of_support(fs), "inj by aut")
+
+
+@lru_cache(maxsize=500000)
+def _aut_of_mask(n: int, mask: int) -> int:
+    return aut_count(LabeledNetwork.from_mask(n, mask))
 
 
 def aut_of_support(f: LabeledNetwork) -> int:
-    from .graphs import aut_count
-
     fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
     if fs.n == 0:
         return 1
-    return aut_count(fs)
+    return _aut_of_mask(fs.n, fs.mask)
 
 
 def t_inj(f: LabeledNetwork, g: LabeledNetwork) -> Fraction:
@@ -140,7 +158,108 @@ def sigma(u: UnlabeledClass, x: LabeledNetwork) -> int:
 def sigma_vector(x: LabeledNetwork, n: int | None = None) -> dict:
     """sigma over every class at n (default: x's node count), empty included."""
     n = x.n if n is None else n
-    return {u: sigma(u, x) for u in enumerate_classes(n, True)}
+    classes = enumerate_classes(n, True)
+    return dict(zip(classes, class_table(max(n, x.n)).sigmas(x, classes)))
+
+
+def _swap_tables(n: int, a: int) -> tuple:
+    """Lookup tables for the dyad-mask map of swapping nodes a and a + 1:
+    the image of a mask is ``lo[mask & 255] | hi[mask >> 8]`` (n <= 6)."""
+    swap = {a: a + 1, a + 1: a}
+    img = [dyad_index(swap.get(i, i), swap.get(j, j)) for i, j in dyads(n)]
+
+    def table(first: int) -> list:
+        bits = img[first : first + 8]
+        out = [0] * (1 << len(bits))
+        for v in range(1, len(out)):
+            low = v & -v
+            out[v] = out[v ^ low] | 1 << bits[low.bit_length() - 1]
+        return out
+
+    return table(0), table(8)
+
+
+def _lattice_positions(n: int, classes: tuple) -> list:
+    """Position in ``classes`` of the class of every dyad mask on n nodes.
+
+    Each class's padded representative is pushed through the adjacent node
+    swaps, which generate all n! relabelings, so its whole orbit is reached.
+    """
+    gens = [_swap_tables(n, a) for a in range(1, n)]
+    pos = [-1] * (1 << num_dyads(n))
+    for k, u in enumerate(classes):
+        start = u.representative().mask
+        pos[start] = k
+        stack = [start]
+        while stack:
+            mask = stack.pop()
+            for lo, hi in gens:
+                image = lo[mask & 255] | hi[mask >> 8]
+                if pos[image] < 0:
+                    pos[image] = k
+                    stack.append(image)
+    if -1 in pos:
+        raise InvariantError(f"class orbits do not cover the lattice at n={n}")
+    return pos
+
+
+class ClassTable:
+    """sigma counts between the classes at n: S[U][W] = sigma_U(W padded to n).
+
+    Rows and columns follow ``enumerate_classes(n)``, the empty class first
+    and K_n last, so S[U][K_n] = sub(U, K_n) and the class moments of a class
+    distribution q are z = D^-1 S q with D = diag(S[.][K_n]).  Up to
+    ``LATTICE_TABLE_NODES`` the whole matrix is built once: every W counts the
+    classes of its edge subsets, looked up in a mask-to-class array of the
+    dyad lattice.  Above it each request runs one ``sigma`` search per pair.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.classes = tuple(enumerate_classes(n, True))
+        self.index = {u: k for k, u in enumerate(self.classes)}
+        self._pos = None
+        self._rows = None
+        if n <= LATTICE_TABLE_NODES:
+            self._pos = _lattice_positions(n, self.classes)
+            rows = [[0] * len(self.classes) for _ in self.classes]
+            for j, w in enumerate(self.classes):
+                full = w.representative().mask
+                part = full
+                while True:
+                    rows[self._pos[part]][j] += 1
+                    if not part:
+                        break
+                    part = (part - 1) & full
+            self._rows = tuple(tuple(r) for r in rows)
+
+    def row(self, u: UnlabeledClass) -> tuple:
+        """S[U][W] for every class W at n."""
+        if self._rows is None:
+            return tuple(sigma(u, w.padded(self.n)) for w in self.classes)
+        return self._rows[self.index[u]]
+
+    def complete(self, u: UnlabeledClass) -> int:
+        """S[U][K_n] = sub(U, K_n)."""
+        if self._rows is None:
+            return sub_in_complete(u, self.n)
+        return self._rows[self.index[u]][-1]
+
+    def sigmas(self, x: LabeledNetwork, classes=None) -> tuple:
+        """sigma_U(x) for each U in ``classes`` (default: every class at n)."""
+        if x.n > self.n:
+            raise ValueError(f"network on {x.n} nodes, table for n={self.n}")
+        classes = self.classes if classes is None else classes
+        if self._rows is None:
+            return tuple(sigma(u, x) for u in classes)
+        j = self._pos[x.mask]
+        return tuple(self._rows[self.index[u]][j] for u in classes)
+
+
+@lru_cache(maxsize=None)
+def class_table(n: int) -> ClassTable:
+    """The sigma table at n, built on first use."""
+    return ClassTable(n)
 
 
 @lru_cache(maxsize=500000)
@@ -154,9 +273,7 @@ def _r_count_cached(u: UnlabeledClass, n: int, xn: int, xmask: int) -> int:
     padded = u.padded(n)
     num = inj(xs, padded) * math.factorial(n - k)
     den = class_aut(u) * math.factorial(n - uv)
-    q, r = divmod(num, den)
-    assert r == 0, "labeled supergraph count not integral"
-    return q
+    return _exact_div(num, den, "labeled supergraph count")
 
 
 def r_count(u: UnlabeledClass, x: LabeledNetwork) -> int:
@@ -170,10 +287,13 @@ def r_count(u: UnlabeledClass, x: LabeledNetwork) -> int:
 
 
 def sub_in_complete(u: UnlabeledClass, n: int) -> int:
-    """sub(u, K_n): copies of the class inside the complete graph."""
-    if u.is_empty:
-        return 1
-    return sub(u.representative(), LabeledNetwork.complete(n))
+    """sub(u, K_n): copies of the class inside the complete graph, which are
+    the n!/(n-k)! injections of its k vertices over its automorphisms."""
+    if u.n_vertices > n:
+        return 0
+    return _exact_div(
+        _falling_factorial(n, u.n_vertices), class_aut(u), "copies in K_n"
+    )
 
 
 def star_count_from_degrees(dd: DegreeDistribution, k: int) -> int:
@@ -186,8 +306,7 @@ def star_count_from_degrees(dd: DegreeDistribution, k: int) -> int:
         raise ValueError("k must be >= 1")
     if k == 1:
         total = sum(j * c for j, c in enumerate(dd.counts))
-        assert total % 2 == 0
-        return total // 2
+        return _exact_div(total, 2, "total degree")
     return sum(math.comb(j, k) * c for j, c in enumerate(dd.counts))
 
 

@@ -16,12 +16,11 @@ from typing import Mapping
 import numpy as np
 
 from .counting import (
+    class_table,
     matching_class,
     r_count,
     sigma,
     star_class,
-    sub_in_complete,
-    t_inj,
     triangle_class,
     two_disjoint_edges_class,
 )
@@ -200,13 +199,13 @@ class FitReport:
 
 
 def exch_mle(x: LabeledNetwork) -> MobiusVector:
-    """Exchangeable MLE of the class moments: the observed subgraph densities."""
-    z = {}
-    for u in enumerate_classes(x.n, True):
-        if u.is_empty:
-            z[u] = Fraction(1)
-        else:
-            z[u] = t_inj(u.representative(), x)
+    """Exchangeable MLE of the class moments: the observed subgraph densities
+    sigma_U(x) / sub(U, K_n)."""
+    table = class_table(x.n)
+    z = {
+        u: Fraction(s, table.complete(u))
+        for u, s in zip(table.classes, table.sigmas(x))
+    }
     return MobiusVector(x.n, z)
 
 
@@ -220,15 +219,10 @@ def exch_mle_distribution(x: LabeledNetwork) -> ClassDistribution:
 
 def _moment_matrix(n: int) -> tuple:
     """Rows: classes; columns: classes; entry = sigma_U(W) / sub(U, K_n)."""
-    classes = enumerate_classes(n, True)
-    rows = []
-    for u in classes:
-        denom = sub_in_complete(u, n)
-        row = np.array(
-            [sigma(u, w.padded(n)) / denom for w in classes], dtype=float
-        )
-        rows.append(row)
-    return classes, np.vstack(rows)
+    table = class_table(n)
+    s = np.array([table.row(u) for u in table.classes], dtype=float)
+    totals = np.array([table.complete(u) for u in table.classes], dtype=float)
+    return table.classes, s / totals[:, None]
 
 
 def _dissociated_constraints(n: int, classes, a_matrix) -> list:
@@ -427,7 +421,7 @@ def ergm_stats(spec: ErgmSpec, x: LabeledNetwork) -> tuple:
     if spec.family == "sem":
         dd = degree_distribution(x)
         return tuple(dd.counts[1:])
-    return tuple(sigma(u, x) for u in spec.stat_classes())
+    return class_table(spec.n).sigmas(x, spec.stat_classes())
 
 
 def _nu_vector(spec: ErgmSpec, nu) -> np.ndarray:
@@ -444,10 +438,17 @@ def _nu_vector(spec: ErgmSpec, nu) -> np.ndarray:
 
 
 def _class_stat_table(spec: ErgmSpec) -> tuple:
-    classes = enumerate_classes(spec.n, True)
-    stats = np.array(
-        [ergm_stats(spec, u.padded(spec.n)) for u in classes], dtype=float
-    )
+    """Classes, the statistics of each class (one row per class) and the
+    class sizes.  Statistic classes are rows of the sigma table."""
+    table = class_table(spec.n)
+    classes = table.classes
+    stat_classes = spec.stat_classes()
+    if stat_classes is None:
+        rows = [ergm_stats(spec, u.padded(spec.n)) for u in classes]
+    else:
+        cols = [table.row(u) for u in stat_classes]
+        rows = [tuple(c[k] for c in cols) for k in range(len(classes))]
+    stats = np.array(rows, dtype=float)
     sizes = np.array([class_size(u, spec.n) for u in classes], dtype=float)
     return classes, stats, sizes
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import sigma, sub_in_complete
+from .counting import class_table
 from .estimation import ClassDistribution
 from .graphs import (
     LabeledNetwork,
@@ -92,16 +92,13 @@ class ExtendabilityReport:
 def _sigma_rows(m: int, n: int) -> tuple:
     """For each non-empty class U at n: the row of sigma_U over classes at m,
     scaled so that row . q = z_U for a class distribution q."""
-    classes_m = enumerate_classes(m, True)
+    table = class_table(m)
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
     rows = []
     for u in targets:
-        denom = sub_in_complete(u, m)
-        row = tuple(
-            Fraction(sigma(u, w.padded(m)), denom) for w in classes_m
-        )
-        rows.append(row)
-    return tuple(targets), tuple(classes_m), tuple(rows)
+        denom = table.complete(u)
+        rows.append(tuple(Fraction(s, denom) for s in table.row(u)))
+    return tuple(targets), table.classes, tuple(rows)
 
 
 def _certificate_valid(
@@ -197,15 +194,13 @@ def dissociated_extendable_check(
     ]
     # product constraints for every disconnected class at m
     full_targets = [w for w in classes_m if not w.is_empty]
-    denom_cache = {}
+    table = class_table(m)
+    row_cache = {}
 
     def row_of(u):
-        if u not in denom_cache:
-            denom = sub_in_complete(u, m)
-            denom_cache[u] = np.array(
-                [sigma(u, w.padded(m)) / denom for w in classes_m]
-            )
-        return denom_cache[u]
+        if u not in row_cache:
+            row_cache[u] = np.array(table.row(u)) / table.complete(u)
+        return row_cache[u]
 
     for w in full_targets:
         if is_connected_class(w):

@@ -25,6 +25,13 @@ class InvalidNetworkError(ValueError):
     """An edge list violates the simple-graph invariants."""
 
 
+class InvariantError(RuntimeError):
+    """An exact counting identity failed (a bug, never a user error).
+
+    Raised in place of ``assert`` so that ``python -O`` keeps the check.
+    """
+
+
 def dyad_index(i: int, j: int) -> int:
     """Colex index of dyad {i, j}, 1-based nodes, i != j."""
     if i == j:
@@ -263,7 +270,8 @@ def _min_colex_bits(adj: list, n: int) -> tuple:
             del prefix[base:]
 
     rec()
-    assert best is not None
+    if best is None:
+        raise InvariantError(f"no vertex ordering found for n={n}")
     return tuple(best)
 
 
@@ -442,7 +450,10 @@ def class_size(cls_: UnlabeledClass, n: int) -> int:
         return 0
     aut_padded = class_aut(cls_) * math.factorial(n - k)
     size, rem = divmod(math.factorial(n), aut_padded)
-    assert rem == 0
+    if rem:
+        raise InvariantError(
+            f"class size of {cls_.key()} at n={n} is not integral"
+        )
     return size
 
 

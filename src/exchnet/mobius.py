@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .counting import r_count, sigma, sub_in_complete
+from .counting import class_table, r_count
 from .graphs import (
     LabeledNetwork,
     SizeCapError,
@@ -298,26 +298,29 @@ def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
 def mobius_from_class_distribution(cd) -> MobiusVector:
     """Class moments of a distribution given per-class probabilities.
 
-    z_U = E[sigma_U(X)] / sub(U, K_n); the expectation is a single sigma value
-    per class because sigma is isomorphism-invariant.
+    z_U = E[sigma_U(X)] / sub(U, K_n), that is z = D^-1 S q over the sigma
+    table S (see ``counting.ClassTable``); the expectation is a single sigma
+    value per class because sigma is isomorphism-invariant.
     """
     n = cd.n
-    z = {}
-    for u in enumerate_classes(n, True):
-        if u.is_empty:
-            z[u] = Fraction(1) if cd.is_exact else 1.0
+    table = class_table(n)
+    acc = [None] * len(table.classes)
+    for w, q in cd.q.items():
+        if not q:
             continue
-        acc = None
-        for w, q in cd.q.items():
-            if not q:
-                continue
-            s = sigma(u, w.padded(n))
+        for k, s in enumerate(table.sigmas(w.padded(n))):
             if s:
-                acc = q * s if acc is None else acc + q * s
-        if acc is None:
-            acc = Fraction(0) if cd.is_exact else 0.0
-        denom = sub_in_complete(u, n)
-        z[u] = Fraction(acc, denom) if isinstance(acc, (int, Fraction)) else acc / denom
+                acc[k] = q * s if acc[k] is None else acc[k] + q * s
+    exact = cd.is_exact
+    z = {}
+    for u, a in zip(table.classes, acc):
+        if u.is_empty:
+            z[u] = Fraction(1) if exact else 1.0
+            continue
+        if a is None:
+            a = Fraction(0) if exact else 0.0
+        denom = table.complete(u)
+        z[u] = Fraction(a, denom) if isinstance(a, (int, Fraction)) else a / denom
     return MobiusVector(n, z)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -79,6 +80,43 @@ class TestFitAndEval:
         )
         assert code == 0
         assert json.loads(out)["probability"] == pytest.approx(1 / 64)
+
+
+# stdout digests on one 6-node network, recorded with the per-pair sigma
+# searches that the sigma table replaced: the table must not move a byte
+SIX_NODE_EDGES = "n 6\n1 2\n1 3\n2 3\n2 4\n3 5\n4 5\n5 6\n"
+SIX_NODE_NU = {
+    "frank_strauss": {"star1": -0.5, "star2": 0.1, "triangle": 0.3},
+    "edges": {"star1": 0.25},
+}
+SIX_NODE_DIGESTS = {
+    ("stats",): "33ee4f55f39ad072149cb465fa38ce8ad3f91a7b2af3688df07effb76d3c595c",
+    ("mle",): "fabbc75f443b2a2615904019bd9264fc4a0603b80c724dddaa5dc3a96e80ca73",
+    ("fit", "edges"): "847420c7d67910868515675ba292ca286dffaac77d1c52bfc94abf8db51ce708",
+    ("fit", "frank_strauss"): "af866e549ff8a7308cc4a82fd1749e8568fa90aa56aa4b1a0b9a643a0c6d9f6a",
+    ("fit", "full_exchangeable"): "63476697e7e7d3a3d155102d1dd923222d4cd2f7104bfca1b7654058507f6b94",
+    ("fit", "kneser"): "102b5d59025f0f975d804c02d7cf5f9efce734a0c8d5198e438cfb832452198e",
+    ("fit", "se_star"): "022e513ac0ed8d763d26cea0f18782b79713f32c366d3a04c023125ce2381a23",
+    ("fit", "sem"): "146f89ce85370cc86cdc3e5b82484e903c2b7f73cf57b58b1c22b1e774784ec5",
+    ("eval", "frank_strauss"): "d2da75380e5ce1ecb7089e88843949fee5f0937cfd3f3cd5d54cabc1f017cfb0",
+    ("eval", "edges"): "2eb1287253d9d3704a9a205226e6f8ff0e5a3ad0108017ae26fc363943baf5ce",
+}
+
+
+@pytest.mark.parametrize(
+    "command", sorted(SIX_NODE_DIGESTS), ids=lambda c: "-".join(c)
+)
+def test_six_node_output_bytes(capsys, tmp_path, command):
+    net = tmp_path / "g6.edges"
+    net.write_text(SIX_NODE_EDGES)
+    argv = list(command)
+    if command[0] == "eval":
+        nu = tmp_path / "nu.json"
+        nu.write_text(json.dumps({"nu": SIX_NODE_NU[command[1]]}))
+        argv.append(str(nu))
+    code, out = run_cli(capsys, *argv, str(net))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIX_NODE_DIGESTS[command]
 
 
 class TestMleDissociated:

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
+
+import pytest
 from oracles import oracle_inj, oracle_r_count, oracle_sub
 
+from exchnet import counting
 from exchnet.counting import (
     complete_class,
     cycle_class,
@@ -15,12 +18,15 @@ from exchnet.counting import (
     star_class,
     star_count_from_degrees,
     sub,
+    sub_in_complete,
     t_inj,
     triangle_class,
     two_disjoint_edges_class,
     two_disjoint_edges_from_degrees,
 )
 from exchnet.graphs import (
+    DegreeDistribution,
+    InvariantError,
     LabeledNetwork,
     UnlabeledClass,
     class_aut,
@@ -225,3 +231,39 @@ class TestDegreeFunctionCounterexamples:
                 x1, x2 = witness
                 assert degree_distribution(x1) == degree_distribution(x2)
                 assert sigma(u, x1) != sigma(u, x2)
+
+
+class TestInvariantErrors:
+    """A broken counting identity raises InvariantError, which ``python -O``
+    cannot strip the way it strips an assert."""
+
+    def test_inj_not_divisible_by_aut(self, monkeypatch):
+        monkeypatch.setattr(counting, "aut_of_support", lambda f: 7)
+        with pytest.raises(InvariantError):
+            sub(edge_class().representative(), LabeledNetwork.complete(3))
+
+    def test_supergraph_count_not_integral(self, monkeypatch):
+        monkeypatch.setattr(counting, "class_aut", lambda u: 7)
+        counting._r_count_cached.cache_clear()
+        with pytest.raises(InvariantError):
+            r_count(triangle_class(), LabeledNetwork.empty(3))
+
+    def test_copies_in_complete_graph_not_integral(self, monkeypatch):
+        monkeypatch.setattr(counting, "class_aut", lambda u: 7)
+        with pytest.raises(InvariantError):
+            sub_in_complete(triangle_class(), 4)
+
+    def test_odd_total_degree(self, monkeypatch):
+        monkeypatch.setattr(DegreeDistribution, "__post_init__", lambda self: None)
+        with pytest.raises(InvariantError):
+            star_count_from_degrees(DegreeDistribution((0, 1)), 1)
+
+    def test_lattice_not_covered_by_class_orbits(self):
+        classes = tuple(enumerate_classes(3, True))
+        with pytest.raises(InvariantError):
+            counting._lattice_positions(3, classes[:-1])
+
+    def test_is_a_runtime_error(self):
+        import exchnet
+
+        assert issubclass(exchnet.InvariantError, RuntimeError)

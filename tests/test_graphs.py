@@ -4,8 +4,10 @@ import random
 import pytest
 from oracles import oracle_aut, oracle_labeled_classes
 
+from exchnet import graphs
 from exchnet.graphs import (
     InvalidNetworkError,
+    InvariantError,
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
@@ -163,6 +165,14 @@ class TestEnumerateClasses:
         for n in (3, 4, 5):
             total = sum(class_size(u, n) for u in enumerate_classes(n, True))
             assert total == 1 << len(dyads(n))
+
+
+class TestClassSizeCheck:
+    def test_non_integral_class_size_raises(self, monkeypatch):
+        monkeypatch.setattr(graphs, "class_aut", lambda u: 7)
+        edge = UnlabeledClass.of(LabeledNetwork.from_edges(2, [(1, 2)]))
+        with pytest.raises(InvariantError):
+            class_size(edge, 4)
 
 
 class TestDegreeDistribution:
