@@ -27,9 +27,9 @@ from .graphs import (
     num_dyads,
 )
 
-# Node counts up to this build the class table from the labeled dyad lattice
-# (2^15 masks at n = 6); n = 7 would need 2^21, so it counts pair by pair.
-LATTICE_TABLE_NODES = 6
+# Work over the full labeled dyad lattice stops here: 2^15 masks at n = 6,
+# 2^21 at n = 7.  Above it the class table counts pair by pair.
+MAX_LATTICE_NODES = 6
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -209,7 +209,7 @@ class ClassTable:
     Rows and columns follow ``enumerate_classes(n)``, the empty class first
     and K_n last, so S[U][K_n] = sub(U, K_n) and the class moments of a class
     distribution q are z = D^-1 S q with D = diag(S[.][K_n]).  Up to
-    ``LATTICE_TABLE_NODES`` the whole matrix is built once: every W counts the
+    ``MAX_LATTICE_NODES`` the whole matrix is built once: every W counts the
     classes of its edge subsets, looked up in a mask-to-class array of the
     dyad lattice.  Above it each request runs one ``sigma`` search per pair.
     """
@@ -220,7 +220,7 @@ class ClassTable:
         self.index = {u: k for k, u in enumerate(self.classes)}
         self._pos = None
         self._rows = None
-        if n <= LATTICE_TABLE_NODES:
+        if n <= MAX_LATTICE_NODES:
             self._pos = _lattice_positions(n, self.classes)
             rows = [[0] * len(self.classes) for _ in self.classes]
             for j, w in enumerate(self.classes):
@@ -234,26 +234,25 @@ class ClassTable:
             self._rows = tuple(tuple(r) for r in rows)
 
     def row(self, u: UnlabeledClass) -> tuple:
-        """S[U][W] for every class W at n."""
+        """S[U][W] for every class W at n; all zero for a class on more than
+        n vertices, which no network on n nodes contains."""
+        if u.n_vertices > self.n:
+            return (0,) * len(self.classes)
         if self._rows is None:
             return tuple(sigma(u, w.padded(self.n)) for w in self.classes)
         return self._rows[self.index[u]]
-
-    def complete(self, u: UnlabeledClass) -> int:
-        """S[U][K_n] = sub(U, K_n)."""
-        if self._rows is None:
-            return sub_in_complete(u, self.n)
-        return self._rows[self.index[u]][-1]
 
     def sigmas(self, x: LabeledNetwork, classes=None) -> tuple:
         """sigma_U(x) for each U in ``classes`` (default: every class at n)."""
         if x.n > self.n:
             raise ValueError(f"network on {x.n} nodes, table for n={self.n}")
-        classes = self.classes if classes is None else classes
         if self._rows is None:
+            classes = self.classes if classes is None else classes
             return tuple(sigma(u, x) for u in classes)
         j = self._pos[x.mask]
-        return tuple(self._rows[self.index[u]][j] for u in classes)
+        if classes is None:
+            return tuple(r[j] for r in self._rows)
+        return tuple(self.row(u)[j] for u in classes)
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ from .counting import (
     r_count,
     sigma,
     star_class,
+    sub_in_complete,
     triangle_class,
     two_disjoint_edges_class,
 )
@@ -203,7 +204,7 @@ def exch_mle(x: LabeledNetwork) -> MobiusVector:
     sigma_U(x) / sub(U, K_n)."""
     table = class_table(x.n)
     z = {
-        u: Fraction(s, table.complete(u))
+        u: Fraction(s, sub_in_complete(u, x.n))
         for u, s in zip(table.classes, table.sigmas(x))
     }
     return MobiusVector(x.n, z)
@@ -221,7 +222,9 @@ def _moment_matrix(n: int) -> tuple:
     """Rows: classes; columns: classes; entry = sigma_U(W) / sub(U, K_n)."""
     table = class_table(n)
     s = np.array([table.row(u) for u in table.classes], dtype=float)
-    totals = np.array([table.complete(u) for u in table.classes], dtype=float)
+    totals = np.array(
+        [sub_in_complete(u, n) for u in table.classes], dtype=float
+    )
     return table.classes, s / totals[:, None]
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import class_table
+from .counting import class_table, sub_in_complete
 from .estimation import ClassDistribution
 from .graphs import (
     LabeledNetwork,
@@ -96,7 +96,7 @@ def _sigma_rows(m: int, n: int) -> tuple:
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
     rows = []
     for u in targets:
-        denom = table.complete(u)
+        denom = sub_in_complete(u, m)
         rows.append(tuple(Fraction(s, denom) for s in table.row(u)))
     return tuple(targets), table.classes, tuple(rows)
 
@@ -199,7 +199,7 @@ def dissociated_extendable_check(
 
     def row_of(u):
         if u not in row_cache:
-            row_cache[u] = np.array(table.row(u)) / table.complete(u)
+            row_cache[u] = np.array(table.row(u)) / sub_in_complete(u, m)
         return row_cache[u]
 
     for w in full_targets:

@@ -15,7 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .counting import class_table, r_count
+from .counting import (
+    MAX_LATTICE_NODES,
+    class_table,
+    r_count,
+    sub_in_complete,
+)
 from .graphs import (
     LabeledNetwork,
     SizeCapError,
@@ -25,8 +30,6 @@ from .graphs import (
     enumerate_classes,
     num_dyads,
 )
-
-MAX_LATTICE_NODES = 6  # full 2^m work stops at m = 15
 
 FLOAT_SUM_TOL = 1e-12
 FLOAT_NEG_TOL = 1e-12
@@ -319,7 +322,7 @@ def mobius_from_class_distribution(cd) -> MobiusVector:
             continue
         if a is None:
             a = Fraction(0) if exact else 0.0
-        denom = table.complete(u)
+        denom = sub_in_complete(u, n)
         z[u] = Fraction(a, denom) if isinstance(a, (int, Fraction)) else a / denom
     return MobiusVector(n, z)
 

@@ -5,7 +5,15 @@ import random
 import pytest
 from oracles import oracle_sub
 
-from exchnet.counting import class_table, sub_in_complete
+from exchnet.counting import (
+    class_table,
+    sigma,
+    star_class,
+    sub_in_complete,
+    triangle_class,
+    two_disjoint_edges_class,
+)
+from exchnet.graphs import LabeledNetwork
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -46,7 +54,16 @@ def test_last_column_is_copies_in_complete_graph(n):
     assert table.classes[-1].edge_count == n * (n - 1) // 2
     for u in table.classes:
         assert table.row(u)[-1] == sub_in_complete(u, n)
-        assert table.complete(u) == sub_in_complete(u, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_larger_than_n_has_zero_row(n):
+    table = class_table(n)
+    x = LabeledNetwork.complete(n)
+    big = [triangle_class(), two_disjoint_edges_class(), star_class(3)]
+    for u in (u for u in big if u.n_vertices > n):
+        assert table.row(u) == (0,) * len(table.classes)
+        assert table.sigmas(x, [u]) == (sigma(u, x),) == (0,)
 
 
 def test_labeled_network_lookup_matches_padded_class(paw):

@@ -119,6 +119,61 @@ def test_six_node_output_bytes(capsys, tmp_path, command):
     assert hashlib.sha256(out.encode()).hexdigest() == SIX_NODE_DIGESTS[command]
 
 
+class TestNetworksSmallerThanTheStatistics:
+    """Statistic classes on more vertices than the network count 0."""
+
+    def test_stats_at_three_and_one_nodes(self, capsys, tmp_path):
+        path = tmp_path / "p3.edges"
+        path.write_text("n 3\n1 2\n2 3\n")
+        code, out = run_cli(capsys, "stats", str(path))
+        assert code == 0
+        fams = json.loads(out)["families"]
+        assert fams["se_star"]["values"] == [2, 1, 0]
+        assert fams["frank_strauss"]["values"] == [2, 1, 0]
+        assert fams["edges"]["values"] == [2]
+        path.write_text("n 1\n")
+        code, out = run_cli(capsys, "stats", str(path))
+        assert code == 0
+        fams = json.loads(out)["families"]
+        assert fams["se_star"] == {"names": ["two_disjoint_edges"], "values": [0]}
+        assert fams["frank_strauss"] == {"names": ["triangle"], "values": [0]}
+        assert fams["edges"] == {"names": ["star1"], "values": [0]}
+
+    @pytest.mark.parametrize("family", ["se_star", "frank_strauss"])
+    def test_fit_at_three_nodes(self, capsys, tmp_path, family):
+        path = tmp_path / "p3.edges"
+        path.write_text("n 3\n1 2\n2 3\n")
+        code, out = run_cli(capsys, "fit", family, str(path))
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["status"] == "boundary"
+        assert obj["z"]["1-2"] == pytest.approx(2 / 3)
+        assert obj["z"]["1-3,2-3"] == pytest.approx(1 / 3)
+        if family == "se_star":
+            assert obj["nu"]["two_disjoint_edges"] == 0.0
+
+    @pytest.mark.parametrize("family", ["se_star", "frank_strauss"])
+    def test_fit_at_two_nodes(self, capsys, tmp_path, family):
+        path = tmp_path / "k2.edges"
+        path.write_text("n 2\n1 2\n")
+        code, out = run_cli(capsys, "fit", family, str(path))
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["status"] == "boundary"
+        assert obj["z"] == {"1-2": 1.0, "EMPTY": 1.0}
+        absent = "two_disjoint_edges" if family == "se_star" else "triangle"
+        assert obj["nu"][absent] == 0.0
+
+    def test_eval_at_three_nodes(self, capsys, tmp_path):
+        path = tmp_path / "p3.edges"
+        path.write_text("n 3\n1 2\n2 3\n")
+        nu = tmp_path / "nu.json"
+        nu.write_text(json.dumps({"nu": {}}))
+        code, out = run_cli(capsys, "eval", "se_star", str(nu), str(path))
+        assert code == 0
+        assert json.loads(out)["probability"] == pytest.approx(1 / 8)
+
+
 class TestMleDissociated:
     def test_report(self, capsys, paw_file):
         code, out = run_cli(
