@@ -35,15 +35,19 @@ from .graphs import (
     enumerate_classes,
     is_connected_class,
 )
-from .mobius import JointTable, MobiusVector
+from .mobius import InvalidParametersError, JointTable, MobiusVector
 from .optimize import (
+    LinearConstraint,
     ProductConstraint,
     dirichlet_starts,
-    maximize_on_simplex,
+    maximize_batch,
     project_to_simplex,
 )
 
 MAX_FIT_NODES = 6
+# at n = 6 (156 classes) the dissociated fit of path6 ran for over two
+# minutes and failed
+MAX_DISSOCIATED_NODES = 5
 
 STATUS_OPTIMAL = "optimal"
 STATUS_BOUNDARY = "boundary"
@@ -268,8 +272,12 @@ def dissociated_mle(
     among the candidates found.
     """
     n = x.n
-    if n > MAX_FIT_NODES:
-        raise SizeCapError(f"dissociated MLE supports n <= {MAX_FIT_NODES}")
+    if n > MAX_DISSOCIATED_NODES:
+        raise SizeCapError(
+            f"dissociated MLE supports n <= {MAX_DISSOCIATED_NODES}"
+        )
+    if restarts < 0:
+        raise InvalidParametersError("restarts must be >= 0")
     classes, a_matrix = _moment_matrix(n)
     idx = {u: k for k, u in enumerate(classes)}
     x_cls = UnlabeledClass.of(x)
@@ -288,10 +296,7 @@ def dissociated_mle(
     starts.append(np.full(dim, 1.0 / dim))
     starts.extend(dirichlet_starts(rng, dim, restarts))
 
-    runs = []
-    for q0 in starts:
-        res = maximize_on_simplex(c_lin, cons, q0)
-        runs.append(res)
+    runs = maximize_batch(c_lin, cons, np.array(starts))
 
     feasible = [r for r in runs if r.max_violation <= feas_tol]
     usable = [r for r in feasible if r.kkt_residual <= kkt_tol]
@@ -313,19 +318,17 @@ def dissociated_mle(
     if probe_flat is None:
         probe_flat = dim <= 40
     if probe_flat:
-        from .optimize import LinearConstraint
-
         probe_cons = cons + [LinearConstraint(c_lin, best_obj)]
-        warm = near[0].q
-        for k in range(dim):
-            if k == x_idx:
-                continue
-            ck = np.zeros(dim)
-            ck[k] = 1.0
-            # light budget: probes only need to locate distinct maximizers
-            pres = maximize_on_simplex(
-                ck, probe_cons, warm, max_outer=14, inner_iters=700
-            )
+        others = [k for k in range(dim) if k != x_idx]
+        # light budget: probes only need to locate distinct maximizers
+        probes = maximize_batch(
+            np.eye(dim)[others],
+            probe_cons,
+            np.tile(near[0].q, (len(others), 1)),
+            max_outer=14,
+            inner_iters=700,
+        )
+        for pres in probes:
             if (
                 pres.max_violation <= feas_tol
                 and float(c_lin @ pres.q) >= best_obj - obj_tie_tol

@@ -19,22 +19,23 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import class_table, sub_in_complete
-from .estimation import ClassDistribution
+from .estimation import (
+    ClassDistribution,
+    _dissociated_constraints,
+    _moment_matrix,
+)
 from .graphs import (
     LabeledNetwork,
     SizeCapError,
-    component_classes,
     enumerate_classes,
-    is_connected_class,
     num_dyads,
 )
 from .lp import solve_feasibility
-from .mobius import JointTable, MobiusVector
+from .mobius import InvalidParametersError, JointTable, MobiusVector
 from .optimize import (
     LinearConstraint,
-    ProductConstraint,
     dirichlet_starts,
-    minimize_violation_on_simplex,
+    minimize_violation_batch,
 )
 
 MAX_EXTEND_NODES = 7
@@ -176,11 +177,14 @@ def dissociated_extendable_check(
         raise SizeCapError(
             f"extendability supports n <= m <= {MAX_EXTEND_NODES}"
         )
+    if restarts < 0:
+        raise InvalidParametersError("restarts must be >= 0")
     from .counting import edge_class
     from .genmodels import er_class_distribution
 
-    # shortcut: independent ties at the observed edge moment
-    p = mv.z[edge_class()]
+    # shortcut: independent ties at the observed edge moment (at n = 1 there
+    # is none and any dissociated law fits, the empty graph's included)
+    p = mv.z.get(edge_class(), 0)
     if 0 <= p <= 1:
         cand = er_class_distribution(m, p)
         if _certificate_valid(mv, cand, 1e-12):
@@ -193,20 +197,7 @@ def dissociated_extendable_check(
         LinearConstraint(a[i], float(mv.z[u])) for i, u in enumerate(targets)
     ]
     # product constraints for every disconnected class at m
-    full_targets = [w for w in classes_m if not w.is_empty]
-    table = class_table(m)
-    row_cache = {}
-
-    def row_of(u):
-        if u not in row_cache:
-            row_cache[u] = np.array(table.row(u)) / sub_in_complete(u, m)
-        return row_cache[u]
-
-    for w in full_targets:
-        if is_connected_class(w):
-            continue
-        comps = component_classes(w)
-        cons.append(ProductConstraint(row_of(w), [row_of(c) for c in comps]))
+    cons += _dissociated_constraints(m, *_moment_matrix(m))
 
     rng = np.random.default_rng(seed)
     dim = len(classes_m)
@@ -215,13 +206,11 @@ def dissociated_extendable_check(
     if er_q is not None:
         starts.append(er_q)
     starts.extend(dirichlet_starts(rng, dim, restarts))
-    best = None
-    for q0 in starts:
-        res = minimize_violation_on_simplex(cons, q0)
-        if best is None or res.max_violation < best.max_violation:
-            best = res
-        if best.max_violation < tol / 10:
-            break
+    runs = minimize_violation_batch(cons, np.array(starts))
+    # what trying the starts in order would keep: the first below tol / 10,
+    # else the first with the least violation
+    close = [r for r in runs if r.max_violation < tol / 10]
+    best = close[0] if close else min(runs, key=lambda r: r.max_violation)
     if best.max_violation <= tol:
         q = {w: float(best.q[idx[w]]) for w in classes_m}
         total = sum(q.values())
@@ -231,13 +220,7 @@ def dissociated_extendable_check(
             return ExtendabilityReport(
                 True, m, cert, None, method="optimizer"
             )
-    worst_i = None
-    worst_v = -1.0
-    for i, c in enumerate(cons):
-        v = abs(c.value(best.q))
-        if v > worst_v:
-            worst_v = v
-            worst_i = i
+    worst_i = int(np.argmax(np.abs(best.violations))) if cons else None
     worst = (
         targets[worst_i].key()
         if worst_i is not None and worst_i < len(targets)

@@ -184,6 +184,20 @@ class TestMleDissociated:
         assert validate_against_schema(obj, load_schema("fitreport")) == []
         assert obj["z"]["1-2"] == pytest.approx(0.5, abs=1e-6)
 
+    def test_six_nodes_is_size_cap(self, capsys, tmp_path):
+        from exchnet.graphs import LabeledNetwork
+
+        path = tmp_path / "path6.edges"
+        path.write_text(format_edge_list(LabeledNetwork.path(6)))
+        code, out = run_cli(capsys, "mle-dissociated", str(path))
+        assert (code, out) == (3, "")
+
+    def test_negative_restarts_are_invalid_parameters(self, capsys, paw_file):
+        code, out = run_cli(
+            capsys, "mle-dissociated", str(paw_file), "--restarts", "-3"
+        )
+        assert (code, out) == (2, "")
+
 
 class TestMarkovAndSkeleton:
     def test_markov_er_vs_empty(self, capsys, tmp_path):
@@ -268,6 +282,24 @@ class TestExtend:
         )
         assert code == 0
         assert json.loads(out)["feasible"] is True
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dissociated_one_node_agrees_with_exact(self, capsys, tmp_path, m):
+        edges = tmp_path / "one.edges"
+        edges.write_text("n 1\n")
+        zfile = tmp_path / "one.json"
+        assert run_cli(capsys, "mle", str(edges), "--out", str(zfile))[0] == 0
+        code, out = run_cli(capsys, "extend", str(zfile), "--m", str(m))
+        assert code == 0
+        exact = json.loads(out)
+        code, out = run_cli(
+            capsys, "extend", str(zfile), "--m", str(m), "--dissociated"
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert validate_against_schema(obj, load_schema("extendreport")) == []
+        assert obj["feasible"] is exact["feasible"] is True
+        assert obj["certificate"]["n"] == m
 
 
 class TestSample:

@@ -36,6 +36,7 @@ from exchnet.genmodels import (
 )
 from exchnet.graphs import (
     LabeledNetwork,
+    SizeCapError,
     UnlabeledClass,
     aut_count,
     class_size,
@@ -44,6 +45,7 @@ from exchnet.graphs import (
     num_dyads,
 )
 from exchnet.mobius import (
+    InvalidParametersError,
     exch_joint_from_mobius,
     exchangeable_from_labeled,
     labeled_from_exchangeable,
@@ -158,6 +160,14 @@ class TestDissociatedMle:
     def test_empty_observation(self):
         rep = dissociated_mle(LabeledNetwork.empty(3), restarts=4)
         assert rep.likelihood > 1 - 1e-9
+
+    def test_six_nodes_over_the_cap(self):
+        with pytest.raises(SizeCapError):
+            dissociated_mle(LabeledNetwork.path(6))
+
+    def test_negative_restarts_rejected(self, paw):
+        with pytest.raises(InvalidParametersError):
+            dissociated_mle(paw, restarts=-3)
 
 
 class TestErgmStats:

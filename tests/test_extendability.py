@@ -27,6 +27,7 @@ from exchnet.graphs import (
     num_dyads,
 )
 from exchnet.mobius import (
+    InvalidParametersError,
     JointTable,
     MobiusVector,
     exchangeable_from_labeled,
@@ -199,6 +200,10 @@ class TestDissociatedExtendableCheck:
         mv = er_mobius(4, 0.25)
         rep = dissociated_extendable_check(mv, 6)
         assert rep.feasible
+
+    def test_negative_restarts_rejected(self):
+        with pytest.raises(InvalidParametersError):
+            dissociated_extendable_check(er_mobius(4, 0.25), 5, restarts=-1)
 
 
 class TestWeakConsistencyOfDissociatedFamily:
