@@ -11,14 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import (
-    edge_class,
-    inj,
-    star_class,
-    triangle_class,
-    two_disjoint_edges_class,
-    r_count,
-)
+from .counting import class_table, inj, star_class
 from .dependence import (
     BIDIRECTED,
     dependence_graph_from_edges,
@@ -36,7 +29,7 @@ from .estimation import (
     exch_mle,
 )
 from .extendability import extendable_check
-from .graphs import LabeledNetwork, UnlabeledClass, enumerate_classes
+from .graphs import LabeledNetwork, UnlabeledClass
 from .mobius import bidirected_joint, mask_of, mobius_from_class_distribution
 
 
@@ -105,11 +98,11 @@ def _item_inj_values() -> BatteryItem:
 
 
 def _item_supergraph_coefficients() -> BatteryItem:
-    paw = paw_network()
+    table = class_table(4)
     got = {
-        u.key(): r_count(u, paw)
-        for u in enumerate_classes(4, True)
-        if r_count(u, paw)
+        u.key(): r
+        for u, r in zip(table.classes, table.supergraphs(paw_network()))
+        if r
     }
     want = {
         "1-4,2-3,2-4,3-4": 1,

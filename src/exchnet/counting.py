@@ -5,7 +5,10 @@ Conventions: the empty graph maps into anything in exactly one way, so
 A pattern larger than its target yields 0.
 
 :func:`class_table` holds the sigma counts between all classes at a node
-count, which every class-moment computation reads.
+count n <= 7, built by a one-edge recursion without any subgraph search.
+Every class-moment computation reads it, and so does :func:`r_count`, the
+supergraph count; :func:`inj`, :func:`sub` and :func:`sigma` search one
+pattern at a time and serve as its independent check.
 """
 
 from __future__ import annotations
@@ -14,22 +17,24 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .graphs import (
     DegreeDistribution,
     InvariantError,
     LabeledNetwork,
+    SizeCapError,
     UnlabeledClass,
     aut_count,
     class_aut,
-    dyad_index,
-    dyads,
+    class_size,
     enumerate_classes,
-    num_dyads,
+    one_edge_additions,
 )
 
-# Work over the full labeled dyad lattice stops here: 2^15 masks at n = 6,
-# 2^21 at n = 7.  Above it the class table counts pair by pair.
-MAX_LATTICE_NODES = 6
+# Class tables stop at n = 7 (1044 classes): S_8 would hold 12346^2 entries,
+# and enumerating its classes alone takes minutes.
+MAX_TABLE_NODES = 7
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -158,49 +163,9 @@ def sigma(u: UnlabeledClass, x: LabeledNetwork) -> int:
 def sigma_vector(x: LabeledNetwork, n: int | None = None) -> dict:
     """sigma over every class at n (default: x's node count), empty included."""
     n = x.n if n is None else n
+    table = class_table(max(n, x.n))
     classes = enumerate_classes(n, True)
-    return dict(zip(classes, class_table(max(n, x.n)).sigmas(x, classes)))
-
-
-def _swap_tables(n: int, a: int) -> tuple:
-    """Lookup tables for the dyad-mask map of swapping nodes a and a + 1:
-    the image of a mask is ``lo[mask & 255] | hi[mask >> 8]`` (n <= 6)."""
-    swap = {a: a + 1, a + 1: a}
-    img = [dyad_index(swap.get(i, i), swap.get(j, j)) for i, j in dyads(n)]
-
-    def table(first: int) -> list:
-        bits = img[first : first + 8]
-        out = [0] * (1 << len(bits))
-        for v in range(1, len(out)):
-            low = v & -v
-            out[v] = out[v ^ low] | 1 << bits[low.bit_length() - 1]
-        return out
-
-    return table(0), table(8)
-
-
-def _lattice_positions(n: int, classes: tuple) -> list:
-    """Position in ``classes`` of the class of every dyad mask on n nodes.
-
-    Each class's padded representative is pushed through the adjacent node
-    swaps, which generate all n! relabelings, so its whole orbit is reached.
-    """
-    gens = [_swap_tables(n, a) for a in range(1, n)]
-    pos = [-1] * (1 << num_dyads(n))
-    for k, u in enumerate(classes):
-        start = u.representative().mask
-        pos[start] = k
-        stack = [start]
-        while stack:
-            mask = stack.pop()
-            for lo, hi in gens:
-                image = lo[mask & 255] | hi[mask >> 8]
-                if pos[image] < 0:
-                    pos[image] = k
-                    stack.append(image)
-    if -1 in pos:
-        raise InvariantError(f"class orbits do not cover the lattice at n={n}")
-    return pos
+    return dict(zip(classes, table.sigmas(x, classes)))
 
 
 class ClassTable:
@@ -208,51 +173,86 @@ class ClassTable:
 
     Rows and columns follow ``enumerate_classes(n)``, the empty class first
     and K_n last, so S[U][K_n] = sub(U, K_n) and the class moments of a class
-    distribution q are z = D^-1 S q with D = diag(S[.][K_n]).  Up to
-    ``MAX_LATTICE_NODES`` the whole matrix is built once: every W counts the
-    classes of its edge subsets, looked up in a mask-to-class array of the
-    dyad lattice.  Above it each request runs one ``sigma`` search per pair.
+    distribution q are z = D^-1 S q with D = diag(S[.][K_n]).  S is built
+    once, column by column in edge-count order, from the one-edge recursion
+
+        (e(W) - e(U)) S[U][W] = sum_V b(W, V) S[U][V]   for e(U) < e(W),
+
+    which counts the pairs (copy of U in W, edge of W outside it); b(W, V)
+    is the number of edges of W whose removal leaves class V.  The diagonal
+    is 1 and every other entry with e(U) >= e(W) is 0.  b comes from the
+    one-edge additions by double counting, |V| a(V, W) = |W| b(W, V), where
+    a(V, W) counts the non-edges of V whose addition gives W and |.| are
+    class sizes at n.  The same double counting over the pairs (member of U,
+    member of W inside it) gives the supergraph counts
+    r(U, x) = |U| S[W][U] / |W| for x in class W.
     """
 
     def __init__(self, n: int):
+        if n > MAX_TABLE_NODES:
+            raise SizeCapError(
+                f"class tables support n <= {MAX_TABLE_NODES}, got {n}"
+            )
         self.n = n
         self.classes = tuple(enumerate_classes(n, True))
         self.index = {u: k for k, u in enumerate(self.classes)}
-        self._pos = None
-        self._rows = None
-        if n <= MAX_LATTICE_NODES:
-            self._pos = _lattice_positions(n, self.classes)
-            rows = [[0] * len(self.classes) for _ in self.classes]
-            for j, w in enumerate(self.classes):
-                full = w.representative().mask
-                part = full
-                while True:
-                    rows[self._pos[part]][j] += 1
-                    if not part:
-                        break
-                    part = (part - 1) & full
-            self._rows = tuple(tuple(r) for r in rows)
+        self.sizes = np.array(
+            [class_size(u, n) for u in self.classes], dtype=np.int64
+        )
+        sizes = self.sizes.tolist()
+        edges = np.array([u.edge_count for u in self.classes])
+        # removals[j][k] = b(class j, class k)
+        removals: list = [{} for _ in self.classes]
+        for k, v in enumerate(self.classes):
+            for w, a in one_edge_additions(v, n).items():
+                j = self.index[w]
+                removals[j][k] = _exact_div(
+                    sizes[k] * a, sizes[j], "edge removals"
+                )
+        # columns in shipped order; the classes with fewer edges come first.
+        # Entries are at most sub(U, K_7) <= 7!, sums of them stay in int64.
+        below = np.searchsorted(edges, edges)
+        s = np.zeros((len(self.classes), len(self.classes)), dtype=np.int32)
+        for j, b in enumerate(removals):
+            s[j, j] = 1
+            lo = below[j]
+            acc = s[:lo, list(b)].astype(np.int64) @ np.array(
+                list(b.values()), dtype=np.int64
+            )
+            s[:lo, j], rem = np.divmod(acc, edges[j] - edges[:lo])
+            if rem.any():
+                raise InvariantError(f"one-edge recursion at n={n}, column {j}")
+        self.S = s
 
     def row(self, u: UnlabeledClass) -> tuple:
         """S[U][W] for every class W at n; all zero for a class on more than
         n vertices, which no network on n nodes contains."""
         if u.n_vertices > self.n:
             return (0,) * len(self.classes)
-        if self._rows is None:
-            return tuple(sigma(u, w.padded(self.n)) for w in self.classes)
-        return self._rows[self.index[u]]
+        return tuple(self.S[self.index[u]].tolist())
 
     def sigmas(self, x: LabeledNetwork, classes=None) -> tuple:
         """sigma_U(x) for each U in ``classes`` (default: every class at n)."""
         if x.n > self.n:
             raise ValueError(f"network on {x.n} nodes, table for n={self.n}")
-        if self._rows is None:
-            classes = self.classes if classes is None else classes
-            return tuple(sigma(u, x) for u in classes)
-        j = self._pos[x.mask]
+        col = self.S[:, self.index[UnlabeledClass.of(x)]].tolist()
         if classes is None:
-            return tuple(r[j] for r in self._rows)
-        return tuple(self.row(u)[j] for u in classes)
+            return tuple(col)
+        return tuple(
+            col[self.index[u]] if u in self.index else 0 for u in classes
+        )
+
+    def supergraphs(self, x: LabeledNetwork) -> tuple:
+        """r(U, x) for every class U at n: the labeled graphs on x's n nodes
+        in class U that contain x."""
+        if x.n != self.n:
+            raise ValueError(f"network on {x.n} nodes, table for n={self.n}")
+        j = self.index[UnlabeledClass.of(x)]
+        num = self.S[j].astype(np.int64) * self.sizes
+        r, rem = np.divmod(num, self.sizes[j])
+        if rem.any():
+            raise InvariantError(f"labeled supergraph counts of {x}")
+        return tuple(r.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -261,28 +261,13 @@ def class_table(n: int) -> ClassTable:
     return ClassTable(n)
 
 
-@lru_cache(maxsize=500000)
-def _r_count_cached(u: UnlabeledClass, n: int, xn: int, xmask: int) -> int:
-    x = LabeledNetwork.from_mask(xn, xmask)
-    xs = x.restrict_to_support() if x.edges else LabeledNetwork.empty(0)
-    k = xs.n
-    uv = u.n_vertices
-    if uv > n:
-        return 0
-    padded = u.padded(n)
-    num = inj(xs, padded) * math.factorial(n - k)
-    den = class_aut(u) * math.factorial(n - uv)
-    return _exact_div(num, den, "labeled supergraph count")
-
-
 def r_count(u: UnlabeledClass, x: LabeledNetwork) -> int:
-    """Number of labeled graphs on x's node set in class u that contain x.
-
-    Counted via orbit arithmetic: permutations embedding x into the padded
-    representative of u, divided by the padded automorphism count.  Equivalent
-    to enumerating the labeled members of the class and testing containment.
-    """
-    return _r_count_cached(u, x.n, x.n, x.mask)
+    """Number of labeled graphs on x's node set in class u that contain x,
+    read from the sigma table at x's node count."""
+    table = class_table(x.n)
+    if u not in table.index:
+        return 0
+    return table.supergraphs(x)[table.index[u]]
 
 
 def sub_in_complete(u: UnlabeledClass, n: int) -> int:

@@ -463,12 +463,3 @@ def dissociated_check(lm: LabeledMobius) -> DissociatedCheckResult:
         elif abs(lm.z[mask] - prod) > DISSOC_TOL:
             return DissociatedCheckResult(False, mask)
     return DissociatedCheckResult(True)
-
-
-def masks_from_dyads(n: int, pairs: Iterable) -> int:
-    from .graphs import dyad_index
-
-    m = 0
-    for i, j in pairs:
-        m |= 1 << dyad_index(i, j)
-    return m

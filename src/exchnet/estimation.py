@@ -18,8 +18,6 @@ import numpy as np
 from .counting import (
     class_table,
     matching_class,
-    r_count,
-    sigma,
     star_class,
     sub_in_complete,
     triangle_class,
@@ -35,7 +33,12 @@ from .graphs import (
     enumerate_classes,
     is_connected_class,
 )
-from .mobius import InvalidParametersError, JointTable, MobiusVector
+from .mobius import (
+    MAX_LATTICE_NODES,
+    InvalidParametersError,
+    JointTable,
+    MobiusVector,
+)
 from .optimize import (
     LinearConstraint,
     ProductConstraint,
@@ -127,8 +130,10 @@ class ClassDistribution:
     def to_joint(self) -> JointTable:
         from .graphs import num_dyads
 
-        if self.n > MAX_FIT_NODES:
-            raise SizeCapError("joint expansion supports n <= 6")
+        if self.n > MAX_LATTICE_NODES:
+            raise SizeCapError(
+                f"joint expansion supports n <= {MAX_LATTICE_NODES}"
+            )
         probs = []
         for mask in range(1 << num_dyads(self.n)):
             probs.append(self.labeled_prob(LabeledNetwork.from_mask(self.n, mask)))
@@ -214,18 +219,13 @@ def exch_mle(x: LabeledNetwork) -> MobiusVector:
     return MobiusVector(x.n, z)
 
 
-def exch_mle_distribution(x: LabeledNetwork) -> ClassDistribution:
-    """The fitted exchangeable distribution: all mass on the observed class."""
-    return ClassDistribution.point_mass(UnlabeledClass.of(x), x.n)
-
-
 # --- dissociated MLE ----------------------------------------------------------
 
 
 def _moment_matrix(n: int) -> tuple:
     """Rows: classes; columns: classes; entry = sigma_U(W) / sub(U, K_n)."""
     table = class_table(n)
-    s = np.array([table.row(u) for u in table.classes], dtype=float)
+    s = table.S.astype(float)
     totals = np.array(
         [sub_in_complete(u, n) for u in table.classes], dtype=float
     )
@@ -676,12 +676,13 @@ def sigma_is_degree_function(u: UnlabeledClass, n: int) -> tuple:
     """
     if n > 7:
         raise SizeCapError("degree-function scan supports n <= 7")
+    table = class_table(n)
+    row = table.row(u)
     for group in degree_collision_classes(n):
-        reps = [w.padded(n) for w in group]
-        vals = [sigma(u, rep) for rep in reps]
+        vals = [row[table.index[w]] for w in group]
         for k in range(1, len(vals)):
             if vals[k] != vals[0]:
-                return False, (reps[0], reps[k])
+                return False, (group[0].padded(n), group[k].padded(n))
     return True, None
 
 
@@ -714,19 +715,19 @@ def summarized_constraints(n: int) -> list:
     """One linear z constraint per degree-distribution collision pair."""
     if n > MAX_FIT_NODES:
         raise SizeCapError("constraint construction supports n <= 6")
+    table = class_table(n)
     out = []
     for group in degree_collision_classes(n):
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
                 u1, u2 = group[a], group[b]
                 x1 = u1.padded(n)
-                x2 = u2.padded(n)
                 ex = x1.edge_count
+                r1 = table.supergraphs(x1)
+                r2 = table.supergraphs(u2.padded(n))
                 coeffs = {}
-                for u in enumerate_classes(n, True):
-                    if u.edge_count < ex:
-                        continue
-                    diff = r_count(u, x1) - r_count(u, x2)
+                for u, c1, c2 in zip(table.classes, r1, r2):
+                    diff = c1 - c2
                     if diff:
                         sign = -1 if (u.edge_count - ex) % 2 else 1
                         coeffs[u] = sign * diff

@@ -190,14 +190,12 @@ def dissociated_extendable_check(
         if _certificate_valid(mv, cand, 1e-12):
             return ExtendabilityReport(True, m, cand, None, method="er-candidate")
 
-    targets, classes_m, rows = _sigma_rows(m, n)
-    a = np.array([[float(v) for v in row] for row in rows])
+    classes_m, a_matrix = _moment_matrix(m)
     idx = {w: k for k, w in enumerate(classes_m)}
-    cons = [
-        LinearConstraint(a[i], float(mv.z[u])) for i, u in enumerate(targets)
-    ]
+    targets = enumerate_classes(n, False)
+    cons = [LinearConstraint(a_matrix[idx[u]], float(mv.z[u])) for u in targets]
     # product constraints for every disconnected class at m
-    cons += _dissociated_constraints(m, *_moment_matrix(m))
+    cons += _dissociated_constraints(m, classes_m, a_matrix)
 
     rng = np.random.default_rng(seed)
     dim = len(classes_m)

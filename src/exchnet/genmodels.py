@@ -26,9 +26,8 @@ from .graphs import (
     enumerate_classes,
     num_dyads,
 )
-from .mobius import JointTable, MobiusVector
+from .mobius import MAX_LATTICE_NODES, JointTable, MobiusVector
 
-MAX_JOINT_NODES = 6
 MAX_EXACT_MIX_NODES = 5
 
 
@@ -49,8 +48,8 @@ def er_joint(n: int, p) -> JointTable:
     bit-for-bit with a per-dyad product model evaluated at a constant tie
     probability.
     """
-    if n > MAX_JOINT_NODES:
-        raise SizeCapError(f"joint tables support n <= {MAX_JOINT_NODES}")
+    if n > MAX_LATTICE_NODES:
+        raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
     m = num_dyads(n)
     exact = isinstance(p, (Fraction, int))
     one = Fraction(1) if exact else 1.0
@@ -113,8 +112,8 @@ class BetaSpec:
 def beta_joint(spec: BetaSpec) -> JointTable:
     """Exact product over dyads of independent, node-driven tie probabilities."""
     n = spec.n
-    if n > MAX_JOINT_NODES:
-        raise SizeCapError(f"joint tables support n <= {MAX_JOINT_NODES}")
+    if n > MAX_LATTICE_NODES:
+        raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
     ds = dyads(n)
     pv = [spec.tie_prob(i, j) for i, j in ds]
     probs = []

@@ -351,6 +351,39 @@ def class_from_key(key: str) -> UnlabeledClass:
     return UnlabeledClass.of(LabeledNetwork.from_edges(n, edges))
 
 
+def one_edge_additions(cls_: UnlabeledClass, n: int) -> dict:
+    """Classes reached by adding one edge to the class padded to n nodes.
+
+    Maps each such class to the number of non-edges of the padded
+    representative that give it.  A non-edge touching isolated nodes is
+    canonicalized once, at the first free labels, and counted for each of
+    its placements among the n - k isolated nodes.
+    """
+    k = cls_.n_vertices
+    rep = cls_.representative()
+    base = rep.mask
+    cands = [
+        (dyad_index(i, j), k, 1)
+        for i, j in combinations(range(1, k + 1), 2)
+        if not rep.has_edge(i, j)
+    ]
+    if k + 1 <= n:
+        cands.extend(
+            (dyad_index(i, k + 1), k + 1, n - k) for i in range(1, k + 1)
+        )
+    if k + 2 <= n:
+        cands.append((dyad_index(k + 1, k + 2), k + 2, math.comb(n - k, 2)))
+    # the representative has no isolated node and every new edge touches the
+    # new labels, so each child is canonicalized on its full support
+    out: dict = {}
+    for bit, nn, count in cands:
+        child = UnlabeledClass(
+            CanonicalForm(nn, _canon_bits(nn, base | 1 << bit)), False
+        )
+        out[child] = out.get(child, 0) + count
+    return out
+
+
 @lru_cache(maxsize=None)
 def _enumerate_classes_tuple(n: int) -> tuple:
     """All classes of edge-induced subgraphs of K_n, the empty class first.
@@ -367,23 +400,10 @@ def _enumerate_classes_tuple(n: int) -> tuple:
     while frontier:
         new_frontier = []
         for cls_ in frontier:
-            k = cls_.n_vertices
-            rep = cls_.representative()
-            cand_edges = []
-            for i, j in combinations(range(1, k + 1), 2):
-                if not rep.has_edge(i, j):
-                    cand_edges.append((i, j))
-            if k + 1 <= n:
-                cand_edges.extend((i, k + 1) for i in range(1, k + 1))
-            if k + 2 <= n:
-                cand_edges.append((k + 1, k + 2))
-            for e in cand_edges:
-                nn = max(k, e[1])
-                child = LabeledNetwork(nn, rep.edges | {e})
-                ccls = UnlabeledClass.of(child)
-                if ccls not in seen:
-                    seen.add(ccls)
-                    new_frontier.append(ccls)
+            for child in one_edge_additions(cls_, n):
+                if child not in seen:
+                    seen.add(child)
+                    new_frontier.append(child)
         frontier = new_frontier
     return tuple(sorted(seen, key=UnlabeledClass.sort_key))
 

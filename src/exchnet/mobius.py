@@ -15,12 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .counting import (
-    MAX_LATTICE_NODES,
-    class_table,
-    r_count,
-    sub_in_complete,
-)
+from .counting import class_table, sub_in_complete
 from .graphs import (
     LabeledNetwork,
     SizeCapError,
@@ -30,6 +25,10 @@ from .graphs import (
     enumerate_classes,
     num_dyads,
 )
+
+# Work over the full labeled dyad lattice stops here: 2^15 masks at n = 6,
+# 2^21 at n = 7.
+MAX_LATTICE_NODES = 6
 
 FLOAT_SUM_TOL = 1e-12
 FLOAT_NEG_TOL = 1e-12
@@ -275,15 +274,12 @@ def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
         raise ValueError(f"network on {x.n} nodes, moments for n={mv.n}")
     ex = x.edge_count
     total = None
-    for u in enumerate_classes(mv.n, True):
-        eu = u.edge_count
-        if eu < ex:
-            continue
-        r = r_count(u, x)
+    table = class_table(mv.n)
+    for u, r in zip(table.classes, table.supergraphs(x)):
         if r == 0:
             continue
         term = mv.z[u] * r
-        if (eu - ex) % 2:
+        if (u.edge_count - ex) % 2:
             term = -term
         total = term if total is None else total + term
     if total is None:
@@ -311,7 +307,7 @@ def mobius_from_class_distribution(cd) -> MobiusVector:
     for w, q in cd.q.items():
         if not q:
             continue
-        for k, s in enumerate(table.sigmas(w.padded(n))):
+        for k, s in enumerate(table.S[:, table.index[w]].tolist()):
             if s:
                 acc[k] = q * s if acc[k] is None else acc[k] + q * s
     exact = cd.is_exact
@@ -476,15 +472,3 @@ def validate_mobius(mv: MobiusVector) -> MobiusValidation:
                 ("normalization", f"implied probabilities sum to {total}")
             )
     return report
-
-
-def dissociated_product_value(mv: MobiusVector, u: UnlabeledClass):
-    """Product of z over the connected components of a class representative."""
-    from .graphs import component_classes
-
-    if u.is_empty:
-        return mv.z[UnlabeledClass.empty()]
-    prod = None
-    for c in component_classes(u):
-        prod = mv.z[c] if prod is None else prod * mv.z[c]
-    return prod

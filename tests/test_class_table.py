@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from oracles import oracle_sub
 
@@ -13,7 +14,7 @@ from exchnet.counting import (
     triangle_class,
     two_disjoint_edges_class,
 )
-from exchnet.graphs import LabeledNetwork
+from exchnet.graphs import LabeledNetwork, SizeCapError
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -38,7 +39,41 @@ def test_sampled_pairs_match_oracle_at_six():
         assert table.row(u)[table.index[w]] == want
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sampled_pairs_match_sigma_at_seven():
+    table = class_table(7)
+    rng = random.Random(20261019)
+    pairs = [
+        (rng.choice(table.classes), rng.choice(table.classes))
+        for _ in range(200)
+    ]
+    # and the full rows of every class on at most 4 vertices
+    small = [u for u in table.classes if u.n_vertices <= 4]
+    pairs += [(u, w) for u in small for w in table.classes]
+    for u, w in pairs:
+        assert table.S[table.index[u], table.index[w]] == sigma(u, w.padded(7))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_table_is_a_block_of_the_next(n):
+    small, big = class_table(n), class_table(n + 1)
+    at = [big.index[u] for u in small.classes]
+    assert (big.S[np.ix_(at, at)] == small.S).all()
+
+
+def test_entries_are_python_ints():
+    table = class_table(4)
+    x = LabeledNetwork.complete(4)
+    rows = table.row(table.classes[1]), table.sigmas(x), table.supergraphs(x)
+    for values in rows:
+        assert all(type(v) is int for v in values)
+
+
+def test_eight_nodes_is_size_cap():
+    with pytest.raises(SizeCapError):
+        class_table(8)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_unit_upper_triangular_in_shipped_order(n):
     table = class_table(n)
     for i, u in enumerate(table.classes):
@@ -47,7 +82,7 @@ def test_unit_upper_triangular_in_shipped_order(n):
         assert not any(row[:i])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_last_column_is_copies_in_complete_graph(n):
     table = class_table(n)
     assert table.classes[-1].n_vertices == n

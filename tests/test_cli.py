@@ -174,6 +174,20 @@ class TestNetworksSmallerThanTheStatistics:
         assert json.loads(out)["probability"] == pytest.approx(1 / 8)
 
 
+@pytest.mark.parametrize("command", ["mle", "stats"])
+def test_eight_nodes_is_size_cap(capsys, tmp_path, command):
+    # a sigma table at n = 8 would hold 12346^2 entries: refused before any
+    # of the 8-node classes is enumerated
+    from exchnet.graphs import LabeledNetwork, _enumerate_classes_tuple
+
+    path = tmp_path / "path8.edges"
+    path.write_text(format_edge_list(LabeledNetwork.path(8)))
+    misses = _enumerate_classes_tuple.cache_info().misses
+    code, out = run_cli(capsys, command, str(path))
+    assert (code, out) == (3, "")
+    assert _enumerate_classes_tuple.cache_info().misses == misses
+
+
 class TestMleDissociated:
     def test_report(self, capsys, paw_file):
         code, out = run_cli(

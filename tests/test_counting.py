@@ -243,10 +243,36 @@ class TestInvariantErrors:
             sub(edge_class().representative(), LabeledNetwork.complete(3))
 
     def test_supergraph_count_not_integral(self, monkeypatch):
-        monkeypatch.setattr(counting, "class_aut", lambda u: 7)
-        counting._r_count_cached.cache_clear()
+        table = counting.ClassTable(3)
+        table.sizes = table.sizes.copy()
+        table.sizes[0] = 7  # the empty class has one member on 3 nodes
+        monkeypatch.setattr(counting, "class_table", lambda n: table)
         with pytest.raises(InvariantError):
             r_count(triangle_class(), LabeledNetwork.empty(3))
+
+    def test_edge_removal_count_not_integral(self, monkeypatch):
+        # with 2 members in the edge class, the 3 edge additions to the
+        # empty graph would be 3/2 edge removals from an edge
+        real = counting.class_size
+        monkeypatch.setattr(
+            counting,
+            "class_size",
+            lambda u, n: 2 if u == edge_class() else real(u, n),
+        )
+        with pytest.raises(InvariantError, match="edge removals"):
+            counting.ClassTable(3)
+
+    def test_one_edge_recursion_not_integral(self, monkeypatch):
+        # with 2 members in the 2-star class, each 2-star would have 3 edges
+        # whose removal leaves an edge, and 2 S[empty][2-star] = 3
+        real = counting.class_size
+        monkeypatch.setattr(
+            counting,
+            "class_size",
+            lambda u, n: 2 if u == star_class(2) else real(u, n),
+        )
+        with pytest.raises(InvariantError, match="one-edge recursion"):
+            counting.ClassTable(3)
 
     def test_copies_in_complete_graph_not_integral(self, monkeypatch):
         monkeypatch.setattr(counting, "class_aut", lambda u: 7)
@@ -257,11 +283,6 @@ class TestInvariantErrors:
         monkeypatch.setattr(DegreeDistribution, "__post_init__", lambda self: None)
         with pytest.raises(InvariantError):
             star_count_from_degrees(DegreeDistribution((0, 1)), 1)
-
-    def test_lattice_not_covered_by_class_orbits(self):
-        classes = tuple(enumerate_classes(3, True))
-        with pytest.raises(InvariantError):
-            counting._lattice_positions(3, classes[:-1])
 
     def test_is_a_runtime_error(self):
         import exchnet

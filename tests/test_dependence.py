@@ -17,7 +17,6 @@ from exchnet.dependence import (
     incidence_cliques,
     incidence_graph,
     kneser_graph,
-    masks_from_dyads,
     separates,
     skeleton,
 )
@@ -140,10 +139,11 @@ class TestCiTest:
         assert ci_test(jt, 1 << 0, 1 << 1, (1 << 2) | (1 << 3))
 
     def test_two_point_marginal_beta(self, two_point_joint):
-        disjoint = masks_from_dyads(4, [(1, 2)]), masks_from_dyads(4, [(3, 4)])
-        assert ci_test(two_point_joint, disjoint[0], disjoint[1], 0)
-        incident = masks_from_dyads(4, [(1, 2)]), masks_from_dyads(4, [(1, 3)])
-        assert not ci_test(two_point_joint, incident[0], incident[1], 0)
+        def mask(*pairs):
+            return LabeledNetwork.from_edges(4, pairs).mask
+
+        assert ci_test(two_point_joint, mask((1, 2)), mask((3, 4)), 0)
+        assert not ci_test(two_point_joint, mask((1, 2)), mask((1, 3)), 0)
 
     def test_point_mass_degenerate(self, paw):
         probs = [Fraction(0)] * 64

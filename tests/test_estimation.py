@@ -21,7 +21,6 @@ from exchnet.estimation import (
     ergm_fitted_distribution,
     ergm_stats,
     exch_mle,
-    exch_mle_distribution,
     sigma_is_degree_function,
     summarized_check,
     summarized_constraints,
@@ -106,7 +105,7 @@ class TestExchMle:
                         assert exch_joint_from_mobius(mv, other.padded(n)) == 0
 
     def test_mle_matches_point_mass_distribution(self, paw):
-        cd = exch_mle_distribution(paw)
+        cd = ClassDistribution.point_mass(UnlabeledClass.of(paw), paw.n)
         assert mobius_from_class_distribution(cd) == exch_mle(paw)
 
 

@@ -269,7 +269,6 @@ class TestBidirectedEvaluation:
         # inclusion-exclusion applied to the product-completed moment vector
         from exchnet.dependence import incidence_graph
         from exchnet.graphs import component_classes, is_connected_class
-        from exchnet.mobius import dissociated_product_value
 
         golden = {
             "1-2": Fraction(1, 2),
@@ -308,9 +307,6 @@ class TestBidirectedEvaluation:
             x = LabeledNetwork.from_mask(4, mask)
             assert bidirected_joint(dep, z_conn, mask) == exch_joint_from_mobius(
                 mv, x
-            )
-            assert dissociated_product_value(mv, UnlabeledClass.of(x)) == (
-                z_map[UnlabeledClass.of(x)] if mask else 1
             )
 
 
