@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import (
+    MAX_NODES,
     DegreeDistribution,
     InvariantError,
     LabeledNetwork,
@@ -31,10 +32,6 @@ from .graphs import (
     enumerate_classes,
     one_edge_additions,
 )
-
-# Class tables stop at n = 7 (1044 classes): S_8 would hold 12346^2 entries,
-# and enumerating its classes alone takes minutes.
-MAX_TABLE_NODES = 7
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -189,10 +186,8 @@ class ClassTable:
     """
 
     def __init__(self, n: int):
-        if n > MAX_TABLE_NODES:
-            raise SizeCapError(
-                f"class tables support n <= {MAX_TABLE_NODES}, got {n}"
-            )
+        if n > MAX_NODES:
+            raise SizeCapError(f"class tables support n <= {MAX_NODES}, got {n}")
         self.n = n
         self.classes = tuple(enumerate_classes(n, True))
         self.index = {u: k for k, u in enumerate(self.classes)}

@@ -4,6 +4,12 @@ A network on nodes ``{1..n}`` is a simple undirected graph.  Its dyads (the
 unordered node pairs) are indexed in colex order, so the dyads of ``{1..k}``
 always occupy the first ``k(k-1)/2`` indices.  That makes bitmask encodings of
 networks stable under restriction to an initial node segment.
+
+Canonical forms and automorphism counts both come from one cached table per
+node count n <= 7 that holds every chunk of 4 dyads under all n! vertex
+relabelings: a mask's relabelings are the OR of one table row per chunk,
+its canonical form is their minimum and its automorphisms are the
+relabelings equal to the identity's.
 """
 
 from __future__ import annotations
@@ -11,10 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-MAX_NODES = 8
+import numpy as np
+
+# Canonical forms, class enumeration and class tables stop at n = 7 (1044
+# classes): an 8-node relabeling table has 8! columns and S_8 12346^2 entries.
+MAX_NODES = 7
 
 
 class SizeCapError(ValueError):
@@ -205,8 +215,11 @@ class LabeledNetwork:
 class CanonicalForm:
     """Lexicographically minimal upper-triangular adjacency bitstring.
 
-    Bits follow the colex dyad order of :func:`dyads`.  Two labeled networks
-    on the same node count share a CanonicalForm iff they are isomorphic.
+    Bits follow the colex dyad order of :func:`dyads`.  The bits are the
+    least of the n! relabeled masks read as integers with dyad 0 the most
+    significant bit, taken from the relabeling table (n <= 7).  Two labeled
+    networks on the same node count share a CanonicalForm iff they are
+    isomorphic.
     """
 
     n_vertices: int
@@ -227,64 +240,51 @@ class CanonicalForm:
         return (self.n_vertices, self.bits)
 
 
-def _min_colex_bits(adj: list, n: int) -> tuple:
-    """Minimal colex adjacency bitstring over all vertex orderings.
+@lru_cache(maxsize=None)
+def _relabel_table(n: int) -> np.ndarray:
+    """T[c, v, p]: dyads 4c..4c+3 holding the bits of v, relabeled by the
+    p-th permutation of the n vertices (permutation 0 the identity).
 
-    Branch and bound: positions are filled left to right; a partial ordering
-    is abandoned as soon as its determined bit prefix exceeds the best known
-    complete bitstring.  The result equals full enumeration over all n!
-    orderings.
+    Each entry is a uint32 read with dyad 0 as the most significant of the
+    n(n-1)/2 bits, so ORing one row per chunk of a mask gives the mask under
+    every relabeling, as integers that compare like the bit tuples.
     """
-    if n <= 1:
-        return ()
-    best: list | None = None
-    perm: list = []
-    prefix: list = []
-    used = [False] * n
+    if n > MAX_NODES:
+        raise SizeCapError(f"vertex relabelings support n <= {MAX_NODES}, got {n}")
+    nd = num_dyads(n)
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    chunks = max(1, (nd + 3) // 4)
+    weights = np.zeros((4 * chunks, len(perms)), dtype=np.uint32)
+    for d, (i, j) in enumerate(dyads(n)):
+        a, b = perms[:, i - 1], perms[:, j - 1]
+        lo, hi = np.minimum(a, b), np.maximum(a, b).astype(np.uint32)
+        # the bit of the image dyad, dyad 0 the most significant
+        weights[d] = np.uint32(1) << (nd - 1 - (hi * (hi - 1) // 2 + lo))
+    table = np.zeros((chunks, 16, len(perms)), dtype=np.uint32)
+    for v in range(1, 16):
+        low = (v & -v).bit_length() - 1
+        table[:, v] = table[:, v & (v - 1)] | weights[low::4]
+    return table
 
-    def rec():
-        nonlocal best
-        p = len(perm)
-        if p == n:
-            if best is None or prefix < best:
-                best = list(prefix)
-            return
-        cands = []
-        for v in range(n):
-            if used[v]:
-                continue
-            row = tuple((adj[v] >> perm[q]) & 1 for q in range(p))
-            cands.append((row, v))
-        cands.sort()
-        base = len(prefix)
-        for row, v in cands:
-            prefix.extend(row)
-            if best is not None and prefix > best[: len(prefix)]:
-                del prefix[base:]
-                break  # candidates are sorted, later ones are no better
-            used[v] = True
-            perm.append(v)
-            rec()
-            perm.pop()
-            used[v] = False
-            del prefix[base:]
 
-    rec()
-    if best is None:
-        raise InvariantError(f"no vertex ordering found for n={n}")
-    return tuple(best)
+def _relabelings(n: int, mask: int) -> np.ndarray:
+    """The mask under all n! vertex relabelings, identity first."""
+    table = _relabel_table(n)
+    out = table[0, mask & 15].copy()
+    for c in range(1, len(table)):
+        out |= table[c, mask >> 4 * c & 15]
+    return out
 
 
 @lru_cache(maxsize=500000)
 def _canon_bits(n: int, mask: int) -> tuple:
-    net = LabeledNetwork.from_mask(n, mask)
-    return _min_colex_bits(net.adjacency_bitsets(), n)
+    best = int(_relabelings(n, mask).min())
+    nd = num_dyads(n)
+    return tuple(best >> (nd - 1 - k) & 1 for k in range(nd))
 
 
 def canonical_form(g: LabeledNetwork) -> CanonicalForm:
     """Canonical form of g on all of its n vertices (isolated ones included)."""
-    if g.n > MAX_NODES:
-        raise SizeCapError(f"canonical_form supports n <= {MAX_NODES}, got {g.n}")
     return CanonicalForm(g.n, _canon_bits(g.n, g.mask))
 
 
@@ -418,37 +418,8 @@ def enumerate_classes(n: int, include_empty: bool = True) -> list:
 
 def aut_count(g: LabeledNetwork) -> int:
     """Number of permutations of all n vertices preserving edges and non-edges."""
-    n = g.n
-    if n <= 1:
-        return 1
-    adj = g.adjacency_bitsets()
-    deg = [bin(a).count("1") for a in adj]
-    image = [-1] * n
-    used = [False] * n
-    count = 0
-
-    def rec(v: int):
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for q in range(v):
-                if ((adj[v] >> q) & 1) != ((adj[w] >> image[q]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                rec(v + 1)
-                used[w] = False
-                image[v] = -1
-
-    rec(0)
-    return count
+    images = _relabelings(g.n, g.mask)
+    return int(np.count_nonzero(images == images[0]))
 
 
 @lru_cache(maxsize=None)

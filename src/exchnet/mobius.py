@@ -409,12 +409,6 @@ def mask_of(indices) -> int:
     return m
 
 
-def bidirected_joint_table(dep, z_conn: Mapping) -> JointTable:
-    """Full joint table induced by a bidirected dependence structure."""
-    probs = [bidirected_joint(dep, z_conn, h) for h in range(1 << dep.m)]
-    return JointTable(dep.n, tuple(probs))
-
-
 # --- validation --------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ pruning and no shared code with the package internals, so it can serve as an
 independent check.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from exchnet.graphs import LabeledNetwork, num_dyads
 
@@ -40,6 +40,21 @@ def oracle_aut(g: LabeledNetwork) -> int:
         ):
             count += 1
     return count
+
+
+def oracle_canonical_bits(g: LabeledNetwork) -> tuple:
+    """Least relabeled adjacency bit tuple over all n! vertex relabelings.
+
+    Bits follow the colex dyad order (1,2), (1,3), (2,3), (1,4), ...
+    """
+    verts = range(g.n)
+    adj = [[0] * g.n for _ in verts]
+    for i, j in g.edges:
+        adj[i - 1][j - 1] = adj[j - 1][i - 1] = 1
+    order = sorted(combinations(verts, 2), key=lambda d: (d[1], d[0]))
+    return min(
+        tuple(adj[p[i]][p[j]] for i, j in order) for p in permutations(verts)
+    )
 
 
 def oracle_isomorphic(g: LabeledNetwork, h: LabeledNetwork) -> bool:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import oracle_aut, oracle_labeled_classes
+from oracles import oracle_aut, oracle_canonical_bits, oracle_labeled_classes
 
 from exchnet import graphs
 from exchnet.graphs import (
@@ -79,7 +79,7 @@ class TestCanonicalForm:
 
     def test_invariant_under_random_permutations(self):
         rng = random.Random(7)
-        for n in range(2, 7):
+        for n in range(2, 8):
             for _ in range(20):
                 mask = rng.randrange(1 << len(dyads(n)))
                 g = LabeledNetwork.from_mask(n, mask)
@@ -89,9 +89,27 @@ class TestCanonicalForm:
                 h = g.permute(dict(zip(verts, img)))
                 assert canonical_form(g) == canonical_form(h)
 
+    def test_matches_oracle(self):
+        # every class at n <= 6, padded to each node count it fits
+        graphs_ = [
+            u.padded(n)
+            for u in enumerate_classes(6, True)
+            for n in range(max(u.n_vertices, 1), 7)
+        ]
+        rng = random.Random(20261018)
+        graphs_ += [
+            LabeledNetwork.from_mask(7, rng.randrange(1 << len(dyads(7))))
+            for _ in range(200)
+        ]
+        for g in graphs_:
+            assert canonical_form(g).bits == oracle_canonical_bits(g)
+
     def test_size_cap(self):
-        with pytest.raises(SizeCapError):
-            canonical_form(LabeledNetwork.empty(9))
+        for n in (8, 9):
+            with pytest.raises(SizeCapError):
+                canonical_form(LabeledNetwork.empty(n))
+            with pytest.raises(SizeCapError):
+                aut_count(LabeledNetwork.empty(n))
 
 
 class TestAutCount:
@@ -107,8 +125,8 @@ class TestAutCount:
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(11)
-        for n in range(2, 6):
-            for _ in range(10):
+        for n, draws in ((2, 10), (3, 10), (4, 10), (5, 10), (7, 3)):
+            for _ in range(draws):
                 g = LabeledNetwork.from_mask(n, rng.randrange(1 << len(dyads(n))))
                 assert aut_count(g) == oracle_aut(g)
 
@@ -158,8 +176,9 @@ class TestEnumerateClasses:
         assert a == b
 
     def test_out_of_range(self):
-        with pytest.raises(SizeCapError):
-            enumerate_classes(9, True)
+        for n in (8, 9):
+            with pytest.raises(SizeCapError):
+                enumerate_classes(n, True)
 
     def test_class_sizes_sum_to_labeled_count(self):
         for n in (3, 4, 5):
