@@ -31,7 +31,6 @@ CI_REL_TOL = 1e-10
 DISSOC_TOL = 1e-9
 
 MAX_MARKOV_DYADS = 6  # exhaustive triple enumeration cap
-MAX_CONNECTED_SET_DYADS = 15
 
 
 @dataclass(frozen=True)
@@ -199,24 +198,6 @@ def incidence_cliques(n: int) -> list:
             shape = IncidenceClique(tuple(members), "other")
         cliques.append(shape)
     return cliques
-
-
-def connected_sets(dep: DependenceGraph) -> list:
-    """All non-empty connected vertex subsets, as bitmasks."""
-    if dep.m > MAX_CONNECTED_SET_DYADS:
-        raise SizeCapError(
-            f"connected-set enumeration supports at most "
-            f"{MAX_CONNECTED_SET_DYADS} dyads"
-        )
-    from .mobius import _components_of_mask
-
-    adj = tuple(dep.adjacency)
-    out = []
-    for mask in range(1, 1 << dep.m):
-        comps = _components_of_mask(adj, mask)
-        if len(comps) == 1:
-            out.append(mask)
-    return out
 
 
 # --- separation --------------------------------------------------------------

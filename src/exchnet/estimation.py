@@ -24,14 +24,14 @@ from .counting import (
     two_disjoint_edges_class,
 )
 from .graphs import (
+    MAX_NODES,
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
     class_size,
-    component_classes,
     degree_distribution,
+    disconnected_classes,
     enumerate_classes,
-    is_connected_class,
 )
 from .mobius import (
     MAX_LATTICE_NODES,
@@ -234,17 +234,10 @@ def _moment_matrix(n: int) -> tuple:
 
 def _dissociated_constraints(n: int, classes, a_matrix) -> list:
     idx = {u: k for k, u in enumerate(classes)}
-    cons = []
-    for u in classes:
-        if u.is_empty or is_connected_class(u):
-            continue
-        comps = component_classes(u)
-        cons.append(
-            ProductConstraint(
-                a_matrix[idx[u]], [a_matrix[idx[c]] for c in comps]
-            )
-        )
-    return cons
+    return [
+        ProductConstraint(a_matrix[idx[u]], [a_matrix[idx[c]] for c in comps])
+        for u, comps in disconnected_classes(n)
+    ]
 
 
 def dissociated_mle(
@@ -619,8 +612,8 @@ def degree_collision_classes(n: int) -> list:
     Classes are padded with isolated vertices to exactly n nodes, so the
     degree counts include degree-zero entries.
     """
-    if n > 7:
-        raise SizeCapError("degree collision scan supports n <= 7")
+    if n > MAX_NODES:
+        raise SizeCapError(f"degree collision scan supports n <= {MAX_NODES}")
     groups: dict = {}
     for u in enumerate_classes(n, True):
         dd = degree_distribution(u.padded(n))
@@ -674,8 +667,8 @@ def sigma_is_degree_function(u: UnlabeledClass, n: int) -> tuple:
     Returns (answer, witness) where the witness is a pair of padded
     representatives with equal degree counts and different counts of u.
     """
-    if n > 7:
-        raise SizeCapError("degree-function scan supports n <= 7")
+    if n > MAX_NODES:
+        raise SizeCapError(f"degree-function scan supports n <= {MAX_NODES}")
     table = class_table(n)
     row = table.row(u)
     for group in degree_collision_classes(n):

@@ -1,13 +1,16 @@
 """Marginalization operators and extendability feasibility checks.
 
-An exchangeable distribution on n nodes extends to m > n nodes iff some
+An exchangeable distribution on n nodes extends to m >= n nodes iff some
 class distribution on m nodes reproduces all of its class moments.  That is
 a linear feasibility problem over the m-node class simplex, decided exactly
 when the input moments are rational (a float simplex whose final basis is
-proved optimal in rational arithmetic; see ``lp``).  The dissociated
-variant adds product constraints on the extension and is handled by
-restarted constrained optimization (no longer a linear program); its
-negative verdicts are best-effort, positive certificates are validated.
+proved optimal in rational arithmetic; see ``lp``).
+
+A dissociated extension also satisfies z_U = prod z_C over the components C
+of every disconnected class U at m.  For n >= 3 and m <= 7 at most one
+component of U has more than n vertices, so the input fixes every other
+factor and the constraint is one more linear row of the same LP: dissociated
+verdicts are LP verdicts too, exact for rational input.
 """
 
 from __future__ import annotations
@@ -15,30 +18,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-import numpy as np
-
-from .counting import class_table, sub_in_complete
-from .estimation import (
-    ClassDistribution,
-    _dissociated_constraints,
-    _moment_matrix,
-)
+from .counting import class_table, edge_class, sub_in_complete
+from .estimation import ClassDistribution
+from .genmodels import er_class_distribution
 from .graphs import (
+    MAX_NODES,
+    InvariantError,
     LabeledNetwork,
     SizeCapError,
+    disconnected_classes,
     enumerate_classes,
     num_dyads,
 )
 from .lp import solve_feasibility
-from .mobius import InvalidParametersError, JointTable, MobiusVector
-from .optimize import (
-    LinearConstraint,
-    dirichlet_starts,
-    minimize_violation_batch,
+from .mobius import (
+    InvalidParametersError,
+    JointTable,
+    MobiusVector,
+    mobius_from_class_distribution,
 )
-
-MAX_EXTEND_NODES = 7
 
 
 def marginalize_joint(jt: JointTable, keep) -> JointTable:
@@ -75,31 +75,60 @@ class ExtendabilityReport:
     certificate: ClassDistribution | None
     infeasibility_margin: object | None  # total violation when infeasible
     worst_constraint: str | None = None
-    method: str = "lp"
+    method: str = "lp"  # or "er-candidate": the independent-ties shortcut
     # infeasible LP verdicts: the Farkas multipliers, one per moment row (by
-    # class key) and one for "normalization"; exact when the input is exact
+    # class key), one for "normalization" and one per product row (by the key
+    # of its class at m); exact when the input is exact
     dual: dict | None = None
 
-    def summary(self) -> str:
-        if self.feasible:
-            return f"feasible at m={self.m} ({self.method})"
-        return (
-            f"infeasible at m={self.m} ({self.method}), "
-            f"margin {self.infeasibility_margin}, worst {self.worst_constraint}"
+
+def _check_sizes(n: int, m: int) -> None:
+    if m < n:
+        raise InvalidParametersError(
+            f"an extension needs m >= n, got m={m} for n={n}"
         )
+    if m > MAX_NODES:
+        raise SizeCapError(f"extendability supports n <= m <= {MAX_NODES}")
+
+
+def _row(m: int, u) -> tuple:
+    """The row of sigma_U over the classes at m, scaled so that row . q = z_U
+    for a class distribution q."""
+    denom = sub_in_complete(u, m)
+    return tuple(Fraction(s, denom) for s in class_table(m).row(u))
 
 
 @lru_cache(maxsize=64)
 def _sigma_rows(m: int, n: int) -> tuple:
-    """For each non-empty class U at n: the row of sigma_U over classes at m,
-    scaled so that row . q = z_U for a class distribution q."""
-    table = class_table(m)
+    """The non-empty classes U at n, the classes at m and the row of each U."""
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
-    rows = []
-    for u in targets:
-        denom = sub_in_complete(u, m)
-        rows.append(tuple(Fraction(s, denom) for s in table.row(u)))
-    return tuple(targets), table.classes, tuple(rows)
+    rows = tuple(_row(m, u) for u in targets)
+    return tuple(targets), class_table(m).classes, rows
+
+
+@lru_cache(maxsize=64)
+def _product_terms(m: int, n: int) -> tuple:
+    """For every disconnected class U at m on more than n vertices: U, its
+    components on at most n vertices, U's row and the row of its one
+    component on more than n vertices (None when there is none)."""
+    out = []
+    for u, comps in disconnected_classes(m):
+        if u.n_vertices <= n:
+            continue
+        big = [c for c in comps if c.n_vertices > n]
+        if len(big) > 1:
+            raise InvariantError(
+                f"{u.key()} has {len(big)} components on over {n} vertices"
+            )
+        small = tuple(c for c in comps if c.n_vertices <= n)
+        out.append((u, small, _row(m, u), _row(m, big[0]) if big else None))
+    return tuple(out)
+
+
+def _close(got, want, tol: float) -> bool:
+    if isinstance(got, (int, Fraction)) and isinstance(want, (int, Fraction)):
+        return got == want
+    return abs(float(got) - float(want)) <= tol
 
 
 def _certificate_valid(
@@ -109,13 +138,57 @@ def _certificate_valid(
     qv = [cert.value(w) for w in classes_m]
     for u, row in zip(targets, rows):
         got = sum(r * q for r, q in zip(row, qv) if q)
-        want = mv.z[u]
-        if isinstance(got, Fraction) and isinstance(want, (int, Fraction)):
-            if got != want:
-                return False
-        elif abs(float(got) - float(want)) > tol:
+        if not _close(got, mv.z[u], tol):
             return False
     return True
+
+
+def _dissociated_at_m(cert: ClassDistribution, tol: float) -> bool:
+    """z_U = prod z_C over the components C of every disconnected class U at
+    m, for the moments of ``cert``."""
+    z = mobius_from_class_distribution(cert).z
+    return all(
+        _close(z[u], prod(z[c] for c in comps), tol)
+        for u, comps in disconnected_classes(cert.n)
+    )
+
+
+def _lp_report(
+    mv: MobiusVector, m: int, products: list | None = None, tol: float = 0.0
+) -> ExtendabilityReport:
+    """The phase-one LP over the m-node class simplex: the moment rows of mv,
+    normalization and, for a dissociated check, the product rows given as
+    (key, row, rhs).  A feasible certificate must reproduce the moments
+    (within 1e-9 for float input) and, for a dissociated check, satisfy
+    every product constraint at m (within ``tol`` for float input)."""
+    targets, classes_m, rows = _sigma_rows(m, mv.n)
+    exact = mv.is_exact
+    keys = [u.key() for u in targets] + ["normalization"]
+    a_rows = [*rows, (Fraction(1),) * len(classes_m)]
+    b = [mv.z[u] for u in targets] + [Fraction(1)]
+    for key, row, rhs in products or ():
+        keys.append(key)
+        a_rows.append(row)
+        b.append(rhs)
+    if not exact:
+        a_rows = [[float(v) for v in row] for row in a_rows]
+        b = [float(v) for v in b]
+    res = solve_feasibility(a_rows, b, exact=exact)
+    if not res.feasible:
+        worst = None if res.worst_row is None else keys[res.worst_row]
+        return ExtendabilityReport(
+            False, m, None, res.residual, worst, dual=dict(zip(keys, res.dual))
+        )
+    cert = ClassDistribution(m, {w: v for w, v in zip(classes_m, res.x) if v})
+    if not _certificate_valid(mv, cert, 1e-9):
+        raise CertificateError(
+            f"extension certificate at m={m} does not reproduce the moments"
+        )
+    if products is not None and not _dissociated_at_m(cert, tol):
+        raise CertificateError(
+            f"extension certificate at m={m} is not dissociated"
+        )
+    return ExtendabilityReport(True, m, cert, None)
 
 
 def extendable_check(mv: MobiusVector, m: int) -> ExtendabilityReport:
@@ -124,106 +197,53 @@ def extendable_check(mv: MobiusVector, m: int) -> ExtendabilityReport:
     Feasibility over the m-node class simplex: q >= 0, sums to one, and all
     class moments up to n match.  When mv is exact the verdict is exact: a
     feasible one carries a rational certificate, an infeasible one exact
-    Farkas multipliers in ``dual`` (see ``lp``).
+    Farkas multipliers in ``dual`` (see ``lp``).  Raises
+    ``InvalidParametersError`` for m < n and ``SizeCapError`` for m > 7.
     """
-    n = mv.n
-    if not (n <= m <= MAX_EXTEND_NODES):
-        raise SizeCapError(
-            f"extendability supports n <= m <= {MAX_EXTEND_NODES}"
-        )
-    targets, classes_m, rows = _sigma_rows(m, n)
-    exact = mv.is_exact
-    a_rows = [list(row) for row in rows]
-    b = [mv.z[u] for u in targets]
-    a_rows.append([Fraction(1)] * len(classes_m))  # normalization
-    b.append(Fraction(1) if exact else 1.0)
-    if not exact:
-        a_rows = [[float(v) for v in row] for row in a_rows]
-        b = [float(v) for v in b]
-    res = solve_feasibility(a_rows, b, exact=exact)
-    if res.feasible:
-        q = {w: v for w, v in zip(classes_m, res.x) if v}
-        cert = ClassDistribution(m, q)
-        if not _certificate_valid(mv, cert, 1e-9):
-            raise CertificateError(
-                f"extension certificate at m={m} does not reproduce the moments"
-            )
-        return ExtendabilityReport(True, m, cert, None)
-    keys = [u.key() for u in targets] + ["normalization"]
-    worst = None if res.worst_row is None else keys[res.worst_row]
-    return ExtendabilityReport(
-        False, m, None, res.residual, worst, dual=dict(zip(keys, res.dual))
-    )
+    _check_sizes(mv.n, m)
+    return _lp_report(mv, m)
 
 
 def dissociated_extendable_check(
-    mv: MobiusVector,
-    m: int,
-    *,
-    restarts: int = 8,
-    seed: int = 7,
-    tol: float = 1e-7,
+    mv: MobiusVector, m: int, *, tol: float = 1e-7
 ) -> ExtendabilityReport:
     """Extendability with product constraints imposed on the extension.
 
-    Tries the independent-ties candidate first (it certifies exactly when it
-    fits); otherwise minimizes the total squared violation of the moment and
-    product constraints over the m-node class simplex from several starts.
-    A feasible verdict is backed by a validated certificate; an infeasible
-    verdict is the best violation found, not a proof.
+    The independent-ties candidate at the observed edge moment is tried
+    first (``method`` "er-candidate"); it certifies every extendable input
+    with n <= 2.  Otherwise the product constraints among the input's own
+    classes are checked directly (exactly for rational input, within ``tol``
+    for float input): a failure is an infeasible verdict whose margin is
+    |z_U - prod z_C| for the worst class U.  The rest is the LP of
+    ``extendable_check`` with one linear row per disconnected class at m on
+    more than n vertices, so the verdict is exact for rational input, with a
+    re-checked certificate or a Farkas ``dual`` whose product entries are
+    keyed by the m-node class.
     """
     n = mv.n
-    if not (n <= m <= MAX_EXTEND_NODES):
-        raise SizeCapError(
-            f"extendability supports n <= m <= {MAX_EXTEND_NODES}"
-        )
-    if restarts < 0:
-        raise InvalidParametersError("restarts must be >= 0")
-    from .counting import edge_class
-    from .genmodels import er_class_distribution
-
-    # shortcut: independent ties at the observed edge moment (at n = 1 there
-    # is none and any dissociated law fits, the empty graph's included)
+    _check_sizes(n, m)
+    # at n = 1 there is no edge moment and any dissociated law fits
     p = mv.z.get(edge_class(), 0)
     if 0 <= p <= 1:
         cand = er_class_distribution(m, p)
         if _certificate_valid(mv, cand, 1e-12):
             return ExtendabilityReport(True, m, cand, None, method="er-candidate")
-
-    classes_m, a_matrix = _moment_matrix(m)
-    idx = {w: k for k, w in enumerate(classes_m)}
-    targets = enumerate_classes(n, False)
-    cons = [LinearConstraint(a_matrix[idx[u]], float(mv.z[u])) for u in targets]
-    # product constraints for every disconnected class at m
-    cons += _dissociated_constraints(m, classes_m, a_matrix)
-
-    rng = np.random.default_rng(seed)
-    dim = len(classes_m)
-    starts = [np.full(dim, 1.0 / dim)]
-    er_q = np.array([float(er_class_distribution(m, float(p)).value(w)) for w in classes_m]) if 0 <= p <= 1 else None
-    if er_q is not None:
-        starts.append(er_q)
-    starts.extend(dirichlet_starts(rng, dim, restarts))
-    runs = minimize_violation_batch(cons, np.array(starts))
-    # what trying the starts in order would keep: the first below tol / 10,
-    # else the first with the least violation
-    close = [r for r in runs if r.max_violation < tol / 10]
-    best = close[0] if close else min(runs, key=lambda r: r.max_violation)
-    if best.max_violation <= tol:
-        q = {w: float(best.q[idx[w]]) for w in classes_m}
-        total = sum(q.values())
-        q = {w: v / total for w, v in q.items() if v > 0}
-        cert = ClassDistribution(m, q)
-        if _certificate_valid(mv, cert, max(tol, 1e-7)):
-            return ExtendabilityReport(
-                True, m, cert, None, method="optimizer"
-            )
-    worst_i = int(np.argmax(np.abs(best.violations))) if cons else None
-    worst = (
-        targets[worst_i].key()
-        if worst_i is not None and worst_i < len(targets)
-        else "product-constraint"
-    )
-    return ExtendabilityReport(
-        False, m, None, best.max_violation, worst, method="optimizer"
-    )
+    tol = 0 if mv.is_exact else tol
+    gaps = [
+        (abs(mv.z[u] - prod(mv.z[c] for c in comps)), u)
+        for u, comps in disconnected_classes(n)
+    ]
+    margin, worst = max(gaps, key=lambda g: g[0], default=(0, None))
+    if margin > tol:
+        return ExtendabilityReport(False, m, None, margin, worst.key())
+    products = []
+    # at n <= 2 the shortcut certifies whenever 0 <= z_edge <= 1, and the
+    # moment rows alone are infeasible otherwise
+    for u, small, row_u, row_big in _product_terms(m, n) if n > 2 else ():
+        c = prod(mv.z[s] for s in small)
+        if row_big is None:
+            products.append((u.key(), row_u, c))
+        else:
+            row = [a - c * b for a, b in zip(row_u, row_big)]
+            products.append((u.key(), row, 0))
+    return _lp_report(mv, m, products, tol)

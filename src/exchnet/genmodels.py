@@ -312,18 +312,6 @@ class Graphon:
         return cls(fn, description)
 
 
-@dataclass(frozen=True)
-class MixtureOfGraphons:
-    """Finite mixture over kernels; moments are the weighted component moments."""
-
-    components: tuple  # of (weight, Graphon)
-
-    def __post_init__(self):
-        total = sum(w for w, _ in self.components)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-
-
 def parse_graphon_text(text: str) -> Graphon:
     """Parse the grid file format: first line r, then r rows of r floats."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -501,18 +489,6 @@ def graphon_z(
         var = max(total_sq / samples - mean * mean, 0.0)
         return MomentEstimate(mean, math.sqrt(var / samples), f"mc:{samples}")
     raise ValueError(f"unknown method {method!r}")
-
-
-def mixture_graphon_z(
-    mix: MixtureOfGraphons, u: UnlabeledClass, **kwargs
-) -> MomentEstimate:
-    value = 0.0
-    error = 0.0
-    for wgt, phi in mix.components:
-        est = graphon_z(phi, u, **kwargs)
-        value += wgt * est.value
-        error += wgt * est.error
-    return MomentEstimate(value, error, "mixture")
 
 
 def graphon_mobius(phi: Graphon, n: int, **kwargs) -> MobiusVector:

@@ -514,10 +514,16 @@ def component_classes(cls_: UnlabeledClass) -> list:
     return sorted(out, key=UnlabeledClass.sort_key)
 
 
-def is_connected_class(cls_: UnlabeledClass) -> bool:
-    if cls_.is_empty:
-        return False
-    return len(component_classes(cls_)) == 1
+@lru_cache(maxsize=None)
+def disconnected_classes(n: int) -> tuple:
+    """(U, the component classes of U) for every disconnected class U on at
+    most n vertices, in enumeration order."""
+    out = []
+    for u in enumerate_classes(n, False):
+        comps = component_classes(u)
+        if len(comps) > 1:
+            out.append((u, tuple(comps)))
+    return tuple(out)
 
 
 # --- edge-list text format -------------------------------------------------

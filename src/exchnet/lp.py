@@ -13,7 +13,9 @@ Oper. Res. Lett. 35, 2007):
 1. The pivots run in floats.  Ratios within ``FLOAT_EPS`` of the smallest
    count as ties, broken by basic index as the exact rule breaks them, so
    the float pass takes the exact pass's pivots unless rounding flips a
-   decision.
+   decision.  Pivot elements must exceed ``PIVOT_EPS``, so that rounding
+   noise is not taken for one, and the pass stops if a basis comes back
+   (exact Bland never revisits one, so the float pivots would be cycling).
 2. The final basis B is checked in rationals.  The rows are scaled to
    integers and B is factored once by fraction-free (Bareiss) elimination.
    The check asks for x_B = B^-1 b >= 0 and, with y = B^-T c_B for the
@@ -26,8 +28,8 @@ Oper. Res. Lett. 35, 2007):
    float basis when that basis is nonsingular and primal feasible, and from
    the artificial basis otherwise.
 
-Float data take the float pass alone, with ``FLOAT_EPS`` as pivot and
-feasibility tolerance.
+Float data take the float pass alone, with ``FLOAT_EPS`` as feasibility
+tolerance; a repeated basis there raises ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .graphs import InvariantError
+
 FLOAT_EPS = 1e-9
+# smallest pivot element in floats: with FLOAT_EPS alone, float pivots were
+# seen to take rounding noise of ~1e-9 as pivots (where the exact ones were
+# >= 1e-4), then to cycle or to end on a basis that was not optimal
+PIVOT_EPS = 1e-7
 
 
 @dataclass
@@ -84,23 +92,30 @@ def _initial_tableau(rows: list, rhs: list, zero, one) -> np.ndarray:
     return tab
 
 
-def _bland(tab: np.ndarray, basis: list, eps) -> int:
+def _bland(tab: np.ndarray, basis: list, eps, pivot_eps) -> tuple:
     """Bland phase-one pivots on ``tab`` (updated in place) until no reduced
-    cost is below -eps; returns the number of pivots."""
+    cost is below -eps, or until a basis comes back; a pivot element must
+    exceed ``pivot_eps``.  Exact pivots never revisit a basis (the rule
+    cannot cycle), so in floats a repeat means rounding has turned a
+    decision and the pivots may cycle.  Returns the number of pivots and
+    whether they stopped at a repeat."""
     m = len(basis)
     width = tab.shape[1] - 1
     obj = tab[m]
     pivots = 0
+    seen = {hash(tuple(sorted(basis)))}
     while True:
         improving = np.flatnonzero(obj[:width] < -eps)
         if not improving.size:
-            return pivots
+            return pivots, False
         enter = int(improving[0])
         col = tab[:m, enter]
-        cand = np.flatnonzero(col > eps)
+        cand = np.flatnonzero(col > pivot_eps)
         if not cand.size:
-            # unbounded phase-one cannot happen (objective bounded below by 0)
-            return pivots
+            # phase one is bounded below by 0, so the column has entries in
+            # (0, pivot_eps] only: stop (the exact check of rational data
+            # catches a basis that is not optimal)
+            return pivots, False
         ratios = tab[cand, width] / col[cand]
         tied = cand[ratios <= ratios.min() + eps]
         leave = min((int(i) for i in tied), key=basis.__getitem__)
@@ -112,6 +127,10 @@ def _bland(tab: np.ndarray, basis: list, eps) -> int:
         tab[leave] = pivot_row
         basis[leave] = enter
         pivots += 1
+        key = hash(tuple(sorted(basis)))
+        if key in seen:
+            return pivots, True
+        seen.add(key)
 
 
 def _result(
@@ -162,7 +181,10 @@ def _phase_one(a_rows: list, b: list, exact: bool) -> FeasibilityResult:
     )
     tab = _initial_tableau(rows, rhs, zero, 1 + zero)
     basis = [len(rows[0]) + i for i in range(len(rows))] if rows else []
-    pivots = _bland(tab, basis, zero if exact else FLOAT_EPS)
+    eps, pivot_eps = (zero, zero) if exact else (FLOAT_EPS, PIVOT_EPS)
+    pivots, cycled = _bland(tab, basis, eps, pivot_eps)
+    if cycled:
+        raise InvariantError(f"float pivots revisited a basis after {pivots}")
     return _tableau_result(tab, basis, signs, exact, pivots)
 
 
@@ -337,7 +359,7 @@ def _exact_from_basis(
     else:
         tab = system.tableau(exact=True)
         basis = [n + i for i in range(len(basis))]
-    pivots += _bland(tab, basis, zero)
+    pivots += _bland(tab, basis, zero, zero)[0]
     return _tableau_result(tab, basis, system.signs, True, pivots)
 
 
@@ -360,5 +382,5 @@ def solve_feasibility(
     system = _Scaled.of(a_rows, b)
     tab = system.tableau(exact=False)
     basis = [system.n + i for i in range(len(system.rows))]
-    pivots = _bland(tab, basis, FLOAT_EPS)
+    pivots, _ = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
     return _exact_from_basis(system, basis, pivots)

@@ -256,23 +256,6 @@ def maximize_batch(
     ]
 
 
-def minimize_violation_batch(constraints, q0: np.ndarray, *, iters=4000):
-    """Minimize the sum of squared constraint violations over the simplex
-    from start q0[r], for every row r; the objective is minus half of it."""
-    q0 = np.asarray(q0, dtype=float)
-    system = _System(list(constraints), q0.shape[1])
-    q, f, *_ = _descend(
-        system, np.zeros_like(q0), q0, rho=1.0, max_outer=1, iters=iters,
-        ctol=0.0, gtol=0.0, slack=1e-18, f_stop=1e-26,
-    )
-    v, _ = system.values(q)
-    viol = np.abs(v).max(axis=1, initial=0.0)
-    return [
-        AugLagResult(q[r], -f[r], viol[r], float("nan"), 0, v[r])
-        for r in range(len(q))
-    ]
-
-
 def maximize_on_simplex(
     c_lin: np.ndarray,
     constraints,
@@ -293,9 +276,17 @@ def maximize_on_simplex(
 def minimize_violation_on_simplex(
     constraints, q0: np.ndarray, *, iters: int = 4000
 ) -> AugLagResult:
-    """``minimize_violation_batch`` from the one start q0."""
-    return minimize_violation_batch(constraints, np.asarray(q0)[None],
-                                    iters=iters)[0]
+    """Minimize the sum of squared constraint violations over the simplex
+    from the start q0; the objective is minus half of it."""
+    q0 = np.asarray(q0, dtype=float)[None]
+    system = _System(list(constraints), q0.shape[1])
+    q, f, *_ = _descend(
+        system, np.zeros_like(q0), q0, rho=1.0, max_outer=1, iters=iters,
+        ctol=0.0, gtol=0.0, slack=1e-18, f_stop=1e-26,
+    )
+    v, _ = system.values(q)
+    viol = np.abs(v).max(axis=1, initial=0.0)
+    return AugLagResult(q[0], -f[0], viol[0], float("nan"), 0, v[0])
 
 
 def dirichlet_starts(

@@ -5,7 +5,9 @@ pruning and no shared code with the package internals, so it can serve as an
 independent check.
 """
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import prod
 
 from exchnet.graphs import LabeledNetwork, num_dyads
 
@@ -122,3 +124,21 @@ def oracle_sub(f: LabeledNetwork, g: LabeledNetwork) -> int:
             break
         sub = (sub - 1) & g.mask
     return count
+
+
+def oracle_block_moments(classes, weights, probs) -> dict:
+    """Class moments of a block model with block weights and tie
+    probabilities: the sum over every block assignment of a class
+    representative's vertices of the assignment's weight times its edges'
+    tie probabilities."""
+    z = {}
+    for u in classes:
+        rep = u.representative()
+        total = Fraction(0)
+        for blocks in product(range(len(weights)), repeat=rep.n):
+            term = prod(weights[b] for b in blocks)
+            for i, j in rep.edges:
+                term *= probs[blocks[i - 1]][blocks[j - 1]]
+            total += term
+        z[u] = total
+    return z

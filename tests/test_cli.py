@@ -273,6 +273,17 @@ class TestExtend:
         code, _ = run_cli(capsys, "extend", str(zfile), "--m", "9")
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [[], ["--dissociated"]])
+    @pytest.mark.parametrize("m,want", [(3, 2), (8, 3), (9, 3)])
+    def test_m_outside_n_to_seven(self, capsys, tmp_path, paw, flags, m, want):
+        # m < n is an invalid parameter (exit 2), m > 7 a size cap (exit 3)
+        from exchnet.estimation import exch_mle
+
+        zfile = tmp_path / "z.json"
+        zfile.write_text(dump_json(mobius_to_json(exch_mle(paw))))
+        code, out = run_cli(capsys, "extend", str(zfile), "--m", str(m), *flags)
+        assert (code, out) == (want, "")
+
     def test_input_flag_form(self, capsys, tmp_path, paw):
         from exchnet.estimation import exch_mle
 

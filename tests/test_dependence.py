@@ -9,8 +9,6 @@ from exchnet.dependence import (
     ci_test,
     classify_skeleton,
     complete_dependence_graph,
-    connected_sets,
-    dependence_graph_from_edges,
     dissociated_check,
     empty_dependence_graph,
     global_markov_check,
@@ -22,16 +20,8 @@ from exchnet.dependence import (
 )
 from exchnet.estimation import ClassDistribution
 from exchnet.genmodels import er_joint, marginal_beta_joint, MixingSpec
-from exchnet.graphs import (
-    LabeledNetwork,
-    UnlabeledClass,
-    class_size,
-    connected_components,
-    enumerate_classes,
-    is_connected_class,
-    num_dyads,
-)
-from exchnet.mobius import JointTable, labeled_mobius_from_joint, mask_of
+from exchnet.graphs import LabeledNetwork, UnlabeledClass
+from exchnet.mobius import JointTable, labeled_mobius_from_joint
 
 
 @pytest.fixture(scope="module")
@@ -84,34 +74,6 @@ class TestIncidenceCliques:
 
     def test_all_classified_at_5(self):
         assert all(c.shape != "other" for c in incidence_cliques(5))
-
-
-class TestConnectedSets:
-    def test_chain(self):
-        dep = dependence_graph_from_edges(
-            3, BIDIRECTED, [("1-2", "1-3"), ("1-3", "2-3")]
-        )
-        sets = connected_sets(dep)
-        assert len(sets) == 6
-        assert mask_of([0, 2]) not in sets
-
-    def test_complete(self):
-        dep = complete_dependence_graph(3)
-        assert len(connected_sets(dep)) == 7
-
-    def test_incidence_sets_match_connected_subnetworks(self):
-        dep = incidence_graph(4, BIDIRECTED)
-        sets = set(connected_sets(dep))
-        for mask in range(1, 64):
-            net = LabeledNetwork.from_mask(4, mask)
-            connected = len(connected_components(net)) == 1
-            assert (mask in sets) == connected
-        total = sum(
-            class_size(u, 4)
-            for u in enumerate_classes(4, False)
-            if is_connected_class(u)
-        )
-        assert len(sets) == total
 
 
 class TestSeparation:

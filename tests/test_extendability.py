@@ -1,28 +1,42 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exchnet.counting import (
+    class_table,
+    sub_in_complete,
+    two_disjoint_edges_class,
+)
 from exchnet.dependence import dissociated_check
 from exchnet.estimation import exch_mle
 from exchnet import extendability
 from exchnet.extendability import (
     CertificateError,
+    _product_terms,
     dissociated_extendable_check,
     extendable_check,
     marginalize_joint,
     marginalize_mobius,
 )
 from exchnet.genmodels import (
+    Graphon,
     MixingSpec,
-    er_class_distribution,
     er_joint,
     er_mobius,
+    graphon_mobius,
     marginal_beta_joint,
 )
 from exchnet.graphs import (
+    InvariantError,
     LabeledNetwork,
     SizeCapError,
+    class_from_key,
+    component_classes,
     enumerate_classes,
     num_dyads,
 )
@@ -30,12 +44,11 @@ from exchnet.mobius import (
     InvalidParametersError,
     JointTable,
     MobiusVector,
-    exchangeable_from_labeled,
     labeled_mobius_from_joint,
     mobius_from_class_distribution,
     validate_mobius,
 )
-from oracles import oracle_inj
+from oracles import oracle_block_moments, oracle_inj
 
 
 def random_rational_joint(n, rng):
@@ -45,6 +58,89 @@ def random_rational_joint(n, rng):
         weights[0] = 1
     total = sum(weights)
     return JointTable(n, tuple(Fraction(w, total) for w in weights))
+
+
+BLOCK_MODELS = {
+    "grid2": Graphon.from_grid([[0.8, 0.2], [0.2, 0.5]]),
+    "grid3": Graphon.from_grid(
+        [[0.9, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.7]]
+    ),
+    "logistic": Graphon.product_logistic(0, 1),
+}
+
+
+@lru_cache(maxsize=None)
+def block_moments(name, n):
+    return graphon_mobius(BLOCK_MODELS[name], n)
+
+
+def exact_block_moments(n, weights, probs):
+    return MobiusVector(
+        n, oracle_block_moments(enumerate_classes(n, True), weights, probs)
+    )
+
+
+def close(got, want, tol):
+    return got == want if tol == 0 else abs(got - want) <= tol
+
+
+def assert_dissociated_certificate(mv, rep, tol):
+    """The certificate reproduces the moments of mv and satisfies z_U =
+    prod z_C over the components of every disconnected class at m."""
+    z = mobius_from_class_distribution(rep.certificate).z
+    for u, v in mv.in_order():
+        assert close(z[u], v, tol), u.key()
+    for u in enumerate_classes(rep.m, False):
+        comps = component_classes(u)
+        if len(comps) > 1:
+            assert close(z[u], prod(z[c] for c in comps), tol), u.key()
+
+
+def row_of(u, m):
+    table = class_table(m)
+    denom = sub_in_complete(u, m)
+    return [Fraction(int(s), denom) for s in table.S[table.index[u]]]
+
+
+def assert_farkas(mv, rep, dissociated):
+    """Rebuild the LP rows from the dual's keys and check exactly that
+    y.A_j <= 0 for every column j and y.b > 0, with y.b the margin.  The
+    rows are the moments at n, normalization and, for a dissociated check at
+    n >= 3, one per disconnected class at m on more than n vertices."""
+    n, m = mv.n, rep.m
+    want = {u.key() for u in enumerate_classes(n, False)} | {"normalization"}
+    if dissociated and n >= 3:
+        want |= {
+            u.key()
+            for u in enumerate_classes(m, False)
+            if u.n_vertices > n and len(component_classes(u)) > 1
+        }
+    assert set(rep.dual) == want
+    width = len(class_table(m).classes)
+    rows = []
+    for key, y in rep.dual.items():
+        assert isinstance(y, Fraction)
+        if key == "normalization":
+            rows.append((y, [Fraction(1)] * width, Fraction(1)))
+            continue
+        u = class_from_key(key)
+        if u.n_vertices <= n:
+            rows.append((y, row_of(u, m), mv.z[u]))
+            continue
+        comps = component_classes(u)
+        c = prod(mv.z[x] for x in comps if x.n_vertices <= n)
+        big = [x for x in comps if x.n_vertices > n]
+        if big:
+            (b,) = big
+            a = [p - c * q for p, q in zip(row_of(u, m), row_of(b, m))]
+            rows.append((y, a, Fraction(0)))
+        else:
+            rows.append((y, row_of(u, m), c))
+    for j in range(width):
+        assert sum(y * a[j] for y, a, _ in rows) <= 0, j
+    value = sum(y * b for y, _, b in rows)
+    assert value > 0
+    assert value == rep.infeasibility_margin
 
 
 class TestMarginalizeJoint:
@@ -169,6 +265,10 @@ class TestExtendableCheck:
         with pytest.raises(SizeCapError):
             extendable_check(mv, 8)
 
+    def test_m_below_n_is_invalid(self):
+        with pytest.raises(InvalidParametersError):
+            extendable_check(er_mobius(4, Fraction(1, 2)), 3)
+
     def test_float_mode(self):
         mv = er_mobius(4, Fraction(1, 3)).to_float()
         rep = extendable_check(mv, 5)
@@ -201,9 +301,112 @@ class TestDissociatedExtendableCheck:
         rep = dissociated_extendable_check(mv, 6)
         assert rep.feasible
 
-    def test_negative_restarts_rejected(self):
+    def test_m_out_of_range(self):
+        mv = er_mobius(4, Fraction(1, 2))
+        with pytest.raises(SizeCapError):
+            dissociated_extendable_check(mv, 8)
         with pytest.raises(InvalidParametersError):
-            dissociated_extendable_check(er_mobius(4, 0.25), 5, restarts=-1)
+            dissociated_extendable_check(mv, 3)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    @pytest.mark.parametrize("n,m", [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6)])
+    def test_block_models_extend(self, name, n, m):
+        # a kernel model's quadrature moments are those of a block model,
+        # dissociated at every node count
+        mv = block_moments(name, n)
+        rep = dissociated_extendable_check(mv, m)
+        assert rep.feasible and rep.method == "lp"
+        assert_dissociated_certificate(mv, rep, 1e-9)
+
+    def test_rational_block_model_extends_exactly(self):
+        mv = exact_block_moments(
+            4, (Fraction(1, 3), Fraction(2, 3)),
+            ((Fraction(1, 2), Fraction(1, 5)), (Fraction(1, 5), Fraction(1, 10))),
+        )
+        for m in (5, 6):
+            rep = dissociated_extendable_check(mv, m)
+            assert rep.feasible and rep.method == "lp"
+            assert rep.certificate.is_exact
+            assert_dissociated_certificate(mv, rep, 0)
+
+    def test_paw_fit_infeasible_through_lp(self, paw_dissociated_fit):
+        for m in (5, 6):
+            rep = dissociated_extendable_check(paw_dissociated_fit.z, m)
+            assert not rep.feasible and rep.method == "lp"
+            assert isinstance(rep.infeasibility_margin, float)
+            assert rep.infeasibility_margin > 0.1
+
+    def test_input_products_are_checked_directly(self):
+        # one edge on four nodes: z(2K2) = 0 but z(edge)^2 = 1/36
+        mv = exch_mle(LabeledNetwork.from_edges(4, [(1, 2)]))
+        rep = dissociated_extendable_check(mv, 5)
+        assert not rep.feasible
+        assert rep.infeasibility_margin == Fraction(1, 36)
+        assert rep.worst_constraint == two_disjoint_edges_class().key()
+        assert rep.dual is None
+
+    def test_farkas_vectors_of_three_node_fits(self):
+        # at n = 3 no input class is disconnected, so every verdict that the
+        # shortcut does not certify comes from the LP with its product rows
+        lp_verdicts = 0
+        for u in enumerate_classes(3, True):
+            mv = exch_mle(u.padded(3))
+            for m in (4, 5, 6):
+                rep = dissociated_extendable_check(mv, m)
+                if rep.method == "lp":
+                    assert not rep.feasible
+                    assert_farkas(mv, rep, True)
+                    lp_verdicts += 1
+        assert lp_verdicts == 6
+
+    def test_failed_product_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            extendability, "_dissociated_at_m", lambda *args: False
+        )
+        with pytest.raises(CertificateError):
+            dissociated_extendable_check(block_moments("grid2", 3), 4)
+
+    def test_two_large_components_raise(self):
+        # at n = 2 two disjoint cherries both have more than n vertices
+        with pytest.raises(InvariantError):
+            _product_terms(6, 2)
+
+
+def component_orders(u):
+    """Vertex counts of the components of a class representative, by
+    union-find over its edges."""
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for i, j in u.representative().edges:
+        parent[find(i)] = find(j)
+    sizes: dict = {}
+    for v in parent:
+        sizes[find(v)] = sizes.get(find(v), 0) + 1
+    return sorted(sizes.values())
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_at_most_one_component_beyond_n(m):
+    # what makes the product constraints linear: for n >= 3, a disconnected
+    # class at m on more than n vertices has at most one component on more
+    # than n vertices, so the input fixes every other factor
+    for u in enumerate_classes(m, False):
+        orders = component_orders(u)
+        if len(orders) < 2:
+            continue
+        for n in range(3, min(m, 6) + 1):
+            if sum(orders) > n:
+                assert sum(k > n for k in orders) <= 1, (u.key(), n)
+    for n in range(3, min(m, 6) + 1):
+        assert len(_product_terms(m, n)) == sum(
+            len(component_orders(u)) > 1 and u.n_vertices > n
+            for u in enumerate_classes(m, False)
+        )
 
 
 class TestWeakConsistencyOfDissociatedFamily:
@@ -217,3 +420,53 @@ class TestWeakConsistencyOfDissociatedFamily:
         jt = er_joint(5, Fraction(1, 3))
         sub = marginalize_joint(jt, [2, 3, 5])
         assert dissociated_check(labeled_mobius_from_joint(sub)).holds
+
+
+@st.composite
+def rational_block_moments(draw):
+    """Moments of a one- or two-block model with small rational weights and
+    tie probabilities (one block is independent ties)."""
+    n = draw(st.integers(3, 4))
+    r = draw(st.integers(1, 2))
+    w = [draw(st.integers(1, 3)) for _ in range(r)]
+    probs = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            probs[i][j] = probs[j][i] = Fraction(draw(st.integers(0, 4)), 4)
+    return exact_block_moments(n, tuple(Fraction(x, sum(w)) for x in w), probs)
+
+
+networks = st.integers(3, 4).flatmap(
+    lambda n: st.integers(0, (1 << num_dyads(n)) - 1).map(
+        lambda mask: LabeledNetwork.from_mask(n, mask)
+    )
+)
+moment_inputs = st.one_of(
+    networks.map(exch_mle),
+    st.tuples(st.sampled_from(sorted(BLOCK_MODELS)), st.integers(3, 4)).map(
+        lambda t: block_moments(*t)
+    ),
+    rational_block_moments(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(moment_inputs)
+def test_extendability_is_monotone_in_m(mv):
+    # feasible at m + 1 implies feasible at m, for both checks; along the way
+    # every exact infeasible LP verdict has its Farkas vector re-checked and
+    # every dissociated certificate its moments and product constraints
+    tol = 0 if mv.is_exact else 1e-9
+    for check, dissociated in (
+        (extendable_check, False),
+        (dissociated_extendable_check, True),
+    ):
+        verdicts = []
+        for m in range(mv.n, 7):
+            rep = check(mv, m)
+            verdicts.append(rep.feasible)
+            if rep.feasible and dissociated:
+                assert_dissociated_certificate(mv, rep, tol)
+            elif rep.dual is not None and mv.is_exact:
+                assert_farkas(mv, rep, dissociated)
+        assert verdicts == sorted(verdicts, reverse=True), check.__name__

@@ -16,7 +16,6 @@ from exchnet.genmodels import (
     BetaSpec,
     Graphon,
     MixingSpec,
-    MixtureOfGraphons,
     beta_joint,
     er_characterization_diagnostic,
     er_class_distribution,
@@ -26,7 +25,6 @@ from exchnet.genmodels import (
     graphon_sample,
     graphon_z,
     marginal_beta_joint,
-    mixture_graphon_z,
     parse_graphon_name,
     parse_graphon_text,
 )
@@ -191,32 +189,6 @@ class TestGraphonMoments:
         small = graphon_z(uv, edge_class(), method="mc", samples=2000, seed=3)
         big = graphon_z(uv, edge_class(), method="mc", samples=6000, seed=3)
         assert big.error < small.error
-
-    def test_mixture_moments_are_linear(self):
-        mix = MixtureOfGraphons(
-            ((0.25, Graphon.constant(0.2)), (0.75, Graphon.constant(0.6)))
-        )
-        est = mixture_graphon_z(mix, star_class(2))
-        want = 0.25 * 0.2**2 + 0.75 * 0.6**2
-        assert est.value == pytest.approx(want, abs=1e-14)
-
-    def test_mixture_moments_match_direct_mixture_distribution(self):
-        # weighted component moments equal the moments of the mixed joint
-        w1, w2 = 0.25, 0.75
-        e1, e2 = 0.2, 0.6
-        mix = MixtureOfGraphons(
-            ((w1, Graphon.constant(e1)), (w2, Graphon.constant(e2)))
-        )
-        j1, j2 = er_joint(3, e1), er_joint(3, e2)
-        from exchnet.mobius import JointTable
-
-        mixed = JointTable(
-            3, tuple(w1 * a + w2 * b for a, b in zip(j1.probs, j2.probs))
-        )
-        lm = labeled_mobius_from_joint(mixed)
-        for u, mask in ((edge_class(), 1), (star_class(2), 0b011)):
-            est = mixture_graphon_z(mix, u)
-            assert est.value == pytest.approx(lm.z[mask], abs=1e-14)
 
     def test_grid_kernel_round_trip(self, tmp_path):
         text = "3\n0.1 0.2 0.3\n0.2 0.4 0.5\n0.3 0.5 0.9\n"

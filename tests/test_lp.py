@@ -12,12 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exchnet import extendability, lp
 from exchnet.estimation import exch_mle
-from exchnet.extendability import _sigma_rows
+from exchnet.extendability import _sigma_rows, dissociated_extendable_check
 from exchnet.genmodels import er_mobius
-from exchnet.graphs import LabeledNetwork
-from exchnet.lp import _exact_from_basis, _phase_one, _Scaled, solve_feasibility
+from exchnet.graphs import InvariantError, LabeledNetwork, enumerate_classes
+from exchnet.lp import (
+    FLOAT_EPS,
+    _bland,
+    _exact_from_basis,
+    _phase_one,
+    _Scaled,
+    solve_feasibility,
+)
 from exchnet.mobius import MobiusVector
+from oracles import oracle_block_moments
 
 PAW = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
 
@@ -205,3 +214,71 @@ def test_float_data_stay_on_the_float_pass():
     assert res.feasible
     assert all(isinstance(v, float) for v in res.x)
     assert abs(0.5 * res.x[0] + 0.25 * res.x[1] - 0.375) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def cycling_lp():
+    """The rows of a dissociated extension at m = 6 on which the first float
+    pass cycles: it takes rounding noise of ~1e-9 as pivots.  The moments
+    are those at n = 3 of two blocks of weight 1/2, with no ties inside the
+    first block and certain ties elsewhere."""
+    one = Fraction(1)
+    z = oracle_block_moments(
+        enumerate_classes(3, True), (one / 2, one / 2), ((0, one), (one, one))
+    )
+    seen = []
+
+    def spy(a_rows, b, exact=None):
+        seen.append((a_rows, b))
+        return solve_feasibility(a_rows, b, exact)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extendability, "solve_feasibility", spy)
+        dissociated_extendable_check(MobiusVector(3, z), 6)
+    (rows,) = seen
+    return rows
+
+
+class TestNoisePivots:
+    def test_float_pivots_on_noise_cycle(self, cycling_lp):
+        system = _Scaled.of(*cycling_lp)
+        basis = [system.n + i for i in range(len(system.rows))]
+        tab = system.tableau(exact=False)
+        assert _bland(tab, basis, FLOAT_EPS, FLOAT_EPS)[1]
+
+    def test_float_basis_is_certified(self, cycling_lp):
+        res = solve_feasibility(*cycling_lp)
+        assert res.feasible
+        assert_exactly_certified(*cycling_lp, res)
+
+    def test_float_data(self, cycling_lp):
+        a_rows = [[float(v) for v in row] for row in cycling_lp[0]]
+        b = [float(v) for v in cycling_lp[1]]
+        res = solve_feasibility(a_rows, b)
+        assert res.feasible and all(isinstance(v, float) for v in res.x)
+        for row, bi in zip(a_rows, b):
+            assert abs(sum(a * v for a, v in zip(row, res.x)) - bi) <= 1e-9
+
+
+def report_cycles(monkeypatch):
+    """Make every float pass of ``_bland`` report a repeated basis."""
+    real = lp._bland
+
+    def cycling(tab, basis, eps, pivot_eps):
+        return real(tab, basis, eps, pivot_eps)[0], eps == FLOAT_EPS
+
+    monkeypatch.setattr(lp, "_bland", cycling)
+
+
+def test_cycling_float_pass_on_rational_data_is_decided_exactly(monkeypatch):
+    report_cycles(monkeypatch)
+    a_rows, b = extension_lp(exch_mle(PAW), 5)
+    res = solve_feasibility(a_rows, b)
+    assert not res.feasible
+    assert_exactly_certified(a_rows, b, res)
+
+
+def test_cycling_float_pass_on_float_data_raises(monkeypatch):
+    report_cycles(monkeypatch)
+    with pytest.raises(InvariantError):
+        solve_feasibility([[0.5, 0.25], [1.0, 1.0]], [0.375, 1.0])

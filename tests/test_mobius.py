@@ -266,7 +266,7 @@ class TestBidirectedEvaluation:
         # bidirected incidence structure must agree with the class-indexed
         # inclusion-exclusion applied to the product-completed moment vector
         from exchnet.dependence import incidence_graph
-        from exchnet.graphs import component_classes, is_connected_class
+        from exchnet.graphs import disconnected_classes
 
         golden = {
             "1-2": Fraction(1, 2),
@@ -284,12 +284,11 @@ class TestBidirectedEvaluation:
         for key, val in golden.items():
             z_map[by_key[key]] = val
         # complete the disconnected classes by component products
-        for u in enumerate_classes(4, False):
-            if not is_connected_class(u):
-                prod = Fraction(1)
-                for c in component_classes(u):
-                    prod *= z_map[c]
-                z_map[u] = prod
+        for u, comps in disconnected_classes(4):
+            prod = Fraction(1)
+            for c in comps:
+                prod *= z_map[c]
+            z_map[u] = prod
         mv = MobiusVector(4, z_map)
         assert validate_mobius(mv).ok
 
