@@ -21,7 +21,6 @@ from .dependence import (
     skeleton,
 )
 from .estimation import (
-    ClassDistribution,
     ErgmSpec,
     FAMILIES,
     degree_collision_classes,
@@ -37,7 +36,6 @@ from .genmodels import (
     Graphon,
     MixingSpec,
     beta_sample,
-    er_joint,
     graphon_sample,
     graphon_z,
     marginal_beta_sample,

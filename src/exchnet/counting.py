@@ -26,7 +26,6 @@ from .graphs import (
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
-    aut_count,
     class_aut,
     class_size,
     enumerate_classes,
@@ -129,16 +128,9 @@ def sub(f: LabeledNetwork, g: LabeledNetwork) -> int:
     return _exact_div(inj(fs, g), aut_of_support(fs), "inj by aut")
 
 
-@lru_cache(maxsize=500000)
-def _aut_of_mask(n: int, mask: int) -> int:
-    return aut_count(LabeledNetwork.from_mask(n, mask))
-
-
 def aut_of_support(f: LabeledNetwork) -> int:
-    fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
-    if fs.n == 0:
-        return 1
-    return _aut_of_mask(fs.n, fs.mask)
+    """Automorphism count of f restricted to its non-isolated vertices."""
+    return class_aut(UnlabeledClass.of(f))
 
 
 def t_inj(f: LabeledNetwork, g: LabeledNetwork) -> Fraction:
@@ -225,6 +217,13 @@ class ClassTable:
         if u.n_vertices > self.n:
             return (0,) * len(self.classes)
         return tuple(self.S[self.index[u]].tolist())
+
+    def moment_row(self, u: UnlabeledClass) -> tuple:
+        """S[U][W] / sub(U, K_n) as Fractions for every class W at n, so
+        that the row dotted with a class distribution q is z_U; U has at
+        most n vertices."""
+        denom = sub_in_complete(u, self.n)
+        return tuple(Fraction(s, denom) for s in self.row(u))
 
     def sigmas(self, x: LabeledNetwork, classes=None) -> tuple:
         """sigma_U(x) for each U in ``classes`` (default: every class at n)."""

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterable
 
-from .graphs import (
-    LabeledNetwork,
-    SizeCapError,
-    UnlabeledClass,
-    connected_components,
-    dyad_label,
-    dyads,
-    num_dyads,
-)
+from .graphs import SizeCapError, dyads, mask_components, num_dyads, reachable
 from .mobius import JointTable, LabeledMobius
 
 UNDIRECTED = "undirected"
@@ -203,22 +196,6 @@ def incidence_cliques(n: int) -> list:
 # --- separation --------------------------------------------------------------
 
 
-def _reachable(adj: tuple, allowed: int, start: int) -> int:
-    seen = start & allowed
-    frontier = seen
-    while frontier:
-        grow = 0
-        f = frontier
-        while f:
-            bit = f & -f
-            v = bit.bit_length() - 1
-            f ^= bit
-            grow |= adj[v] & allowed & ~seen
-        seen |= grow
-        frontier = grow
-    return seen
-
-
 def separates(dep: DependenceGraph, a_mask: int, b_mask: int, s_mask: int) -> bool:
     """Separation of A from B given S under dep's edge kind.
 
@@ -231,7 +208,7 @@ def separates(dep: DependenceGraph, a_mask: int, b_mask: int, s_mask: int) -> bo
         allowed = full & ~s_mask
     else:
         allowed = a_mask | b_mask | s_mask
-    return not (_reachable(adj, allowed, a_mask) & b_mask)
+    return not (reachable(adj, allowed, a_mask) & b_mask)
 
 
 # --- conditional independence on joint tables --------------------------------
@@ -416,31 +393,26 @@ class DissociatedCheckResult:
 
 
 def dissociated_check(lm: LabeledMobius) -> DissociatedCheckResult:
-    """Does z factor over node-connected components for every dyad subset?
+    """Does z factor over connected parts for every dyad subset?
 
-    The components of a dyad subset are those of the edge-induced subgraph of
-    the complete graph, equivalently the connected parts in the bidirected
-    incidence structure.
+    The parts of a dyad subset B are its connected parts in the bidirected
+    line graph of K_n (dyads adjacent iff they share a node), which are the
+    edge sets of the node-connected components of B: z_B = prod z_C over
+    them.  With at most one dyad (n <= 2) no subset splits.
     """
     n = lm.n
-    ds = dyads(n)
+    if n < 3:
+        return DissociatedCheckResult(True)
+    adj = incidence_graph(n, BIDIRECTED).adjacency
     exact = lm.is_exact
-    for mask in range(1, 1 << len(ds)):
-        net = LabeledNetwork.from_mask(n, mask)
-        comps = connected_components(net)
+    for mask in range(1, 1 << num_dyads(n)):
+        comps = mask_components(adj, mask)
         if len(comps) <= 1:
             continue
-        prod = None
-        for comp in comps:
-            keep = set(comp)
-            sub_mask = 0
-            for k, (i, j) in enumerate(ds):
-                if mask >> k & 1 and i in keep and j in keep:
-                    sub_mask |= 1 << k
-            prod = lm.z[sub_mask] if prod is None else prod * lm.z[sub_mask]
+        factored = prod(lm.z[comp] for comp in comps)
         if exact:
-            if lm.z[mask] != prod:
+            if lm.z[mask] != factored:
                 return DissociatedCheckResult(False, mask)
-        elif abs(lm.z[mask] - prod) > DISSOC_TOL:
+        elif abs(lm.z[mask] - factored) > DISSOC_TOL:
             return DissociatedCheckResult(False, mask)
     return DissociatedCheckResult(True)

@@ -52,6 +52,19 @@ MAX_FIT_NODES = 6
 # minutes and failed
 MAX_DISSOCIATED_NODES = 5
 
+# dissociated_mle: largest constraint violation and KKT residual of a usable
+# run, likelihood gap of a tie and q distance of a distinct maximizer
+FEAS_TOL = 1e-8
+KKT_TOL = 1e-6
+LIK_TIE_TOL = 1e-7
+DISTINCT_TOL = 1e-4
+
+# ergm_fit: moment gap of a converged iterate, Newton iteration cap and the
+# parameter norm past which the fit reports a boundary
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 200
+BOUNDARY_NORM = 1e3
+
 STATUS_OPTIMAL = "optimal"
 STATUS_BOUNDARY = "boundary"
 STATUS_NON_UNIQUE = "non_unique"
@@ -223,13 +236,11 @@ def exch_mle(x: LabeledNetwork) -> MobiusVector:
 
 
 def _moment_matrix(n: int) -> tuple:
-    """Rows: classes; columns: classes; entry = sigma_U(W) / sub(U, K_n)."""
+    """The classes at n and the float moment row of each (see
+    ``ClassTable.moment_row``), one row per class."""
     table = class_table(n)
-    s = table.S.astype(float)
-    totals = np.array(
-        [sub_in_complete(u, n) for u in table.classes], dtype=float
-    )
-    return table.classes, s / totals[:, None]
+    rows = [table.moment_row(u) for u in table.classes]
+    return table.classes, np.array(rows, dtype=float)
 
 
 def _dissociated_constraints(n: int, classes, a_matrix) -> list:
@@ -241,26 +252,20 @@ def _dissociated_constraints(n: int, classes, a_matrix) -> list:
 
 
 def dissociated_mle(
-    x: LabeledNetwork,
-    *,
-    restarts: int = 32,
-    seed: int = 20240,
-    feas_tol: float = 1e-8,
-    kkt_tol: float = 1e-6,
-    lik_tie_tol: float = 1e-7,
-    distinct_tol: float = 1e-4,
-    probe_flat: bool | None = None,
+    x: LabeledNetwork, *, restarts: int = 32, seed: int = 20240
 ) -> FitReport:
     """Maximize P(X = x) over exchangeable dissociated distributions.
 
     Optimizes per-class probabilities (so nonnegativity and normalization are
     structural) under product constraints for every disconnected class, via an
     augmented Lagrangian with projected-gradient inner steps and multi-start.
+    A run counts when its constraint violation is at most ``FEAS_TOL`` and
+    its KKT residual at most ``KKT_TOL``.
 
     A flat optimum is common here: after the best likelihood is found, each
     coordinate is re-maximized subject to optimality, which maps out the
-    optimal set.  Maximizers tied within ``lik_tie_tol`` whose q vectors
-    differ by more than ``distinct_tol`` trigger a non-unique status; the
+    optimal set.  Maximizers tied within ``LIK_TIE_TOL`` whose q vectors
+    differ by more than ``DISTINCT_TOL`` trigger a non-unique status; the
     reported representative is the lexicographically largest q in class order
     among the candidates found.
     """
@@ -279,7 +284,7 @@ def dissociated_mle(
     dim = len(classes)
     c_lin = np.zeros(dim)
     c_lin[x_idx] = 1.0
-    obj_tie_tol = lik_tie_tol * class_size(x_cls, n)
+    obj_tie_tol = LIK_TIE_TOL * class_size(x_cls, n)
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -291,8 +296,10 @@ def dissociated_mle(
 
     runs = maximize_batch(c_lin, cons, np.array(starts))
 
-    feasible = [r for r in runs if r.max_violation <= feas_tol]
-    usable = [r for r in feasible if r.kkt_residual <= kkt_tol]
+    usable = [
+        r for r in runs
+        if r.max_violation <= FEAS_TOL and r.kkt_residual <= KKT_TOL
+    ]
     if not usable:
         best = min(runs, key=lambda r: (r.max_violation, -r.objective))
         return FitReport(
@@ -308,32 +315,27 @@ def dissociated_mle(
     near = [r for r in usable if r.objective >= best_obj - obj_tie_tol]
     candidates = [(r.q, r.max_violation, r.outer_iters) for r in near]
 
-    if probe_flat is None:
-        probe_flat = dim <= 40
-    if probe_flat:
-        probe_cons = cons + [LinearConstraint(c_lin, best_obj)]
-        others = [k for k in range(dim) if k != x_idx]
-        # light budget: probes only need to locate distinct maximizers
-        probes = maximize_batch(
-            np.eye(dim)[others],
-            probe_cons,
-            np.tile(near[0].q, (len(others), 1)),
-            max_outer=14,
-            inner_iters=700,
-        )
-        for pres in probes:
-            if (
-                pres.max_violation <= feas_tol
-                and float(c_lin @ pres.q) >= best_obj - obj_tie_tol
-            ):
-                candidates.append(
-                    (pres.q, pres.max_violation, pres.outer_iters)
-                )
+    probe_cons = cons + [LinearConstraint(c_lin, best_obj)]
+    others = [k for k in range(dim) if k != x_idx]
+    # light budget: probes only need to locate distinct maximizers
+    probes = maximize_batch(
+        np.eye(dim)[others],
+        probe_cons,
+        np.tile(near[0].q, (len(others), 1)),
+        max_outer=14,
+        inner_iters=700,
+    )
+    for pres in probes:
+        if (
+            pres.max_violation <= FEAS_TOL
+            and float(c_lin @ pres.q) >= best_obj - obj_tie_tol
+        ):
+            candidates.append((pres.q, pres.max_violation, pres.outer_iters))
 
     distinct: list = []
     for q_arr, _, _ in candidates:
         if all(
-            float(np.max(np.abs(q_arr - d))) > distinct_tol for d in distinct
+            float(np.max(np.abs(q_arr - d))) > DISTINCT_TOL for d in distinct
         ):
             distinct.append(q_arr)
     status = STATUS_NON_UNIQUE if len(distinct) > 1 else STATUS_OPTIMAL
@@ -479,21 +481,15 @@ def ergm_fitted_distribution(spec: ErgmSpec, nu) -> ClassDistribution:
     return ClassDistribution(spec.n, {u: float(p) for u, p in zip(classes, w)})
 
 
-def ergm_fit(
-    spec: ErgmSpec,
-    x: LabeledNetwork,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    boundary_norm: float = 1e3,
-) -> FitReport:
+def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
     """Newton iteration on the exact mean-value map.
 
     Matches observed statistics to their expectation over the full class
-    enumeration.  Divergence of the parameter norm past ``boundary_norm``
-    while the moment gap keeps shrinking signals that the observed statistics
-    sit on the boundary of their convex support, so no finite MLE exists;
-    status "boundary" is reported.
+    enumeration, to a moment gap of ``NEWTON_TOL`` within
+    ``NEWTON_MAX_ITER`` iterations.  Divergence of the parameter norm past
+    ``BOUNDARY_NORM`` while the moment gap keeps shrinking signals that the
+    observed statistics sit on the boundary of their convex support, so no
+    finite MLE exists; status "boundary" is reported.
     """
     if spec.n > MAX_FIT_NODES:
         raise SizeCapError(f"ergm fitting supports n <= {MAX_FIT_NODES}")
@@ -536,7 +532,7 @@ def ergm_fit(
     resid = np.inf
     step_norm = np.inf
     nu_snapshot = None
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         iters = it + 1
         _, mean, cov = moments(nu)
         r = target - mean
@@ -546,14 +542,14 @@ def ergm_fit(
         # interior optima stop with a matched moment and a collapsed step;
         # at the boundary the residual underflows while the parameter keeps
         # marching along a separating direction
-        if resid < tol and step_norm < 1e-6:
+        if resid < NEWTON_TOL and step_norm < 1e-6:
             status = (
                 STATUS_BOUNDARY
                 if boundary_detected(nu, nu_snapshot)
                 else STATUS_OPTIMAL
             )
             break
-        if float(np.max(np.abs(nu))) > boundary_norm:
+        if float(np.max(np.abs(nu))) > BOUNDARY_NORM:
             status = STATUS_BOUNDARY
             break
         try:
@@ -575,7 +571,7 @@ def ergm_fit(
     else:
         status = STATUS_FAILED
     if status == STATUS_FAILED and (
-        float(np.max(np.abs(nu))) > boundary_norm
+        float(np.max(np.abs(nu))) > BOUNDARY_NORM
         or boundary_detected(nu, nu_snapshot)
     ):
         status = STATUS_BOUNDARY
@@ -696,12 +692,6 @@ class SummarizedConstraint:
             term = mv.z[u] * c
             total = term if total is None else total + term
         return total if total is not None else 0
-
-    def evaluate_distribution(self, cd: ClassDistribution):
-        x1, x2 = self.pair
-        return cd.labeled_prob(x1.padded(cd.n)) - cd.labeled_prob(
-            x2.padded(cd.n)
-        )
 
 
 def summarized_constraints(n: int) -> list:

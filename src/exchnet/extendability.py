@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .counting import class_table, edge_class, sub_in_complete
+from .counting import class_table, edge_class
 from .estimation import ClassDistribution
 from .genmodels import er_class_distribution
 from .graphs import (
@@ -39,6 +39,9 @@ from .mobius import (
     MobiusVector,
     mobius_from_class_distribution,
 )
+
+# float input: the largest gap |z_U - prod z_C| a product constraint may show
+PRODUCT_TOL = 1e-7
 
 
 def marginalize_joint(jt: JointTable, keep) -> JointTable:
@@ -91,19 +94,13 @@ def _check_sizes(n: int, m: int) -> None:
         raise SizeCapError(f"extendability supports n <= m <= {MAX_NODES}")
 
 
-def _row(m: int, u) -> tuple:
-    """The row of sigma_U over the classes at m, scaled so that row . q = z_U
-    for a class distribution q."""
-    denom = sub_in_complete(u, m)
-    return tuple(Fraction(s, denom) for s in class_table(m).row(u))
-
-
 @lru_cache(maxsize=64)
 def _sigma_rows(m: int, n: int) -> tuple:
     """The non-empty classes U at n, the classes at m and the row of each U."""
+    table = class_table(m)
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
-    rows = tuple(_row(m, u) for u in targets)
-    return tuple(targets), class_table(m).classes, rows
+    rows = tuple(table.moment_row(u) for u in targets)
+    return tuple(targets), table.classes, rows
 
 
 @lru_cache(maxsize=64)
@@ -111,6 +108,7 @@ def _product_terms(m: int, n: int) -> tuple:
     """For every disconnected class U at m on more than n vertices: U, its
     components on at most n vertices, U's row and the row of its one
     component on more than n vertices (None when there is none)."""
+    table = class_table(m)
     out = []
     for u, comps in disconnected_classes(m):
         if u.n_vertices <= n:
@@ -121,7 +119,8 @@ def _product_terms(m: int, n: int) -> tuple:
                 f"{u.key()} has {len(big)} components on over {n} vertices"
             )
         small = tuple(c for c in comps if c.n_vertices <= n)
-        out.append((u, small, _row(m, u), _row(m, big[0]) if big else None))
+        row_big = table.moment_row(big[0]) if big else None
+        out.append((u, small, table.moment_row(u), row_big))
     return tuple(out)
 
 
@@ -204,21 +203,19 @@ def extendable_check(mv: MobiusVector, m: int) -> ExtendabilityReport:
     return _lp_report(mv, m)
 
 
-def dissociated_extendable_check(
-    mv: MobiusVector, m: int, *, tol: float = 1e-7
-) -> ExtendabilityReport:
+def dissociated_extendable_check(mv: MobiusVector, m: int) -> ExtendabilityReport:
     """Extendability with product constraints imposed on the extension.
 
     The independent-ties candidate at the observed edge moment is tried
     first (``method`` "er-candidate"); it certifies every extendable input
     with n <= 2.  Otherwise the product constraints among the input's own
-    classes are checked directly (exactly for rational input, within ``tol``
-    for float input): a failure is an infeasible verdict whose margin is
-    |z_U - prod z_C| for the worst class U.  The rest is the LP of
-    ``extendable_check`` with one linear row per disconnected class at m on
-    more than n vertices, so the verdict is exact for rational input, with a
-    re-checked certificate or a Farkas ``dual`` whose product entries are
-    keyed by the m-node class.
+    classes are checked directly (exactly for rational input, within
+    ``PRODUCT_TOL`` for float input): a failure is an infeasible verdict
+    whose margin is |z_U - prod z_C| for the worst class U.  The rest is the
+    LP of ``extendable_check`` with one linear row per disconnected class at
+    m on more than n vertices, so the verdict is exact for rational input,
+    with a re-checked certificate or a Farkas ``dual`` whose product entries
+    are keyed by the m-node class.
     """
     n = mv.n
     _check_sizes(n, m)
@@ -228,7 +225,7 @@ def dissociated_extendable_check(
         cand = er_class_distribution(m, p)
         if _certificate_valid(mv, cand, 1e-12):
             return ExtendabilityReport(True, m, cand, None, method="er-candidate")
-    tol = 0 if mv.is_exact else tol
+    tol = 0 if mv.is_exact else PRODUCT_TOL
     gaps = [
         (abs(mv.z[u] - prod(mv.z[c] for c in comps)), u)
         for u, comps in disconnected_classes(n)

@@ -176,13 +176,6 @@ class LabeledNetwork:
         ]
         return LabeledNetwork.from_edges(len(keep), es)
 
-    def with_nodes(self, n: int) -> "LabeledNetwork":
-        """Same edges on a node set padded (or trimmed, if isolated) to n."""
-        sup = self.support()
-        if sup and sup[-1] > n:
-            raise InvalidNetworkError(f"cannot fit support {sup} in n={n}")
-        return LabeledNetwork(n, self.edges)
-
     def permute(self, perm: dict) -> "LabeledNetwork":
         """Relabel nodes by ``perm`` (a dict {old: new} over 1..n)."""
         return LabeledNetwork.from_edges(
@@ -191,9 +184,6 @@ class LabeledNetwork:
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
-
-    def is_subgraph_of(self, other: "LabeledNetwork") -> bool:
-        return self.edges <= other.edges
 
     def adjacency_bitsets(self) -> list[int]:
         """adj[v] has bit w set iff nodes v+1 and w+1 are adjacent (0-based)."""
@@ -462,10 +452,6 @@ class DegreeDistribution:
     def n(self) -> int:
         return len(self.counts)
 
-    @property
-    def edge_total(self) -> int:
-        return sum(j * c for j, c in enumerate(self.counts)) // 2
-
 
 def degree_distribution(g: LabeledNetwork) -> DegreeDistribution:
     counts = [0] * g.n
@@ -474,29 +460,46 @@ def degree_distribution(g: LabeledNetwork) -> DegreeDistribution:
     return DegreeDistribution(tuple(counts))
 
 
+def reachable(adj: tuple, allowed: int, start: int) -> int:
+    """Vertices reachable from ``start`` through ``allowed``, as a bitmask;
+    ``adj[v]`` is the neighbor bitset of vertex v."""
+    seen = start & allowed
+    frontier = seen
+    while frontier:
+        grow = 0
+        f = frontier
+        while f:
+            bit = f & -f
+            v = bit.bit_length() - 1
+            f ^= bit
+            grow |= adj[v] & allowed & ~seen
+        seen |= grow
+        frontier = grow
+    return seen
+
+
+@lru_cache(maxsize=200000)
+def mask_components(adj: tuple, mask: int) -> tuple:
+    """The connected parts of ``mask`` under adjacency ``adj``, as masks,
+    the part of the lowest vertex first."""
+    comps = []
+    while mask:
+        comp = reachable(adj, mask, mask & -mask)
+        comps.append(comp)
+        mask &= ~comp
+    return tuple(comps)
+
+
 def connected_components(g: LabeledNetwork) -> list:
     """Partition of the non-isolated vertices into edge-connected components."""
-    nbrs: dict = {}
-    for i, j in g.edges:
-        nbrs.setdefault(i, set()).add(j)
-        nbrs.setdefault(j, set()).add(i)
-    seen: set = set()
-    comps = []
-    for v in sorted(nbrs):
-        if v in seen:
-            continue
-        stack = [v]
-        comp = []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    adj = g.adjacency_bitsets()
+    support = 0
+    for nbrs in adj:
+        support |= nbrs
+    return [
+        [v + 1 for v in range(g.n) if comp >> v & 1]
+        for comp in mask_components(tuple(adj), support)
+    ]
 
 
 def component_classes(cls_: UnlabeledClass) -> list:

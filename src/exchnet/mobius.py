@@ -10,9 +10,9 @@ collapses the parametrization to one value per unlabeled class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .counting import class_table, sub_in_complete
@@ -21,8 +21,8 @@ from .graphs import (
     SizeCapError,
     UnlabeledClass,
     class_size,
-    connected_components,
     enumerate_classes,
+    mask_components,
     num_dyads,
 )
 
@@ -89,19 +89,8 @@ class JointTable:
     def is_exact(self) -> bool:
         return _is_exact_seq(self.probs)
 
-    def prob(self, x: LabeledNetwork):
-        return self.probs[x.mask]
-
     def to_float(self) -> "JointTable":
         return JointTable(self.n, tuple(float(p) for p in self.probs))
-
-    @classmethod
-    def from_function(cls, n: int, fn) -> "JointTable":
-        _check_lattice_size(n, "JointTable")
-        m = num_dyads(n)
-        return cls(
-            n, tuple(fn(LabeledNetwork.from_mask(n, s)) for s in range(1 << m))
-        )
 
 
 @dataclass(frozen=True)
@@ -209,18 +198,6 @@ class MobiusVector:
         if (exact and z0 != 1) or (not exact and abs(z0 - 1.0) > FLOAT_SUM_TOL):
             raise ValueError("z of the empty class must be 1")
 
-    @classmethod
-    def from_values(cls, n: int, values: Mapping, fill=None) -> "MobiusVector":
-        """Build from a partial mapping; missing classes get ``fill`` if given."""
-        z = dict(values)
-        empty = UnlabeledClass.empty()
-        if empty not in z:
-            z[empty] = 1.0 if isinstance(fill, float) else Fraction(1)
-        if fill is not None:
-            for c in enumerate_classes(n, True):
-                z.setdefault(c, fill)
-        return cls(n, z)
-
     @property
     def is_exact(self) -> bool:
         return _is_exact_seq(self.z.values())
@@ -326,30 +303,6 @@ def mobius_from_class_distribution(cd) -> MobiusVector:
 # --- bidirected factorized evaluation ---------------------------------------
 
 
-@lru_cache(maxsize=200000)
-def _components_of_mask(adj: tuple, mask: int) -> tuple:
-    """Inclusion-maximal connected subsets of ``mask`` under adjacency ``adj``."""
-    comps = []
-    rem = mask
-    while rem:
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                v = bit.bit_length() - 1
-                f ^= bit
-                grow |= adj[v] & mask & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        rem &= ~comp
-    return tuple(comps)
-
-
 def bidirected_joint(dep, z_conn: Mapping, h_mask: int):
     """P(X_H = 1, rest = 0) under a bidirected dependence structure.
 
@@ -370,12 +323,7 @@ def bidirected_joint(dep, z_conn: Mapping, h_mask: int):
             if extra >> t & 1:
                 b_mask |= 1 << b
                 nbits += 1
-        prod = None
-        for comp in _components_of_mask(adj, b_mask):
-            zc = z_conn[comp] if comp in z_conn else z_conn[frozenset_of(comp)]
-            prod = zc if prod is None else prod * zc
-        if prod is None:
-            prod = 1
+        prod = math.prod(z_conn[comp] for comp in mask_components(adj, b_mask))
         term = -prod if nbits % 2 else prod
         total = term if total is None else total + term
     if total is None:
@@ -391,15 +339,6 @@ def bidirected_joint(dep, z_conn: Mapping, h_mask: int):
             f"configuration {h_mask:b} has probability {total}", config=h_mask
         )
     return total
-
-
-def frozenset_of(mask: int) -> frozenset:
-    out = set()
-    while mask:
-        bit = mask & -mask
-        out.add(bit.bit_length() - 1)
-        mask ^= bit
-    return frozenset(out)
 
 
 def mask_of(indices) -> int:

@@ -12,15 +12,7 @@ from importlib import resources
 
 from .dependence import DependenceGraph, dependence_graph_from_edges
 from .estimation import ClassDistribution, FitReport
-from .graphs import (
-    LabeledNetwork,
-    UnlabeledClass,
-    class_from_key,
-    dyad_label,
-    dyads,
-    enumerate_classes,
-    num_dyads,
-)
+from .graphs import class_from_key, dyad_label, dyads
 from .mobius import JointTable, MobiusVector
 
 

@@ -142,3 +142,46 @@ def oracle_block_moments(classes, weights, probs) -> dict:
             total += term
         z[u] = total
     return z
+
+
+def oracle_components(g: LabeledNetwork) -> list:
+    """Components of the non-isolated vertices by plain depth-first search
+    over neighbor sets, each sorted, ordered by their least vertex."""
+    nbrs: dict = {}
+    for i, j in g.edges:
+        nbrs.setdefault(i, set()).add(j)
+        nbrs.setdefault(j, set()).add(i)
+    seen: set = set()
+    out = []
+    for v in sorted(nbrs):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, comp = [v], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in nbrs[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def oracle_first_unfactored_mask(lm):
+    """The least dyad mask whose z differs from the product of z over the
+    edge sets of its vertex components, or None when every mask factors."""
+    for mask in range(1, len(lm.z)):
+        g = LabeledNetwork.from_mask(lm.n, mask)
+        comps = oracle_components(g)
+        if len(comps) < 2:
+            continue
+        parts = [
+            LabeledNetwork.from_edges(
+                lm.n, [e for e in g.edges if e[0] in comp]
+            ).mask
+            for comp in comps
+        ]
+        if lm.z[mask] != prod(lm.z[part] for part in parts):
+            return mask
+    return None

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import oracle_first_unfactored_mask
 
 from exchnet.dependence import (
     BIDIRECTED,
@@ -20,7 +21,7 @@ from exchnet.dependence import (
 )
 from exchnet.estimation import ClassDistribution
 from exchnet.genmodels import er_joint, marginal_beta_joint, MixingSpec
-from exchnet.graphs import LabeledNetwork, UnlabeledClass
+from exchnet.graphs import LabeledNetwork, UnlabeledClass, class_from_key
 from exchnet.mobius import JointTable, labeled_mobius_from_joint
 
 
@@ -207,6 +208,20 @@ class TestDissociatedCheck:
         res = dissociated_check(lm)
         assert not res.holds
         assert res.violating_mask is not None
+
+    def test_disconnected_point_mass_at_five(self):
+        # K2 + P3: the first mask that fails the vertex-component product
+        # is the one the check reports
+        cd = ClassDistribution.point_mass(class_from_key("1-2,3-4,4-5"), 5)
+        lm = labeled_mobius_from_joint(cd.to_joint())
+        res = dissociated_check(lm)
+        assert not res.holds
+        assert res.violating_mask == oracle_first_unfactored_mask(lm)
+
+    def test_er_is_dissociated_at_five(self):
+        lm = labeled_mobius_from_joint(er_joint(5, Fraction(1, 3)))
+        assert oracle_first_unfactored_mask(lm) is None
+        assert dissociated_check(lm).holds
 
     def test_mixture_is_dissociated(self, paw):
         cd = ClassDistribution(

@@ -2,7 +2,12 @@ import math
 import random
 
 import pytest
-from oracles import oracle_aut, oracle_canonical_bits, oracle_labeled_classes
+from oracles import (
+    oracle_aut,
+    oracle_canonical_bits,
+    oracle_components,
+    oracle_labeled_classes,
+)
 
 from exchnet import graphs
 from exchnet.graphs import (
@@ -20,6 +25,7 @@ from exchnet.graphs import (
     dyads,
     enumerate_classes,
     format_edge_list,
+    num_dyads,
     parse_edge_list,
 )
 
@@ -225,6 +231,32 @@ class TestConnectedComponents:
     def test_mixed_components(self):
         g = LabeledNetwork.from_edges(5, [(1, 2), (3, 4), (4, 5)])
         assert connected_components(g) == [[1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_labeled_graph_matches_oracle(self, n):
+        for mask in range(1 << num_dyads(n)):
+            g = LabeledNetwork.from_mask(n, mask)
+            assert connected_components(g) == oracle_components(g)
+
+    def test_seeded_graphs_with_isolated_vertices_match_oracle(self):
+        rng = random.Random(11)
+        isolated = 0
+        for _ in range(300):
+            n = rng.randint(5, 7)
+            p = rng.choice([0.2, 0.35, 0.5])
+            # a few vertices are left isolated on purpose
+            lone = set(rng.sample(range(1, n + 1), rng.randint(0, 2)))
+            g = LabeledNetwork.from_edges(
+                n,
+                [
+                    (i, j)
+                    for i, j in dyads(n)
+                    if i not in lone and j not in lone and rng.random() < p
+                ],
+            )
+            isolated += len(g.support()) < n
+            assert connected_components(g) == oracle_components(g)
+        assert isolated > 100
 
 
 class TestEdgeListFormat:
