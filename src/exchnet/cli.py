@@ -236,7 +236,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_eval(args) -> int:
     x = _read_network(args.edgelist)
-    nu = json.loads(args.nu_json.read_text())["nu"]
+    doc = json.loads(args.nu_json.read_text())
+    nu = doc.get("nu") if isinstance(doc, dict) else None
+    values = list(nu.values()) if isinstance(nu, dict) else nu
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) for v in values
+    ):
+        raise ValueError('parameter file needs "nu", an object or array of numbers')
     p = ergm_eval(ErgmSpec(args.family, x.n), nu, x)
     _emit(dump_json({"probability": p}), args.out)
     return 0

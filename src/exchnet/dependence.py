@@ -14,7 +14,16 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable
 
-from .graphs import SizeCapError, dyads, mask_components, num_dyads, reachable
+from .graphs import (
+    SizeCapError,
+    dyad_index,
+    dyads,
+    mask_components,
+    num_dyads,
+    parse_dyad_label,
+    reachable,
+    submasks,
+)
 from .mobius import JointTable, LabeledMobius
 
 UNDIRECTED = "undirected"
@@ -85,8 +94,6 @@ class DependenceGraph:
         new_index = {}
         for k, (i, j) in enumerate(old):
             if i in kept and j in kept:
-                from .graphs import dyad_index
-
                 new_index[k] = dyad_index(relab[i], relab[j])
         m2 = num_dyads(len(keep))
         adj = [0] * m2
@@ -102,13 +109,16 @@ def dependence_graph_from_edges(
     n: int, kind: str, edges: Iterable
 ) -> DependenceGraph:
     """Build from dyad pairs, each dyad given as a (i, j) tuple or "i-j" label."""
-    from .graphs import dyad_index, parse_dyad_label
 
-    m = num_dyads(n)
-    adj = [0] * m
+    def index(d) -> int:
+        i, j = parse_dyad_label(d) if isinstance(d, str) else d
+        if min(i, j) < 1 or max(i, j) > n:
+            raise ValueError(f"dyad {d} out of range for n={n}")
+        return dyad_index(i, j)
+
+    adj = [0] * num_dyads(n)
     for d1, d2 in edges:
-        k1 = dyad_index(*(parse_dyad_label(d1) if isinstance(d1, str) else d1))
-        k2 = dyad_index(*(parse_dyad_label(d2) if isinstance(d2, str) else d2))
+        k1, k2 = index(d1), index(d2)
         if k1 == k2:
             raise ValueError(f"self-adjacency at dyad {d1}")
         adj[k1] |= 1 << k2
@@ -259,25 +269,13 @@ def ci_test(jt: JointTable, a_mask: int, b_mask: int, s_mask: int) -> bool:
         p_as[kas] = p_as.get(kas, 0) + p
         p_bs[kbs] = p_bs.get(kbs, 0) + p
     # every (a, b, s) cell must factorize, including zero cells
-    a_bits = [k for k in range(jt.n * (jt.n - 1) // 2) if a_mask >> k & 1]
-    b_bits = [k for k in range(jt.n * (jt.n - 1) // 2) if b_mask >> k & 1]
-    s_bits = [k for k in range(jt.n * (jt.n - 1) // 2) if s_mask >> k & 1]
-
-    def sub_masks(bits):
-        for pick in range(1 << len(bits)):
-            mm = 0
-            for t, bb in enumerate(bits):
-                if pick >> t & 1:
-                    mm |= 1 << bb
-            yield mm
-
-    for s_val in sub_masks(s_bits):
+    for s_val in submasks(s_mask):
         ps = p_s.get(s_val, 0)
         if not ps:
             continue
-        for a_val in sub_masks(a_bits):
+        for a_val in submasks(a_mask):
             pas = p_as.get(a_val | s_val, 0)
-            for b_val in sub_masks(b_bits):
+            for b_val in submasks(b_mask):
                 pbs = p_bs.get(b_val | s_val, 0)
                 pabs = joint.get(a_val | b_val | s_val, 0)
                 if not _close(pabs * ps, pas * pbs, exact):
@@ -287,24 +285,15 @@ def ci_test(jt: JointTable, a_mask: int, b_mask: int, s_mask: int) -> bool:
 
 def _triples(m: int):
     """All (A, B, S) disjoint with A, B non-empty, smallest first, A before B."""
-    out = []
-    for assign in range(4**m):
-        a = b = s = 0
-        t = assign
-        for k in range(m):
-            c = t % 4
-            t //= 4
-            if c == 1:
-                a |= 1 << k
-            elif c == 2:
-                b |= 1 << k
-            elif c == 3:
-                s |= 1 << k
-        if not a or not b:
-            continue
-        if (a & -a) > (b & -b):
-            continue  # unordered pair {A, B}: keep one orientation
-        out.append((a, b, s))
+    full = (1 << m) - 1
+    out = [
+        (a, b, s)
+        for a in submasks(full)
+        for b in submasks(full & ~a)
+        # unordered pair {A, B}: keep one orientation
+        if a and b and (a & -a) < (b & -b)
+        for s in submasks(full & ~a & ~b)
+    ]
     out.sort(
         key=lambda t: (
             bin(t[0]).count("1") + bin(t[1]).count("1") + bin(t[2]).count("1"),
@@ -344,21 +333,12 @@ def skeleton(jt: JointTable) -> DependenceGraph:
         raise SizeCapError(
             f"skeleton search supports at most {MAX_MARKOV_DYADS} dyads"
         )
+    full = (1 << m) - 1
     adj = [0] * m
-    rest_bits = list(range(m))
     for u in range(m):
         for v in range(u + 1, m):
-            others = [k for k in rest_bits if k not in (u, v)]
-            found = False
-            for pick in range(1 << len(others)):
-                s = 0
-                for t, k in enumerate(others):
-                    if pick >> t & 1:
-                        s |= 1 << k
-                if ci_test(jt, 1 << u, 1 << v, s):
-                    found = True
-                    break
-            if not found:
+            others = full & ~(1 << u) & ~(1 << v)
+            if not any(ci_test(jt, 1 << u, 1 << v, s) for s in submasks(others)):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return DependenceGraph(jt.n, UNDIRECTED, tuple(adj))

@@ -9,7 +9,8 @@ for several statistic families, and degree-distribution diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping
 
@@ -214,7 +215,6 @@ class FitReport:
     constraint_residual: float = 0.0
     iterations: int = 0
     restarts_used: int = 0
-    alternates: list = field(default_factory=list)
 
     @property
     def likelihood(self) -> float:
@@ -352,9 +352,6 @@ def dissociated_mle(
     z_map[UnlabeledClass.empty()] = 1.0
     mv = MobiusVector(n, z_map)
     lik = q_arr[x_idx] / class_size(x_cls, n)
-    alternates = [
-        {u: float(qa[idx[u]]) for u in classes} for qa in distinct[:8]
-    ]
     return FitReport(
         family="dissociated",
         status=status,
@@ -364,7 +361,6 @@ def dissociated_mle(
         constraint_residual=chosen_viol,
         iterations=chosen_iters,
         restarts_used=len(starts),
-        alternates=alternates,
     )
 
 
@@ -382,37 +378,33 @@ class ErgmSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
 
-    def stat_names(self) -> list:
-        n = self.n
-        if self.family == "edges":
-            return ["star1"]
-        if self.family == "frank_strauss":
-            return [f"star{k}" for k in range(1, n)] + ["triangle"]
-        if self.family == "se_star":
-            return [f"star{k}" for k in range(1, n)] + ["two_disjoint_edges"]
-        if self.family == "kneser":
-            return [f"matching{k}" for k in range(1, n // 2 + 1)]
-        if self.family == "sem":
-            return [f"deg{j}" for j in range(1, n)]
-        # full_exchangeable
-        return [u.key() for u in enumerate_classes(n, False)]
+    def stat_names(self) -> tuple:
+        return _family_table(self.family, self.n)[0]
 
-    def stat_classes(self) -> list | None:
+    def stat_classes(self) -> tuple | None:
         """Classes whose sigma counts are the statistics; None for sem."""
-        n = self.n
-        if self.family == "edges":
-            return [star_class(1)]
-        if self.family == "frank_strauss":
-            return [star_class(k) for k in range(1, n)] + [triangle_class()]
-        if self.family == "se_star":
-            return [star_class(k) for k in range(1, n)] + [
-                two_disjoint_edges_class()
-            ]
-        if self.family == "kneser":
-            return [matching_class(k) for k in range(1, n // 2 + 1)]
-        if self.family == "full_exchangeable":
-            return enumerate_classes(n, False)
-        return None
+        return _family_table(self.family, self.n)[1]
+
+
+@lru_cache(maxsize=None)
+def _family_table(family: str, n: int) -> tuple:
+    """The statistic names of a family at n and the classes whose sigma
+    counts they are; sem counts degrees, so its classes are None."""
+    if family == "sem":
+        return tuple(f"deg{j}" for j in range(1, n)), None
+    if family == "edges":
+        rows = [("star1", star_class(1))]
+    elif family in ("frank_strauss", "se_star"):
+        rows = [(f"star{k}", star_class(k)) for k in range(1, n)]
+        if family == "frank_strauss":
+            rows.append(("triangle", triangle_class()))
+        else:
+            rows.append(("two_disjoint_edges", two_disjoint_edges_class()))
+    elif family == "kneser":
+        rows = [(f"matching{k}", matching_class(k)) for k in range(1, n // 2 + 1)]
+    else:  # full_exchangeable
+        rows = [(u.key(), u) for u in enumerate_classes(n, False)]
+    return tuple(name for name, _ in rows), tuple(u for _, u in rows)
 
 
 def ergm_stats(spec: ErgmSpec, x: LabeledNetwork) -> tuple:
@@ -454,10 +446,17 @@ def _class_stat_table(spec: ErgmSpec) -> tuple:
     return classes, stats, sizes
 
 
-def _log_partition(stats, sizes, nu):
+def _gibbs_weights(stats, sizes, nu) -> tuple:
+    """Unnormalized class weights exp(S nu + log|class| - shift) and the
+    shift, the largest exponent."""
     expo = stats @ nu + np.log(sizes)
     shift = float(np.max(expo))
-    return shift + math.log(float(np.sum(np.exp(expo - shift))))
+    return np.exp(expo - shift), shift
+
+
+def _log_partition(stats, sizes, nu):
+    w, shift = _gibbs_weights(stats, sizes, nu)
+    return shift + math.log(float(np.sum(w)))
 
 
 def ergm_eval(spec: ErgmSpec, nu, x: LabeledNetwork) -> float:
@@ -474,9 +473,7 @@ def ergm_eval(spec: ErgmSpec, nu, x: LabeledNetwork) -> float:
 def ergm_fitted_distribution(spec: ErgmSpec, nu) -> ClassDistribution:
     vec = _nu_vector(spec, nu)
     classes, stats, sizes = _class_stat_table(spec)
-    expo = stats @ vec + np.log(sizes)
-    shift = float(np.max(expo))
-    w = np.exp(expo - shift)
+    w, _ = _gibbs_weights(stats, sizes, vec)
     w /= w.sum()
     return ClassDistribution(spec.n, {u: float(p) for u, p in zip(classes, w)})
 
@@ -499,9 +496,7 @@ def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
     nu = np.zeros(dim)
 
     def moments(nu_vec):
-        expo = stats @ nu_vec + np.log(sizes)
-        shift = float(np.max(expo))
-        w = np.exp(expo - shift)
+        w, _ = _gibbs_weights(stats, sizes, nu_vec)
         w /= w.sum()
         mean = stats.T @ w
         centered = stats - mean
@@ -568,8 +563,6 @@ def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
             t *= 0.5
         nu = nu + t * step
         step_norm = float(np.max(np.abs(t * step)))
-    else:
-        status = STATUS_FAILED
     if status == STATUS_FAILED and (
         float(np.max(np.abs(nu))) > BOUNDARY_NORM
         or boundary_detected(nu, nu_snapshot)
@@ -697,7 +690,9 @@ class SummarizedConstraint:
 def summarized_constraints(n: int) -> list:
     """One linear z constraint per degree-distribution collision pair."""
     if n > MAX_FIT_NODES:
-        raise SizeCapError("constraint construction supports n <= 6")
+        raise SizeCapError(
+            f"constraint construction supports n <= {MAX_FIT_NODES}"
+        )
     table = class_table(n)
     out = []
     for group in degree_collision_classes(n):

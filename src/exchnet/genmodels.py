@@ -41,29 +41,41 @@ def _sigmoid(t: float) -> float:
 # --- independent ties ---------------------------------------------------------
 
 
+def _dyad_products(pv: Sequence) -> list:
+    """P(X = x) for every dyad mask x when dyad k is a tie with probability
+    pv[k], independently: the factors multiplied in colex order."""
+    probs = []
+    for mask in range(1 << len(pv)):
+        prod = 1.0
+        for k, pk in enumerate(pv):
+            prod *= pk if mask >> k & 1 else 1.0 - pk
+        probs.append(prod)
+    return probs
+
+
+def _tie_sample(n: int, rng: random.Random, tie_prob: Callable) -> LabeledNetwork:
+    """Each dyad (i, j), in colex order, is a tie when one draw of ``rng``
+    falls below ``tie_prob(i, j)``."""
+    edges = [(i, j) for i, j in dyads(n) if rng.random() < tie_prob(i, j)]
+    return LabeledNetwork.from_edges(n, edges)
+
+
 def er_joint(n: int, p) -> JointTable:
     """All dyads independent with tie probability p (exact if p is rational).
 
-    The float path multiplies dyad factors in colex order, so it agrees
-    bit-for-bit with a per-dyad product model evaluated at a constant tie
-    probability.
+    A float p takes the per-dyad product of ``beta_joint``, so the two agree
+    bit for bit at a constant tie probability.
     """
     if n > MAX_LATTICE_NODES:
         raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
     m = num_dyads(n)
-    exact = isinstance(p, (Fraction, int))
-    one = Fraction(1) if exact else 1.0
-    probs = []
-    for mask in range(1 << m):
-        if exact:
-            k = bin(mask).count("1")
-            probs.append(p**k * (one - p) ** (m - k))
-        else:
-            prod = 1.0
-            for b in range(m):
-                prod *= p if mask >> b & 1 else 1.0 - p
-            probs.append(prod)
-    return JointTable(n, tuple(probs))
+    if not isinstance(p, (Fraction, int)):
+        return JointTable(n, tuple(_dyad_products([p] * m)))
+    q = Fraction(1) - p
+    by_edges = [p**k * q ** (m - k) for k in range(m + 1)]
+    return JointTable(
+        n, tuple(by_edges[bin(mask).count("1")] for mask in range(1 << m))
+    )
 
 
 def er_mobius(n: int, p) -> MobiusVector:
@@ -114,15 +126,8 @@ def beta_joint(spec: BetaSpec) -> JointTable:
     n = spec.n
     if n > MAX_LATTICE_NODES:
         raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
-    ds = dyads(n)
-    pv = [spec.tie_prob(i, j) for i, j in ds]
-    probs = []
-    for mask in range(1 << len(ds)):
-        p = 1.0
-        for k, pk in enumerate(pv):
-            p *= pk if mask >> k & 1 else 1.0 - pk
-        probs.append(p)
-    return JointTable(n, tuple(probs))
+    pv = [spec.tie_prob(i, j) for i, j in dyads(n)]
+    return JointTable(n, tuple(_dyad_products(pv)))
 
 
 # --- marginal mixture over propensities ----------------------------------------
@@ -315,6 +320,8 @@ class Graphon:
 def parse_graphon_text(text: str) -> Graphon:
     """Parse the grid file format: first line r, then r rows of r floats."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("grid file is empty")
     r = int(lines[0].strip())
     rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : r + 1]]
     if len(rows) != r or any(len(row) != r for row in rows):
@@ -337,19 +344,11 @@ def graphon_sample(phi: Graphon, n: int, seed: int) -> LabeledNetwork:
     """One network: uniform node coordinates, independent ties through phi."""
     rng = random.Random(seed)
     u = [rng.random() for _ in range(n)]
-    edges = []
-    for i, j in dyads(n):
-        if rng.random() < phi(u[i - 1], u[j - 1]):
-            edges.append((i, j))
-    return LabeledNetwork.from_edges(n, edges)
+    return _tie_sample(n, rng, lambda i, j: phi(u[i - 1], u[j - 1]))
 
 
 def beta_sample(spec: BetaSpec, seed: int) -> LabeledNetwork:
-    rng = random.Random(seed)
-    edges = [
-        (i, j) for i, j in dyads(spec.n) if rng.random() < spec.tie_prob(i, j)
-    ]
-    return LabeledNetwork.from_edges(spec.n, edges)
+    return _tie_sample(spec.n, random.Random(seed), spec.tie_prob)
 
 
 def marginal_beta_sample(n: int, mix: MixingSpec, seed: int) -> LabeledNetwork:
@@ -362,9 +361,7 @@ def marginal_beta_sample(n: int, mix: MixingSpec, seed: int) -> LabeledNetwork:
         vals = [a[0] for a in atoms]
         ws = [a[1] for a in atoms]
         betas = tuple(rng.choices(vals, weights=ws)[0] for _ in range(n))
-    spec = BetaSpec(betas)
-    edges = [(i, j) for i, j in dyads(n) if rng.random() < spec.tie_prob(i, j)]
-    return LabeledNetwork.from_edges(n, edges)
+    return _tie_sample(n, rng, BetaSpec(betas).tie_prob)
 
 
 # --- kernel moments ---------------------------------------------------------

@@ -413,15 +413,11 @@ def aut_count(g: LabeledNetwork) -> int:
 
 
 @lru_cache(maxsize=None)
-def _class_aut(cls_: UnlabeledClass) -> int:
+def class_aut(cls_: UnlabeledClass) -> int:
+    """Automorphism count of the class representative on its support."""
     if cls_.is_empty:
         return 1
     return aut_count(cls_.representative())
-
-
-def class_aut(cls_: UnlabeledClass) -> int:
-    """Automorphism count of the class representative on its support."""
-    return _class_aut(cls_)
 
 
 def class_size(cls_: UnlabeledClass, n: int) -> int:
@@ -458,6 +454,16 @@ def degree_distribution(g: LabeledNetwork) -> DegreeDistribution:
     for d in g.degrees():
         counts[d] += 1
     return DegreeDistribution(tuple(counts))
+
+
+def submasks(mask: int):
+    """Every submask of ``mask`` in increasing order, the empty one first."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def reachable(adj: tuple, allowed: int, start: int) -> int:

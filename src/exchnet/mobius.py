@@ -11,6 +11,7 @@ collapses the parametrization to one value per unlabeled class.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -24,6 +25,7 @@ from .graphs import (
     enumerate_classes,
     mask_components,
     num_dyads,
+    submasks,
 )
 
 # Work over the full labeled dyad lattice stops here: 2^15 masks at n = 6,
@@ -121,32 +123,30 @@ class LabeledMobius:
         return self.z[mask]
 
 
-def _superset_zeta(values: list, m: int) -> list:
-    """In place: out[S] = sum over T >= S (supersets) of in[T]."""
+def _superset_transform(values: tuple, m: int, op) -> list:
+    """out[S] = in[S] combined by ``op`` with every superset T of S:
+    ``operator.add`` sums over the supersets, ``operator.sub`` inverts it."""
     f = list(values)
     for b in range(m):
         bit = 1 << b
         for s in range(1 << m):
             if not s & bit:
-                f[s] = f[s] + f[s | bit]
+                f[s] = op(f[s], f[s | bit])
     return f
 
 
-def _superset_mobius(values: list, m: int) -> list:
-    """Inverse of :func:`_superset_zeta`."""
-    f = list(values)
-    for b in range(m):
-        bit = 1 << b
-        for s in range(1 << m):
-            if not s & bit:
-                f[s] = f[s] - f[s | bit]
-    return f
+def _refuse_negative(p, config: int, message):
+    """Return the probability ``p``; raise with ``message()`` when it is
+    negative (exactly for rationals, beyond 1e-9 for floats)."""
+    if (p < 0) if isinstance(p, (Fraction, int)) else (p < -1e-9):
+        raise InvalidParametersError(message(), config=config)
+    return p
 
 
 def labeled_mobius_from_joint(jt: JointTable) -> LabeledMobius:
     """z_B = P(B subgraph of X) = sum of P over supersets of B."""
     m = num_dyads(jt.n)
-    z = _superset_zeta(list(jt.probs), m)
+    z = _superset_transform(jt.probs, m, operator.add)
     # the empty-set entry is the total mass; snap float rounding to exactly 1
     if not isinstance(z[0], (int, Fraction)) and abs(z[0] - 1.0) <= FLOAT_SUM_TOL:
         z[0] = 1.0
@@ -156,7 +156,7 @@ def labeled_mobius_from_joint(jt: JointTable) -> LabeledMobius:
 def joint_from_labeled_mobius(lm: LabeledMobius) -> JointTable:
     """Invert by inclusion-exclusion; raise if any configuration goes negative."""
     m = num_dyads(lm.n)
-    probs = _superset_mobius(list(lm.z), m)
+    probs = _superset_transform(lm.z, m, operator.sub)
     exact = lm.is_exact
     cleaned = []
     for mask, p in enumerate(probs):
@@ -250,7 +250,7 @@ def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
     if x.n != mv.n:
         raise ValueError(f"network on {x.n} nodes, moments for n={mv.n}")
     ex = x.edge_count
-    total = None
+    total = None  # x's own class contains x, so some term always counts
     table = class_table(mv.n)
     for u, r in zip(table.classes, table.supergraphs(x)):
         if r == 0:
@@ -259,16 +259,7 @@ def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
         if (u.edge_count - ex) % 2:
             term = -term
         total = term if total is None else total + term
-    if total is None:
-        total = Fraction(0) if mv.is_exact else 0.0
-    if isinstance(total, (Fraction, int)):
-        if total < 0:
-            raise InvalidParametersError(
-                f"P({x}) = {total} < 0", config=x.mask
-            )
-    elif total < -1e-9:
-        raise InvalidParametersError(f"P({x}) = {total} < 0", config=x.mask)
-    return total
+    return _refuse_negative(total, x.mask, lambda: f"P({x}) = {total} < 0")
 
 
 def mobius_from_class_distribution(cd) -> MobiusVector:
@@ -312,33 +303,19 @@ def bidirected_joint(dep, z_conn: Mapping, h_mask: int):
     """
     if dep.kind != "bidirected":
         raise ValueError("factorized evaluation needs a bidirected structure")
-    m = dep.m
     adj = tuple(dep.adjacency)
-    rest_bits = [b for b in range(m) if not h_mask >> b & 1]
     total = None
-    for extra in range(1 << len(rest_bits)):
-        b_mask = h_mask
-        nbits = 0
-        for t, b in enumerate(rest_bits):
-            if extra >> t & 1:
-                b_mask |= 1 << b
-                nbits += 1
-        prod = math.prod(z_conn[comp] for comp in mask_components(adj, b_mask))
-        term = -prod if nbits % 2 else prod
-        total = term if total is None else total + term
-    if total is None:
-        total = 1
-    if isinstance(total, (Fraction, int)):
-        if total < 0:
-            raise InvalidParametersError(
-                f"configuration {h_mask:b} has probability {total}",
-                config=h_mask,
-            )
-    elif total < -1e-9:
-        raise InvalidParametersError(
-            f"configuration {h_mask:b} has probability {total}", config=h_mask
+    for extra in submasks(((1 << dep.m) - 1) & ~h_mask):
+        prod = math.prod(
+            z_conn[comp] for comp in mask_components(adj, h_mask | extra)
         )
-    return total
+        term = -prod if extra.bit_count() % 2 else prod
+        total = term if total is None else total + term
+    return _refuse_negative(
+        total,
+        h_mask,
+        lambda: f"configuration {h_mask:b} has probability {total}",
+    )
 
 
 def mask_of(indices) -> int:

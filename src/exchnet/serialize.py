@@ -42,12 +42,20 @@ def mobius_to_json(mv: MobiusVector) -> dict:
     }
 
 
+def _check(obj, schema: str) -> None:
+    """Raise ValueError naming the first violation when ``obj`` is not a
+    valid document of the shipped ``schema``."""
+    errors = validate_against_schema(obj, load_schema(schema))
+    if errors:
+        raise ValueError(f"not a {schema} document: {errors[0]}")
+
+
 def mobius_from_json(obj: dict) -> MobiusVector:
-    n = int(obj["n"])
+    _check(obj, "zvector")
     z = {}
     for item in obj["z"]:
         z[class_from_key(item["class"])] = decode_value(item["z"])
-    return MobiusVector(n, z)
+    return MobiusVector(obj["n"], z)
 
 
 # --- joint tables ---------------------------------------------------------------
@@ -58,11 +66,11 @@ def joint_to_json(jt: JointTable) -> dict:
 
 
 def joint_from_json(obj: dict) -> JointTable:
-    n = int(obj["n"])
+    _check(obj, "joint")
     probs = [decode_value(p) for p in obj["probs"]]
     if not all(isinstance(p, Fraction) for p in probs):
         probs = [float(p) for p in probs]
-    return JointTable(n, tuple(probs))
+    return JointTable(obj["n"], tuple(probs))
 
 
 # --- dependence graphs -----------------------------------------------------------
@@ -78,8 +86,9 @@ def depgraph_to_json(dep: DependenceGraph) -> dict:
 
 
 def depgraph_from_json(obj: dict) -> DependenceGraph:
+    _check(obj, "depgraph")
     return dependence_graph_from_edges(
-        int(obj["n"]), obj["kind"], [tuple(e) for e in obj["edges"]]
+        obj["n"], obj["kind"], [tuple(e) for e in obj["edges"]]
     )
 
 

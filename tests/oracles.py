@@ -185,3 +185,66 @@ def oracle_first_unfactored_mask(lm):
         if lm.z[mask] != prod(lm.z[part] for part in parts):
             return mask
     return None
+
+
+def oracle_submasks(mask: int) -> list:
+    """Every submask of ``mask``, by filtering all smaller integers."""
+    return [s for s in range(mask + 1) if s & ~mask == 0]
+
+
+def oracle_triples(m: int) -> list:
+    """Every disjoint (A, B, S) over m dyads with A, B non-empty, A holding
+    the lower least dyad, from each assignment of a dyad to none, A, B or S;
+    smallest first."""
+    out = []
+    for assign in product(range(4), repeat=m):
+        a, b, s = (
+            sum(1 << k for k, c in enumerate(assign) if c == part)
+            for part in (1, 2, 3)
+        )
+        if a and b and (a & -a) < (b & -b):
+            out.append((a, b, s))
+    out.sort(
+        key=lambda t: (
+            bin(t[0]).count("1") + bin(t[1]).count("1") + bin(t[2]).count("1"),
+            t[0],
+            t[1],
+            t[2],
+        )
+    )
+    return out
+
+
+def oracle_bidirected_joint(dep, z_conn, h_mask: int):
+    """P(X_H = 1, rest = 0) by inclusion-exclusion over every dyad mask that
+    contains H, summed in increasing mask order.  z of a mask is the product
+    of z over its parts in the dependence graph, found by depth-first search
+    over its edge pairs, the part of the lowest dyad first."""
+    nbrs: dict = {k: set() for k in range(dep.m)}
+    for a, b in dep.edge_pairs():
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    total = None
+    for mask in range(1 << dep.m):
+        if mask & h_mask != h_mask:
+            continue
+        seen: set = set()
+        parts = []
+        for v in range(dep.m):
+            if not mask >> v & 1 or v in seen:
+                continue
+            seen.add(v)
+            stack, part = [v], 0
+            while stack:
+                u = stack.pop()
+                part |= 1 << u
+                for w in nbrs[u]:
+                    if mask >> w & 1 and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            parts.append(part)
+        term = prod(z_conn[part] for part in parts)
+        if bin(mask ^ h_mask).count("1") % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total

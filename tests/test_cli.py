@@ -415,6 +415,57 @@ class TestExitCodes:
         bad.write_text("n 3\n1 9\n")
         assert main(["mle", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "reader, doc",
+        [
+            ("extend", {"n": 4}),
+            ("extend", [1, 2]),
+            ("eval", {}),
+            ("eval", {"nu": {"star1": None}}),
+            ("markov-joint", {}),
+            ("markov-depgraph", {"n": 3, "kind": "undirected"}),
+            (
+                "markov-depgraph",
+                {"n": 3, "kind": "undirected", "edges": [["1-2", "1-9"]]},
+            ),
+            ("skeleton", []),
+        ],
+    )
+    def test_malformed_json_is_invalid_parameters(
+        self, capsys, tmp_path, paw_file, reader, doc
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        joint = tmp_path / "joint.json"
+        joint.write_text(dump_json(joint_to_json(er_joint(3, Fraction(1, 3)))))
+        argv = {
+            "extend": ["extend", str(bad), "--m", "5"],
+            "eval": ["eval", "edges", str(bad), str(paw_file)],
+            "markov-joint": ["markov", str(bad), str(bad)],
+            "markov-depgraph": ["markov", str(joint), str(bad)],
+            "skeleton": ["skeleton", str(bad)],
+        }[reader]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("invalid parameters:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graphon-z", "GRID", "1-2"],
+            ["sample", "graphon", "--phi", "GRID", "--n", "3", "--seed", "1"],
+        ],
+        ids=["graphon-z", "sample"],
+    )
+    def test_blank_grid_file_is_invalid_parameters(self, capsys, tmp_path, argv):
+        grid = tmp_path / "blank.grid"
+        grid.write_text("\n  \n")
+        code = main([str(grid) if a == "GRID" else a for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("invalid parameters:")
+
     def test_battery_runs_clean(self, capsys):
         code, out = run_cli(capsys, "paper-examples")
         assert code == 0

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from oracles import oracle_first_unfactored_mask
+from oracles import oracle_first_unfactored_mask, oracle_triples
 
 from exchnet.dependence import (
     BIDIRECTED,
+    MAX_MARKOV_DYADS,
     UNDIRECTED,
     DependenceGraph,
+    _triples,
     ci_test,
     classify_skeleton,
     complete_dependence_graph,
@@ -147,6 +149,12 @@ class TestGlobalMarkov:
         jt = er_joint(4, Fraction(1, 4))
         for kind in (UNDIRECTED, BIDIRECTED):
             assert global_markov_check(jt, empty_dependence_graph(4, kind)).holds
+
+
+class TestTriples:
+    @pytest.mark.parametrize("m", range(MAX_MARKOV_DYADS + 1))
+    def test_matches_oracle_in_order(self, m):
+        assert _triples(m) == oracle_triples(m)
 
 
 class TestSkeleton:

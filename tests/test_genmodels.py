@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exchnet.counting import (
     complete_class,
@@ -13,6 +15,7 @@ from exchnet.counting import (
 from exchnet.dependence import dissociated_check
 from exchnet.estimation import summarized_check
 from exchnet.genmodels import (
+    SYMMETRY_TOL,
     BetaSpec,
     Graphon,
     MixingSpec,
@@ -161,6 +164,43 @@ class TestGraphonSampling:
         lm = labeled_mobius_from_joint(jt)
         tol = 3 * (est.error + (jt.mc_std_error or 0) * 8)
         assert abs(est.value - lm.z[1]) < max(tol, 0.01)
+
+
+def _symmetric_grid(r: int, upper: list) -> list:
+    grid = [[0.0] * r for _ in range(r)]
+    cells = iter(upper)
+    for i in range(r):
+        for j in range(i, r):
+            grid[i][j] = grid[j][i] = next(cells)
+    return grid
+
+
+symmetric_grids = st.integers(1, 6).flatmap(
+    lambda r: st.lists(
+        st.floats(0, 1), min_size=r * (r + 1) // 2, max_size=r * (r + 1) // 2
+    ).map(lambda upper: _symmetric_grid(r, upper))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_grids, st.floats(0, 1), st.floats(0, 1))
+def test_grid_kernel_is_symmetric(grid, u, v):
+    # bilinear interpolation rounds differently in the two orders, so the
+    # check is to the tolerance, not bitwise
+    phi = Graphon.from_grid(grid)
+    assert abs(phi(u, v) - phi(v, u)) <= SYMMETRY_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_grids.filter(lambda g: len(g) > 1), st.data())
+def test_asymmetric_grid_is_refused(grid, data):
+    i, j = data.draw(
+        st.tuples(st.integers(0, len(grid) - 1), st.integers(0, len(grid) - 1))
+        .filter(lambda ij: ij[0] != ij[1])
+    )
+    grid[i][j] = (grid[j][i] + 0.5) % 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        Graphon.from_grid(grid)
 
 
 class TestGraphonMoments:

@@ -7,6 +7,7 @@ from oracles import (
     oracle_canonical_bits,
     oracle_components,
     oracle_labeled_classes,
+    oracle_submasks,
 )
 
 from exchnet import graphs
@@ -257,6 +258,12 @@ class TestConnectedComponents:
             isolated += len(g.support()) < n
             assert connected_components(g) == oracle_components(g)
         assert isolated > 100
+
+
+class TestSubmasks:
+    def test_matches_oracle_in_order(self):
+        for mask in range(1 << 8):
+            assert list(graphs.submasks(mask)) == oracle_submasks(mask)
 
 
 class TestEdgeListFormat:

@@ -2,9 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_bidirected_joint
 
 from exchnet.counting import edge_class, triangle_class
-from exchnet.dependence import BIDIRECTED, complete_dependence_graph, kneser_graph
+from exchnet.dependence import (
+    BIDIRECTED,
+    complete_dependence_graph,
+    incidence_graph,
+    kneser_graph,
+)
 from exchnet.estimation import ClassDistribution
 from exchnet.genmodels import er_joint, er_mobius
 from exchnet.graphs import (
@@ -202,7 +210,41 @@ class TestPointMassAndMixture:
                 assert v == want.get(u.key(), Fraction(0))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_class_distribution_round_trip_is_exact(data):
+    # q -> z -> P(X = rep) |class| returns every rational q unchanged
+    n = data.draw(st.integers(1, 5))
+    classes = enumerate_classes(n, True)
+    weights = data.draw(
+        st.lists(
+            st.integers(0, 9), min_size=len(classes), max_size=len(classes)
+        ).filter(any)
+    )
+    total = sum(weights)
+    cd = ClassDistribution(
+        n, {u: Fraction(w, total) for u, w in zip(classes, weights) if w}
+    )
+    mv = mobius_from_class_distribution(cd)
+    for u in classes:
+        p = exch_joint_from_mobius(mv, u.padded(n))
+        assert p * class_size(u, n) == cd.value(u)
+
+
 class TestBidirectedEvaluation:
+    @pytest.mark.parametrize("structure", [kneser_graph, incidence_graph])
+    def test_float_sum_order_matches_oracle(self, structure):
+        # perturbed independent-ties moments keep every configuration
+        # positive, and their float sum depends on the order of its terms
+        dep = structure(4, BIDIRECTED)
+        rng = random.Random(11)
+        z = {
+            mask: 0.3 ** bin(mask).count("1") * (1 + 1e-6 * rng.random())
+            for mask in range(1, 1 << dep.m)
+        }
+        for h in range(1 << dep.m):
+            assert bidirected_joint(dep, z, h) == oracle_bidirected_joint(dep, z, h)
+
     def test_chain_identities(self):
         from exchnet.dependence import dependence_graph_from_edges
 
