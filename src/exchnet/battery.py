@@ -29,7 +29,7 @@ from .estimation import (
     exch_mle,
 )
 from .extendability import extendable_check
-from .graphs import LabeledNetwork, UnlabeledClass
+from .graphs import LabeledNetwork, UnlabeledClass, dyad_index
 from .mobius import bidirected_joint, mask_of, mobius_from_class_distribution
 
 
@@ -191,8 +191,6 @@ def _item_bidirected_chain() -> BatteryItem:
 
 
 def _item_bidirected_complement() -> BatteryItem:
-    from .graphs import dyad_index
-
     dep = kneser_graph(4, BIDIRECTED)
     paw_mask = mask_of(
         [dyad_index(1, 4), dyad_index(2, 3), dyad_index(2, 4), dyad_index(3, 4)]

@@ -26,6 +26,7 @@ from .counting import (
 )
 from .graphs import (
     MAX_NODES,
+    InvariantError,
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
@@ -33,12 +34,15 @@ from .graphs import (
     degree_distribution,
     disconnected_classes,
     enumerate_classes,
+    num_dyads,
 )
+from .lp import solve_feasibility
 from .mobius import (
     MAX_LATTICE_NODES,
     InvalidParametersError,
     JointTable,
     MobiusVector,
+    mobius_from_class_distribution,
 )
 from .optimize import (
     LinearConstraint,
@@ -60,11 +64,9 @@ KKT_TOL = 1e-6
 LIK_TIE_TOL = 1e-7
 DISTINCT_TOL = 1e-4
 
-# ergm_fit: moment gap of a converged iterate, Newton iteration cap and the
-# parameter norm past which the fit reports a boundary
+# ergm_fit: moment gap of a converged iterate and Newton iteration cap
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 200
-BOUNDARY_NORM = 1e3
 
 STATUS_OPTIMAL = "optimal"
 STATUS_BOUNDARY = "boundary"
@@ -142,8 +144,6 @@ class ClassDistribution:
         return [(u, self.value(u)) for u in enumerate_classes(self.n, True)]
 
     def to_joint(self) -> JointTable:
-        from .graphs import num_dyads
-
         if self.n > MAX_LATTICE_NODES:
             raise SizeCapError(
                 f"joint expansion supports n <= {MAX_LATTICE_NODES}"
@@ -478,20 +478,58 @@ def ergm_fitted_distribution(spec: ErgmSpec, nu) -> ClassDistribution:
     return ClassDistribution(spec.n, {u: float(p) for u, p in zip(classes, w)})
 
 
-def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
-    """Newton iteration on the exact mean-value map.
+def _facial_set(spec: ErgmSpec, stats, x_idx: int) -> np.ndarray:
+    """The classes W whose statistics s(W) lie on the smallest face of
+    conv{s(W)} that holds s(x), as a boolean mask over the classes.
 
-    Matches observed statistics to their expectation over the full class
-    enumeration, to a moment gap of ``NEWTON_TOL`` within
-    ``NEWTON_MAX_ITER`` iterations.  Divergence of the parameter norm past
-    ``BOUNDARY_NORM`` while the moment gap keeps shrinking signals that the
-    observed statistics sit on the boundary of their convex support, so no
-    finite MLE exists; status "boundary" is reported.
+    s(x) is in the relative interior of the hull of points P exactly when
+    every point can take a positive weight: the exact LP mu >= 0,
+    sum_p mu_p (p - s(x)) = -sum_p (p - s(x)) over the distinct points.
+    While that LP is infeasible, its Farkas vector y scores
+    y.(p - s(x)) <= 0 on every point and < 0 on some, and the face keeps
+    the classes that score 0.  Full exchangeable statistics form a
+    unitriangular S, so each class point is a vertex and the face is x's
+    class.
+    """
+    if spec.family == "full_exchangeable":
+        return np.arange(len(stats)) == x_idx
+    face = np.ones(len(stats), dtype=bool)
+    # integer statistics, so the float gaps are exact
+    gaps = [tuple(int(v) for v in row) for row in stats - stats[x_idx]]
+    while True:
+        cols = sorted({g for g, on in zip(gaps, face) if on})
+        rows = [list(r) for r in zip(*cols)]
+        res = solve_feasibility(rows, [-sum(r) for r in rows])
+        if res.feasible:
+            return face
+        scores = [sum(yi * gi for yi, gi in zip(res.dual, g)) for g in gaps]
+        on_face = [sc for sc, on in zip(scores, face) if on]
+        if max(on_face) > 0 or min(on_face) == 0:
+            raise InvariantError(f"{spec.family} Farkas vector {res.dual}")
+        face &= np.array([sc == 0 for sc in scores])
+
+
+def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
+    """Maximum-likelihood fit of the family, on the face that holds x.
+
+    A finite MLE exists iff s(x) lies in the relative interior of the convex
+    hull of the class statistics, which an exact LP decides
+    (``_facial_set``).  Damped Newton on the exact mean-value map then fits
+    the family restricted to the facial classes, to a moment gap of
+    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations.  When the face is
+    every class the status is "optimal" and nu is the MLE.  Otherwise the
+    status is "boundary": q is the MLE in the completion of the family, zero
+    off the face, and nu parametrizes that fit within the face; it is not an
+    MLE of the full family, which has none.
     """
     if spec.n > MAX_FIT_NODES:
         raise SizeCapError(f"ergm fitting supports n <= {MAX_FIT_NODES}")
     classes, stats, sizes = _class_stat_table(spec)
     target = np.array(ergm_stats(spec, x), dtype=float)
+    x_idx = class_table(spec.n).index[UnlabeledClass.of(x)]
+    face = _facial_set(spec, stats, x_idx)
+    interior = bool(face.all())
+    stats, sizes = stats[face], sizes[face]
     dim = stats.shape[1]
     nu = np.zeros(dim)
 
@@ -503,49 +541,20 @@ def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
         cov = (centered * w[:, None]).T @ centered
         return w, mean, cov
 
-    def is_separating(direction) -> bool:
-        """A direction certifies MLE nonexistence when it supports the
-        observed statistics: no class scores higher, some class scores
-        strictly lower.  Verified against every class, so a positive answer
-        cannot be a numerical artifact."""
-        norm = float(np.max(np.abs(direction)))
-        if norm < 1e-6:
-            return False
-        gaps = (stats - target) @ (direction / norm)
-        return float(np.max(gaps)) <= 1e-7 and float(np.min(gaps)) < -1e-4
-
-    def boundary_detected(nu_vec, snapshot) -> bool:
-        # candidates for the diverging direction: the iterate itself and its
-        # movement since the moment gap first collapsed (which cancels the
-        # finite, face-tangential part)
-        if is_separating(nu_vec):
-            return True
-        return snapshot is not None and is_separating(nu_vec - snapshot)
-
     status = STATUS_FAILED
     iters = 0
     resid = np.inf
     step_norm = np.inf
-    nu_snapshot = None
     for it in range(NEWTON_MAX_ITER):
         iters = it + 1
         _, mean, cov = moments(nu)
         r = target - mean
-        resid = float(np.max(np.abs(r)))
-        if nu_snapshot is None and resid < 1e-8:
-            nu_snapshot = nu.copy()
-        # interior optima stop with a matched moment and a collapsed step;
-        # at the boundary the residual underflows while the parameter keeps
-        # marching along a separating direction
-        if resid < NEWTON_TOL and step_norm < 1e-6:
-            status = (
-                STATUS_BOUNDARY
-                if boundary_detected(nu, nu_snapshot)
-                else STATUS_OPTIMAL
-            )
-            break
-        if float(np.max(np.abs(nu))) > BOUNDARY_NORM:
-            status = STATUS_BOUNDARY
+        resid = float(np.max(np.abs(r), initial=0.0))
+        # an interior fit stops with a matched moment and a collapsed step;
+        # a face family can be non-identifiable, and the ridge noise along
+        # its flat directions keeps the step from collapsing
+        if resid < NEWTON_TOL and (step_norm < 1e-6 or not interior):
+            status = STATUS_OPTIMAL if interior else STATUS_BOUNDARY
             break
         try:
             step = np.linalg.solve(
@@ -558,35 +567,24 @@ def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
         for _bt in range(60):
             cand = nu + t * step
             _, mean_c, _ = moments(cand)
-            if float(np.max(np.abs(target - mean_c))) <= resid * (1 + 1e-12):
+            gap = float(np.max(np.abs(target - mean_c), initial=0.0))
+            if gap <= resid * (1 + 1e-12):
                 break
             t *= 0.5
         nu = nu + t * step
-        step_norm = float(np.max(np.abs(t * step)))
-    if status == STATUS_FAILED and (
-        float(np.max(np.abs(nu))) > BOUNDARY_NORM
-        or boundary_detected(nu, nu_snapshot)
-    ):
-        status = STATUS_BOUNDARY
+        step_norm = float(np.max(np.abs(t * step), initial=0.0))
 
-    names = spec.stat_names()
-    nu_map = {name: float(v) for name, v in zip(names, nu)}
-    # the fitted distribution at the final parameters; for a boundary status
-    # this is the last iterate, an almost-degenerate approximation of the
-    # likelihood supremum
-    cd = ergm_fitted_distribution(spec, nu_map)
-    from .mobius import mobius_from_class_distribution
-
-    mv = mobius_from_class_distribution(cd)
-    lp = cd.labeled_prob(x)
-    loglik = math.log(lp) if lp > 0 else float("-inf")
+    q = np.zeros(len(classes))
+    q[face] = moments(nu)[0]
+    cd = ClassDistribution(spec.n, {u: float(p) for u, p in zip(classes, q)})
+    lik = cd.labeled_prob(x)
     return FitReport(
         family=spec.family,
         status=status,
-        log_likelihood=loglik,
-        z=mv,
+        log_likelihood=math.log(lik) if lik > 0 else float("-inf"),
+        z=mobius_from_class_distribution(cd),
         q=cd,
-        nu=nu_map,
+        nu={name: float(v) for name, v in zip(spec.stat_names(), nu)},
         constraint_residual=resid,
         iterations=iters,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
@@ -16,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .counting import cycle_class, star_class
 from .estimation import ClassDistribution
 from .graphs import (
     LabeledNetwork,
@@ -380,8 +382,6 @@ MAX_MOMENT_VERTICES = 6
 def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
     """Integrate the product of edge kernels by summing out one vertex at a
     time (min-degree order), contracting only the factors that touch it."""
-    import string
-
     tensors = [(tuple(sorted((a, b))), phi_grid) for a, b in edges]
     scalar = 1.0
     remaining = set(range(k))
@@ -525,8 +525,6 @@ def er_characterization_diagnostic(z, eta: float) -> ErDiagnostic:
     ``z`` may be a MobiusVector or a mapping from classes to values; classes
     with more than four edges are ignored.
     """
-    from .counting import cycle_class, star_class
-
     values = z.z if isinstance(z, MobiusVector) else z
     worst = None
     worst_dev = 0.0

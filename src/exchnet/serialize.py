@@ -7,6 +7,7 @@ stay JSON numbers.  Parsers accept both.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -111,8 +112,6 @@ def class_distribution_from_json(obj: dict) -> ClassDistribution:
 
 
 def fit_report_to_json(fr: FitReport) -> dict:
-    import math
-
     out = {
         "family": fr.family,
         "status": fr.status,

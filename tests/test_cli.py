@@ -83,7 +83,9 @@ class TestFitAndEval:
 
 
 # stdout digests on one 6-node network, recorded with the per-pair sigma
-# searches that the sigma table replaced: the table must not move a byte
+# searches that the sigma table replaced: the table must not move a byte.
+# The frank_strauss, full_exchangeable, se_star and sem fits are boundary
+# fits, pinned since they report the fit on the facial set.
 SIX_NODE_EDGES = "n 6\n1 2\n1 3\n2 3\n2 4\n3 5\n4 5\n5 6\n"
 SIX_NODE_NU = {
     "frank_strauss": {"star1": -0.5, "star2": 0.1, "triangle": 0.3},
@@ -93,11 +95,11 @@ SIX_NODE_DIGESTS = {
     ("stats",): "33ee4f55f39ad072149cb465fa38ce8ad3f91a7b2af3688df07effb76d3c595c",
     ("mle",): "fabbc75f443b2a2615904019bd9264fc4a0603b80c724dddaa5dc3a96e80ca73",
     ("fit", "edges"): "847420c7d67910868515675ba292ca286dffaac77d1c52bfc94abf8db51ce708",
-    ("fit", "frank_strauss"): "af866e549ff8a7308cc4a82fd1749e8568fa90aa56aa4b1a0b9a643a0c6d9f6a",
-    ("fit", "full_exchangeable"): "63476697e7e7d3a3d155102d1dd923222d4cd2f7104bfca1b7654058507f6b94",
+    ("fit", "frank_strauss"): "95b5efe431891e19fd7012594c3fd77356de08792ae62c2fb8ee28b484fba7d9",
+    ("fit", "full_exchangeable"): "6d7ec82c61a8ce17c0975920c8d56c027e296f531d112ae4f151506483843c34",
     ("fit", "kneser"): "102b5d59025f0f975d804c02d7cf5f9efce734a0c8d5198e438cfb832452198e",
-    ("fit", "se_star"): "022e513ac0ed8d763d26cea0f18782b79713f32c366d3a04c023125ce2381a23",
-    ("fit", "sem"): "146f89ce85370cc86cdc3e5b82484e903c2b7f73cf57b58b1c22b1e774784ec5",
+    ("fit", "se_star"): "9413fe8610c935442cd4f40407267b1b13dabc42dbaacce1601723c692acf784",
+    ("fit", "sem"): "e12321d11029e6a448f14eded8fd1c58a7b25abe76e196caf81858cb21cfaa70",
     ("eval", "frank_strauss"): "d2da75380e5ce1ecb7089e88843949fee5f0937cfd3f3cd5d54cabc1f017cfb0",
     ("eval", "edges"): "2eb1287253d9d3704a9a205226e6f8ff0e5a3ad0108017ae26fc363943baf5ce",
 }
@@ -163,6 +165,19 @@ class TestNetworksSmallerThanTheStatistics:
         assert obj["z"] == {"1-2": 1.0, "EMPTY": 1.0}
         absent = "two_disjoint_edges" if family == "se_star" else "triangle"
         assert obj["nu"][absent] == 0.0
+
+    @pytest.mark.parametrize("family", ["kneser", "full_exchangeable", "sem"])
+    def test_fit_at_one_node(self, capsys, tmp_path, family):
+        # no statistics: the one class has probability 1
+        path = tmp_path / "k1.edges"
+        path.write_text("n 1\n")
+        code, out = run_cli(capsys, "fit", family, str(path))
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["status"] == "optimal"
+        assert obj["q"] == {"EMPTY": 1.0}
+        assert obj["loglik"] == 0.0
+        assert obj["nu"] == {}
 
     def test_eval_at_three_nodes(self, capsys, tmp_path):
         path = tmp_path / "p3.edges"

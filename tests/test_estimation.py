@@ -13,6 +13,7 @@ from exchnet.counting import (
 from exchnet.dependence import dissociated_check
 from exchnet.estimation import (
     ClassDistribution,
+    FAMILIES,
     ErgmSpec,
     degree_collision_classes,
     dissociated_mle,
@@ -38,6 +39,7 @@ from exchnet.graphs import (
     SizeCapError,
     UnlabeledClass,
     aut_count,
+    class_from_key,
     class_size,
     degree_distribution,
     enumerate_classes,
@@ -278,6 +280,61 @@ class TestErgmFit:
         p2 = ergm_eval(spec, nu, pair[1])
         assert abs(p1 - p2) < 1e-14
         assert pair[0].edges != pair[1].edges
+
+
+class TestErgmBoundaryFaces:
+    """Boundary verdicts from the exact facial set, and the fit on it."""
+
+    def test_se_star_cherry_reaches_the_supremum(self):
+        x = LabeledNetwork.from_edges(5, [(1, 2), (2, 3)])
+        rep = ergm_fit(ErgmSpec("se_star", 5), x)
+        assert rep.status == "boundary"
+        assert abs(rep.likelihood - 1 / 30) < 1e-12
+
+    @pytest.mark.parametrize(
+        "key, zero_stats",
+        [
+            ("1-5,2-5,3-4,4-5", ("star4", "star5", "triangle")),
+            ("1-4,1-5,2-3,2-5,3-4", ("star3", "star4", "star5", "triangle")),
+        ],
+    )
+    def test_frank_strauss_at_minimal_statistics_is_boundary(
+        self, key, zero_stats
+    ):
+        spec = ErgmSpec("frank_strauss", 6)
+        x = class_from_key(key).padded(6)
+        assert ergm_fit(spec, x).status == "boundary"
+        # y = -(sum of the statistics that sit at 0) separates s(x)
+        y = [-1 if name in zero_stats else 0 for name in spec.stat_names()]
+        s_x = ergm_stats(spec, x)
+        scores = [
+            sum(a * (b - c) for a, b, c in zip(y, ergm_stats(spec, u.padded(6)), s_x))
+            for u in enumerate_classes(6, True)
+        ]
+        assert max(scores) == 0
+        assert min(scores) < 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_fitted_means_match_observed(self, n):
+        classes = enumerate_classes(n, True)
+        for family in FAMILIES:
+            spec = ErgmSpec(family, n)
+            stats = {u: ergm_stats(spec, u.padded(n)) for u in classes}
+            for x_cls in classes:
+                rep = ergm_fit(spec, x_cls.padded(n))
+                assert rep.status in ("optimal", "boundary")
+                for k, want in enumerate(stats[x_cls]):
+                    got = sum(rep.q.value(u) * stats[u][k] for u in classes)
+                    assert abs(got - want) < 1e-8, (family, x_cls.key())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_full_family_fit_is_the_exchangeable_mle(self, n):
+        spec = ErgmSpec("full_exchangeable", n)
+        for u in enumerate_classes(n, True):
+            x = u.padded(n)
+            rep = ergm_fit(spec, x)
+            want = exch_mle(x)
+            assert {w: float(v) for w, v in want.z.items()} == rep.z.z
 
 
 class TestCanonicalParams:

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 from exchnet.dependence import BIDIRECTED, incidence_graph, kneser_graph
-from exchnet.estimation import ClassDistribution, exch_mle
+from exchnet.estimation import ClassDistribution, FitReport, exch_mle
 from exchnet.genmodels import er_joint
 from exchnet.graphs import LabeledNetwork, UnlabeledClass
 from exchnet.serialize import (
@@ -69,13 +69,21 @@ class TestSchemas:
             assert schema["type"] == "object"
 
     def test_fit_report_with_infinite_loglik_serializes(self):
-        # boundary and failed fits carry -inf; JSON gets null
+        # a failed fit carries -inf; JSON gets null
+        rep = FitReport("dissociated", "failed", float("-inf"))
+        obj = fit_report_to_json(rep)
+        assert obj["loglik"] is None
+        json.dumps(obj, allow_nan=False)
+        assert validate_against_schema(obj, load_schema("fitreport")) == []
+
+    def test_boundary_fit_report_has_finite_loglik(self):
+        # the empty network is the whole face of its edge count
         from exchnet.estimation import ErgmSpec, ergm_fit
 
         rep = ergm_fit(ErgmSpec("edges", 4), LabeledNetwork.empty(4))
         assert rep.status == "boundary"
         obj = fit_report_to_json(rep)
-        json.dumps(obj, allow_nan=False)
+        assert obj["loglik"] == 0.0
         assert validate_against_schema(obj, load_schema("fitreport")) == []
 
     def test_validator_reports_violations(self):
