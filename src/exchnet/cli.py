@@ -9,6 +9,7 @@ so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -76,7 +77,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``main`` call and reused:
+    parsing leaves no state on it."""
     p = _Parser(prog="exchnet", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -288,6 +292,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ValueError("--count must be >= 0")
     blocks = []
     for k in range(args.count):
         seed = child_seed(args.seed, k)

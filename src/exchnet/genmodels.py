@@ -7,10 +7,11 @@ Gaussian mixing kind and kernel sampling are seeded Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -28,7 +29,12 @@ from .graphs import (
     enumerate_classes,
     num_dyads,
 )
-from .mobius import MAX_LATTICE_NODES, JointTable, MobiusVector
+from .mobius import (
+    MAX_LATTICE_NODES,
+    InvalidParametersError,
+    JointTable,
+    MobiusVector,
+)
 
 MAX_EXACT_MIX_NODES = 5
 
@@ -243,10 +249,15 @@ class Graphon:
 
     Either a named closed form (constant, or the logistic product form driven
     by a Gaussian propensity quantile) or a grid with bilinear interpolation.
+    The kernel's midpoint lattice at each resolution is computed on first use
+    and kept for the life of the object (``midpoint_grid``).
     """
 
     fn: Callable
     description: str
+    _grids: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         # spot-check symmetry and range on a coarse lattice
@@ -263,6 +274,23 @@ class Graphon:
     def __call__(self, u: float, v: float) -> float:
         return min(1.0, max(0.0, self.fn(u, v)))
 
+    def midpoint_grid(self, r: int) -> np.ndarray:
+        """The kernel at ((i + 1/2) / r, (j + 1/2) / r) for 0 <= i, j < r, as
+        a read-only r x r array; the kernel is called at i <= j only, and the
+        grid is built once per resolution."""
+        grid = self._grids.get(r)
+        if grid is None:
+            pts = (np.arange(r) + 0.5) / r
+            grid = np.empty((r, r))
+            for i in range(r):
+                for j in range(i, r):
+                    val = self(float(pts[i]), float(pts[j]))
+                    grid[i, j] = val
+                    grid[j, i] = val
+            grid.flags.writeable = False
+            self._grids[r] = grid
+        return grid
+
     @classmethod
     def constant(cls, eta: float) -> "Graphon":
         if not 0 <= eta <= 1:
@@ -272,7 +300,10 @@ class Graphon:
     @classmethod
     def product_logistic(cls, mu: float, sigma: float) -> "Graphon":
         """Logistic of the sum of two Gaussian propensities, fed by uniform
-        coordinates through the normal quantile."""
+        coordinates through the normal quantile; sigma = 0 is the constant
+        kernel at the logistic of 2 mu."""
+        if not sigma >= 0:
+            raise ValueError("sigma must be nonnegative")
         nd = NormalDist(mu, sigma) if sigma > 0 else None
 
         def beta_of(u: float) -> float:
@@ -300,6 +331,8 @@ class Graphon:
         def interp(u: float, v: float) -> float:
             if r == 1:
                 return float(grid[0, 0])
+            # one evaluation order for (u, v) and (v, u): exactly symmetric
+            u, v = min(u, v), max(u, v)
             x = min(max(u, 0.0), 1.0) * (r - 1)
             y = min(max(v, 0.0), 1.0) * (r - 1)
             x0, y0 = int(x), int(y)
@@ -332,7 +365,17 @@ def parse_graphon_text(text: str) -> Graphon:
 
 
 def parse_graphon_name(spec: str) -> Graphon:
-    """Named kernels: ``const:eta`` or ``product:logistic:mu,sigma``."""
+    """Named kernels: ``const:eta`` or ``product:logistic:mu,sigma``.
+
+    A named kernel is a function of its spec alone, so each spec is built
+    once per process and the same object (with its midpoint grids) is
+    returned on later calls.
+    """
+    return _named_graphon(spec)
+
+
+@functools.lru_cache(maxsize=32)
+def _named_graphon(spec: str) -> Graphon:
     if spec.startswith("const:"):
         return Graphon.constant(float(spec.split(":", 1)[1]))
     if spec.startswith("product:logistic:"):
@@ -422,14 +465,8 @@ def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
 
 
 def _quadrature_value(phi: Graphon, u: UnlabeledClass, r: int) -> float:
-    pts = (np.arange(r) + 0.5) / r
     w = np.full(r, 1.0 / r)
-    grid = np.empty((r, r))
-    for i in range(r):
-        for j in range(i, r):
-            val = phi(float(pts[i]), float(pts[j]))
-            grid[i, j] = val
-            grid[j, i] = val
+    grid = phi.midpoint_grid(r)
     rep = u.representative()
     edges = [(i - 1, j - 1) for i, j in rep.sorted_edges()]
     c = float(grid[0, 0])
@@ -454,7 +491,12 @@ def graphon_z(
 
     Midpoint quadrature at resolution r (a power of two keeps constant
     kernels exact); the reported error is the gap to the half-resolution
-    value.  Monte Carlo reports the standard error of the mean.
+    value.  The kernel grids at r and r // 2 are read from ``phi``, which
+    builds each once (``Graphon.midpoint_grid``), so repeated calls on one
+    kernel object, as in ``graphon_mobius``, evaluate the kernel once per
+    grid point.  Monte Carlo with ``samples >= 1`` draws, seeded by
+    ``seed``, reports the standard error of the mean; fewer samples are
+    refused with ``InvalidParametersError``.
     """
     if u.is_empty:
         return MomentEstimate(1.0, 0.0, method)
@@ -469,6 +511,8 @@ def graphon_z(
         coarse = _quadrature_value(phi, u, max(r // 2, 1))
         return MomentEstimate(val, abs(val - coarse), f"quadrature:{r}")
     if method == "mc":
+        if samples < 1:
+            raise InvalidParametersError("samples must be >= 1")
         rng = random.Random(seed)
         rep = u.representative()
         k = rep.n

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from exchnet.cli import main
+from exchnet.cli import _build_parser, main
 from exchnet.dependence import incidence_graph
 from exchnet.genmodels import MixingSpec, er_joint, marginal_beta_joint
 from exchnet.graphs import format_edge_list, parse_edge_list
@@ -387,6 +387,13 @@ class TestSample:
         code = main(["sample", "er", "--n", "4", "--p", "0.5"])
         assert code == 1
 
+    def test_negative_count_is_invalid_parameters(self, capsys):
+        code, out = run_cli(
+            capsys, "sample", "er", "--n", "4", "--p", "0.5", "--seed", "1",
+            "--count", "-1",
+        )
+        assert (code, out) == (2, "")
+
 
 class TestGraphonZ:
     def test_quadrature(self, capsys):
@@ -408,6 +415,30 @@ class TestGraphonZ:
         assert code == 0
         assert 0.2 <= json.loads(out)["value"] <= 0.6
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_mc_sample_count_below_one(self, capsys, samples):
+        code, out = run_cli(
+            capsys, "graphon-z", "const:0.3", "1-2", "--method", "mc",
+            "--samples", samples, "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+
+    def test_negative_sigma_is_invalid_parameters(self, capsys):
+        code, out = run_cli(
+            capsys, "graphon-z", "product:logistic:0.0,-1.0", "1-2"
+        )
+        assert (code, out) == (2, "")
+
+    def test_rewritten_grid_file_is_read_again(self, capsys, tmp_path):
+        grid = tmp_path / "phi.grid"
+        grid.write_text("2\n0.2 0.4\n0.4 0.6\n")
+        _, before = run_cli(capsys, "graphon-z", str(grid), "1-2")
+        grid.write_text("2\n0.7 0.1\n0.1 0.3\n")
+        _, after = run_cli(capsys, "graphon-z", str(grid), "1-2")
+        _, fresh = run_cli(capsys, "graphon-z", str(grid), "1-2")
+        assert json.loads(before)["value"] != json.loads(after)["value"]
+        assert after == fresh
+
 
 class TestCollisions:
     def test_five_nodes(self, capsys):
@@ -419,6 +450,32 @@ class TestCollisions:
     def test_four_nodes_empty(self, capsys):
         _, out = run_cli(capsys, "collisions", "--n", "4")
         assert json.loads(out)["groups"] == []
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, paw_file):
+    argv_runs = [
+        ["mle", str(paw_file)],
+        ["frobnicate"],
+        ["sample", "er", "--n", "4", "--p", "0.5"],
+        ["--help"],
+        ["graphon-z", "--help"],
+        ["extend", str(paw_file), "--m", "9"],
+        ["mle", "--float", str(paw_file)],
+        ["collisions", "--n", "9"],
+        ["graphon-z", "const:0.3", "1-2", "--method", "mc", "--samples", "0",
+         "--seed", "1"],
+        ["sample", "er", "--n", "4", "--p", "0.5", "--seed", "7", "--count", "2"],
+        ["graphon-z", "const:0.3", "1-2,2-3"],
+        ["fit", "bogus", str(paw_file)],
+        ["stats", str(paw_file)],
+    ]
+    reused = [run_cli(capsys, *argv) for argv in argv_runs]
+    fresh = []
+    for argv in argv_runs:
+        _build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 1, 1, 0, 0, 2, 0, 3, 2, 0, 0, 1, 0]
 
 
 class TestExitCodes:

@@ -32,7 +32,7 @@ from exchnet.genmodels import (
     parse_graphon_text,
 )
 from exchnet.graphs import LabeledNetwork
-from exchnet.mobius import labeled_mobius_from_joint
+from exchnet.mobius import InvalidParametersError, labeled_mobius_from_joint
 
 
 def _is_exchangeable(jt, tol=1e-12) -> bool:
@@ -191,6 +191,13 @@ def test_grid_kernel_is_symmetric(grid, u, v):
     assert abs(phi(u, v) - phi(v, u)) <= SYMMETRY_TOL
 
 
+@settings(max_examples=60, deadline=None)
+@given(symmetric_grids, st.floats(0, 1), st.floats(0, 1))
+def test_grid_kernel_is_bitwise_symmetric(grid, u, v):
+    phi = Graphon.from_grid(grid)
+    assert phi(u, v) == phi(v, u)
+
+
 @settings(max_examples=30, deadline=None)
 @given(symmetric_grids.filter(lambda g: len(g) > 1), st.data())
 def test_asymmetric_grid_is_refused(grid, data):
@@ -240,6 +247,56 @@ class TestGraphonMoments:
     def test_asymmetric_grid_rejected(self):
         with pytest.raises(ValueError):
             parse_graphon_text("2\n0.1 0.2\n0.3 0.4\n")
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_mc_needs_a_sample(self, samples):
+        with pytest.raises(InvalidParametersError, match="samples"):
+            graphon_z(
+                Graphon.constant(0.3), edge_class(), method="mc",
+                samples=samples, seed=1,
+            )
+
+    def test_negative_sigma_refused_zero_is_constant(self):
+        with pytest.raises(ValueError, match="sigma"):
+            parse_graphon_name("product:logistic:0.5,-1.0")
+        flat = parse_graphon_name("product:logistic:0.5,0.0")
+        assert flat(0.1, 0.9) == flat(0.5, 0.5) == 1 / (1 + math.exp(-1.0))
+
+
+class TestKernelGridCache:
+    GRID = [[0.9, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.7]]
+
+    def test_cached_grid_is_read_only(self):
+        grid = Graphon.from_grid(self.GRID).midpoint_grid(8)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+
+    def test_grids_are_built_once_per_resolution(self):
+        phi = Graphon.from_grid(self.GRID)
+        assert phi.midpoint_grid(8) is phi.midpoint_grid(8)
+        assert phi.midpoint_grid(4).shape == (4, 4)
+
+    def test_same_resolution_kernels_keep_their_own_grids(self):
+        low, high = [[0.2, 0.4], [0.4, 0.6]], [[0.7, 0.1], [0.1, 0.3]]
+        a, b = Graphon.from_grid(low), Graphon.from_grid(high)
+        assert a.description == b.description == "grid:2"
+        za, zb = graphon_z(a, star_class(2)), graphon_z(b, star_class(2))
+        assert za != zb
+        assert za == graphon_z(Graphon.from_grid(low), star_class(2))
+        assert zb == graphon_z(Graphon.from_grid(high), star_class(2))
+
+    def test_mobius_matches_fresh_kernel_bitwise(self):
+        phi = Graphon.from_grid(self.GRID)
+        warm = graphon_mobius(phi, 4)
+        again = graphon_mobius(phi, 4)
+        fresh = graphon_mobius(Graphon.from_grid(self.GRID), 4)
+        assert warm.z == again.z == fresh.z
+
+    def test_named_kernel_is_built_once(self):
+        phi = parse_graphon_name("product:logistic:0.0,1.0")
+        assert parse_graphon_name("product:logistic:0.0,1.0") is phi
+        assert parse_graphon_name("product:logistic:0.0,2.0") is not phi
 
 
 class TestKernelJointsAreDissociated:
