@@ -1,8 +1,11 @@
 """Built-in golden example battery.
 
 Each item recomputes a worked example from first principles and checks the
-published value exactly or at the stated tolerance.  The CLI front end prints
-one pass/fail line per item.
+published value exactly or at the stated tolerance.  An item returns its
+failure detail, or "" on a pass; its name is written once, as its key in
+``BATTERY``.  ``run_battery`` returns one ``BatteryItem`` per entry, in table
+order.  ``exchnet paper-examples`` prints one pass/fail line per item and a
+passed count, and exits 1 when an item fails.
 """
 
 from __future__ import annotations
@@ -76,33 +79,26 @@ def _golden_mismatch(mv, golden: dict, tol: float | None = None) -> str:
     return ""
 
 
-def _item_exch_mle() -> BatteryItem:
-    bad = _golden_mismatch(exch_mle(paw_network()), GOLDEN_MLE)
-    return BatteryItem("exchangeable-mle", not bad, bad)
+def _item_exch_mle() -> str:
+    return _golden_mismatch(exch_mle(paw_network()), GOLDEN_MLE)
 
 
-def _item_stats() -> BatteryItem:
+def _item_stats() -> str:
     paw = paw_network()
     fs = ergm_stats(ErgmSpec("frank_strauss", 4), paw)
     kn = ergm_stats(ErgmSpec("kneser", 4), paw)
     if fs != (4, 5, 1, 1):
-        return BatteryItem("family-statistics", False, f"frank_strauss {fs}")
-    if kn != (4, 1):
-        return BatteryItem("family-statistics", False, f"kneser {kn}")
-    return BatteryItem("family-statistics", True)
+        return f"frank_strauss {fs}"
+    return "" if kn == (4, 1) else f"kneser {kn}"
 
 
-def _item_inj_values() -> BatteryItem:
-    paw = paw_network()
+def _item_inj_values() -> str:
     s3 = star_class(3).representative()
-    a = inj(s3, paw)
-    b = inj(s3, LabeledNetwork.complete(4))
-    if (a, b) != (6, 24):
-        return BatteryItem("injective-counts", False, f"got {(a, b)}")
-    return BatteryItem("injective-counts", True)
+    got = (inj(s3, paw_network()), inj(s3, LabeledNetwork.complete(4)))
+    return "" if got == (6, 24) else f"got {got}"
 
 
-def _item_supergraph_coefficients() -> BatteryItem:
+def _item_supergraph_coefficients() -> str:
     table = class_table(4)
     got = {
         u.key(): r
@@ -114,51 +110,39 @@ def _item_supergraph_coefficients() -> BatteryItem:
         "1-3,1-4,2-3,2-4,3-4": 2,
         "1-2,1-3,1-4,2-3,2-4,3-4": 1,
     }
-    ok = got == want
-    return BatteryItem(
-        "supergraph-coefficients", ok, "" if ok else f"got {got}"
-    )
+    return "" if got == want else f"got {got}"
 
 
-def _item_dissociated_mle() -> BatteryItem:
+def _item_dissociated_mle() -> str:
     rep = dissociated_mle(paw_network())
     bad = _golden_mismatch(rep.z, GOLDEN_DISSOCIATED, 1e-4)
     if bad:
-        return BatteryItem("dissociated-mle", False, bad)
+        return bad
     if abs(rep.likelihood - 1 / 16) > 1e-6:
-        return BatteryItem(
-            "dissociated-mle", False, f"likelihood {rep.likelihood}"
-        )
+        return f"likelihood {rep.likelihood}"
     if rep.constraint_residual > 1e-8:
-        return BatteryItem(
-            "dissociated-mle", False, f"residual {rep.constraint_residual}"
-        )
-    return BatteryItem("dissociated-mle", True)
+        return f"residual {rep.constraint_residual}"
+    return ""
 
 
-def _item_dissociated_flat_family() -> BatteryItem:
+def _item_dissociated_flat_family() -> str:
     rep = dissociated_mle(LabeledNetwork.path(4))
     if rep.status != STATUS_NON_UNIQUE:
-        return BatteryItem(
-            "dissociated-flat-family", False, f"status {rep.status}"
-        )
+        return f"status {rep.status}"
     if abs(rep.likelihood - 1 / 16) > 1e-6:
-        return BatteryItem(
-            "dissociated-flat-family", False, f"likelihood {rep.likelihood}"
-        )
-    return BatteryItem("dissociated-flat-family", True)
+        return f"likelihood {rep.likelihood}"
+    return ""
 
 
-def _item_mixture_moments() -> BatteryItem:
+def _item_mixture_moments() -> str:
     paw_cls = UnlabeledClass.of(paw_network())
     cd = ClassDistribution(
         4, {paw_cls: Fraction(3, 4), UnlabeledClass.empty(): Fraction(1, 4)}
     )
-    bad = _golden_mismatch(mobius_from_class_distribution(cd), GOLDEN_DISSOCIATED)
-    return BatteryItem("mixture-moments", not bad, bad)
+    return _golden_mismatch(mobius_from_class_distribution(cd), GOLDEN_DISSOCIATED)
 
 
-def _item_bidirected_chain() -> BatteryItem:
+def _item_bidirected_chain() -> str:
     # three variables in a bidirected chain, realized on the dyads of n=3
     dep = dependence_graph_from_edges(
         3, BIDIRECTED, [("1-2", "1-3"), ("1-3", "2-3")]
@@ -179,18 +163,14 @@ def _item_bidirected_chain() -> BatteryItem:
         dep, z, mask_of([0, 1, 2])
     )
     if marg13 != z1 * z3:
-        return BatteryItem(
-            "bidirected-chain", False, f"P(X1=1,X3=1) = {marg13}"
-        )
+        return f"P(X1=1,X3=1) = {marg13}"
     lone = bidirected_joint(dep, z, mask_of([0]))
     if lone != z1 - z12 - z1 * z3 + z123:
-        return BatteryItem(
-            "bidirected-chain", False, f"P(X1=1,X2=0,X3=0) = {lone}"
-        )
-    return BatteryItem("bidirected-chain", True)
+        return f"P(X1=1,X2=0,X3=0) = {lone}"
+    return ""
 
 
-def _item_bidirected_complement() -> BatteryItem:
+def _item_bidirected_complement() -> str:
     dep = kneser_graph(4, BIDIRECTED)
     paw_mask = mask_of(
         [dyad_index(1, 4), dyad_index(2, 3), dyad_index(2, 4), dyad_index(3, 4)]
@@ -208,86 +188,66 @@ def _item_bidirected_complement() -> BatteryItem:
             got = bidirected_joint(dep, z, paw_mask)
             want = ze**2 * zu - 2 * ze * zu**2 + zu**3
             if got != want:
-                return BatteryItem(
-                    "bidirected-complement",
-                    False,
-                    f"ze={ze} zu={zu}: got {got}, want {want}",
-                )
-    return BatteryItem("bidirected-complement", True)
+                return f"ze={ze} zu={zu}: got {got}, want {want}"
+    return ""
 
 
-def _item_collisions() -> BatteryItem:
+def _item_collisions() -> str:
     if degree_collision_classes(4):
-        return BatteryItem("degree-collisions", False, "groups at n=4")
+        return "groups at n=4"
     groups = degree_collision_classes(5)
     if len(groups) != 3 or any(len(g) != 2 for g in groups):
-        return BatteryItem(
-            "degree-collisions", False, f"{len(groups)} groups at n=5"
-        )
-    seen = set()
-    for g in groups:
-        degs = tuple(
-            sorted(g[0].padded(5).degrees(), reverse=True)
-        )
-        seen.add(degs)
+        return f"{len(groups)} groups at n=5"
+    seen = {tuple(sorted(g[0].padded(5).degrees(), reverse=True)) for g in groups}
     want = {(2, 2, 2, 1, 1), (3, 2, 2, 2, 1), (3, 3, 2, 2, 2)}
-    ok = seen == want
-    return BatteryItem("degree-collisions", ok, "" if ok else f"got {seen}")
+    return "" if seen == want else f"got {seen}"
 
 
-def _item_petersen() -> BatteryItem:
+def _item_petersen() -> str:
     dep = kneser_graph(5)
     if dep.m != 10 or dep.edge_count() != 15:
-        return BatteryItem(
-            "petersen-structure", False, f"{dep.m} vertices, {dep.edge_count()} edges"
-        )
+        return f"{dep.m} vertices, {dep.edge_count()} edges"
     if any(dep.degree(k) != 3 for k in range(dep.m)):
-        return BatteryItem("petersen-structure", False, "not 3-regular")
+        return "not 3-regular"
     bad = [c for c in incidence_cliques(5) if c.shape == "other"]
-    if bad:
-        return BatteryItem(
-            "petersen-structure", False, f"{len(bad)} unclassified cliques"
-        )
-    return BatteryItem("petersen-structure", True)
+    return f"{len(bad)} unclassified cliques" if bad else ""
 
 
-def _item_not_extendable() -> BatteryItem:
+def _item_not_extendable() -> str:
     rep = extendable_check(exch_mle(paw_network()), 5)
-    ok = not rep.feasible
-    return BatteryItem(
-        "mle-not-extendable", ok, "" if ok else "reported feasible at m=5"
-    )
+    return "reported feasible at m=5" if rep.feasible else ""
 
 
-def _item_edge_logit() -> BatteryItem:
-    x = paw_network()  # 4 edges out of 6
-    fit = ergm_fit(ErgmSpec("edges", 4), x)
+def _item_edge_logit() -> str:
+    fit = ergm_fit(ErgmSpec("edges", 4), paw_network())  # 4 edges out of 6
     if fit.status != "optimal":
-        return BatteryItem("edge-parameter-logit", False, f"status {fit.status}")
+        return f"status {fit.status}"
     want = math.log((4 / 6) / (1 - 4 / 6))
     got = fit.nu["star1"]
-    ok = abs(got - want) < 1e-8
-    return BatteryItem(
-        "edge-parameter-logit", ok, "" if ok else f"got {got}, want {want}"
-    )
+    return "" if abs(got - want) < 1e-8 else f"got {got}, want {want}"
 
 
-BATTERY = [
-    _item_exch_mle,
-    _item_stats,
-    _item_inj_values,
-    _item_supergraph_coefficients,
-    _item_mixture_moments,
-    _item_dissociated_mle,
-    _item_dissociated_flat_family,
-    _item_bidirected_chain,
-    _item_bidirected_complement,
-    _item_collisions,
-    _item_petersen,
-    _item_not_extendable,
-    _item_edge_logit,
-]
+BATTERY = {
+    "exchangeable-mle": _item_exch_mle,
+    "family-statistics": _item_stats,
+    "injective-counts": _item_inj_values,
+    "supergraph-coefficients": _item_supergraph_coefficients,
+    "mixture-moments": _item_mixture_moments,
+    "dissociated-mle": _item_dissociated_mle,
+    "dissociated-flat-family": _item_dissociated_flat_family,
+    "bidirected-chain": _item_bidirected_chain,
+    "bidirected-complement": _item_bidirected_complement,
+    "degree-collisions": _item_collisions,
+    "petersen-structure": _item_petersen,
+    "mle-not-extendable": _item_not_extendable,
+    "edge-parameter-logit": _item_edge_logit,
+}
 
 
 def run_battery() -> list:
-    return [fn() for fn in BATTERY]
+    """One ``BatteryItem`` per ``BATTERY`` entry, in table order."""
+    return [
+        BatteryItem(name, not detail, detail)
+        for name, check in BATTERY.items()
+        for detail in [check()]
+    ]

@@ -86,45 +86,37 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("stats", help="subgraph counts and family statistics")
     sp.add_argument("edgelist", type=Path)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("mle", help="exchangeable MLE of the class moments")
     sp.add_argument("edgelist", type=Path)
     sp.add_argument("--float", dest="as_float", action="store_true")
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("mle-dissociated", help="dissociated MLE")
     sp.add_argument("edgelist", type=Path)
     sp.add_argument("--restarts", type=int, default=32)
     sp.add_argument("--seed", type=int, default=20240)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("fit", help="fit a statistic family")
     sp.add_argument("family", choices=sorted(FAMILIES))
     sp.add_argument("edgelist", type=Path)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("eval", help="probability under given parameters")
     sp.add_argument("family", choices=sorted(FAMILIES))
     sp.add_argument("nu_json", type=Path)
     sp.add_argument("edgelist", type=Path)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("markov", help="global Markov check of a joint table")
     sp.add_argument("joint_json", type=Path)
     sp.add_argument("dep_json", type=Path)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("skeleton", help="dependence skeleton of a joint table")
     sp.add_argument("joint_json", type=Path)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("extend", help="extendability feasibility")
     sp.add_argument("z_json", type=Path, nargs="?")
     sp.add_argument("--input", type=Path, help="alternative to the positional path")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--dissociated", action="store_true")
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("sample", help="seeded network samples as edge lists")
     sp.add_argument(
@@ -141,7 +133,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--phi", type=str, help="const:eta | product:logistic:mu,sigma | grid file")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("graphon-z", help="kernel moment of a class")
     sp.add_argument("phi", type=str)
@@ -150,17 +141,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--r", type=int, default=64)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("collisions", help="degree-distribution collisions")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", type=Path)
 
-    sp = sub.add_parser(
-        "paper-examples", help="run the golden example battery"
-    )
-    sp.add_argument("--out", type=Path)
+    sub.add_parser("paper-examples", help="run the golden example battery")
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", type=Path)
     return p
 
 
@@ -194,7 +182,11 @@ def _parse_phi(spec: str) -> Graphon:
     return parse_graphon_text(Path(spec).read_text())
 
 
-def _cmd_stats(args) -> int:
+# Each handler returns what the command prints: a JSON document, or text
+# for ``sample`` and ``paper-examples``; ``main`` alone writes it.
+
+
+def _cmd_stats(args) -> dict:
     x = _read_network(args.edgelist)
     sigma_map = {u.key(): s for u, s in sigma_vector(x).items()}
     families = {}
@@ -204,41 +196,33 @@ def _cmd_stats(args) -> int:
             "names": spec.stat_names(),
             "values": list(ergm_stats(spec, x)),
         }
-    out = {
+    return {
         "n": x.n,
         "edges": [list(e) for e in x.sorted_edges()],
         "degree_distribution": list(degree_distribution(x).counts),
         "sigma": sigma_map,
         "families": families,
     }
-    _emit(dump_json(out), args.out)
-    return 0
 
 
-def _cmd_mle(args) -> int:
+def _cmd_mle(args) -> dict:
+    mv = exch_mle(_read_network(args.edgelist))
+    return mobius_to_json(mv.to_float() if args.as_float else mv)
+
+
+def _cmd_mle_dissociated(args) -> dict:
     x = _read_network(args.edgelist)
-    mv = exch_mle(x)
-    if args.as_float:
-        mv = mv.to_float()
-    _emit(dump_json(mobius_to_json(mv)), args.out)
-    return 0
+    return fit_report_to_json(
+        dissociated_mle(x, restarts=args.restarts, seed=args.seed)
+    )
 
 
-def _cmd_mle_dissociated(args) -> int:
+def _cmd_fit(args) -> dict:
     x = _read_network(args.edgelist)
-    rep = dissociated_mle(x, restarts=args.restarts, seed=args.seed)
-    _emit(dump_json(fit_report_to_json(rep)), args.out)
-    return 0
+    return fit_report_to_json(ergm_fit(ErgmSpec(args.family, x.n), x))
 
 
-def _cmd_fit(args) -> int:
-    x = _read_network(args.edgelist)
-    rep = ergm_fit(ErgmSpec(args.family, x.n), x)
-    _emit(dump_json(fit_report_to_json(rep)), args.out)
-    return 0
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     x = _read_network(args.edgelist)
     doc = json.loads(args.nu_json.read_text())
     nu = doc.get("nu") if isinstance(doc, dict) else None
@@ -247,12 +231,10 @@ def _cmd_eval(args) -> int:
         isinstance(v, (int, float)) for v in values
     ):
         raise ValueError('parameter file needs "nu", an object or array of numbers')
-    p = ergm_eval(ErgmSpec(args.family, x.n), nu, x)
-    _emit(dump_json({"probability": p}), args.out)
-    return 0
+    return {"probability": ergm_eval(ErgmSpec(args.family, x.n), nu, x)}
 
 
-def _cmd_markov(args) -> int:
+def _cmd_markov(args) -> dict:
     jt = joint_from_json(json.loads(args.joint_json.read_text()))
     dep = depgraph_from_json(json.loads(args.dep_json.read_text()))
     res = global_markov_check(jt, dep)
@@ -265,84 +247,73 @@ def _cmd_markov(args) -> int:
 
         a, b, s = res.counterexample
         ce = {"A": names(a), "B": names(b), "S": names(s)}
-    _emit(dump_json({"markov": res.holds, "counterexample": ce}), args.out)
-    return 0
+    return {"markov": res.holds, "counterexample": ce}
 
 
-def _cmd_skeleton(args) -> int:
+def _cmd_skeleton(args) -> dict:
     jt = joint_from_json(json.loads(args.joint_json.read_text()))
     sk = skeleton(jt)
-    out = depgraph_to_json(sk)
-    out["classification"] = classify_skeleton(sk)
-    _emit(dump_json(out), args.out)
-    return 0
+    return {**depgraph_to_json(sk), "classification": classify_skeleton(sk)}
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> dict:
     source = args.z_json if args.z_json is not None else args.input
     if source is None:
         raise ValueError("extend needs a moment file (positional or --input)")
     mv = mobius_from_json(json.loads(source.read_text()))
-    if args.dissociated:
-        rep = dissociated_extendable_check(mv, args.m)
-    else:
-        rep = extendable_check(mv, args.m)
-    _emit(dump_json(extend_report_to_json(rep)), args.out)
-    return 0
+    check = dissociated_extendable_check if args.dissociated else extendable_check
+    return extend_report_to_json(check(mv, args.m))
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> str:
+    """Checks the arguments and builds the model once, then draws."""
     if args.count < 0:
         raise ValueError("--count must be >= 0")
-    blocks = []
-    for k in range(args.count):
-        seed = child_seed(args.seed, k)
-        if args.model == "er":
-            if args.n is None or args.p is None:
-                raise ValueError("er sampling needs --n and --p")
-            g = graphon_sample(Graphon.constant(args.p), args.n, seed)
-        elif args.model == "beta":
-            if not args.beta:
-                raise ValueError("beta sampling needs --beta")
-            spec = BetaSpec(tuple(float(t) for t in args.beta.split(",")))
-            g = beta_sample(spec, seed)
-        elif args.model == "marginal-beta":
-            if args.n is None or not args.mixing:
-                raise ValueError("marginal-beta sampling needs --n and --mixing")
-            g = marginal_beta_sample(args.n, _parse_mixing(args.mixing), seed)
+    if args.model == "beta":
+        if not args.beta:
+            raise ValueError("beta sampling needs --beta")
+        spec = BetaSpec(tuple(float(t) for t in args.beta.split(",")))
+        draw = functools.partial(beta_sample, spec)
+    else:
+        option, value = {
+            "er": ("--p", args.p),
+            "marginal-beta": ("--mixing", args.mixing),
+            "graphon": ("--phi", args.phi),
+        }[args.model]
+        if args.n is None or value in (None, ""):
+            raise ValueError(f"{args.model} sampling needs --n and {option}")
+        if args.n < 1:
+            raise ValueError("--n must be >= 1")
+        if args.model == "marginal-beta":
+            draw = functools.partial(marginal_beta_sample, args.n, _parse_mixing(value))
         else:
-            if args.n is None or not args.phi:
-                raise ValueError("graphon sampling needs --n and --phi")
-            g = graphon_sample(_parse_phi(args.phi), args.n, seed)
-        blocks.append(f"# sample {k}\n" + format_edge_list(g))
-    _emit("\n".join(blocks), args.out)
-    return 0
+            phi = Graphon.constant(value) if args.model == "er" else _parse_phi(value)
+            draw = functools.partial(graphon_sample, phi, args.n)
+    return "\n".join(
+        f"# sample {k}\n" + format_edge_list(draw(child_seed(args.seed, k)))
+        for k in range(args.count)
+    )
 
 
-def _cmd_graphon_z(args) -> int:
+def _cmd_graphon_z(args) -> dict:
     phi = _parse_phi(args.phi)
     u = class_from_key(args.cls)
-    if args.method == "mc":
-        if args.seed is None:
-            raise ValueError("Monte Carlo moments need --seed")
-        est = graphon_z(
-            phi, u, method="mc", samples=args.samples, seed=args.seed
-        )
-    else:
-        est = graphon_z(phi, u, method="quadrature", r=args.r)
-    out = {
+    if args.method == "mc" and args.seed is None:
+        raise ValueError("Monte Carlo moments need --seed")
+    est = graphon_z(
+        phi, u, method=args.method, r=args.r, samples=args.samples, seed=args.seed
+    )
+    return {
         "class": u.key(),
         "value": est.value,
         "error": est.error,
         "method": est.method,
     }
-    _emit(dump_json(out), args.out)
-    return 0
 
 
-def _cmd_collisions(args) -> int:
+def _cmd_collisions(args) -> dict:
     groups = degree_collision_classes(args.n)
-    out = {
+    return {
         "n": args.n,
         "groups": [
             {
@@ -354,23 +325,19 @@ def _cmd_collisions(args) -> int:
             for g in groups
         ],
     }
-    _emit(dump_json(out), args.out)
-    return 0
 
 
-def _cmd_battery(args) -> int:
+def _cmd_battery(args) -> tuple:
+    """The report text and the exit code: 1 when an item fails."""
     items = battery_mod.run_battery()
-    lines = []
-    failed = 0
-    for item in items:
-        tag = "PASS" if item.ok else "FAIL"
-        suffix = f"  ({item.detail})" if item.detail else ""
-        lines.append(f"{tag}  {item.name}{suffix}")
-        if not item.ok:
-            failed += 1
-    lines.append(f"{len(items) - failed}/{len(items)} examples passed")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if failed == 0 else 1
+    lines = [
+        f"{'PASS' if item.ok else 'FAIL'}  {item.name}"
+        + (f"  ({item.detail})" if item.detail else "")
+        for item in items
+    ]
+    passed = sum(item.ok for item in items)
+    lines.append(f"{passed}/{len(items)} examples passed")
+    return "\n".join(lines) + "\n", int(passed < len(items))
 
 
 _HANDLERS = {
@@ -396,7 +363,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        result = _HANDLERS[args.command](args)
+        result, code = result if isinstance(result, tuple) else (result, 0)
+        _emit(result if isinstance(result, str) else dump_json(result), args.out)
+        return code
     except SizeCapError as err:
         sys.stderr.write(f"size cap: {err}\n")
         return 3

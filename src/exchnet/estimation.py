@@ -156,14 +156,6 @@ class ClassDistribution:
     def to_float(self) -> "ClassDistribution":
         return ClassDistribution(self.n, {u: float(v) for u, v in self.q.items()})
 
-    def mix(self, other: "ClassDistribution", w_self) -> "ClassDistribution":
-        if other.n != self.n:
-            raise ValueError("node counts differ")
-        q = {}
-        for u in set(self.q) | set(other.q):
-            q[u] = w_self * self.value(u) + (1 - w_self) * other.value(u)
-        return ClassDistribution(self.n, q)
-
 
 @dataclass(frozen=True)
 class CanonicalParams:
@@ -470,14 +462,6 @@ def ergm_eval(spec: ErgmSpec, nu, x: LabeledNetwork) -> float:
     return math.exp(float(s_x @ vec) - psi)
 
 
-def ergm_fitted_distribution(spec: ErgmSpec, nu) -> ClassDistribution:
-    vec = _nu_vector(spec, nu)
-    classes, stats, sizes = _class_stat_table(spec)
-    w, _ = _gibbs_weights(stats, sizes, vec)
-    w /= w.sum()
-    return ClassDistribution(spec.n, {u: float(p) for u, p in zip(classes, w)})
-
-
 def _facial_set(spec: ErgmSpec, stats, x_idx: int) -> np.ndarray:
     """The classes W whose statistics s(W) lie on the smallest face of
     conv{s(W)} that holds s(x), as a boolean mask over the classes.
@@ -597,8 +581,11 @@ def degree_collision_classes(n: int) -> list:
     """Groups (size >= 2) of classes on n nodes sharing a degree distribution.
 
     Classes are padded with isolated vertices to exactly n nodes, so the
-    degree counts include degree-zero entries.
+    degree counts include degree-zero entries.  n < 1 is refused with
+    ``InvalidParametersError``.
     """
+    if n < 1:
+        raise InvalidParametersError("degree collision scan needs n >= 1")
     if n > MAX_NODES:
         raise SizeCapError(f"degree collision scan supports n <= {MAX_NODES}")
     groups: dict = {}

@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from exchnet.cli import _build_parser, main
+from exchnet.cli import _HANDLERS, _build_parser, main
 from exchnet.dependence import incidence_graph
-from exchnet.genmodels import MixingSpec, er_joint, marginal_beta_joint
+from exchnet.genmodels import (
+    MixingSpec,
+    er_joint,
+    marginal_beta_joint,
+    parse_graphon_text,
+)
 from exchnet.graphs import format_edge_list, parse_edge_list
 from exchnet.serialize import (
     depgraph_to_json,
@@ -23,6 +28,20 @@ def paw_file(tmp_path, paw):
     path = tmp_path / "paw.edges"
     path.write_text(format_edge_list(paw))
     return path
+
+
+@pytest.fixture
+def fast_battery(monkeypatch, paw_dissociated_fit, path4_dissociated_fit):
+    """The battery with its two dissociated fits taken from the session's
+    fits of the same networks, so a test can run it again cheaply."""
+    from exchnet import battery
+    from exchnet.graphs import LabeledNetwork
+
+    fits = {
+        battery.paw_network(): paw_dissociated_fit,
+        LabeledNetwork.path(4): path4_dissociated_fit,
+    }
+    monkeypatch.setattr(battery, "dissociated_mle", fits.__getitem__)
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +413,44 @@ class TestSample:
         )
         assert (code, out) == (2, "")
 
+    def test_arguments_checked_before_any_draw(self, capsys):
+        code, out = run_cli(capsys, "sample", "er", "--seed", "1", "--count", "0")
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["er", "--p", "0.5"],
+            ["marginal-beta", "--mixing", "point:0.1"],
+            ["graphon", "--phi", "const:0.5"],
+        ],
+        ids=lambda m: m[0],
+    )
+    def test_fewer_than_one_node_is_invalid_parameters(self, capsys, model, n):
+        code, out = run_cli(capsys, "sample", *model, "--n", n, "--seed", "1")
+        assert (code, out) == (2, "")
+
+    def test_grid_file_parsed_once_per_request(self, capsys, tmp_path, monkeypatch):
+        import exchnet.cli as cli
+
+        grid = tmp_path / "phi.grid"
+        grid.write_text("3\n0.1 0.4 0.7\n0.4 0.5 0.2\n0.7 0.2 0.9\n")
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_graphon_text(text)
+
+        monkeypatch.setattr(cli, "parse_graphon_text", counting_parse)
+        code, out = run_cli(
+            capsys, "sample", "graphon", "--phi", str(grid), "--n", "4",
+            "--seed", "3", "--count", "5",
+        )
+        assert code == 0
+        assert out.count("# sample") == 5
+        assert len(calls) == 1
+
 
 class TestGraphonZ:
     def test_quadrature(self, capsys):
@@ -450,6 +507,11 @@ class TestCollisions:
     def test_four_nodes_empty(self, capsys):
         _, out = run_cli(capsys, "collisions", "--n", "4")
         assert json.loads(out)["groups"] == []
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_fewer_than_one_node_is_invalid_parameters(self, capsys, n):
+        code, out = run_cli(capsys, "collisions", "--n", n)
+        assert (code, out) == (2, "")
 
 
 def test_reused_parser_answers_as_a_fresh_one(capsys, paw_file):
@@ -551,3 +613,56 @@ class TestExitCodes:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["n"] == 4
+
+    def test_failing_battery_item(self, capsys, monkeypatch, fast_battery):
+        from exchnet import battery
+
+        monkeypatch.setitem(
+            battery.BATTERY, "petersen-structure", lambda: "forced failure"
+        )
+        code, out = run_cli(capsys, "paper-examples")
+        assert code == 1
+        assert "FAIL  petersen-structure  (forced failure)\n" in out
+        assert out.endswith("\n12/13 examples passed\n")
+
+
+# One valid invocation of each subcommand; {dir} is the test's tmp_path.
+OUT_INVOCATIONS = {
+    "stats": ["stats", "{dir}/paw.edges"],
+    "mle": ["mle", "{dir}/paw.edges"],
+    "mle-dissociated": ["mle-dissociated", "{dir}/p3.edges", "--restarts", "2"],
+    "fit": ["fit", "edges", "{dir}/paw.edges"],
+    "eval": ["eval", "edges", "{dir}/nu.json", "{dir}/paw.edges"],
+    "markov": ["markov", "{dir}/joint.json", "{dir}/dep.json"],
+    "skeleton": ["skeleton", "{dir}/joint.json"],
+    "extend": ["extend", "{dir}/z.json", "--m", "5"],
+    "sample": ["sample", "er", "--n", "4", "--p", "0.5", "--seed", "7", "--count", "2"],
+    "graphon-z": ["graphon-z", "const:0.3", "1-2,2-3"],
+    "collisions": ["collisions", "--n", "5"],
+    "paper-examples": ["paper-examples"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HANDLERS))
+def test_out_file_holds_the_stdout_bytes(capsys, request, tmp_path, paw, command):
+    from exchnet.dependence import empty_dependence_graph
+    from exchnet.estimation import exch_mle
+
+    if command == "paper-examples":
+        request.getfixturevalue("fast_battery")
+    (tmp_path / "paw.edges").write_text(format_edge_list(paw))
+    (tmp_path / "p3.edges").write_text("n 3\n1 2\n2 3\n")
+    (tmp_path / "nu.json").write_text(json.dumps({"nu": {"star1": 0.25}}))
+    (tmp_path / "joint.json").write_text(
+        dump_json(joint_to_json(er_joint(3, Fraction(1, 3))))
+    )
+    (tmp_path / "dep.json").write_text(
+        dump_json(depgraph_to_json(empty_dependence_graph(3)))
+    )
+    (tmp_path / "z.json").write_text(dump_json(mobius_to_json(exch_mle(paw))))
+    argv = [a.format(dir=tmp_path) for a in OUT_INVOCATIONS[command]]
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0 and printed
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "")
+    assert target.read_text() == printed

@@ -19,7 +19,6 @@ from exchnet.estimation import (
     dissociated_mle,
     ergm_eval,
     ergm_fit,
-    ergm_fitted_distribution,
     ergm_stats,
     exch_mle,
     sigma_is_degree_function,
@@ -367,6 +366,11 @@ class TestCanonicalParams:
 class TestDegreeCollisions:
     def test_none_at_four_nodes(self):
         assert degree_collision_classes(4) == []
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_node_is_invalid_parameters(self, n):
+        with pytest.raises(InvalidParametersError):
+            degree_collision_classes(n)
 
     def test_three_pairs_at_five_nodes(self):
         groups = degree_collision_classes(5)
