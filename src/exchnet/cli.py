@@ -93,8 +93,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("mle-dissociated", help="dissociated MLE")
     sp.add_argument("edgelist", type=Path)
-    sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--seed", type=int, default=20240)
 
     sp = sub.add_parser("fit", help="fit a statistic family")
     sp.add_argument("family", choices=sorted(FAMILIES))
@@ -119,9 +117,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--dissociated", action="store_true")
 
     sp = sub.add_parser("sample", help="seeded network samples as edge lists")
-    sp.add_argument(
-        "model", choices=["er", "beta", "marginal-beta", "graphon"]
-    )
+    sp.add_argument("model", choices=list(_SAMPLE_OPTIONS))
     sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=float)
     sp.add_argument("--beta", type=str, help="comma-separated node propensities")
@@ -138,8 +134,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("phi", type=str)
     sp.add_argument("cls", type=str, help='class key such as "1-2,2-3"')
     sp.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
-    sp.add_argument("--r", type=int, default=64)
-    sp.add_argument("--samples", type=int, default=10000)
+    sp.add_argument("--r", type=int)
+    sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int)
 
     sp = sub.add_parser("collisions", help="degree-distribution collisions")
@@ -212,9 +208,7 @@ def _cmd_mle(args) -> dict:
 
 def _cmd_mle_dissociated(args) -> dict:
     x = _read_network(args.edgelist)
-    return fit_report_to_json(
-        dissociated_mle(x, restarts=args.restarts, seed=args.seed)
-    )
+    return fit_report_to_json(dissociated_mle(x))
 
 
 def _cmd_fit(args) -> dict:
@@ -265,44 +259,60 @@ def _cmd_extend(args) -> dict:
     return extend_report_to_json(check(mv, args.m))
 
 
+# The options each model reads besides --seed and --count.
+_SAMPLE_OPTIONS = {
+    "er": ("n", "p"),
+    "beta": ("beta",),
+    "marginal-beta": ("n", "mixing"),
+    "graphon": ("n", "phi"),
+}
+
+
 def _cmd_sample(args) -> str:
     """Checks the arguments and builds the model once, then draws."""
     if args.count < 0:
         raise ValueError("--count must be >= 0")
+    reads = _SAMPLE_OPTIONS[args.model]
+    for name in dict.fromkeys(sum(_SAMPLE_OPTIONS.values(), ())):
+        value = getattr(args, name)
+        if name in reads and value in (None, ""):
+            raise ValueError(f"{args.model} sampling needs --{name}")
+        if name not in reads and value is not None:
+            raise ValueError(f"{args.model} sampling does not read --{name}")
+    if "n" in reads and args.n < 1:
+        raise ValueError("--n must be >= 1")
     if args.model == "beta":
-        if not args.beta:
-            raise ValueError("beta sampling needs --beta")
         spec = BetaSpec(tuple(float(t) for t in args.beta.split(",")))
         draw = functools.partial(beta_sample, spec)
+    elif args.model == "marginal-beta":
+        draw = functools.partial(marginal_beta_sample, args.n, _parse_mixing(args.mixing))
     else:
-        option, value = {
-            "er": ("--p", args.p),
-            "marginal-beta": ("--mixing", args.mixing),
-            "graphon": ("--phi", args.phi),
-        }[args.model]
-        if args.n is None or value in (None, ""):
-            raise ValueError(f"{args.model} sampling needs --n and {option}")
-        if args.n < 1:
-            raise ValueError("--n must be >= 1")
-        if args.model == "marginal-beta":
-            draw = functools.partial(marginal_beta_sample, args.n, _parse_mixing(value))
-        else:
-            phi = Graphon.constant(value) if args.model == "er" else _parse_phi(value)
-            draw = functools.partial(graphon_sample, phi, args.n)
+        phi = Graphon.constant(args.p) if args.model == "er" else _parse_phi(args.phi)
+        draw = functools.partial(graphon_sample, phi, args.n)
     return "\n".join(
         f"# sample {k}\n" + format_edge_list(draw(child_seed(args.seed, k)))
         for k in range(args.count)
     )
 
 
+# The options each graphon-z method reads; graphon_z gets those given.
+_MOMENT_OPTIONS = {"quadrature": ("r",), "mc": ("samples", "seed")}
+
+
 def _cmd_graphon_z(args) -> dict:
     phi = _parse_phi(args.phi)
     u = class_from_key(args.cls)
+    given = {
+        name: getattr(args, name)
+        for name in ("r", "samples", "seed")
+        if getattr(args, name) is not None
+    }
+    unread = [name for name in given if name not in _MOMENT_OPTIONS[args.method]]
+    if unread:
+        raise ValueError(f"--method {args.method} does not read --{unread[0]}")
     if args.method == "mc" and args.seed is None:
         raise ValueError("Monte Carlo moments need --seed")
-    est = graphon_z(
-        phi, u, method=args.method, r=args.r, samples=args.samples, seed=args.seed
-    )
+    est = graphon_z(phi, u, method=args.method, **given)
     return {
         "class": u.key(),
         "value": est.value,

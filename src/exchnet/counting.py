@@ -149,12 +149,10 @@ def sigma(u: UnlabeledClass, x: LabeledNetwork) -> int:
     return sub(u.representative(), x)
 
 
-def sigma_vector(x: LabeledNetwork, n: int | None = None) -> dict:
-    """sigma over every class at n (default: x's node count), empty included."""
-    n = x.n if n is None else n
-    table = class_table(max(n, x.n))
-    classes = enumerate_classes(n, True)
-    return dict(zip(classes, table.sigmas(x, classes)))
+def sigma_vector(x: LabeledNetwork) -> dict:
+    """sigma over every class at x's node count, empty included."""
+    table = class_table(x.n)
+    return dict(zip(table.classes, table.sigmas(x)))
 
 
 class ClassTable:

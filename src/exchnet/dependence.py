@@ -108,10 +108,10 @@ class DependenceGraph:
 def dependence_graph_from_edges(
     n: int, kind: str, edges: Iterable
 ) -> DependenceGraph:
-    """Build from dyad pairs, each dyad given as a (i, j) tuple or "i-j" label."""
+    """Build from dyad pairs, each dyad given as an "i-j" label."""
 
-    def index(d) -> int:
-        i, j = parse_dyad_label(d) if isinstance(d, str) else d
+    def index(d: str) -> int:
+        i, j = parse_dyad_label(d)
         if min(i, j) < 1 or max(i, j) > n:
             raise ValueError(f"dyad {d} out of range for n={n}")
         return dyad_index(i, j)

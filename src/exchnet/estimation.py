@@ -63,6 +63,13 @@ FEAS_TOL = 1e-8
 KKT_TOL = 1e-6
 LIK_TIE_TOL = 1e-7
 DISTINCT_TOL = 1e-4
+# dissociated_mle: Dirichlet starts beside the point mass and uniform starts,
+# and their seed
+DISSOCIATED_RESTARTS = 32
+DISSOCIATED_SEED = 20240
+
+# summarized_check: largest gap between float probabilities counted equal
+SUMMARY_TOL = 1e-10
 
 # ergm_fit: moment gap of a converged iterate and Newton iteration cap
 NEWTON_TOL = 1e-10
@@ -118,19 +125,6 @@ class ClassDistribution:
     @classmethod
     def point_mass(cls, u: UnlabeledClass, n: int) -> "ClassDistribution":
         return cls(n, {u: Fraction(1)})
-
-    @classmethod
-    def from_weights(cls, n: int, weights: Mapping) -> "ClassDistribution":
-        total = sum(weights.values())
-        q = {}
-        for u, w in weights.items():
-            if not w:
-                continue
-            if isinstance(w, (int, Fraction)) and isinstance(total, (int, Fraction)):
-                q[u] = Fraction(w) / Fraction(total)
-            else:
-                q[u] = w / total
-        return cls(n, q)
 
     def value(self, u: UnlabeledClass):
         zero = Fraction(0) if self.is_exact else 0.0
@@ -243,14 +237,14 @@ def _dissociated_constraints(n: int, classes, a_matrix) -> list:
     ]
 
 
-def dissociated_mle(
-    x: LabeledNetwork, *, restarts: int = 32, seed: int = 20240
-) -> FitReport:
+def dissociated_mle(x: LabeledNetwork) -> FitReport:
     """Maximize P(X = x) over exchangeable dissociated distributions.
 
     Optimizes per-class probabilities (so nonnegativity and normalization are
     structural) under product constraints for every disconnected class, via an
-    augmented Lagrangian with projected-gradient inner steps and multi-start.
+    augmented Lagrangian with projected-gradient inner steps, started from
+    the point mass at x's class, the uniform q and ``DISSOCIATED_RESTARTS``
+    Dirichlet draws seeded by ``DISSOCIATED_SEED``.
     A run counts when its constraint violation is at most ``FEAS_TOL`` and
     its KKT residual at most ``KKT_TOL``.
 
@@ -266,8 +260,6 @@ def dissociated_mle(
         raise SizeCapError(
             f"dissociated MLE supports n <= {MAX_DISSOCIATED_NODES}"
         )
-    if restarts < 0:
-        raise InvalidParametersError("restarts must be >= 0")
     classes, a_matrix = _moment_matrix(n)
     idx = {u: k for k, u in enumerate(classes)}
     x_cls = UnlabeledClass.of(x)
@@ -278,13 +270,13 @@ def dissociated_mle(
     c_lin[x_idx] = 1.0
     obj_tie_tol = LIK_TIE_TOL * class_size(x_cls, n)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DISSOCIATED_SEED)
     starts = []
     point = np.zeros(dim)
     point[x_idx] = 1.0
     starts.append(point)
     starts.append(np.full(dim, 1.0 / dim))
-    starts.extend(dirichlet_starts(rng, dim, restarts))
+    starts.extend(dirichlet_starts(rng, dim, DISSOCIATED_RESTARTS))
 
     runs = maximize_batch(c_lin, cons, np.array(starts))
 
@@ -607,7 +599,7 @@ class SummarizedCheckResult:
     witness: tuple | None = None  # pair of configurations or classes
 
 
-def summarized_check(obj, tol: float = 1e-10) -> SummarizedCheckResult:
+def summarized_check(obj) -> SummarizedCheckResult:
     """Is the probability of a configuration a function of its degree counts?"""
     if isinstance(obj, JointTable):
         first: dict = {}
@@ -617,7 +609,7 @@ def summarized_check(obj, tol: float = 1e-10) -> SummarizedCheckResult:
             p = obj.probs[mask]
             if key in first:
                 mask0, p0 = first[key]
-                same = (p0 == p) if obj.is_exact else abs(float(p0 - p)) <= tol
+                same = (p0 == p) if obj.is_exact else abs(float(p0 - p)) <= SUMMARY_TOL
                 if not same:
                     return SummarizedCheckResult(False, (mask0, mask))
             else:
@@ -628,7 +620,7 @@ def summarized_check(obj, tol: float = 1e-10) -> SummarizedCheckResult:
             p0 = obj.labeled_prob(group[0].padded(obj.n))
             for u in group[1:]:
                 p = obj.labeled_prob(u.padded(obj.n))
-                same = (p0 == p) if obj.is_exact else abs(float(p0 - p)) <= tol
+                same = (p0 == p) if obj.is_exact else abs(float(p0 - p)) <= SUMMARY_TOL
                 if not same:
                     return SummarizedCheckResult(False, (group[0], u))
         return SummarizedCheckResult(True)

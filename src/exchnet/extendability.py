@@ -161,18 +161,15 @@ def _lp_report(
     (within 1e-9 for float input) and, for a dissociated check, satisfy
     every product constraint at m (within ``tol`` for float input)."""
     targets, classes_m, rows = _sigma_rows(m, mv.n)
-    exact = mv.is_exact
     keys = [u.key() for u in targets] + ["normalization"]
     a_rows = [*rows, (Fraction(1),) * len(classes_m)]
-    b = [mv.z[u] for u in targets] + [Fraction(1)]
+    # a float z of the empty class alone makes the LP a float one too
+    b = [mv.z[u] for u in targets] + [Fraction(1) if mv.is_exact else 1.0]
     for key, row, rhs in products or ():
         keys.append(key)
         a_rows.append(row)
         b.append(rhs)
-    if not exact:
-        a_rows = [[float(v) for v in row] for row in a_rows]
-        b = [float(v) for v in b]
-    res = solve_feasibility(a_rows, b, exact=exact)
+    res = solve_feasibility(a_rows, b)
     if not res.feasible:
         worst = None if res.worst_row is None else keys[res.worst_row]
         return ExtendabilityReport(

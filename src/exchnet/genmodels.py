@@ -532,15 +532,19 @@ def graphon_z(
     raise ValueError(f"unknown method {method!r}")
 
 
-def graphon_mobius(phi: Graphon, n: int, **kwargs) -> MobiusVector:
-    """Class moments for every class at n, as floats."""
+def graphon_mobius(phi: Graphon, n: int) -> MobiusVector:
+    """Class moments for every class at n, as floats, by ``graphon_z``'s
+    default quadrature."""
     z = {}
     for u in enumerate_classes(n, True):
-        z[u] = 1.0 if u.is_empty else graphon_z(phi, u, **kwargs).value
+        z[u] = 1.0 if u.is_empty else graphon_z(phi, u).value
     return MobiusVector(n, z)
 
 
 # --- independence characterization diagnostic -----------------------------------
+
+# the largest moment deviation that does not flag dependence
+ER_DEVIATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -559,8 +563,8 @@ class ErDiagnostic:
     residual_two_star: float
     residual_four_cycle: float
 
-    def flags_dependence(self, tol: float = 1e-12) -> bool:
-        return self.max_deviation > tol
+    def flags_dependence(self) -> bool:
+        return self.max_deviation > ER_DEVIATION_TOL
 
 
 def er_characterization_diagnostic(z, eta: float) -> ErDiagnostic:

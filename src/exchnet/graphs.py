@@ -124,8 +124,9 @@ class LabeledNetwork:
         return cls.from_edges(n, [(i, i + 1) for i in range(1, n)])
 
     @classmethod
-    def star(cls, n: int, hub: int = 1) -> "LabeledNetwork":
-        return cls.from_edges(n, [(hub, v) for v in range(1, n + 1) if v != hub])
+    def star(cls, n: int) -> "LabeledNetwork":
+        """Node 1 joined to every other node."""
+        return cls.from_edges(n, [(1, v) for v in range(2, n + 1)])
 
     @classmethod
     def cycle(cls, n: int) -> "LabeledNetwork":
@@ -214,10 +215,6 @@ class CanonicalForm:
 
     n_vertices: int
     bits: tuple
-
-    @property
-    def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
 
     def to_network(self) -> LabeledNetwork:
         ds = dyads(self.n_vertices)

@@ -363,20 +363,17 @@ def _exact_from_basis(
     return _tableau_result(tab, basis, system.signs, True, pivots)
 
 
-def solve_feasibility(
-    a_rows: Sequence, b: Sequence, exact: bool | None = None
-) -> FeasibilityResult:
+def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
     """Feasibility of {x >= 0 : A x = b}.
 
-    ``exact=None`` auto-selects: exact when every coefficient is an int or
-    Fraction, float otherwise.  An exact verdict comes from a float pass
-    whose final basis is then proved optimal in rational arithmetic (see the
-    module docstring); a float verdict comes from the float pass alone.
+    The verdict is exact when every coefficient is an int or Fraction, and
+    float otherwise.  An exact verdict comes from a float pass whose final
+    basis is then proved optimal in rational arithmetic (see the module
+    docstring); a float verdict comes from the float pass alone.
     """
-    if exact is None:
-        exact = all(
-            isinstance(v, (int, Fraction)) for row in a_rows for v in row
-        ) and all(isinstance(v, (int, Fraction)) for v in b)
+    exact = all(
+        isinstance(v, (int, Fraction)) for row in a_rows for v in row
+    ) and all(isinstance(v, (int, Fraction)) for v in b)
     if not exact:
         return _phase_one(a_rows, b, False)
     system = _Scaled.of(a_rows, b)

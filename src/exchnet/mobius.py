@@ -340,15 +340,12 @@ class MobiusValidation:
 def validate_mobius(mv: MobiusVector) -> MobiusValidation:
     """Check z feasibility at mv's own node count.
 
-    Verifies the unit empty-class value, the [0,1] range, and nonnegativity
-    of every implied configuration probability (one representative per class
-    suffices, by exchangeability).  Returns a report instead of raising.
+    Verifies the [0,1] range and nonnegativity of every implied
+    configuration probability (one representative per class suffices, by
+    exchangeability); ``MobiusVector`` already holds z of the empty class at
+    1.  Returns a report instead of raising.
     """
     report = MobiusValidation(ok=True)
-    empty = UnlabeledClass.empty()
-    if mv.z[empty] != 1:
-        report.ok = False
-        report.violations.append(("empty_class", "z of the empty class is not 1"))
     exact = mv.is_exact
     for u, v in mv.in_order():
         if exact:

@@ -224,9 +224,7 @@ def test_eight_nodes_is_size_cap(capsys, tmp_path, command):
 
 class TestMleDissociated:
     def test_report(self, capsys, paw_file):
-        code, out = run_cli(
-            capsys, "mle-dissociated", str(paw_file), "--restarts", "6"
-        )
+        code, out = run_cli(capsys, "mle-dissociated", str(paw_file))
         assert code == 0
         obj = json.loads(out)
         assert validate_against_schema(obj, load_schema("fitreport")) == []
@@ -240,11 +238,10 @@ class TestMleDissociated:
         code, out = run_cli(capsys, "mle-dissociated", str(path))
         assert (code, out) == (3, "")
 
-    def test_negative_restarts_are_invalid_parameters(self, capsys, paw_file):
-        code, out = run_cli(
-            capsys, "mle-dissociated", str(paw_file), "--restarts", "-3"
-        )
-        assert (code, out) == (2, "")
+    @pytest.mark.parametrize("option", [["--restarts", "6"], ["--seed", "3"]])
+    def test_removed_options_are_parse_errors(self, capsys, paw_file, option):
+        code, out = run_cli(capsys, "mle-dissociated", str(paw_file), *option)
+        assert (code, out) == (1, "")
 
 
 class TestMarkovAndSkeleton:
@@ -431,6 +428,30 @@ class TestSample:
         code, out = run_cli(capsys, "sample", *model, "--n", n, "--seed", "1")
         assert (code, out) == (2, "")
 
+    # each model's options, and a value for every option
+    MODELS = {
+        "er": ["--n", "--p"],
+        "beta": ["--beta"],
+        "marginal-beta": ["--n", "--mixing"],
+        "graphon": ["--n", "--phi"],
+    }
+    VALUES = {
+        "--n": "4", "--p": "0.5", "--beta": "0.1,0.2", "--mixing": "point:0.1",
+        "--phi": "const:0.5",
+    }
+
+    @pytest.mark.parametrize("option", VALUES)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_missing_or_unread_option_is_invalid_parameters(
+        self, capsys, model, option
+    ):
+        # drop the option if the model reads it, add it if not
+        given = set(self.MODELS[model]) ^ {option}
+        argv = ["sample", model, "--seed", "1"]
+        for name in given:
+            argv += [name, self.VALUES[name]]
+        assert run_cli(capsys, *argv) == (2, "")
+
     def test_grid_file_parsed_once_per_request(self, capsys, tmp_path, monkeypatch):
         import exchnet.cli as cli
 
@@ -478,6 +499,17 @@ class TestGraphonZ:
             capsys, "graphon-z", "const:0.3", "1-2", "--method", "mc",
             "--samples", samples, "--seed", "1",
         )
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--method", "mc", "--seed", "1", "--r", "8"],
+         ["--samples", "50"],
+         ["--seed", "1"]],
+        ids=["mc-r", "quadrature-samples", "quadrature-seed"],
+    )
+    def test_option_the_method_does_not_read(self, capsys, option):
+        code, out = run_cli(capsys, "graphon-z", "const:0.3", "1-2", *option)
         assert (code, out) == (2, "")
 
     def test_negative_sigma_is_invalid_parameters(self, capsys):
@@ -630,7 +662,7 @@ class TestExitCodes:
 OUT_INVOCATIONS = {
     "stats": ["stats", "{dir}/paw.edges"],
     "mle": ["mle", "{dir}/paw.edges"],
-    "mle-dissociated": ["mle-dissociated", "{dir}/p3.edges", "--restarts", "2"],
+    "mle-dissociated": ["mle-dissociated", "{dir}/p3.edges"],
     "fit": ["fit", "edges", "{dir}/paw.edges"],
     "eval": ["eval", "edges", "{dir}/nu.json", "{dir}/paw.edges"],
     "markov": ["markov", "{dir}/joint.json", "{dir}/dep.json"],

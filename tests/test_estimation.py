@@ -158,16 +158,12 @@ class TestDissociatedMle:
             assert validate_mobius(mv).ok
 
     def test_empty_observation(self):
-        rep = dissociated_mle(LabeledNetwork.empty(3), restarts=4)
+        rep = dissociated_mle(LabeledNetwork.empty(3))
         assert rep.likelihood > 1 - 1e-9
 
     def test_six_nodes_over_the_cap(self):
         with pytest.raises(SizeCapError):
             dissociated_mle(LabeledNetwork.path(6))
-
-    def test_negative_restarts_rejected(self, paw):
-        with pytest.raises(InvalidParametersError):
-            dissociated_mle(paw, restarts=-3)
 
 
 class TestErgmStats:

@@ -274,6 +274,12 @@ class TestExtendableCheck:
         rep = extendable_check(mv, 5)
         assert rep.feasible
 
+    def test_float_empty_class_alone_gives_a_float_verdict(self):
+        z = dict(er_mobius(4, Fraction(1, 3)).z)
+        z[class_from_key("EMPTY")] = 1.0
+        rep = extendable_check(MobiusVector(4, z), 5)
+        assert rep.feasible and not rep.certificate.is_exact
+
 
 class TestDissociatedExtendableCheck:
     def test_er_certifies_through_shortcut(self):

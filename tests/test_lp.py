@@ -216,6 +216,14 @@ def test_float_data_stay_on_the_float_pass():
     assert abs(0.5 * res.x[0] + 0.25 * res.x[1] - 0.375) < 1e-12
 
 
+def test_one_float_coefficient_makes_the_float_pass():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    res = solve_feasibility([[half, quarter], [1, 1]], [0.375, Fraction(1)])
+    assert res.feasible
+    assert all(isinstance(v, float) for v in res.x)
+    assert abs(0.5 * res.x[0] + 0.25 * res.x[1] - 0.375) < 1e-12
+
+
 @pytest.fixture(scope="module")
 def cycling_lp():
     """The rows of a dissociated extension at m = 6 on which the first float
@@ -228,9 +236,9 @@ def cycling_lp():
     )
     seen = []
 
-    def spy(a_rows, b, exact=None):
+    def spy(a_rows, b):
         seen.append((a_rows, b))
-        return solve_feasibility(a_rows, b, exact)
+        return solve_feasibility(a_rows, b)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extendability, "solve_feasibility", spy)

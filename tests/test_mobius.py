@@ -157,7 +157,8 @@ class TestExchangeableMoments:
         for n in (3, 4):
             classes = enumerate_classes(n, True)
             weights = {u: Fraction(rng.randrange(1, 9)) for u in classes}
-            cd = ClassDistribution.from_weights(n, weights)
+            total = sum(weights.values())
+            cd = ClassDistribution(n, {u: w / total for u, w in weights.items()})
             mv = mobius_from_class_distribution(cd)
             for u in classes:
                 x = u.padded(n)
@@ -353,6 +354,11 @@ class TestValidateMobius:
     def test_er_always_valid(self):
         for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
             assert validate_mobius(er_mobius(4, p)).ok
+
+    def test_float_empty_class_within_tolerance(self):
+        # MobiusVector holds a float z of the empty class within 1e-12 of 1
+        z = {**er_mobius(4, 0.3).z, UnlabeledClass.empty(): 1 - 1e-13}
+        assert validate_mobius(MobiusVector(4, z)).ok
 
     def test_forced_contradiction(self):
         tri = triangle_class()
