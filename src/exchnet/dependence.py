@@ -24,7 +24,7 @@ from .graphs import (
     reachable,
     submasks,
 )
-from .mobius import JointTable, LabeledMobius
+from .mobius import JointTable, LabeledMobius, _close as _close_abs
 
 UNDIRECTED = "undirected"
 BIDIRECTED = "bidirected"
@@ -384,15 +384,11 @@ def dissociated_check(lm: LabeledMobius) -> DissociatedCheckResult:
     if n < 3:
         return DissociatedCheckResult(True)
     adj = incidence_graph(n, BIDIRECTED).adjacency
-    exact = lm.is_exact
     for mask in range(1, 1 << num_dyads(n)):
         comps = mask_components(adj, mask)
         if len(comps) <= 1:
             continue
         factored = prod(lm.z[comp] for comp in comps)
-        if exact:
-            if lm.z[mask] != factored:
-                return DissociatedCheckResult(False, mask)
-        elif abs(lm.z[mask] - factored) > DISSOC_TOL:
+        if not _close_abs(lm.z[mask], factored, DISSOC_TOL):
             return DissociatedCheckResult(False, mask)
     return DissociatedCheckResult(True)

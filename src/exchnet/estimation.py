@@ -9,7 +9,7 @@ for several statistic families, and degree-distribution diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping
@@ -42,6 +42,8 @@ from .mobius import (
     InvalidParametersError,
     JointTable,
     MobiusVector,
+    _close,
+    _exact_or_float,
     mobius_from_class_distribution,
 )
 from .optimize import (
@@ -100,27 +102,19 @@ class ClassDistribution:
 
     n: int
     q: Mapping
+    is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         classes = set(enumerate_classes(self.n, True))
         extra = set(self.q) - classes
         if extra:
             raise ValueError(f"unknown classes for n={self.n}: {sorted(c.key() for c in extra)[:3]}")
-        total = sum(self.q.values())
-        if self.is_exact:
-            if any(v < 0 for v in self.q.values()):
-                raise ValueError("negative class probability")
-            if total != 1:
-                raise ValueError(f"class probabilities sum to {total}")
-        else:
-            if any(v < -1e-12 for v in self.q.values()):
-                raise ValueError("negative class probability")
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"class probabilities sum to {total}")
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.q.values())
+        q, exact = _exact_or_float(
+            self.q, lambda q: sum(q.values()), "the total class probability",
+            tol=1e-9, neg_tol=1e-12,
+        )
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "is_exact", exact)
 
     @classmethod
     def point_mass(cls, u: UnlabeledClass, n: int) -> "ClassDistribution":
@@ -407,10 +401,13 @@ def _nu_vector(spec: ErgmSpec, nu) -> np.ndarray:
         unknown = set(nu) - set(names)
         if unknown:
             raise ValueError(f"unknown statistic names: {sorted(unknown)}")
-        return np.array([float(nu.get(name, 0.0)) for name in names])
-    arr = np.asarray(list(nu), dtype=float)
-    if arr.size != len(names):
-        raise ValueError(f"need {len(names)} values, got {arr.size}")
+        arr = np.array([float(nu.get(name, 0.0)) for name in names])
+    else:
+        arr = np.asarray(list(nu), dtype=float)
+        if arr.size != len(names):
+            raise ValueError(f"need {len(names)} values, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise InvalidParametersError("canonical parameters must be finite")
     return arr
 
 
@@ -609,8 +606,7 @@ def summarized_check(obj) -> SummarizedCheckResult:
             p = obj.probs[mask]
             if key in first:
                 mask0, p0 = first[key]
-                same = (p0 == p) if obj.is_exact else abs(float(p0 - p)) <= SUMMARY_TOL
-                if not same:
+                if not _close(p0, p, SUMMARY_TOL):
                     return SummarizedCheckResult(False, (mask0, mask))
             else:
                 first[key] = (mask, p)
@@ -620,8 +616,7 @@ def summarized_check(obj) -> SummarizedCheckResult:
             p0 = obj.labeled_prob(group[0].padded(obj.n))
             for u in group[1:]:
                 p = obj.labeled_prob(u.padded(obj.n))
-                same = (p0 == p) if obj.is_exact else abs(float(p0 - p)) <= SUMMARY_TOL
-                if not same:
+                if not _close(p0, p, SUMMARY_TOL):
                     return SummarizedCheckResult(False, (group[0], u))
         return SummarizedCheckResult(True)
     raise TypeError("expected JointTable or ClassDistribution")

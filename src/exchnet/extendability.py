@@ -37,6 +37,7 @@ from .mobius import (
     InvalidParametersError,
     JointTable,
     MobiusVector,
+    _close,
     mobius_from_class_distribution,
 )
 
@@ -122,12 +123,6 @@ def _product_terms(m: int, n: int) -> tuple:
         row_big = table.moment_row(big[0]) if big else None
         out.append((u, small, table.moment_row(u), row_big))
     return tuple(out)
-
-
-def _close(got, want, tol: float) -> bool:
-    if isinstance(got, (int, Fraction)) and isinstance(want, (int, Fraction)):
-        return got == want
-    return abs(float(got) - float(want)) <= tol
 
 
 def _certificate_valid(

@@ -358,7 +358,7 @@ def parse_graphon_text(text: str) -> Graphon:
     if not lines:
         raise ValueError("grid file is empty")
     r = int(lines[0].strip())
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : r + 1]]
+    rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
     if len(rows) != r or any(len(row) != r for row in rows):
         raise ValueError(f"grid file must contain {r} rows of {r} values")
     return Graphon.from_grid(rows)

@@ -52,8 +52,36 @@ def _check_lattice_size(n: int, what: str):
         )
 
 
-def _is_exact_seq(values) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in values)
+def _close(got, want, tol: float) -> bool:
+    """Equality when both values are rational, else |got - want| <= tol."""
+    if isinstance(got, (int, Fraction)) and isinstance(want, (int, Fraction)):
+        return got == want
+    return abs(float(got) - float(want)) <= tol
+
+
+def _exact_or_float(values, one, label: str, tol=FLOAT_SUM_TOL, neg_tol=None):
+    """The exact-or-float decision of a value container, made once.
+
+    ``values`` is a tuple or a mapping.  When every value is an int or a
+    Fraction it comes back unchanged with True; otherwise a copy holding the
+    float of each value comes back with False, and a NaN or infinity is
+    refused.  ``one(values)`` must be 1 (within ``tol`` for floats), and with
+    ``neg_tol`` given no value may be negative (below -neg_tol for floats).
+    """
+    is_map = isinstance(values, Mapping)
+    vals = values.values() if is_map else values
+    exact = all(isinstance(v, (int, Fraction)) for v in vals)
+    if not exact:
+        vals = [float(v) for v in vals]
+        bad = next((v for v in vals if not math.isfinite(v)), None)
+        if bad is not None:
+            raise InvalidParametersError(f"value {bad} is not finite")
+        values = dict(zip(values, vals)) if is_map else tuple(vals)
+    if neg_tol is not None and any(v < (0 if exact else -neg_tol) for v in vals):
+        raise InvalidParametersError("negative probability")
+    if not _close(one(values), 1, tol):
+        raise ValueError(f"{label} is {one(values)}, not 1")
+    return values, exact
 
 
 @dataclass(frozen=True)
@@ -61,12 +89,13 @@ class JointTable:
     """Exact probability table over all labeled networks on n nodes.
 
     ``probs[mask]`` is P(X = network with that dyad bitmask).  Entries are
-    Fractions (exact mode) or floats; the two modes are not mixed.
+    Fractions (exact mode) or floats; mixed entries are stored as floats.
     """
 
     n: int
     probs: tuple
     mc_std_error: float | None = None
+    is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_lattice_size(self.n, "JointTable")
@@ -75,21 +104,11 @@ class JointTable:
             raise ValueError(
                 f"need {1 << m} entries for n={self.n}, got {len(self.probs)}"
             )
-        total = sum(self.probs)
-        if self.is_exact:
-            if any(p < 0 for p in self.probs):
-                raise InvalidParametersError("negative probability entry")
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-        else:
-            if any(p < -FLOAT_NEG_TOL for p in self.probs):
-                raise InvalidParametersError("negative probability entry")
-            if abs(total - 1.0) > FLOAT_SUM_TOL:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact_seq(self.probs)
+        probs, exact = _exact_or_float(
+            self.probs, sum, "the total probability", neg_tol=FLOAT_NEG_TOL
+        )
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "is_exact", exact)
 
     def to_float(self) -> "JointTable":
         return JointTable(self.n, tuple(float(p) for p in self.probs))
@@ -102,6 +121,7 @@ class LabeledMobius:
 
     n: int
     z: tuple
+    is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_lattice_size(self.n, "LabeledMobius")
@@ -110,14 +130,11 @@ class LabeledMobius:
             raise ValueError(
                 f"need {1 << m} entries for n={self.n}, got {len(self.z)}"
             )
-        z0 = self.z[0]
-        exact = isinstance(z0, (int, Fraction))
-        if (exact and z0 != 1) or (not exact and abs(z0 - 1.0) > FLOAT_SUM_TOL):
-            raise ValueError("z of the empty dyad set must be 1")
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact_seq(self.z)
+        z, exact = _exact_or_float(
+            self.z, operator.itemgetter(0), "z of the empty dyad set"
+        )
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "is_exact", exact)
 
     def value(self, mask: int):
         return self.z[mask]
@@ -148,7 +165,7 @@ def labeled_mobius_from_joint(jt: JointTable) -> LabeledMobius:
     m = num_dyads(jt.n)
     z = _superset_transform(jt.probs, m, operator.add)
     # the empty-set entry is the total mass; snap float rounding to exactly 1
-    if not isinstance(z[0], (int, Fraction)) and abs(z[0] - 1.0) <= FLOAT_SUM_TOL:
+    if not jt.is_exact and abs(z[0] - 1.0) <= FLOAT_SUM_TOL:
         z[0] = 1.0
     return LabeledMobius(jt.n, tuple(z))
 
@@ -157,22 +174,15 @@ def joint_from_labeled_mobius(lm: LabeledMobius) -> JointTable:
     """Invert by inclusion-exclusion; raise if any configuration goes negative."""
     m = num_dyads(lm.n)
     probs = _superset_transform(lm.z, m, operator.sub)
-    exact = lm.is_exact
-    cleaned = []
+    neg_tol = 0 if lm.is_exact else FLOAT_NEG_TOL
     for mask, p in enumerate(probs):
-        if exact:
-            if p < 0:
-                raise InvalidParametersError(
-                    f"configuration {mask:b} has probability {p}", config=mask
-                )
-        else:
-            if p < -FLOAT_NEG_TOL:
-                raise InvalidParametersError(
-                    f"configuration {mask:b} has probability {p}", config=mask
-                )
-            p = max(p, 0.0)
-        cleaned.append(p)
-    return JointTable(lm.n, tuple(cleaned))
+        if p < -neg_tol:
+            raise InvalidParametersError(
+                f"configuration {mask:b} has probability {p}", config=mask
+            )
+    if not lm.is_exact:
+        probs = [max(p, 0.0) for p in probs]
+    return JointTable(lm.n, tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -182,6 +192,7 @@ class MobiusVector:
 
     n: int
     z: Mapping
+    is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         classes = set(enumerate_classes(self.n, True))
@@ -193,14 +204,12 @@ class MobiusVector:
                 f"missing={sorted(c.key() for c in missing)[:3]} "
                 f"extra={sorted(c.key() for c in extra)[:3]}"
             )
-        z0 = self.z[UnlabeledClass.empty()]
-        exact = isinstance(z0, (int, Fraction))
-        if (exact and z0 != 1) or (not exact and abs(z0 - 1.0) > FLOAT_SUM_TOL):
-            raise ValueError("z of the empty class must be 1")
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact_seq(self.z.values())
+        z, exact = _exact_or_float(
+            self.z, operator.itemgetter(UnlabeledClass.empty()),
+            "z of the empty class",
+        )
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "is_exact", exact)
 
     def value(self, u: UnlabeledClass):
         return self.z[u]
@@ -287,7 +296,7 @@ def mobius_from_class_distribution(cd) -> MobiusVector:
         if a is None:
             a = Fraction(0) if exact else 0.0
         denom = sub_in_complete(u, n)
-        z[u] = Fraction(a, denom) if isinstance(a, (int, Fraction)) else a / denom
+        z[u] = Fraction(a, denom) if exact else a / denom
     return MobiusVector(n, z)
 
 
@@ -346,13 +355,9 @@ def validate_mobius(mv: MobiusVector) -> MobiusValidation:
     1.  Returns a report instead of raising.
     """
     report = MobiusValidation(ok=True)
-    exact = mv.is_exact
+    tol = 0 if mv.is_exact else 1e-9
     for u, v in mv.in_order():
-        if exact:
-            bad = v < 0 or v > 1
-        else:
-            bad = v < -1e-9 or v > 1 + 1e-9
-        if bad:
+        if v < -tol or v > 1 + tol:
             report.ok = False
             report.violations.append(("range", f"z[{u.key()}] = {v} outside [0,1]"))
     if not report.ok:
@@ -372,7 +377,6 @@ def validate_mobius(mv: MobiusVector) -> MobiusValidation:
         total = contrib if total is None else total + contrib
     if report.ok and total is not None:
         drift = total - 1
-        tol = 0 if exact else 1e-9
         if drift < -tol or drift > tol:
             report.ok = False
             report.violations.append(

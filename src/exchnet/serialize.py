@@ -1,7 +1,8 @@
 """JSON forms for the public objects and a minimal schema validator.
 
 Rational values serialize as strings like ``"5/12"`` (or ``"1"``); floats
-stay JSON numbers.  Parsers accept both.
+stay JSON numbers.  Parsers accept both; the object built from a document
+that mixes them holds floats.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ def encode_value(v):
 
 
 def decode_value(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
+    if isinstance(v, (str, int)):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"{v!r} has a zero denominator") from None
     return float(v)
 
 
@@ -68,10 +70,7 @@ def joint_to_json(jt: JointTable) -> dict:
 
 def joint_from_json(obj: dict) -> JointTable:
     _check(obj, "joint")
-    probs = [decode_value(p) for p in obj["probs"]]
-    if not all(isinstance(p, Fraction) for p in probs):
-        probs = [float(p) for p in probs]
-    return JointTable(obj["n"], tuple(probs))
+    return JointTable(obj["n"], tuple(decode_value(p) for p in obj["probs"]))
 
 
 # --- dependence graphs -----------------------------------------------------------
@@ -106,8 +105,6 @@ def class_distribution_to_json(cd: ClassDistribution) -> dict:
 def class_distribution_from_json(obj: dict) -> ClassDistribution:
     n = int(obj["n"])
     q = {class_from_key(k): decode_value(v) for k, v in obj["q"].items()}
-    if not all(isinstance(v, Fraction) for v in q.values()):
-        q = {u: float(v) for u, v in q.items()}
     return ClassDistribution(n, q)
 
 

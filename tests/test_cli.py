@@ -9,6 +9,7 @@ from exchnet.dependence import incidence_graph
 from exchnet.genmodels import (
     MixingSpec,
     er_joint,
+    er_mobius,
     marginal_beta_joint,
     parse_graphon_text,
 )
@@ -339,6 +340,17 @@ class TestExtend:
         assert code == 0
         assert json.loads(out)["feasible"] is True
 
+    def test_mixed_moments_give_float_certificates(self, capsys, tmp_path):
+        # rational moments beside a float z of the empty class are read as
+        # floats, so the LP and the independent-ties shortcut agree on mode
+        zfile = tmp_path / "mixed.json"
+        zfile.write_text(json.dumps(er_moments_doc("EMPTY", 1.0)))
+        for flags in ([], ["--dissociated"]):
+            code, out = run_cli(capsys, "extend", str(zfile), "--m", "6", *flags)
+            assert code == 0
+            q = json.loads(out)["certificate"]["q"]
+            assert all(isinstance(v, float) for v in q.values()), flags
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_dissociated_one_node_agrees_with_exact(self, capsys, tmp_path, m):
         edges = tmp_path / "one.edges"
@@ -572,6 +584,22 @@ def test_reused_parser_answers_as_a_fresh_one(capsys, paw_file):
     assert [code for code, _ in reused] == [0, 1, 1, 0, 0, 2, 0, 3, 2, 0, 0, 1, 0]
 
 
+def er_moments_doc(cls, z):
+    """ER(4, 1/3) class moments as a document, with ``z`` for class ``cls``."""
+    doc = mobius_to_json(er_mobius(4, Fraction(1, 3)))
+    for item in doc["z"]:
+        if item["class"] == cls:
+            item["z"] = z
+    return doc
+
+
+def er_joint_doc(first):
+    """The ER(3, 1/3) joint table as a document, its first entry ``first``."""
+    doc = joint_to_json(er_joint(3, Fraction(1, 3)))
+    doc["probs"][0] = first
+    return doc
+
+
 class TestExitCodes:
     def test_unknown_command_is_parse_error(self):
         assert main(["frobnicate"]) == 1
@@ -595,6 +623,15 @@ class TestExitCodes:
                 {"n": 3, "kind": "undirected", "edges": [["1-2", "1-9"]]},
             ),
             ("skeleton", []),
+            # non-finite values and zero denominators
+            ("extend", er_moments_doc("EMPTY", float("nan"))),
+            ("extend", er_moments_doc("1-2", float("inf"))),
+            ("extend", er_moments_doc("EMPTY", "1/0")),
+            ("skeleton", er_joint_doc(float("nan"))),
+            ("skeleton", er_joint_doc("1/0")),
+            ("markov-joint", er_joint_doc("1/0")),
+            ("eval", {"nu": [float("nan")]}),
+            ("eval", {"nu": [float("inf")]}),
         ],
     )
     def test_malformed_json_is_invalid_parameters(
@@ -628,6 +665,14 @@ class TestExitCodes:
         grid = tmp_path / "blank.grid"
         grid.write_text("\n  \n")
         code = main([str(grid) if a == "GRID" else a for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("invalid parameters:")
+
+    def test_grid_rows_past_r_are_invalid_parameters(self, capsys, tmp_path):
+        grid = tmp_path / "long.grid"
+        grid.write_text("2\n0.1 0.2\n0.2 0.3\n9 9\n")
+        code = main(["graphon-z", str(grid), "1-2"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("invalid parameters:")

@@ -211,6 +211,21 @@ class TestPointMassAndMixture:
                 assert v == want.get(u.key(), Fraction(0))
 
 
+@pytest.mark.parametrize("kind", ["joint", "class distribution"])
+def test_mixed_values_are_held_as_floats(kind):
+    # one float among rationals makes every value the float of its input
+    if kind == "joint":
+        values = [Fraction(1, 8)] * 7 + [0.125]
+        held = JointTable(3, tuple(values))
+        got = held.probs
+    else:
+        values = [Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), 1 / 6]
+        held = ClassDistribution(3, dict(zip(enumerate_classes(3, True), values)))
+        got = list(held.q.values())
+    assert not held.is_exact
+    assert [(type(v), v) for v in got] == [(float, float(v)) for v in values]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_class_distribution_round_trip_is_exact(data):
