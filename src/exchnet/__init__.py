@@ -31,7 +31,6 @@ from .dependence import (
     skeleton,
 )
 from .estimation import (
-    CanonicalParams,
     ClassDistribution,
     ErgmSpec,
     FitReport,
@@ -51,7 +50,6 @@ from .extendability import (
     dissociated_extendable_check,
     extendable_check,
     marginalize_joint,
-    marginalize_mobius,
 )
 from .genmodels import (
     BetaSpec,

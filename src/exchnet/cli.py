@@ -221,8 +221,9 @@ def _cmd_eval(args) -> dict:
     doc = json.loads(args.nu_json.read_text())
     nu = doc.get("nu") if isinstance(doc, dict) else None
     values = list(nu.values()) if isinstance(nu, dict) else nu
+    # bool is an int subclass, so JSON true and false are refused by type
     if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) for v in values
+        type(v) in (int, float) for v in values
     ):
         raise ValueError('parameter file needs "nu", an object or array of numbers')
     return {"probability": ergm_eval(ErgmSpec(args.family, x.n), nu, x)}

@@ -15,6 +15,7 @@ from math import prod
 from typing import Iterable
 
 from .graphs import (
+    MAX_NODES,
     SizeCapError,
     dyad_index,
     dyads,
@@ -173,8 +174,11 @@ def incidence_cliques(n: int) -> list:
 
     A clique of pairwise-incident dyads is either a set of dyads through one
     common node (a k-star subnetwork) or three dyads on three nodes (a
-    triangle).  Anything else is reported as "other".
+    triangle).  Anything else is reported as "other".  The walk covers all
+    2^(n(n-1)/2) dyad subsets, so n > ``MAX_NODES`` raises ``SizeCapError``.
     """
+    if n > MAX_NODES:
+        raise SizeCapError(f"incidence cliques support n <= {MAX_NODES}")
     dep = incidence_graph(n, UNDIRECTED)
     m = dep.m
     ds = dep.vertices

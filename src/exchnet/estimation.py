@@ -145,43 +145,6 @@ class ClassDistribution:
         return ClassDistribution(self.n, {u: float(v) for u, v in self.q.items()})
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
-    """Canonical parameters of the full exchangeable family.
-
-    One real weight per non-empty class; labeled dyad-subset weights are
-    carried implicitly, each equal to its class weight.  The log-partition
-    value is derived by full class enumeration and is always finite.
-    """
-
-    n: int
-    nu: Mapping  # class -> real, non-empty classes only
-
-    def __post_init__(self):
-        classes = set(enumerate_classes(self.n, False))
-        extra = set(self.nu) - classes
-        if extra:
-            raise ValueError(
-                f"unknown classes: {sorted(c.key() for c in extra)[:3]}"
-            )
-
-    def nu_by_key(self) -> dict:
-        return {u.key(): float(v) for u, v in self.nu.items()}
-
-    @property
-    def psi(self) -> float:
-        """Log of the normalizing sum over all labeled networks."""
-        spec = ErgmSpec("full_exchangeable", self.n)
-        classes, stats, sizes = _class_stat_table(spec)
-        vec = _nu_vector(spec, self.nu_by_key())
-        return _log_partition(stats, sizes, vec)
-
-    def probability(self, x: LabeledNetwork) -> float:
-        return ergm_eval(
-            ErgmSpec("full_exchangeable", self.n), self.nu_by_key(), x
-        )
-
-
 @dataclass
 class FitReport:
     """Outcome of a likelihood fit."""

@@ -63,11 +63,6 @@ def marginalize_joint(jt: JointTable, keep) -> JointTable:
     return JointTable(n2, tuple(probs))
 
 
-def marginalize_mobius(mv: MobiusVector, n2: int) -> MobiusVector:
-    """Moments restrict without change: drop classes needing more vertices."""
-    return mv.restrict(n2)
-
-
 class CertificateError(RuntimeError):
     """A feasibility certificate failed its independent re-check."""
 
@@ -137,14 +132,14 @@ def _certificate_valid(
     return True
 
 
-def _dissociated_at_m(cert: ClassDistribution, tol: float) -> bool:
-    """z_U = prod z_C over the components C of every disconnected class U at
-    m, for the moments of ``cert``."""
-    z = mobius_from_class_distribution(cert).z
-    return all(
-        _close(z[u], prod(z[c] for c in comps), tol)
-        for u, comps in disconnected_classes(cert.n)
-    )
+def _product_gap(mv: MobiusVector) -> tuple:
+    """The largest |z_U - prod z_C| over the disconnected classes U of mv,
+    with C the components of U, and that U; (0, None) when there are none."""
+    gaps = [
+        (abs(mv.z[u] - prod(mv.z[c] for c in comps)), u)
+        for u, comps in disconnected_classes(mv.n)
+    ]
+    return max(gaps, key=lambda g: g[0], default=(0, None))
 
 
 def _lp_report(
@@ -175,7 +170,10 @@ def _lp_report(
         raise CertificateError(
             f"extension certificate at m={m} does not reproduce the moments"
         )
-    if products is not None and not _dissociated_at_m(cert, tol):
+    if (
+        products is not None
+        and _product_gap(mobius_from_class_distribution(cert))[0] > tol
+    ):
         raise CertificateError(
             f"extension certificate at m={m} is not dissociated"
         )
@@ -218,11 +216,7 @@ def dissociated_extendable_check(mv: MobiusVector, m: int) -> ExtendabilityRepor
         if _certificate_valid(mv, cand, 1e-12):
             return ExtendabilityReport(True, m, cand, None, method="er-candidate")
     tol = 0 if mv.is_exact else PRODUCT_TOL
-    gaps = [
-        (abs(mv.z[u] - prod(mv.z[c] for c in comps)), u)
-        for u, comps in disconnected_classes(n)
-    ]
-    margin, worst = max(gaps, key=lambda g: g[0], default=(0, None))
+    margin, worst = _product_gap(mv)
     if margin > tol:
         return ExtendabilityReport(False, m, None, margin, worst.key())
     products = []

@@ -420,6 +420,9 @@ class MomentEstimate:
 
 
 MAX_MOMENT_VERTICES = 6
+# quadrature: the most entries of the r x r grid or of one elimination's
+# output, that of K5's first elimination at the default r = 64 (128 MiB)
+_MAX_QUADRATURE_ENTRIES = 64**4
 
 
 def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
@@ -440,7 +443,8 @@ def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
             scalar *= float(np.sum(w))
             continue
         union = sorted(set().union(*(set(vars_) for vars_, _ in touching)))
-        if len(union) > 5:
+        out_size = len(w) ** (len(union) - 1)  # v is summed out
+        if len(union) > 5 or out_size > _MAX_QUADRATURE_ENTRIES:
             raise SizeCapError(
                 "quadrature intermediate too large; lower the resolution"
             )
@@ -507,6 +511,10 @@ def graphon_z(
     if method == "quadrature":
         if r < 2:
             raise ValueError("resolution must be >= 2")
+        if r * r > _MAX_QUADRATURE_ENTRIES:
+            raise SizeCapError(
+                "quadrature grid too large; lower the resolution"
+            )
         val = _quadrature_value(phi, u, r)
         coarse = _quadrature_value(phi, u, max(r // 2, 1))
         return MomentEstimate(val, abs(val - coarse), f"quadrature:{r}")

@@ -62,34 +62,39 @@ class FeasibilityResult:
     dual: list
 
 
-def _normalized(a_rows: list, b: list, zero) -> tuple:
-    """Rows and right-hand side with every row signed so that b >= 0."""
-    signs = [-1 if bi < zero else 1 for bi in b]
-    rows = [[-v for v in r] if s < 0 else list(r) for r, s in zip(a_rows, signs)]
-    rhs = [s * bi for s, bi in zip(signs, b)]
-    return rows, rhs, signs
+def _float_of_rational(v) -> float:
+    """float(v) for an int or Fraction, correctly rounded as float(v) is, at
+    about half its cost (Fraction.__float__ calls int() on both parts)."""
+    return v.numerator / v.denominator
 
 
-def _initial_tableau(rows: list, rhs: list, zero, one) -> np.ndarray:
-    """Phase-one tableau on the artificial basis.
+def _initial_tableau(a_rows: Sequence, b: Sequence, num) -> tuple:
+    """Phase-one tableau on the artificial basis, with every coefficient
+    converted by ``num`` (``Fraction``, ``float`` or ``_float_of_rational``)
+    and every row signed so that b >= 0; returns the tableau, the basis and
+    the row signs.
 
     Columns: n structural, m artificial, then the right-hand side.  Rows:
     the m constraints, then the reduced costs of the phase-one objective
     (its last entry is minus the objective value).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    dtype = object if isinstance(zero, Fraction) else float
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    zero = num(0)
+    signs = [-1 if bi < 0 else 1 for bi in b]
+    dtype = object if num is Fraction else float
     tab = np.full((m + 1, n + m + 1), zero, dtype=dtype)
-    for i in range(m):
-        tab[i, :n] = rows[i]
-        tab[i, n + i] = one
-        tab[i, n + m] = rhs[i]
+    for i, (row, bi, s) in enumerate(zip(a_rows, b, signs)):
+        tab[i, :n] = list(map(num, row))
+        if s < 0:
+            tab[i, :n] *= -1
+        tab[i, n + i] = 1 + zero
+        tab[i, n + m] = s * num(bi)
     for i in range(m):
         tab[m] -= tab[i]
     # artificials start basic at unit cost, so their reduced cost is 0
     tab[m, n : n + m] = zero
-    return tab
+    return tab, [n + i for i in range(m)], signs
 
 
 def _bland(tab: np.ndarray, basis: list, eps, pivot_eps) -> tuple:
@@ -175,27 +180,19 @@ def _phase_one(a_rows: list, b: list, exact: bool) -> FeasibilityResult:
     """Bland phase one from the artificial basis, all in Fractions (exact)
     or all in floats."""
     num = Fraction if exact else float
-    zero = num(0)
-    rows, rhs, signs = _normalized(
-        [[num(v) for v in row] for row in a_rows], [num(v) for v in b], zero
-    )
-    tab = _initial_tableau(rows, rhs, zero, 1 + zero)
-    basis = [len(rows[0]) + i for i in range(len(rows))] if rows else []
-    eps, pivot_eps = (zero, zero) if exact else (FLOAT_EPS, PIVOT_EPS)
+    tab, basis, signs = _initial_tableau(a_rows, b, num)
+    eps, pivot_eps = (0, 0) if exact else (FLOAT_EPS, PIVOT_EPS)
     pivots, cycled = _bland(tab, basis, eps, pivot_eps)
     if cycled:
         raise InvariantError(f"float pivots revisited a basis after {pivots}")
     return _tableau_result(tab, basis, signs, exact, pivots)
 
 
-def _rational(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
 @dataclass
 class _Scaled:
-    """Rational rows of A x = b, row i times sign_i * scale_i: the sign makes
-    b_i >= 0 and the positive scale clears every denominator in the row."""
+    """Rational rows of A x = b (every coefficient an int or Fraction), row i
+    times sign_i * scale_i: the sign makes b_i >= 0 and the positive scale
+    clears every denominator in the row."""
 
     n: int  # structural columns
     rows: list  # integers
@@ -208,8 +205,6 @@ class _Scaled:
         n = len(a_rows[0]) if len(a_rows) else 0
         rows, rhs, scales, signs = [], [], [], []
         for row, bi in zip(a_rows, b):
-            row = [_rational(v) for v in row]
-            bi = _rational(bi)
             scale = lcm(bi.denominator, *(v.denominator for v in row))
             sign = -1 if bi < 0 else 1
             k = sign * scale
@@ -218,17 +213,6 @@ class _Scaled:
             scales.append(scale)
             signs.append(sign)
         return cls(n, rows, rhs, scales, signs)
-
-    def tableau(self, exact: bool) -> np.ndarray:
-        """The initial phase-one tableau, in Fractions or in floats (int / int
-        rounds correctly, so the floats are those of the rationals)."""
-        if exact:
-            div, zero = Fraction, Fraction(0)
-        else:
-            div, zero = (lambda v, s: v / s), 0.0
-        rows = [[div(v, s) for v in r] for r, s in zip(self.rows, self.scales)]
-        rhs = [div(v, s) for v, s in zip(self.rhs, self.scales)]
-        return _initial_tableau(rows, rhs, zero, zero + 1)
 
 
 def _bareiss(mat: list) -> bool:
@@ -340,11 +324,13 @@ def _reduced_costs_nonnegative(system: _Scaled, w: list) -> bool:
 
 
 def _exact_from_basis(
-    system: _Scaled, basis: list, pivots: int
+    a_rows: Sequence, b: Sequence, basis: list, pivots: int
 ) -> FeasibilityResult:
-    """Exact verdict from a candidate basis: proved optimal in rationals, or
-    else reached by exact Bland pivoting continued from it."""
+    """Exact verdict on rational A x = b from a candidate basis: proved
+    optimal in rationals, or else reached by exact Bland pivoting continued
+    from it."""
     zero = Fraction(0)
+    system = _Scaled.of(a_rows, b)
     n = system.n
     fac = _Factored.of(system, basis)
     xb = fac.solve(fac.eb) if fac else None
@@ -357,8 +343,7 @@ def _exact_from_basis(
         # primal feasible but not optimal: continue from this basis
         tab = fac.tableau(system, basis)
     else:
-        tab = system.tableau(exact=True)
-        basis = [n + i for i in range(len(basis))]
+        tab, basis, _ = _initial_tableau(a_rows, b, Fraction)
     pivots += _bland(tab, basis, zero, zero)[0]
     return _tableau_result(tab, basis, system.signs, True, pivots)
 
@@ -376,8 +361,6 @@ def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
     ) and all(isinstance(v, (int, Fraction)) for v in b)
     if not exact:
         return _phase_one(a_rows, b, False)
-    system = _Scaled.of(a_rows, b)
-    tab = system.tableau(exact=False)
-    basis = [system.n + i for i in range(len(system.rows))]
+    tab, basis, _ = _initial_tableau(a_rows, b, _float_of_rational)
     pivots, _ = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
-    return _exact_from_basis(system, basis, pivots)
+    return _exact_from_basis(a_rows, b, basis, pivots)

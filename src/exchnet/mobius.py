@@ -110,9 +110,6 @@ class JointTable:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "is_exact", exact)
 
-    def to_float(self) -> "JointTable":
-        return JointTable(self.n, tuple(float(p) for p in self.probs))
-
 
 @dataclass(frozen=True)
 class LabeledMobius:

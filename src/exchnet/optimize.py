@@ -23,6 +23,10 @@ import numpy as np
 # trial steps per row per tick, and the most halvings one iteration tries
 _BLOCK = 8
 _HALVINGS = 40
+# maximize_batch: a row's largest constraint violation at convergence, and
+# the projected-gradient residual that ends an inner solve
+_CTOL = 1e-11
+_GTOL = 1e-12
 
 
 def _project_rows(v: np.ndarray) -> np.ndarray:
@@ -233,8 +237,6 @@ def maximize_batch(
     *,
     max_outer: int = 40,
     inner_iters: int = 3000,
-    ctol: float = 1e-11,
-    gtol: float = 1e-12,
 ) -> list:
     """Maximize c[r] @ q over the simplex subject to the equality constraints
     from start q0[r], for every row r: inner projected-gradient solves,
@@ -244,7 +246,7 @@ def maximize_batch(
     system = _System(list(constraints), q0.shape[1])
     q, _, lam, rho, outer = _descend(
         system, c, q0, rho=10.0, max_outer=max_outer, iters=inner_iters,
-        ctol=ctol, gtol=gtol, slack=1e-16, f_stop=-np.inf,
+        ctol=_CTOL, gtol=_GTOL, slack=1e-16, f_stop=-np.inf,
     )
     v, m = system.values(q)
     kkt = _residual(q, system.grad(lam + rho[:, None] * v, m) - c)
@@ -257,20 +259,10 @@ def maximize_batch(
 
 
 def maximize_on_simplex(
-    c_lin: np.ndarray,
-    constraints,
-    q0: np.ndarray,
-    *,
-    max_outer: int = 40,
-    inner_iters: int = 3000,
-    ctol: float = 1e-11,
-    gtol: float = 1e-12,
+    c_lin: np.ndarray, constraints, q0: np.ndarray
 ) -> AugLagResult:
     """``maximize_batch`` from the one start q0."""
-    return maximize_batch(
-        c_lin, constraints, np.asarray(q0)[None], max_outer=max_outer,
-        inner_iters=inner_iters, ctol=ctol, gtol=gtol,
-    )[0]
+    return maximize_batch(c_lin, constraints, np.asarray(q0)[None])[0]
 
 
 def minimize_violation_on_simplex(

@@ -102,12 +102,6 @@ def class_distribution_to_json(cd: ClassDistribution) -> dict:
     }
 
 
-def class_distribution_from_json(obj: dict) -> ClassDistribution:
-    n = int(obj["n"])
-    q = {class_from_key(k): decode_value(v) for k, v in obj["q"].items()}
-    return ClassDistribution(n, q)
-
-
 def fit_report_to_json(fr: FitReport) -> dict:
     out = {
         "family": fr.family,

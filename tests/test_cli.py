@@ -524,6 +524,17 @@ class TestGraphonZ:
         code, out = run_cli(capsys, "graphon-z", "const:0.3", "1-2", *option)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize(
+        "cls, r",
+        [("1-2,1-3,1-4,1-5,2-3,2-4,2-5,3-4,3-5,4-5", "512"), ("1-2", "8192")],
+        ids=["k5-elimination", "grid"],
+    )
+    def test_resolution_past_the_memory_cap_is_size_cap(self, capsys, cls, r):
+        code, out = run_cli(
+            capsys, "graphon-z", "product:logistic:0.0,1.0", cls, "--r", r
+        )
+        assert (code, out) == (3, "")
+
     def test_negative_sigma_is_invalid_parameters(self, capsys):
         code, out = run_cli(
             capsys, "graphon-z", "product:logistic:0.0,-1.0", "1-2"
@@ -632,6 +643,9 @@ class TestExitCodes:
             ("markov-joint", er_joint_doc("1/0")),
             ("eval", {"nu": [float("nan")]}),
             ("eval", {"nu": [float("inf")]}),
+            # JSON booleans are not numbers
+            ("eval", {"nu": [True]}),
+            ("eval", {"nu": {"star1": False}}),
         ],
     )
     def test_malformed_json_is_invalid_parameters(

@@ -23,7 +23,12 @@ from exchnet.dependence import (
 )
 from exchnet.estimation import ClassDistribution
 from exchnet.genmodels import er_joint, marginal_beta_joint, MixingSpec
-from exchnet.graphs import LabeledNetwork, UnlabeledClass, class_from_key
+from exchnet.graphs import (
+    LabeledNetwork,
+    SizeCapError,
+    UnlabeledClass,
+    class_from_key,
+)
 from exchnet.mobius import JointTable, labeled_mobius_from_joint
 
 
@@ -77,6 +82,10 @@ class TestIncidenceCliques:
 
     def test_all_classified_at_5(self):
         assert all(c.shape != "other" for c in incidence_cliques(5))
+
+    def test_eight_nodes_are_refused(self):
+        with pytest.raises(SizeCapError):
+            incidence_cliques(8)
 
 
 class TestSeparation:

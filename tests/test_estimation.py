@@ -333,30 +333,29 @@ class TestErgmBoundaryFaces:
 
 
 class TestCanonicalParams:
-    def test_psi_is_finite_and_normalizes(self, paw):
-        from exchnet.estimation import CanonicalParams
+    """The full exchangeable family: one canonical weight per class key."""
 
-        nu = {edge_class(): 0.4, triangle_class(): -0.7}
-        cp = CanonicalParams(4, nu)
-        assert math.isfinite(cp.psi)
-        total = sum(
-            cp.probability(LabeledNetwork.from_mask(4, mask))
+    SPEC = ErgmSpec("full_exchangeable", 4)
+
+    def test_psi_is_finite_and_normalizes(self):
+        nu = {edge_class().key(): 0.4, triangle_class().key(): -0.7}
+        probs = [
+            ergm_eval(self.SPEC, nu, LabeledNetwork.from_mask(4, mask))
             for mask in range(64)
-        )
-        assert abs(total - 1.0) < 1e-12
+        ]
+        assert all(0 < p < 1 for p in probs)
+        assert abs(sum(probs) - 1.0) < 1e-12
 
     def test_zero_parameters_give_uniform(self):
-        from exchnet.estimation import CanonicalParams
-
-        cp = CanonicalParams(4, {})
-        assert cp.psi == pytest.approx(math.log(64))
+        for mask in range(64):
+            p = ergm_eval(self.SPEC, {}, LabeledNetwork.from_mask(4, mask))
+            assert p == pytest.approx(1 / 64)
 
     def test_rejects_foreign_class(self):
-        from exchnet.estimation import CanonicalParams
-
         big = star_class(5)  # six vertices, does not fit at n=4
+        empty = LabeledNetwork.from_mask(4, 0)
         with pytest.raises(ValueError):
-            CanonicalParams(4, {big: 1.0})
+            ergm_eval(self.SPEC, {big.key(): 1.0}, empty)
 
 
 class TestDegreeCollisions:

@@ -21,7 +21,6 @@ from exchnet.extendability import (
     dissociated_extendable_check,
     extendable_check,
     marginalize_joint,
-    marginalize_mobius,
 )
 from exchnet.genmodels import (
     Graphon,
@@ -176,16 +175,16 @@ class TestMarginalizeJoint:
 class TestMarginalizeMobius:
     def test_identity_at_same_n(self):
         mv = er_mobius(4, Fraction(1, 3))
-        assert marginalize_mobius(mv, 4) == mv
+        assert mv.restrict(4) == mv
 
     def test_er_restricts_to_er(self):
         p = Fraction(2, 7)
-        assert marginalize_mobius(er_mobius(5, p), 3) == er_mobius(3, p)
+        assert er_mobius(5, p).restrict(3) == er_mobius(3, p)
 
     def test_values_unchanged(self):
         paw = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
         mv = exch_mle(paw)
-        sub = marginalize_mobius(mv, 3)
+        sub = mv.restrict(3)
         for u, v in sub.in_order():
             assert v == mv.z[u]
 
@@ -366,8 +365,12 @@ class TestDissociatedExtendableCheck:
         assert lp_verdicts == 6
 
     def test_failed_product_recheck_raises(self, monkeypatch):
+        # a product gap on the 4-node certificate only, not on the input
+        real = extendability._product_gap
         monkeypatch.setattr(
-            extendability, "_dissociated_at_m", lambda *args: False
+            extendability,
+            "_product_gap",
+            lambda mv: (1, None) if mv.n == 4 else real(mv),
         )
         with pytest.raises(CertificateError):
             dissociated_extendable_check(block_moments("grid2", 3), 4)

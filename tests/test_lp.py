@@ -22,7 +22,7 @@ from exchnet.lp import (
     _bland,
     _exact_from_basis,
     _phase_one,
-    _Scaled,
+    _initial_tableau,
     solve_feasibility,
 )
 from exchnet.mobius import MobiusVector
@@ -108,9 +108,8 @@ class TestForcedFallback:
 
     def test_artificial_basis_continues_by_exact_pivoting(self):
         a_rows, b = extension_lp(er_mobius(4, Fraction(1, 2)), 5)
-        system = _Scaled.of(a_rows, b)
-        start = [system.n + i for i in range(len(a_rows))]
-        got = _exact_from_basis(system, start, 0)
+        start = [len(a_rows[0]) + i for i in range(len(a_rows))]
+        got = _exact_from_basis(a_rows, b, start, 0)
         want = _phase_one(a_rows, b, exact=True)
         assert got.pivots == want.pivots > 0
         assert_same_answer(got, want)
@@ -143,7 +142,7 @@ class TestForcedFallback:
         # y = (1, 2), so the nonbasic a1 has reduced cost 1 - 2 < 0.  The
         # optimum is x = 0 with value 2.
         a_rows, b = [[-2], [1]], [Fraction(1), Fraction(1)]
-        got = _exact_from_basis(_Scaled.of(a_rows, b), [1, 0], 0)
+        got = _exact_from_basis(a_rows, b, [1, 0], 0)
         assert got.residual == 2
         assert_same_answer(got, _phase_one(a_rows, b, exact=True))
         assert_exactly_certified(a_rows, b, got)
@@ -152,15 +151,14 @@ class TestForcedFallback:
         # x1 + x2 = 1, x1 - x2 = 1/2; the basis {x1, a2} gives a2 = -1/2
         a_rows = [[1, 1], [1, -1]]
         b = [Fraction(1), Fraction(1, 2)]
-        got = _exact_from_basis(_Scaled.of(a_rows, b), [0, 3], 0)
+        got = _exact_from_basis(a_rows, b, [0, 3], 0)
         assert got.feasible
         assert got.x == [Fraction(3, 4), Fraction(1, 4)]
 
     def test_singular_start_restarts_from_artificials(self):
         a_rows, b = extension_lp(exch_mle(PAW), 5)
-        system = _Scaled.of(a_rows, b)
         singular = [0] * len(a_rows)  # one column in every position
-        got = _exact_from_basis(system, singular, 0)
+        got = _exact_from_basis(a_rows, b, singular, 0)
         assert_same_answer(got, _phase_one(a_rows, b, exact=True))
         assert_exactly_certified(a_rows, b, got)
 
@@ -249,9 +247,7 @@ def cycling_lp():
 
 class TestNoisePivots:
     def test_float_pivots_on_noise_cycle(self, cycling_lp):
-        system = _Scaled.of(*cycling_lp)
-        basis = [system.n + i for i in range(len(system.rows))]
-        tab = system.tableau(exact=False)
+        tab, basis, _ = _initial_tableau(*cycling_lp, float)
         assert _bland(tab, basis, FLOAT_EPS, FLOAT_EPS)[1]
 
     def test_float_basis_is_certified(self, cycling_lp):

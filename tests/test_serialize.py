@@ -6,7 +6,6 @@ from exchnet.estimation import ClassDistribution, FitReport, exch_mle
 from exchnet.genmodels import er_joint
 from exchnet.graphs import LabeledNetwork, UnlabeledClass
 from exchnet.serialize import (
-    class_distribution_from_json,
     class_distribution_to_json,
     depgraph_from_json,
     depgraph_to_json,
@@ -48,8 +47,13 @@ class TestRoundTrips:
                 UnlabeledClass.empty(): Fraction(1, 4),
             },
         )
-        back = class_distribution_from_json(class_distribution_to_json(cd))
-        assert back.q == {u: v for u, v in cd.in_order() if v}
+        assert class_distribution_to_json(cd) == {
+            "n": 4,
+            "q": {
+                UnlabeledClass.empty().key(): "1/4",
+                UnlabeledClass.of(paw).key(): "3/4",
+            },
+        }
 
     def test_json_text_is_stable(self, paw):
         mv = exch_mle(paw)
