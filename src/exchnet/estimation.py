@@ -8,9 +8,11 @@ for several statistic families, and degree-distribution diagnostics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heappop, heappush
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,7 +38,7 @@ from .graphs import (
     enumerate_classes,
     num_dyads,
 )
-from .lp import solve_feasibility
+from .lp import maximize, solve_feasibility
 from .mobius import (
     MAX_LATTICE_NODES,
     InvalidParametersError,
@@ -46,29 +48,23 @@ from .mobius import (
     _exact_or_float,
     mobius_from_class_distribution,
 )
-from .optimize import (
-    LinearConstraint,
-    ProductConstraint,
-    dirichlet_starts,
-    maximize_batch,
-    project_to_simplex,
-)
 
 MAX_FIT_NODES = 6
-# at n = 6 (156 classes) the dissociated fit of path6 ran for over two
-# minutes and failed
+# the dissociated fit's branch and bound needs every disconnected class to
+# be K2 + C, which holds on at most 5 vertices (3K2 has three components)
 MAX_DISSOCIATED_NODES = 5
 
-# dissociated_mle: largest constraint violation and KKT residual of a usable
-# run, likelihood gap of a tie and q distance of a distinct maximizer
-FEAS_TOL = 1e-8
-KKT_TOL = 1e-6
-LIK_TIE_TOL = 1e-7
+# dissociated_mle: relative gap at which the branch and bound stops, and
+# the narrowest box side it splits
+BNB_GAP = 1e-9
+BNB_MIN_WIDTH = 1e-12
+# dissociated_mle: interval at which golden-section search on v(t) stops;
+# largest reduced cost of a column kept on an optimal face; q distance of a
+# distinct maximizer; t offset at which a tie of v marks a flat optimum
+GOLDEN_TOL = 1e-10
+FACE_TOL = 1e-9
 DISTINCT_TOL = 1e-4
-# dissociated_mle: Dirichlet starts beside the point mass and uniform starts,
-# and their seed
-DISSOCIATED_RESTARTS = 32
-DISSOCIATED_SEED = 20240
+FLAT_STEP = 1e-4
 
 # summarized_check: largest gap between float probabilities counted equal
 SUMMARY_TOL = 1e-10
@@ -157,7 +153,7 @@ class FitReport:
     nu: dict | None = None
     constraint_residual: float = 0.0
     iterations: int = 0
-    restarts_used: int = 0
+    log_likelihood_upper: float | None = None
 
     @property
     def likelihood(self) -> float:
@@ -178,130 +174,286 @@ def exch_mle(x: LabeledNetwork) -> MobiusVector:
 # --- dissociated MLE ----------------------------------------------------------
 
 
-def _moment_matrix(n: int) -> tuple:
-    """The classes at n and the float moment row of each (see
-    ``ClassTable.moment_row``), one row per class."""
-    table = class_table(n)
-    rows = [table.moment_row(u) for u in table.classes]
-    return table.classes, np.array(rows, dtype=float)
+@dataclass(frozen=True)
+class _DissociatedRows:
+    """The dissociated fit's rows at n <= 5, in floats.
+
+    Row k of ``moments`` dotted with a class distribution q is z of class k.
+    Every disconnected class on at most 5 vertices is K2 + C with C
+    connected, so its product row is z_U = t w_C, with t = z_edge and
+    w_C = z_C.  The branch and bound works on boxes over the sides: t
+    first, then w_C for each C other than the edge.
+    """
+
+    moments: np.ndarray
+    sides: tuple  # class index of each side, the edge first
+    products: tuple  # (class index of U, side of C) per disconnected U
+
+    @classmethod
+    def of(cls, n: int) -> "_DissociatedRows":
+        table = class_table(n)
+        moments = np.array(
+            [table.moment_row(u) for u in table.classes], dtype=float
+        )
+        sides = [table.index.get(star_class(1))]
+        products = []
+        for u, comps in disconnected_classes(n):
+            if len(comps) != 2 or comps[0] != star_class(1):
+                raise InvariantError(f"{u.key()} is not K2 + C")
+            c = table.index[comps[1]]
+            if c not in sides:
+                sides.append(c)
+            products.append((table.index[u], sides.index(c)))
+        return cls(moments, tuple(sides), tuple(products))
+
+    def at(self, t: float) -> tuple:
+        """Rows and right-hand sides of the fit at z_edge = t, where every
+        product row is linear: sum q = 1, z_edge = t, z_U - t z_C = 0."""
+        a = self.moments
+        rows = [np.ones(len(a)), a[self.sides[0]]]
+        rows += [a[u] - t * a[self.sides[k]] for u, k in self.products]
+        return np.array(rows), [1.0, t] + [0.0] * len(self.products)
+
+    def relaxation(self, lo, hi) -> tuple:
+        """Rows and right-hand sides of the LP relaxation on the box
+        [lo, hi] of the sides, over q and one slack per inequality: each
+        z_U = t w_C lies in McCormick's envelopes, whose four rows also keep
+        t and w_C in the box.  For z_2K2 = t^2 (w = t) they are the end
+        tangents and, twice, the secant."""
+        a = self.moments
+        e = a[self.sides[0]]
+        t0, t1 = lo[0], hi[0]
+        ineq = []  # (row, +1 for <= or -1 for >=, rhs)
+        for u, k in self.products:
+            h, g, w0, w1 = a[u], a[self.sides[k]], lo[k], hi[k]
+            ineq += [
+                (h - w0 * e - t0 * g, -1, -t0 * w0),
+                (h - w1 * e - t1 * g, -1, -t1 * w1),
+                (h - w1 * e - t0 * g, 1, -t0 * w1),
+                (h - w0 * e - t1 * g, 1, -t1 * w0),
+            ]
+        dim = len(a)
+        rows = np.zeros((1 + len(ineq), dim + len(ineq)))
+        rows[0, :dim] = 1.0
+        for i, (row, sense, _) in enumerate(ineq, 1):
+            rows[i, :dim] = row
+            rows[i, dim + i - 1] = sense
+        return rows, [1.0] + [rhs for _, _, rhs in ineq]
+
+    def envelope_gaps(self, q: np.ndarray) -> list:
+        """|z_U - t w_C| at q, one per product."""
+        z = self.moments @ q
+        t = z[self.sides[0]]
+        return [abs(z[u] - t * z[self.sides[k]]) for u, k in self.products]
 
 
-def _dissociated_constraints(n: int, classes, a_matrix) -> list:
-    idx = {u: k for k, u in enumerate(classes)}
-    return [
-        ProductConstraint(a_matrix[idx[u]], [a_matrix[idx[c]] for c in comps])
-        for u, comps in disconnected_classes(n)
-    ]
+def _lp_value(rows, rhs, objective) -> float:
+    """max objective.x over {x >= 0 : rows x = rhs}; -inf when the LP is
+    infeasible or its float pivots fail."""
+    try:
+        res = maximize(rows, rhs, objective)
+    except InvariantError:
+        return -np.inf
+    return -np.inf if res is None else res.value
+
+
+def _branch_and_bound(data: _DissociatedRows, x_idx: int) -> tuple:
+    """Best-first spatial branch and bound for max_t v(t), where v(t) is the
+    largest q_x of a dissociated q with z_edge = t.
+
+    Each node is a box over the sides.  Its upper bound is the value of its
+    relaxation LP, capped by its parent's, and the LP at the relaxation's
+    edge density t gives v(t), a lower bound.  A node whose LP fails keeps
+    its parent's bound and is split on its widest side.  Otherwise the
+    split is on the side whose envelope gap times width is largest, at the
+    relaxation's point kept in the middle half of the side.  The search
+    stops when no open box can beat the best v by more than ``BNB_GAP``
+    (relative).  Boxes narrower than ``BNB_MIN_WIDTH`` are not split.
+
+    Returns the best v, its t and the t interval of the box that found it;
+    the upper bound, the largest bound of a box closed without a split; and
+    the number of node LPs.
+    """
+    dim = len(data.moments)
+    width = len(data.sides)
+    best = (-np.inf, 0.0, (0.0, 1.0))
+    heap: list = []
+    counter = itertools.count()
+    nodes = 0
+    upper = -np.inf
+
+    def visit(lo, hi, parent_ub):
+        nonlocal best, nodes, upper
+        nodes += 1
+        rows, rhs = data.relaxation(lo, hi)
+        obj = np.zeros(rows.shape[1])
+        obj[x_idx] = 1.0
+        try:
+            res = maximize(rows, rhs, obj)
+        except InvariantError:
+            heappush(heap, (-parent_ub, next(counter), lo, hi, None))
+            return
+        if res is None:
+            return
+        q = res.x[:dim]
+        t = min(max(float(data.moments[data.sides[0]] @ q), lo[0]), hi[0])
+        value = _lp_value(*data.at(t), obj[:dim])
+        if value > best[0]:
+            best = (value, t, (lo[0], hi[0]))
+        ub = min(parent_ub, res.value)
+        if ub > best[0] * (1 + BNB_GAP):
+            heappush(heap, (-ub, next(counter), lo, hi, q))
+        else:
+            upper = max(upper, ub)
+
+    visit(np.zeros(width), np.ones(width), np.inf)
+    while heap and -heap[0][0] > best[0] * (1 + BNB_GAP):
+        neg_ub, _, lo, hi, q = heappop(heap)
+        widths = hi - lo
+        if widths.max() < BNB_MIN_WIDTH:
+            upper = max(upper, -neg_ub)
+            continue
+        score = np.zeros(width)
+        if q is not None:
+            for (_, k), gap in zip(data.products, data.envelope_gaps(q)):
+                for s in {0, k}:
+                    score[s] = max(score[s], gap * widths[s])
+        side = int(np.argmax(score if score.max() > 0 else widths))
+        cut = lo[side] + 0.5 * widths[side]
+        if q is not None:
+            at = float(data.moments[data.sides[side]] @ q)
+            quarter = 0.25 * widths[side]
+            cut = min(max(at, lo[side] + quarter), hi[side] - quarter)
+        for a, b in ((lo[side], cut), (cut, hi[side])):
+            clo, chi = lo.copy(), hi.copy()
+            clo[side], chi[side] = a, b
+            visit(clo, chi, -neg_ub)
+    upper = max([best[0], upper] + ([-heap[0][0]] if heap else []))
+    return best, upper, nodes
+
+
+def _golden_max(f, a: float, b: float, tol: float) -> float:
+    """A local maximizer of f on [a, b] by golden-section search."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _face_optimum(rows: np.ndarray, rhs, free: np.ndarray, objective):
+    """Maximize objective.q over {q >= 0 : rows q = rhs, q_j = 0 off the
+    columns ``free``}.  Returns the optimal q and the columns that may be
+    positive on the optimal face, those whose reduced cost is at most
+    ``FACE_TOL``; None when the LP fails."""
+    try:
+        res = maximize(rows[:, free], rhs, objective[free])
+    except InvariantError:
+        return None
+    if res is None:
+        return None
+    q = np.zeros(rows.shape[1])
+    q[free] = res.x
+    return q, free[res.reduced <= FACE_TOL]
+
+
+def _lex_extreme(rows: np.ndarray, rhs, free: np.ndarray, sign: float):
+    """The lexicographic maximum (sign 1) or minimum (sign -1) of q, in
+    class order, over {q >= 0 : rows q = rhs, q_j = 0 off ``free``}: one LP
+    per class still free, each narrowing the face to its own optimal face.
+    None when an LP fails."""
+    q = None
+    for k in range(rows.shape[1]):
+        if k in free:
+            step = _face_optimum(rows, rhs, free, sign * np.eye(rows.shape[1])[k])
+            if step is None:
+                return None
+            q, free = step
+    return q
 
 
 def dissociated_mle(x: LabeledNetwork) -> FitReport:
     """Maximize P(X = x) over exchangeable dissociated distributions.
 
-    Optimizes per-class probabilities (so nonnegativity and normalization are
-    structural) under product constraints for every disconnected class, via an
-    augmented Lagrangian with projected-gradient inner steps, started from
-    the point mass at x's class, the uniform q and ``DISSOCIATED_RESTARTS``
-    Dirichlet draws seeded by ``DISSOCIATED_SEED``.
-    A run counts when its constraint violation is at most ``FEAS_TOL`` and
-    its KKT residual at most ``KKT_TOL``.
+    The variables are the class probabilities q.  With t = z_edge fixed,
+    every product row z_U = t z_C is linear, so v(t) = max q_x is an LP.
+    ``_branch_and_bound`` brackets max_t v(t) within ``BNB_GAP``, and
+    golden-section search on v over the t interval of its best box refines
+    t*.  At n <= 3 there is no product row, and the fit is one LP.
 
-    A flat optimum is common here: after the best likelihood is found, each
-    coordinate is re-maximized subject to optimality, which maps out the
-    optimal set.  Maximizers tied within ``LIK_TIE_TOL`` whose q vectors
-    differ by more than ``DISTINCT_TOL`` trigger a non-unique status; the
-    reported representative is the lexicographically largest q in class order
-    among the candidates found.
+    The optimal face at t* is mapped by its lexicographic maximum and
+    minimum in class order.  The status is non-unique when they differ by
+    more than ``DISTINCT_TOL``, or when v at t* +- ``FLAT_STEP`` is within
+    ``BNB_GAP`` (relative) of v(t*).  The lexicographic maximum is the
+    reported representative.  ``iterations`` counts the node LPs, and
+    ``log_likelihood_upper`` is the log of the final upper bound.
     """
     n = x.n
     if n > MAX_DISSOCIATED_NODES:
         raise SizeCapError(
             f"dissociated MLE supports n <= {MAX_DISSOCIATED_NODES}"
         )
-    classes, a_matrix = _moment_matrix(n)
-    idx = {u: k for k, u in enumerate(classes)}
+    data = _DissociatedRows.of(n)
+    table = class_table(n)
     x_cls = UnlabeledClass.of(x)
-    x_idx = idx[x_cls]
-    cons = _dissociated_constraints(n, classes, a_matrix)
-    dim = len(classes)
-    c_lin = np.zeros(dim)
-    c_lin[x_idx] = 1.0
-    obj_tie_tol = LIK_TIE_TOL * class_size(x_cls, n)
+    x_idx = table.index[x_cls]
+    dim = len(table.classes)
+    unit = np.eye(dim)[x_idx]
+    flat = False
+    if data.products:
+        (best, t_star, (a, b)), upper, nodes = _branch_and_bound(data, x_idx)
 
-    rng = np.random.default_rng(DISSOCIATED_SEED)
-    starts = []
-    point = np.zeros(dim)
-    point[x_idx] = 1.0
-    starts.append(point)
-    starts.append(np.full(dim, 1.0 / dim))
-    starts.extend(dirichlet_starts(rng, dim, DISSOCIATED_RESTARTS))
+        def v(t):
+            return _lp_value(*data.at(t), unit)
 
-    runs = maximize_batch(c_lin, cons, np.array(starts))
-
-    usable = [
-        r for r in runs
-        if r.max_violation <= FEAS_TOL and r.kkt_residual <= KKT_TOL
-    ]
-    if not usable:
-        best = min(runs, key=lambda r: (r.max_violation, -r.objective))
+        t_gold = _golden_max(v, a, b, GOLDEN_TOL)
+        v_gold = v(t_gold)
+        if v_gold >= best:
+            t_star, best = t_gold, v_gold
+        near = max(v(t_star - FLAT_STEP), v(t_star + FLAT_STEP))
+        flat = near >= best * (1 - BNB_GAP)
+        rows, rhs = data.at(t_star)
+    else:
+        rows, rhs = np.ones((1, dim)), [1.0]
+        upper, nodes = 1.0, 1
+    start = _face_optimum(rows, rhs, np.arange(dim), unit)
+    q_max = q_min = None
+    if start is not None:
+        q_max = _lex_extreme(rows, rhs, start[1], 1.0)
+        q_min = _lex_extreme(rows, rhs, start[1], -1.0)
+    if q_max is None or q_min is None:
         return FitReport(
             family="dissociated",
             status=STATUS_FAILED,
             log_likelihood=float("-inf"),
-            constraint_residual=best.max_violation,
-            iterations=best.outer_iters,
-            restarts_used=len(starts),
+            iterations=nodes,
         )
-
-    best_obj = max(r.objective for r in usable)
-    near = [r for r in usable if r.objective >= best_obj - obj_tie_tol]
-    candidates = [(r.q, r.max_violation, r.outer_iters) for r in near]
-
-    probe_cons = cons + [LinearConstraint(c_lin, best_obj)]
-    others = [k for k in range(dim) if k != x_idx]
-    # light budget: probes only need to locate distinct maximizers
-    probes = maximize_batch(
-        np.eye(dim)[others],
-        probe_cons,
-        np.tile(near[0].q, (len(others), 1)),
-        max_outer=14,
-        inner_iters=700,
-    )
-    for pres in probes:
-        if (
-            pres.max_violation <= FEAS_TOL
-            and float(c_lin @ pres.q) >= best_obj - obj_tie_tol
-        ):
-            candidates.append((pres.q, pres.max_violation, pres.outer_iters))
-
-    distinct: list = []
-    for q_arr, _, _ in candidates:
-        if all(
-            float(np.max(np.abs(q_arr - d))) > DISTINCT_TOL for d in distinct
-        ):
-            distinct.append(q_arr)
-    status = STATUS_NON_UNIQUE if len(distinct) > 1 else STATUS_OPTIMAL
-    # canonical representative: lexicographically largest q in class order
-    chosen_q, chosen_viol, chosen_iters = max(
-        candidates, key=lambda c: tuple(c[0])
-    )
-
-    q_arr = project_to_simplex(chosen_q)
-    q_arr = q_arr / q_arr.sum()
-    q_map = {u: float(q_arr[idx[u]]) for u in classes}
-    cd = ClassDistribution(n, q_map)
-    z_map = {u: float(a_matrix[idx[u]] @ q_arr) for u in classes}
+    distinct = float(np.abs(q_max - q_min).max()) > DISTINCT_TOL
+    q = np.maximum(q_max, 0.0)
+    q /= q.sum()
+    size = class_size(x_cls, n)
+    z_map = dict(zip(table.classes, (data.moments @ q).tolist()))
     z_map[UnlabeledClass.empty()] = 1.0
-    mv = MobiusVector(n, z_map)
-    lik = q_arr[x_idx] / class_size(x_cls, n)
+    lik = q[x_idx] / size
     return FitReport(
         family="dissociated",
-        status=status,
-        log_likelihood=float(np.log(lik)) if lik > 0 else float("-inf"),
-        z=mv,
-        q=cd,
-        constraint_residual=chosen_viol,
-        iterations=chosen_iters,
-        restarts_used=len(starts),
+        status=STATUS_NON_UNIQUE if distinct or flat else STATUS_OPTIMAL,
+        log_likelihood=math.log(lik),
+        z=MobiusVector(n, z_map),
+        q=ClassDistribution(n, dict(zip(table.classes, q.tolist()))),
+        constraint_residual=max(
+            [abs(q.sum() - 1.0)] + data.envelope_gaps(q)
+        ),
+        iterations=nodes,
+        log_likelihood_upper=math.log(max(upper / size, lik)),
     )
 
 
@@ -364,11 +516,15 @@ def _nu_vector(spec: ErgmSpec, nu) -> np.ndarray:
         unknown = set(nu) - set(names)
         if unknown:
             raise ValueError(f"unknown statistic names: {sorted(unknown)}")
-        arr = np.array([float(nu.get(name, 0.0)) for name in names])
+        values = [nu.get(name, 0.0) for name in names]
     else:
-        arr = np.asarray(list(nu), dtype=float)
-        if arr.size != len(names):
-            raise ValueError(f"need {len(names)} values, got {arr.size}")
+        values = list(nu)
+        if len(values) != len(names):
+            raise ValueError(f"need {len(names)} values, got {len(values)}")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond float range
+        arr = np.array([math.inf])
     if not np.isfinite(arr).all():
         raise InvalidParametersError("canonical parameters must be finite")
     return arr

@@ -30,6 +30,9 @@ Oper. Res. Lett. 35, 2007):
 
 Float data take the float pass alone, with ``FLOAT_EPS`` as feasibility
 tolerance; a repeated basis there raises ``InvariantError``.
+
+``maximize`` adds an objective, in floats only: phase one is the float pass
+above, and phase two continues on its tableau.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ FLOAT_EPS = 1e-9
 # seen to take rounding noise of ~1e-9 as pivots (where the exact ones were
 # >= 1e-4), then to cycle or to end on a basis that was not optimal
 PIVOT_EPS = 1e-7
+# reduced-cost and ratio-tie tolerance of phase two: with FLOAT_EPS, a ratio
+# tie let a basic variable go negative by ~1e-9, and the optimum overshot
+# the true one by as much (the dissociated fit of K4 - e at t near 4/5)
+PHASE_TWO_EPS = 1e-12
 
 
 @dataclass
@@ -97,10 +104,21 @@ def _initial_tableau(a_rows: Sequence, b: Sequence, num) -> tuple:
     return tab, [n + i for i in range(m)], signs
 
 
+def _pivot(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
+    """Column ``enter`` replaces the basic variable of row ``leave``."""
+    pivot_row = tab[leave] / tab[leave, enter]
+    factors = tab[:, enter].copy()
+    factors[leave] = 0
+    rows = np.flatnonzero(factors)
+    tab[rows] -= np.outer(factors[rows], pivot_row)
+    tab[leave] = pivot_row
+    basis[leave] = enter
+
+
 def _bland(tab: np.ndarray, basis: list, eps, pivot_eps) -> tuple:
-    """Bland phase-one pivots on ``tab`` (updated in place) until no reduced
-    cost is below -eps, or until a basis comes back; a pivot element must
-    exceed ``pivot_eps``.  Exact pivots never revisit a basis (the rule
+    """Bland pivots on ``tab`` (updated in place) until no reduced cost is
+    below -eps, or until a basis comes back; a pivot element must exceed
+    ``pivot_eps``.  Exact pivots never revisit a basis (the rule
     cannot cycle), so in floats a repeat means rounding has turned a
     decision and the pivots may cycle.  Returns the number of pivots and
     whether they stopped at a repeat."""
@@ -119,18 +137,13 @@ def _bland(tab: np.ndarray, basis: list, eps, pivot_eps) -> tuple:
         if not cand.size:
             # phase one is bounded below by 0, so the column has entries in
             # (0, pivot_eps] only: stop (the exact check of rational data
-            # catches a basis that is not optimal)
+            # catches a basis that is not optimal, and ``maximize`` one of
+            # phase two)
             return pivots, False
         ratios = tab[cand, width] / col[cand]
         tied = cand[ratios <= ratios.min() + eps]
         leave = min((int(i) for i in tied), key=basis.__getitem__)
-        pivot_row = tab[leave] / tab[leave, enter]
-        factors = tab[:, enter].copy()
-        factors[leave] = 0
-        rows = np.flatnonzero(factors)
-        tab[rows] -= np.outer(factors[rows], pivot_row)
-        tab[leave] = pivot_row
-        basis[leave] = enter
+        _pivot(tab, basis, leave, enter)
         pivots += 1
         key = hash(tuple(sorted(basis)))
         if key in seen:
@@ -186,6 +199,64 @@ def _phase_one(a_rows: list, b: list, exact: bool) -> FeasibilityResult:
     if cycled:
         raise InvariantError(f"float pivots revisited a basis after {pivots}")
     return _tableau_result(tab, basis, signs, exact, pivots)
+
+
+@dataclass
+class Optimum:
+    """An optimal basic solution of a float LP."""
+
+    x: np.ndarray
+    value: float
+    # reduced cost of each column, >= 0 up to rounding: the objective falls
+    # by reduced[j] per unit of x_j, so the optimal face is where every x_j
+    # with a positive reduced cost is 0
+    reduced: np.ndarray
+    pivots: int  # phase one and phase two
+
+
+def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
+    """Maximize c.x over {x >= 0 : A x = b} in floats; None when infeasible.
+
+    Phase one is the float pass of ``solve_feasibility`` (same tableau, same
+    pivots).  Phase two continues on its tableau: each basic artificial
+    leaves for the structural column with the largest entry in its row (a
+    row with none above ``PIVOT_EPS`` is redundant and is dropped), the
+    artificial columns are dropped, and Bland pivots minimize -c.x.  Raises
+    ``InvariantError`` when a float pass revisits a basis or phase two ends
+    with an improving column (an unbounded LP, or one that rounding stalls).
+    """
+    tab, basis, _ = _initial_tableau(a_rows, b, float)
+    m = len(basis)
+    n = tab.shape[1] - 1 - m
+    pivots, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
+    if cycled:
+        raise InvariantError(f"float pivots revisited a basis after {pivots}")
+    if -tab[m, -1] > FLOAT_EPS:
+        return None
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            row = np.abs(tab[i, :n])
+            enter = int(np.argmax(row))
+            if row[enter] <= PIVOT_EPS:
+                continue
+            _pivot(tab, basis, i, enter)
+            pivots += 1
+        keep.append(i)
+    tab = tab[keep + [m]][:, list(range(n)) + [n + m]]
+    basis = [basis[i] for i in keep]
+    obj = tab[-1]
+    obj[:] = 0.0
+    obj[:n] = np.negative(c, dtype=float)
+    for i, j in enumerate(basis):
+        obj -= obj[j] * tab[i]
+    more, cycled = _bland(tab, basis, PHASE_TWO_EPS, PIVOT_EPS)
+    pivots += more
+    if cycled or (obj[:n] < -PHASE_TWO_EPS).any():
+        raise InvariantError(f"phase two did not end optimal after {pivots}")
+    x = np.zeros(n)
+    x[basis] = tab[:-1, -1]
+    return Optimum(x, float(obj[-1]), obj[:n].copy(), pivots)
 
 
 @dataclass

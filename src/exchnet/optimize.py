@@ -1,10 +1,13 @@
 """Projected-gradient and augmented-Lagrangian solvers over the simplex.
 
-These power the constrained likelihood fits: variables are per-class
-probabilities q (nonnegative, summing to one), objectives are linear, and the
-constraints are polynomial (products of linear moment maps).  Problems are
-tiny (tens to ~1000 variables) but many, one per start or flat-optimum probe,
-so one kernel (``_descend``) runs them all as the rows of one array: the
+Nothing in the package calls this module any more: the dissociated MLE is a
+branch and bound on LPs (``estimation.dissociated_mle``).  It stays while
+the benchmark's tracer (``bench/tracer.py``) resolves its names.
+
+Variables are per-class probabilities q (nonnegative, summing to one),
+objectives are linear, and the constraints are polynomial (products of
+linear moment maps).  Problems are tiny (tens to ~1000 variables) but many,
+one per start, so one kernel (``_descend``) runs them all as the rows of one array: the
 constraints are compiled once into one matrix (``_System``), every row keeps
 its own state and stops on its own, and Armijo backtracking tries a block of
 the next halvings t 2^-j of every row at once, taking the first that passes:
@@ -230,14 +233,7 @@ def _descend(system, c, q0, *, rho, max_outer, iters, ctol, gtol, slack,
     return out
 
 
-def maximize_batch(
-    c: np.ndarray,
-    constraints,
-    q0: np.ndarray,
-    *,
-    max_outer: int = 40,
-    inner_iters: int = 3000,
-) -> list:
+def maximize_batch(c: np.ndarray, constraints, q0: np.ndarray) -> list:
     """Maximize c[r] @ q over the simplex subject to the equality constraints
     from start q0[r], for every row r: inner projected-gradient solves,
     multiplier updates, penalty growth when the violation stalls."""
@@ -245,7 +241,7 @@ def maximize_batch(
     c = np.broadcast_to(np.asarray(c, dtype=float), q0.shape)
     system = _System(list(constraints), q0.shape[1])
     q, _, lam, rho, outer = _descend(
-        system, c, q0, rho=10.0, max_outer=max_outer, iters=inner_iters,
+        system, c, q0, rho=10.0, max_outer=40, iters=3000,
         ctol=_CTOL, gtol=_GTOL, slack=1e-16, f_stop=-np.inf,
     )
     v, m = system.values(q)

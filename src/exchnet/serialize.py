@@ -109,10 +109,11 @@ def fit_report_to_json(fr: FitReport) -> dict:
         "loglik": fr.log_likelihood if math.isfinite(fr.log_likelihood) else None,
         "constraint_residual": fr.constraint_residual,
         "iterations": fr.iterations,
-        "restarts_used": fr.restarts_used,
         "z": None,
         "q": None,
     }
+    if fr.log_likelihood_upper is not None:
+        out["loglik_upper"] = fr.log_likelihood_upper
     if fr.z is not None:
         out["z"] = {u.key(): encode_value(v) for u, v in fr.z.in_order()}
     if fr.q is not None:

@@ -248,3 +248,44 @@ def oracle_bidirected_joint(dep, z_conn, h_mask: int):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def _exact_solve(cols, b):
+    """The unique x with sum_j x_j cols[j] = b, by Gaussian elimination in
+    Fractions; None when the columns are dependent or b is not in their
+    span."""
+    m, k = len(b), len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(b[i])]
+           for i in range(m)]
+    row = 0
+    for c in range(k):
+        p = next((r for r in range(row, m) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[row], aug[p] = aug[p], aug[row]
+        for r in range(m):
+            if r != row and aug[r][c]:
+                f = aug[r][c] / aug[row][c]
+                aug[r] = [a - f * v for a, v in zip(aug[r], aug[row])]
+        row += 1
+    if any(aug[r][k] for r in range(row, m)):
+        return None
+    return [aug[c][k] / aug[c][c] for c in range(k)]
+
+
+def oracle_lp_max(a_rows, b, c):
+    """max c.x over {x >= 0 : A x = b} in Fractions, by enumerating every
+    set of independent columns that solves A x = b with x >= 0 (each vertex
+    is such a set); None when there is none.  The LP must be bounded."""
+    n = len(a_rows[0])
+    cols = [[row[j] for row in a_rows] for j in range(n)]
+    best = None
+    for k in range(len(a_rows) + 1):
+        for support in combinations(range(n), k):
+            x = _exact_solve([cols[j] for j in support], b)
+            if x is None or min(x, default=0) < 0:
+                continue
+            value = sum((Fraction(c[j]) * v for j, v in zip(support, x)),
+                        Fraction(0))
+            best = value if best is None else max(best, value)
+    return best

@@ -1,7 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+
+from exchnet import estimation
 
 from exchnet.counting import (
     edge_class,
@@ -34,6 +38,7 @@ from exchnet.genmodels import (
     marginal_beta_joint,
 )
 from exchnet.graphs import (
+    InvariantError,
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
@@ -53,6 +58,7 @@ from exchnet.mobius import (
     mobius_from_class_distribution,
     validate_mobius,
 )
+from oracles import oracle_sub
 
 GOLDEN_MLE = {
     "1-2": Fraction(2, 3),
@@ -164,6 +170,103 @@ class TestDissociatedMle:
     def test_six_nodes_over_the_cap(self):
         with pytest.raises(SizeCapError):
             dissociated_mle(LabeledNetwork.path(6))
+
+
+def complement(x: LabeledNetwork) -> LabeledNetwork:
+    return LabeledNetwork.from_edges(
+        x.n, [e for e in LabeledNetwork.complete(x.n).edges if e not in x.edges]
+    )
+
+
+def grid_v(x_idx: int, ts: np.ndarray) -> np.ndarray:
+    """v(t) = max q_x over class distributions q at n = 4 with z_edge = t
+    and z_2K2 = t^2, at each t: the rows (sum q, z_edge, z_2K2) are three,
+    so every vertex of that set is supported on at most 3 classes, and the
+    best of every such support solving the rows with q >= 0 is v(t).  The
+    moment rows are brute-force subgraph counts."""
+    reps = [u.padded(4) for u in enumerate_classes(4, True)]
+    k4 = LabeledNetwork.complete(4)
+    fs = [LabeledNetwork.from_edges(4, e) for e in ([(1, 2)], [(1, 2), (3, 4)])]
+    a = np.array(
+        [[1.0] * len(reps)]
+        + [[oracle_sub(f, w) / oracle_sub(f, k4) for w in reps] for f in fs]
+    )
+    b = np.vstack([np.ones_like(ts), ts, ts**2])
+    best = np.zeros_like(ts)
+    for k in (1, 2, 3):
+        for support in combinations(range(len(reps)), k):
+            if x_idx in support:
+                cols = a[:, support]
+                q = np.linalg.pinv(cols) @ b
+                ok = np.abs(cols @ q - b).max(axis=0) <= 1e-12
+                ok &= q.min(axis=0) >= -1e-12
+                qx = q[support.index(x_idx)]
+                best = np.where(ok, np.maximum(best, qx), best)
+    return best
+
+
+# ROADMAP item 3's likelihoods at n = 5, from HiGHS on a t grid refined in 1-d
+TABLE_N5 = {
+    "1-2": 0.0918368,
+    "1-4,2-3": 0.0467917,
+    "1-4,1-5,2-3,2-5,3-4": 11 / 312,
+    "1-3,1-4,1-5,2-3,2-4,2-5,3-5,4-5": 0.0467917,
+    "1-3,1-4,1-5,2-3,2-4,2-5,3-4,3-5,4-5": 0.0918367,
+}
+
+
+class TestDissociatedOracles:
+    def test_every_class_at_four_against_a_t_grid(self):
+        ts = np.linspace(0.0, 1.0, 2001)
+        edge = edge_class()
+        for k, u in enumerate(enumerate_classes(4, True)):
+            rep = dissociated_mle(u.padded(4))
+            assert rep.status in ("optimal", "non_unique"), u.key()
+            qx = rep.q.value(u)
+            # no grid point beats the fit, and the fit's t attains it
+            assert qx >= grid_v(k, ts).max() - 1e-9, u.key()
+            assert abs(grid_v(k, np.array([rep.z.z[edge]]))[0] - qx) <= 1e-8
+            assert rep.constraint_residual <= 1e-9
+            assert rep.log_likelihood <= rep.log_likelihood_upper
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_complement_duality_up_to_four(self, n):
+        fits = {
+            u: dissociated_mle(u.padded(n)).likelihood
+            for u in enumerate_classes(n, True)
+        }
+        for u, lik in fits.items():
+            other = UnlabeledClass.of(complement(u.padded(n)))
+            assert abs(lik - fits[other]) <= 1e-9, u.key()
+
+    def test_complement_pairs_at_five_match_the_table(self):
+        fits = {}
+        for key, want in TABLE_N5.items():
+            x = class_from_key(key).padded(5)
+            rep = dissociated_mle(x)
+            assert rep.status == "optimal"
+            assert abs(rep.likelihood - want) <= 1e-7, key
+            fits[UnlabeledClass.of(x)] = rep.likelihood
+        for u, lik in fits.items():
+            other = fits[UnlabeledClass.of(complement(u.padded(5)))]
+            assert abs(lik - other) <= 1e-8, u.key()
+
+    def test_failed_node_lps_keep_the_parent_bound(self, monkeypatch, paw):
+        real = estimation.maximize
+        failed = []
+
+        def flaky(rows, rhs, c):
+            # the first three relaxation LPs (the ones with slack columns)
+            if len(rows[0]) > 11 and len(failed) < 3:
+                failed.append(rows)
+                raise InvariantError("float pivots revisited a basis")
+            return real(rows, rhs, c)
+
+        monkeypatch.setattr(estimation, "maximize", flaky)
+        rep = dissociated_mle(paw)
+        assert len(failed) == 3
+        assert abs(rep.likelihood - 1 / 16) <= 1e-9
+        assert abs(rep.z.z[edge_class()] - 0.5) <= 1e-6
 
 
 class TestErgmStats:

@@ -23,10 +23,11 @@ from exchnet.lp import (
     _exact_from_basis,
     _phase_one,
     _initial_tableau,
+    maximize,
     solve_feasibility,
 )
 from exchnet.mobius import MobiusVector
-from oracles import oracle_block_moments
+from oracles import oracle_block_moments, oracle_lp_max
 
 PAW = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
 
@@ -286,3 +287,61 @@ def test_cycling_float_pass_on_float_data_raises(monkeypatch):
     report_cycles(monkeypatch)
     with pytest.raises(InvariantError):
         solve_feasibility([[0.5, 0.25], [1.0, 1.0]], [0.375, 1.0])
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def bounded_lps(draw):
+    """max c.x over x >= 0 with A x = b and sum x = s: small integer data,
+    often degenerate (a duplicated row, zero right-hand sides)."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    a_rows = [[draw(small_ints) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        a_rows.append(list(a_rows[0]))
+    kind = draw(st.sampled_from(["feasible", "zero", "any"]))
+    if kind == "feasible":
+        x0 = [draw(st.integers(0, 2)) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in a_rows]
+    elif kind == "zero":
+        b = [0] * len(a_rows)
+    else:
+        b = [draw(small_ints) for _ in a_rows]
+    a_rows.append([1] * n)
+    b.append(draw(st.integers(0, 3)))
+    return a_rows, b, [draw(small_ints) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_lps())
+def test_maximize_equals_vertex_enumeration(lp_data):
+    a_rows, b, c = lp_data
+    want = oracle_lp_max(a_rows, b, c)
+    got = maximize([[float(v) for v in row] for row in a_rows],
+                   [float(v) for v in b], [float(v) for v in c])
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert abs(got.value - float(want)) <= 1e-9
+        assert got.x.min() >= -1e-12
+        for row, bi in zip(a_rows, b):
+            assert abs(sum(a * v for a, v in zip(row, got.x)) - bi) <= 1e-9
+        # the objective falls by the reduced cost per unit of a column
+        assert got.reduced.min() >= -1e-9
+        assert abs(sum(cj * v for cj, v in zip(c, got.x)) - got.value) <= 1e-9
+
+
+def test_maximize_starts_from_the_feasibility_pass():
+    # the same phase one as solve_feasibility's float pass: its pivots are
+    # the first ones, so an LP whose phase one ends optimal adds none
+    a_rows, b = [[1.0, 1.0, 1.0]], [1.0]
+    first = solve_feasibility(a_rows, b)
+    res = maximize(a_rows, b, [1.0, 0.0, 0.0])
+    assert first.x == [1.0, 0.0, 0.0]
+    assert res.pivots == first.pivots and res.value == 1.0
+
+
+def test_maximize_of_an_unbounded_lp_raises():
+    with pytest.raises(InvariantError):
+        maximize([[1.0, -1.0]], [0.0], [1.0, 0.0])

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exchnet.estimation import _dissociated_constraints, _moment_matrix
+from exchnet.counting import class_table
 from exchnet.extendability import _sigma_rows
 from exchnet.genmodels import er_mobius
-from exchnet.graphs import UnlabeledClass
+from exchnet.graphs import UnlabeledClass, disconnected_classes
 from exchnet.optimize import (
     _BLOCK,
     LinearConstraint,
@@ -19,6 +19,23 @@ from exchnet.optimize import (
     minimize_violation_on_simplex,
     project_to_simplex,
 )
+
+
+def _moment_matrix(n):
+    """The classes at n and the float moment row of each, one row per
+    class."""
+    table = class_table(n)
+    rows = [table.moment_row(u) for u in table.classes]
+    return table.classes, np.array(rows, dtype=float)
+
+
+def _dissociated_constraints(n, classes, a_matrix):
+    """One product constraint z_U = prod z_C per disconnected class U."""
+    idx = {u: k for k, u in enumerate(classes)}
+    return [
+        ProductConstraint(a_matrix[idx[u]], [a_matrix[idx[c]] for c in comps])
+        for u, comps in disconnected_classes(n)
+    ]
 
 
 def bisection_projection(v):
