@@ -26,18 +26,12 @@ from .graphs import (
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
+    _exact_div,
+    class_additions,
     class_aut,
     class_size,
     enumerate_classes,
-    one_edge_additions,
 )
-
-
-def _exact_div(num: int, den: int, what: str) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise InvariantError(f"{what}: {num} is not divisible by {den}")
-    return q
 
 
 def _falling_factorial(n: int, k: int) -> int:
@@ -167,10 +161,11 @@ class ClassTable:
 
     which counts the pairs (copy of U in W, edge of W outside it); b(W, V)
     is the number of edges of W whose removal leaves class V.  The diagonal
-    is 1 and every other entry with e(U) >= e(W) is 0.  b comes from the
-    one-edge additions by double counting, |V| a(V, W) = |W| b(W, V), where
-    a(V, W) counts the non-edges of V whose addition gives W and |.| are
-    class sizes at n.  The same double counting over the pairs (member of U,
+    is 1 and every other entry with e(U) >= e(W) is 0.  b comes by double
+    counting, |V| a(V, W) = |W| b(W, V), from the one-edge additions a(V, W)
+    that class enumeration records (``graphs.class_additions``): a(V, W)
+    counts the non-edges of V whose addition gives W, and |.| are class
+    sizes at n.  The same double counting over the pairs (member of U,
     member of W inside it) gives the supergraph counts
     r(U, x) = |U| S[W][U] / |W| for x in class W.
     """
@@ -188,9 +183,8 @@ class ClassTable:
         edges = np.array([u.edge_count for u in self.classes])
         # removals[j][k] = b(class j, class k)
         removals: list = [{} for _ in self.classes]
-        for k, v in enumerate(self.classes):
-            for w, a in one_edge_additions(v, n).items():
-                j = self.index[w]
+        for k, adds in enumerate(class_additions(n)):
+            for j, a in adds.items():
                 removals[j][k] = _exact_div(
                     sizes[k] * a, sizes[j], "edge removals"
                 )
@@ -221,7 +215,10 @@ class ClassTable:
         that the row dotted with a class distribution q is z_U; U has at
         most n vertices."""
         denom = sub_in_complete(u, self.n)
-        return tuple(Fraction(s, denom) for s in self.row(u))
+        row = self.row(u)
+        # one Fraction per distinct count: a row has few
+        frac = {s: Fraction(s, denom) for s in set(row)}
+        return tuple(map(frac.__getitem__, row))
 
     def sigmas(self, x: LabeledNetwork, classes=None) -> tuple:
         """sigma_U(x) for each U in ``classes`` (default: every class at n)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 from .counting import class_table, edge_class
 from .estimation import ClassDistribution
@@ -123,7 +123,22 @@ def _product_terms(m: int, n: int) -> tuple:
 def _certificate_valid(
     mv: MobiusVector, cert: ClassDistribution, tol: float
 ) -> bool:
+    """Whether the class distribution ``cert`` at m reproduces every class
+    moment of mv: exactly when both are exact, else within ``tol``."""
     targets, classes_m, rows = _sigma_rows(cert.n, mv.n)
+    if mv.is_exact and cert.is_exact:
+        # z_U = sum_W S[U][W] q_W / sub(U, K_m) with q_W = num_W / den, in
+        # integers over q's support; sub(U, K_m) = S[U][K_m] ends the row
+        table = class_table(cert.n)
+        support = [(table.index[w], q) for w, q in cert.q.items() if q]
+        den = lcm(*(q.denominator for _, q in support))
+        nums = [(j, q.numerator * (den // q.denominator)) for j, q in support]
+        for u in targets:
+            s, z = table.row(u), mv.z[u]
+            got = sum(s[j] * num for j, num in nums)
+            if got * z.denominator != s[-1] * den * z.numerator:
+                return False
+        return True
     qv = [cert.value(w) for w in classes_m]
     for u, row in zip(targets, rows):
         got = sum(r * q for r, q in zip(row, qv) if q)

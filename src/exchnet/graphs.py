@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +40,13 @@ class InvariantError(RuntimeError):
 
     Raised in place of ``assert`` so that ``python -O`` keeps the check.
     """
+
+
+def _exact_div(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InvariantError(f"{what}: {num} is not divisible by {den}")
+    return q
 
 
 def dyad_index(i: int, j: int) -> int:
@@ -264,15 +271,21 @@ def _relabelings(n: int, mask: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=500000)
-def _canon_bits(n: int, mask: int) -> tuple:
-    best = int(_relabelings(n, mask).min())
+def _canon_min(n: int, mask: int) -> int:
+    """The least of the mask's n! relabelings, read as an integer with dyad
+    0 the most significant bit."""
+    return int(_relabelings(n, mask).min())
+
+
+def _bits(n: int, value: int) -> tuple:
+    """The n(n-1)/2 bits of ``value``, the most significant first."""
     nd = num_dyads(n)
-    return tuple(best >> (nd - 1 - k) & 1 for k in range(nd))
+    return tuple(value >> (nd - 1 - k) & 1 for k in range(nd))
 
 
 def canonical_form(g: LabeledNetwork) -> CanonicalForm:
     """Canonical form of g on all of its n vertices (isolated ones included)."""
-    return CanonicalForm(g.n, _canon_bits(g.n, g.mask))
+    return CanonicalForm(g.n, _bits(g.n, _canon_min(g.n, g.mask)))
 
 
 @dataclass(frozen=True)
@@ -338,68 +351,70 @@ def class_from_key(key: str) -> UnlabeledClass:
     return UnlabeledClass.of(LabeledNetwork.from_edges(n, edges))
 
 
-def one_edge_additions(cls_: UnlabeledClass, n: int) -> dict:
-    """Classes reached by adding one edge to the class padded to n nodes.
-
-    Maps each such class to the number of non-edges of the padded
-    representative that give it.  A non-edge touching isolated nodes is
-    canonicalized once, at the first free labels, and counted for each of
-    its placements among the n - k isolated nodes.
-    """
-    k = cls_.n_vertices
-    rep = cls_.representative()
-    base = rep.mask
-    cands = [
-        (dyad_index(i, j), k, 1)
-        for i, j in combinations(range(1, k + 1), 2)
-        if not rep.has_edge(i, j)
-    ]
-    if k + 1 <= n:
-        cands.extend(
-            (dyad_index(i, k + 1), k + 1, n - k) for i in range(1, k + 1)
-        )
-    if k + 2 <= n:
-        cands.append((dyad_index(k + 1, k + 2), k + 2, math.comb(n - k, 2)))
-    # the representative has no isolated node and every new edge touches the
-    # new labels, so each child is canonicalized on its full support
-    out: dict = {}
-    for bit, nn, count in cands:
-        child = UnlabeledClass(
-            CanonicalForm(nn, _canon_bits(nn, base | 1 << bit)), False
-        )
-        out[child] = out.get(child, 0) + count
-    return out
-
-
 @lru_cache(maxsize=None)
-def _enumerate_classes_tuple(n: int) -> tuple:
-    """All classes of edge-induced subgraphs of K_n, the empty class first.
+def _class_lattice(n: int) -> tuple:
+    """The classes at n in enumeration order, and for each class V its
+    one-edge additions {index of W: a(V, W)}, where a(V, W) counts the
+    non-edges of V padded to n nodes whose addition gives a graph in W.
 
-    Grown breadth-first by single-edge additions from smaller classes, with
-    canonical deduplication.  Deterministic order: edge count, then vertex
+    One breadth-first pass from the empty class, one edge count at a time,
+    on (vertex count, least relabeling) keys; each ``UnlabeledClass`` is
+    built once, at the end.  A non-edge touching isolated nodes is
+    canonicalized once, at the first free labels, and counted for each of
+    its placements among the n - k isolated nodes.  A representative has no
+    isolated node and every new edge touches the new labels, so each child
+    is canonicalized on its full support.  Order: edge count, then vertex
     count, then canonical bits.
     """
     if not (1 <= n <= MAX_NODES):
         raise SizeCapError(f"class enumeration supports 1 <= n <= {MAX_NODES}")
-    empty = UnlabeledClass.empty()
-    seen = {empty}
-    frontier = [empty]
+    adds: dict = {(0, 0): {}}
+    frontier = [(0, 0)]
     while frontier:
         new_frontier = []
-        for cls_ in frontier:
-            for child in one_edge_additions(cls_, n):
-                if child not in seen:
-                    seen.add(child)
+        for key in frontier:
+            k, best = key
+            nd = num_dyads(k)
+            # the representative's mask, dyad 0 the least significant bit
+            base = int(f"{best:0{nd}b}"[::-1], 2)
+            # (dyad, child's vertex count, placements): the non-edges of the
+            # representative, its edges to node k + 1 (the colex dyads
+            # nd..nd + k - 1) and the edge {k + 1, k + 2} (dyad nd + 2k)
+            cands = [(d, k, 1) for d in range(nd) if not base >> d & 1]
+            if k + 1 <= n:
+                cands += [(d, k + 1, n - k) for d in range(nd, nd + k)]
+            if k + 2 <= n:
+                cands.append((nd + 2 * k, k + 2, math.comb(n - k, 2)))
+            out = adds[key]
+            for bit, nn, count in cands:
+                child = (nn, _canon_min(nn, base | 1 << bit))
+                if child not in adds:
+                    adds[child] = {}
                     new_frontier.append(child)
+                out[child] = out.get(child, 0) + count
         frontier = new_frontier
-    return tuple(sorted(seen, key=UnlabeledClass.sort_key))
+    keys = sorted(adds, key=lambda c: (bin(c[1]).count("1"), c[0], c[1]))
+    index = {c: i for i, c in enumerate(keys)}
+    classes = tuple(
+        UnlabeledClass(CanonicalForm(k, _bits(k, best)), not k)
+        for k, best in keys
+    )
+    additions = tuple({index[w]: a for w, a in adds[v].items()} for v in keys)
+    return classes, additions
+
+
+def class_additions(n: int) -> tuple:
+    """a(V, W) for the classes at n: one dict {index of W: a(V, W)} per class
+    V, in ``enumerate_classes(n)`` order, recorded by the enumeration pass."""
+    return _class_lattice(n)[1]
 
 
 def enumerate_classes(n: int, include_empty: bool = True) -> list:
-    """Isomorphism classes of graphs without isolated vertices on <= n nodes."""
-    classes = list(_enumerate_classes_tuple(n))
+    """Isomorphism classes of graphs without isolated vertices on <= n nodes,
+    the empty class first."""
+    classes = list(_class_lattice(n)[0])
     if not include_empty:
-        classes = [c for c in classes if not c.is_empty]
+        classes = classes[1:]
     return classes
 
 

@@ -8,22 +8,27 @@ variable has the smallest index leaves.  The rule cannot cycle.
 Rational data (every coefficient an int or Fraction) get an exact verdict
 while paying for rational arithmetic about once per LP, as in the float
 simplex plus exact check of QSopt_ex (Applegate, Cook, Dash & Espinoza,
-Oper. Res. Lett. 35, 2007):
+Oper. Res. Lett. 35, 2007).  One pass scales each row to integers (and
+finds out whether the data are rational at all); both halves read it:
 
-1. The pivots run in floats.  Ratios within ``FLOAT_EPS`` of the smallest
-   count as ties, broken by basic index as the exact rule breaks them, so
-   the float pass takes the exact pass's pivots unless rounding flips a
-   decision.  Pivot elements must exceed ``PIVOT_EPS``, so that rounding
-   noise is not taken for one, and the pass stops if a basis comes back
-   (exact Bland never revisits one, so the float pivots would be cycling).
-2. The final basis B is checked in rationals.  The rows are scaled to
-   integers and B is factored once by fraction-free (Bareiss) elimination.
-   The check asks for x_B = B^-1 b >= 0 and, with y = B^-T c_B for the
-   phase-one costs c, a reduced cost c_j - y.A_j >= 0 for every column.
-   Such a basis is optimal, so its sum of artificials is the exact
-   residual: zero means feasible, and x is read off x_B; positive means
-   infeasible, and y is a Farkas certificate (y.A_j <= 0 for every column
-   j, y.b > 0).
+1. The pivots run in floats, on coefficients taken as int / scale, which
+   is correctly rounded as float(Fraction) is.  Ratios within
+   ``FLOAT_EPS`` of the smallest count as ties, broken by basic index as
+   the exact rule breaks them, so the float pass takes the exact pass's
+   pivots unless rounding flips a decision.  Pivot elements must exceed
+   ``PIVOT_EPS``, so that rounding noise is not taken for one, and the pass
+   stops if a basis comes back (exact Bland never revisits one, so the
+   float pivots would be cycling).
+2. The final basis B is checked in rationals.  The check asks for
+   x_B = B^-1 b >= 0 and, with y = B^-T c_B for the phase-one costs c, a
+   reduced cost c_j - y.A_j >= 0 for every column.  Both solves are
+   fraction-free: Bareiss elimination of [B | b] (of [B^T | c_B] for y)
+   leaves +-det B as its last pivot, det(B) x_B is integral by Cramer's
+   rule, and back substitution computes it in integers with exact
+   divisions, making one Fraction per entry at the end.  Such a basis is
+   optimal, so its sum of artificials is the exact residual: zero means
+   feasible, and x is read off x_B; positive means infeasible, and y is a
+   Farkas certificate (y.A_j <= 0 for every column j, y.b > 0).
 3. If the check fails, exact Bland pivoting in Fractions continues from the
    float basis when that basis is nonsingular and primal feasible, and from
    the artificial basis otherwise.
@@ -39,12 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import InvariantError
+from .graphs import InvariantError, _exact_div
 
 FLOAT_EPS = 1e-9
 # smallest pivot element in floats: with FLOAT_EPS alone, float pivots were
@@ -69,17 +75,10 @@ class FeasibilityResult:
     dual: list
 
 
-def _float_of_rational(v) -> float:
-    """float(v) for an int or Fraction, correctly rounded as float(v) is, at
-    about half its cost (Fraction.__float__ calls int() on both parts)."""
-    return v.numerator / v.denominator
-
-
 def _initial_tableau(a_rows: Sequence, b: Sequence, num) -> tuple:
     """Phase-one tableau on the artificial basis, with every coefficient
-    converted by ``num`` (``Fraction``, ``float`` or ``_float_of_rational``)
-    and every row signed so that b >= 0; returns the tableau, the basis and
-    the row signs.
+    converted by ``num`` (``Fraction`` or ``float``) and every row signed so
+    that b >= 0; returns the tableau, the basis and the row signs.
 
     Columns: n structural, m artificial, then the right-hand side.  Rows:
     the m constraints, then the reduced costs of the phase-one objective
@@ -272,18 +271,33 @@ class _Scaled:
     signs: list
 
     @classmethod
-    def of(cls, a_rows: Sequence, b: Sequence) -> "_Scaled":
+    def of(cls, a_rows: Sequence, b: Sequence) -> "_Scaled | None":
+        """None unless every coefficient is an int or a Fraction."""
+        rational = (int, Fraction)
         n = len(a_rows[0]) if len(a_rows) else 0
         rows, rhs, scales, signs = [], [], [], []
         for row, bi in zip(a_rows, b):
-            scale = lcm(bi.denominator, *(v.denominator for v in row))
+            if not isinstance(bi, rational) or not all(
+                map(isinstance, row, repeat(rational))
+            ):
+                return None
+            ratios = [v.as_integer_ratio() for v in row]
+            scale = lcm(bi.denominator, *{q for _, q in ratios})
             sign = -1 if bi < 0 else 1
             k = sign * scale
-            rows.append([v.numerator * (k // v.denominator) for v in row])
+            rows.append([p * (k // q) for p, q in ratios])
             rhs.append(bi.numerator * (k // bi.denominator))
             scales.append(scale)
             signs.append(sign)
         return cls(n, rows, rhs, scales, signs)
+
+    def floats(self) -> list:
+        """The caller's coefficients of A as floats for the float pass,
+        correctly rounded as float(Fraction) rounds: so is int / int."""
+        return [
+            [sign * v / scale for v in row]
+            for row, scale, sign in zip(self.rows, self.scales, self.signs)
+        ]
 
 
 def _bareiss(mat: list) -> bool:
@@ -310,73 +324,29 @@ def _bareiss(mat: list) -> bool:
     return True
 
 
-@dataclass
-class _Factored:
-    """A basis B of the scaled rows, factored as U = E B with U upper
-    triangular and E the integer record of the elimination's row work."""
+def _solve(mat: list) -> list | None:
+    """X with B X = C for the integer rows ``mat`` = [B | C], B the leading
+    square block, as rows of Fractions; None when B is singular.  ``mat`` is
+    eliminated in place.
 
-    u: list
-    e: list
-    eb: list  # E times the scaled right-hand side
-
-    @classmethod
-    def of(cls, system: _Scaled, basis: list) -> "_Factored | None":
-        """None when the basis matrix is singular."""
-        k, n = len(basis), system.n
-        mat = []
-        for i in range(k):
-            a_i, s_i = system.rows[i], system.scales[i]
-            # artificial column n + i is s_i e_i in the scaled rows
-            row = [a_i[j] if j < n else s_i * (j - n == i) for j in basis]
-            unit = [0] * k
-            unit[i] = 1
-            mat.append(row + [system.rhs[i]] + unit)
-        if not _bareiss(mat):
-            return None
-        return cls(
-            [r[:k] for r in mat], [r[k + 1 :] for r in mat], [r[k] for r in mat]
-        )
-
-    def solve(self, col: list) -> list:
-        """B^-1 c for ``col`` = E c: back substitution in U."""
-        k = len(self.u)
-        x = [Fraction(0)] * k
-        for i in range(k - 1, -1, -1):
-            row = self.u[i]
-            acc = col[i] - sum(row[j] * x[j] for j in range(i + 1, k))
-            x[i] = Fraction(acc) / row[i]
-        return x
-
-    def solve_transposed(self, c: list) -> list:
-        """w with B^T w = c: forward substitution in U^T, then w = E^T v."""
-        k = len(self.u)
-        v = [Fraction(0)] * k
-        for j in range(k):
-            acc = c[j] - sum(self.u[i][j] * v[i] for i in range(j))
-            v[j] = Fraction(acc) / self.u[j][j]
-        return [
-            sum((self.e[i][j] * v[i] for i in range(k) if v[i]), Fraction(0))
-            for j in range(k)
-        ]
-
-    def tableau(self, system: _Scaled, basis: list) -> np.ndarray:
-        """Exact phase-one tableau of this basis: B^-1 [A | I | b] and the
-        reduced costs c - c_B B^-1 [A | I | b]."""
-        k, n = len(basis), system.n
-        scaled = np.zeros((k, n + k + 1), dtype=object)
-        for i in range(k):
-            scaled[i, :n] = system.rows[i]
-            scaled[i, n + i] = system.scales[i]
-            scaled[i, n + k] = system.rhs[i]
-        inv = np.array([self.solve(list(c)) for c in zip(*self.e)], dtype=object).T
-        tab = np.empty((k + 1, n + k + 1), dtype=object)
-        tab[:k] = inv @ scaled
-        obj = np.array([0] * n + [1] * k + [0], dtype=object)
-        for i, j in enumerate(basis):
-            if j >= n:
-                obj = obj - tab[i]
-        tab[k] = [Fraction(v) for v in obj]
-        return tab
+    Fraction-free: after Bareiss elimination the last pivot d is +-det B, so
+    d X is integral by Cramer's rule.  Back substitution computes d X in
+    integers, each division exact, and makes one Fraction per entry at the
+    end.
+    """
+    k = len(mat)
+    if not _bareiss(mat):
+        return None
+    d = mat[-1][k - 1] if k else 1
+    dx: list = [None] * k
+    for i in range(k - 1, -1, -1):
+        row = mat[i]
+        acc = [d * y for y in row[k:]]
+        for j in range(i + 1, k):
+            if row[j]:
+                acc = [a - row[j] * x for a, x in zip(acc, dx[j])]
+        dx[i] = [_exact_div(a, row[i], "back substitution") for a in acc]
+    return [[Fraction(v, d) for v in r] for r in dx]
 
 
 def _reduced_costs_nonnegative(system: _Scaled, w: list) -> bool:
@@ -395,24 +365,48 @@ def _reduced_costs_nonnegative(system: _Scaled, w: list) -> bool:
 
 
 def _exact_from_basis(
-    a_rows: Sequence, b: Sequence, basis: list, pivots: int
+    a_rows: Sequence, b: Sequence, basis: list, pivots: int, system=None
 ) -> FeasibilityResult:
     """Exact verdict on rational A x = b from a candidate basis: proved
     optimal in rationals, or else reached by exact Bland pivoting continued
-    from it."""
+    from it.  ``system`` is ``_Scaled.of(a_rows, b)`` when the caller has
+    it."""
     zero = Fraction(0)
-    system = _Scaled.of(a_rows, b)
-    n = system.n
-    fac = _Factored.of(system, basis)
-    xb = fac.solve(fac.eb) if fac else None
+    if system is None:
+        system = _Scaled.of(a_rows, b)
+    n, k = system.n, len(basis)
+    # the basis matrix B, where artificial column n + i is scale_i e_i
+    rows = [
+        [a_i[j] if j < n else s_i * (j - n == i) for j in basis]
+        for i, (a_i, s_i) in enumerate(zip(system.rows, system.scales))
+    ]
+    sol = _solve([r + [bi] for r, bi in zip(rows, system.rhs)])
+    xb = None if sol is None else [r[0] for r in sol]
     if xb is not None and all(v >= 0 for v in xb):
-        w = fac.solve_transposed([int(j >= n) for j in basis])
+        # w = B^-T c_B for the phase-one costs, by elimination on [B^T | c_B]
+        # (w = 0 when no artificial is basic)
+        costs = [int(j >= n) for j in basis]
+        w = [zero] * k
+        if any(costs):
+            transposed = [[*col, ci] for col, ci in zip(zip(*rows), costs)]
+            w = [r[0] for r in _solve(transposed)]
         if _reduced_costs_nonnegative(system, w):
             residual = sum((v for v, j in zip(xb, basis) if j >= n), zero)
             y = [wi * s for wi, s in zip(w, system.scales)]
             return _result(basis, xb, y, system.signs, n, residual, zero, pivots)
-        # primal feasible but not optimal: continue from this basis
-        tab = fac.tableau(system, basis)
+        # primal feasible but not optimal: continue from the tableau
+        # B^-1 [A | I | b] of this basis, with its phase-one costs
+        tab = np.empty((k + 1, n + k + 1), dtype=object)
+        tab[:k] = _solve([
+            r + a_i + [s_i * (t == i) for t in range(k)] + [bi]
+            for i, (r, a_i, s_i, bi)
+            in enumerate(zip(rows, system.rows, system.scales, system.rhs))
+        ])
+        obj = np.array([zero] * n + [Fraction(1)] * k + [zero], dtype=object)
+        for i, j in enumerate(basis):
+            if j >= n:
+                obj = obj - tab[i]
+        tab[k] = obj
     else:
         tab, basis, _ = _initial_tableau(a_rows, b, Fraction)
     pivots += _bland(tab, basis, zero, zero)[0]
@@ -427,11 +421,9 @@ def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
     basis is then proved optimal in rational arithmetic (see the module
     docstring); a float verdict comes from the float pass alone.
     """
-    exact = all(
-        isinstance(v, (int, Fraction)) for row in a_rows for v in row
-    ) and all(isinstance(v, (int, Fraction)) for v in b)
-    if not exact:
+    system = _Scaled.of(a_rows, b)
+    if system is None:
         return _phase_one(a_rows, b, False)
-    tab, basis, _ = _initial_tableau(a_rows, b, _float_of_rational)
+    tab, basis, _ = _initial_tableau(system.floats(), b, float)
     pivots, _ = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
-    return _exact_from_basis(a_rows, b, basis, pivots)
+    return _exact_from_basis(a_rows, b, basis, pivots, system)

@@ -5,9 +5,11 @@ pruning and no shared code with the package internals, so it can serve as an
 independent check.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
+from types import SimpleNamespace
 
 from exchnet.graphs import LabeledNetwork, num_dyads
 
@@ -57,6 +59,24 @@ def oracle_canonical_bits(g: LabeledNetwork) -> tuple:
     return min(
         tuple(adj[p[i]][p[j]] for i, j in order) for p in permutations(verts)
     )
+
+
+def oracle_edge_additions(n: int) -> tuple:
+    """Every labeled graph on n nodes and every non-edge of it: the number of
+    labeled graphs in each isomorphism class, and for each pair of classes
+    (V, W) the number of pairs (graph in V, non-edge whose addition gives a
+    graph in W).  Classes are keyed by ``oracle_canonical_bits``."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    bits: dict = {}
+    for mask in range(1 << len(pairs)):
+        edges = frozenset(d for k, d in enumerate(pairs) if mask >> k & 1)
+        bits[mask] = oracle_canonical_bits(SimpleNamespace(n=n, edges=edges))
+    sizes, additions = Counter(bits.values()), Counter()
+    for mask, v in bits.items():
+        for k in range(len(pairs)):
+            if not mask >> k & 1:
+                additions[v, bits[mask | 1 << k]] += 1
+    return sizes, additions
 
 
 def oracle_isomorphic(g: LabeledNetwork, h: LabeledNetwork) -> bool:
@@ -271,6 +291,12 @@ def _exact_solve(cols, b):
     if any(aug[r][k] for r in range(row, m)):
         return None
     return [aug[c][k] / aug[c][c] for c in range(k)]
+
+
+def oracle_solve(b_rows, c):
+    """x with B x = c for a square B, by Gauss-Jordan elimination in
+    Fractions; None when B is singular."""
+    return _exact_solve([list(col) for col in zip(*b_rows)], c)
 
 
 def oracle_lp_max(a_rows, b, c):

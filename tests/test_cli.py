@@ -214,14 +214,14 @@ class TestNetworksSmallerThanTheStatistics:
 def test_eight_nodes_is_size_cap(capsys, tmp_path, command):
     # a sigma table at n = 8 would hold 12346^2 entries: refused before any
     # of the 8-node classes is enumerated
-    from exchnet.graphs import LabeledNetwork, _enumerate_classes_tuple
+    from exchnet.graphs import LabeledNetwork, _class_lattice
 
     path = tmp_path / "path8.edges"
     path.write_text(format_edge_list(LabeledNetwork.path(8)))
-    misses = _enumerate_classes_tuple.cache_info().misses
+    misses = _class_lattice.cache_info().misses
     code, out = run_cli(capsys, command, str(path))
     assert (code, out) == (3, "")
-    assert _enumerate_classes_tuple.cache_info().misses == misses
+    assert _class_lattice.cache_info().misses == misses
 
 
 class TestMleDissociated:

@@ -13,7 +13,7 @@ from exchnet.counting import (
     two_disjoint_edges_class,
 )
 from exchnet.dependence import dissociated_check
-from exchnet.estimation import exch_mle
+from exchnet.estimation import ClassDistribution, exch_mle
 from exchnet import extendability
 from exchnet.extendability import (
     CertificateError,
@@ -25,6 +25,7 @@ from exchnet.extendability import (
 from exchnet.genmodels import (
     Graphon,
     MixingSpec,
+    er_class_distribution,
     er_joint,
     er_mobius,
     graphon_mobius,
@@ -234,6 +235,23 @@ class TestExtendableCheck:
     def test_feasible_verdict_carries_no_dual(self):
         rep = extendable_check(er_mobius(4, Fraction(1, 3)), 5)
         assert rep.dual is None
+
+    def test_certificate_recheck_is_exact(self):
+        mv = er_mobius(4, Fraction(1, 3))
+        cert = extendable_check(mv, 6).certificate
+        assert extendability._certificate_valid(mv, cert, 0)
+        assert extendability._certificate_valid(
+            mv, er_class_distribution(6, Fraction(1, 3)), 0
+        )
+        # 2^-80 of the mass of one class moved to K_6: every moment of an
+        # edge-bearing class moves by a sliver that no float check would see
+        full = class_table(6).classes[-1]
+        w = next(u for u in cert.q if not u.is_empty and u != full)
+        q = dict(cert.q)
+        q[w] -= Fraction(1, 2**80)
+        q[full] = q.get(full, 0) + Fraction(1, 2**80)
+        moved = ClassDistribution(6, q)
+        assert not extendability._certificate_valid(mv, moved, 0)
 
     def test_failed_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(

@@ -6,6 +6,7 @@ from oracles import (
     oracle_aut,
     oracle_canonical_bits,
     oracle_components,
+    oracle_edge_additions,
     oracle_labeled_classes,
     oracle_submasks,
 )
@@ -19,6 +20,7 @@ from exchnet.graphs import (
     UnlabeledClass,
     aut_count,
     canonical_form,
+    class_additions,
     class_size,
     connected_components,
     degree_distribution,
@@ -191,6 +193,26 @@ class TestEnumerateClasses:
         for n in (3, 4, 5):
             total = sum(class_size(u, n) for u in enumerate_classes(n, True))
             assert total == 1 << len(dyads(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_edge_additions_match_brute_force(self, n):
+        sizes, additions = oracle_edge_additions(n)
+        classes = enumerate_classes(n, True)
+        keys = [oracle_canonical_bits(u.padded(n)) for u in classes]
+        assert sorted(keys) == sorted(sizes)
+        assert [class_size(u, n) for u in classes] == [sizes[k] for k in keys]
+        assert sum(class_size(u, n) for u in classes) == 1 << num_dyads(n)
+        # each of the |V| graphs in V has a(V, W) non-edges leading to W
+        want = {}
+        for (v, w), count in additions.items():
+            assert count % sizes[v] == 0
+            want[v, w] = count // sizes[v]
+        got = {
+            (keys[i], keys[j]): a
+            for i, adds in enumerate(class_additions(n))
+            for j, a in adds.items()
+        }
+        assert got == want
 
 
 class TestClassSizeCheck:

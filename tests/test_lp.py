@@ -9,7 +9,7 @@ exact answer is re-checked here in Fraction arithmetic.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchnet import extendability, lp
@@ -23,11 +23,13 @@ from exchnet.lp import (
     _exact_from_basis,
     _phase_one,
     _initial_tableau,
+    _Scaled,
+    _solve,
     maximize,
     solve_feasibility,
 )
 from exchnet.mobius import MobiusVector
-from oracles import oracle_block_moments, oracle_lp_max
+from oracles import oracle_block_moments, oracle_lp_max, oracle_solve
 
 PAW = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
 
@@ -206,6 +208,106 @@ def test_random_systems_match_exact_bland(system):
     # the phase-one optimum is unique even where the optimal basis is not
     assert got.residual == want.residual
     assert_exactly_certified(a_rows, b, got)
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Copies of a few base rows, each copy the row and its right-hand side
+    times 1 (a duplicate), -1, 2, 1/2 or -3/2; right-hand sides are often 0."""
+    n = draw(st.integers(1, 6))
+    base = [[draw(rationals) for _ in range(n)] for _ in range(draw(st.integers(1, 3)))]
+    x0 = [draw(st.integers(0, 2)) for _ in range(n)]
+    a_rows, b = [], []
+    for row in base:
+        kind = draw(st.sampled_from(["zero", "feasible", "any"]))
+        if kind == "zero":
+            rhs = 0
+        elif kind == "feasible":
+            rhs = sum(a * x for a, x in zip(row, x0))
+        else:
+            rhs = draw(rationals)
+        for _ in range(draw(st.integers(1, 3))):
+            f = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+            a_rows.append([f * a for a in row])
+            b.append(f * rhs)
+    order = draw(st.permutations(range(len(b))))
+    return [a_rows[i] for i in order], [b[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_systems())
+def test_degenerate_systems_match_exact_bland(system):
+    a_rows, b = system
+    got = solve_feasibility(a_rows, b)
+    want = _phase_one(a_rows, b, exact=True)
+    assert_same_answer(got, want)
+    assert got.dual == want.dual
+    assert_exactly_certified(a_rows, b, got)
+
+
+# ints and Fractions with numerators and denominators beyond 2^53
+wide = st.one_of(
+    st.just(0),
+    rationals,
+    st.integers(-(2**60), 2**60),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(wide, min_size=3, max_size=3), min_size=m, max_size=m),
+    st.lists(wide, min_size=m, max_size=m),
+)))
+def test_float_tableau_from_the_scaled_rows_is_bit_identical(system):
+    a_rows, b = system
+    want = _initial_tableau(a_rows, b, float)
+    got = _initial_tableau(_Scaled.of(a_rows, b).floats(), b, float)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+big = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**60), 2**60))
+
+
+@st.composite
+def integer_systems(draw):
+    """A square integer B and an integer C of one to three columns; B often
+    has a zero corner (the elimination swaps rows) or two equal rows."""
+    k = draw(st.integers(1, 5))
+    b_rows = [[draw(big) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        b_rows[0][0] = 0
+    if k > 1 and draw(st.booleans()):
+        b_rows[-1] = list(b_rows[0])
+    width = draw(st.integers(1, 3))
+    return b_rows, [[draw(big) for _ in range(width)] for _ in range(k)]
+
+
+@example(([[0, 1], [1, 0]], [[3], [5]]))  # a row swap, det B = -1
+@example(([[2, 1], [1, 2]], [[1], [0]]))  # det B = 3: X is not integral
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_fraction_free_solve_equals_gauss_jordan(system):
+    b_rows, c_rows = system
+    transposed = [list(col) for col in zip(*b_rows)]
+    # B X = C, and B^T X = C as the dual solve uses it
+    for mat in (b_rows, transposed):
+        got = _solve([r + c for r, c in zip(mat, c_rows)])
+        want = [oracle_solve(mat, list(col)) for col in zip(*c_rows)]
+        if want[0] is None:
+            assert got is None
+        else:
+            assert got == [list(r) for r in zip(*want)]
+            assert all(type(v) is Fraction for r in got for v in r)
+
+
+def test_inexact_back_substitution_raises(monkeypatch):
+    # skip the elimination: the last pivot 3 is then not +-det B, and the
+    # back substitution meets a division that is not exact
+    monkeypatch.setattr(lp, "_bareiss", lambda mat: True)
+    with pytest.raises(InvariantError):
+        _solve([[2, 1, 0], [0, 3, 1]])
 
 
 def test_float_data_stay_on_the_float_pass():
