@@ -16,7 +16,6 @@ from .counting import (
     sigma_vector,
     star_count_from_degrees,
     sub,
-    t_inj,
     two_disjoint_edges_from_degrees,
 )
 from .dependence import (

@@ -119,19 +119,7 @@ def inj(f: LabeledNetwork, g: LabeledNetwork) -> int:
 def sub(f: LabeledNetwork, g: LabeledNetwork) -> int:
     """Number of subgraphs of g isomorphic to f: inj(f,g) / aut(f)."""
     fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
-    return _exact_div(inj(fs, g), aut_of_support(fs), "inj by aut")
-
-
-def aut_of_support(f: LabeledNetwork) -> int:
-    """Automorphism count of f restricted to its non-isolated vertices."""
-    return class_aut(UnlabeledClass.of(f))
-
-
-def t_inj(f: LabeledNetwork, g: LabeledNetwork) -> Fraction:
-    """Injective homomorphism density: inj(f,g) over all injective maps."""
-    fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
-    denom = _falling_factorial(g.n, fs.n)
-    return Fraction(inj(fs, g), denom)
+    return _exact_div(inj(fs, g), class_aut(UnlabeledClass.of(fs)), "inj by aut")
 
 
 def sigma(u: UnlabeledClass, x: LabeledNetwork) -> int:

@@ -110,6 +110,10 @@ def dependence_graph_from_edges(
     n: int, kind: str, edges: Iterable
 ) -> DependenceGraph:
     """Build from dyad pairs, each dyad given as an "i-j" label."""
+    if n < 0:
+        raise ValueError(f"node count must be >= 0, got {n}")
+    if n > MAX_NODES:
+        raise SizeCapError(f"dependence graphs support n <= {MAX_NODES}, got {n}")
 
     def index(d: str) -> int:
         i, j = parse_dyad_label(d)

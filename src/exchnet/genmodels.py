@@ -37,6 +37,7 @@ from .mobius import (
 )
 
 MAX_EXACT_MIX_NODES = 5
+MAX_SAMPLE_NODES = 2000  # one sample at n = 2000: 7 s, 0.45 GB (Python 3.11)
 
 
 def _sigmoid(t: float) -> float:
@@ -61,9 +62,14 @@ def _dyad_products(pv: Sequence) -> list:
     return probs
 
 
-def _tie_sample(n: int, rng: random.Random, tie_prob: Callable) -> LabeledNetwork:
-    """Each dyad (i, j), in colex order, is a tie when one draw of ``rng``
-    falls below ``tie_prob(i, j)``."""
+def _tie_sample(n: int, seed: int, draw_nodes: Callable) -> LabeledNetwork:
+    """One network from ``random.Random(seed)``: ``draw_nodes(rng)`` draws the
+    node values and returns tie_prob(i, j); each dyad, in colex order, is then
+    a tie when one draw falls below it.  n > ``MAX_SAMPLE_NODES`` is refused."""
+    if n > MAX_SAMPLE_NODES:
+        raise SizeCapError(f"sampling supports n <= {MAX_SAMPLE_NODES}, got {n}")
+    rng = random.Random(seed)
+    tie_prob = draw_nodes(rng)
     edges = [(i, j) for i, j in dyads(n) if rng.random() < tie_prob(i, j)]
     return LabeledNetwork.from_edges(n, edges)
 
@@ -347,10 +353,6 @@ class Graphon:
 
         return cls(interp, f"grid:{r}")
 
-    @classmethod
-    def from_callable(cls, fn: Callable, description: str = "custom") -> "Graphon":
-        return cls(fn, description)
-
 
 def parse_graphon_text(text: str) -> Graphon:
     """Parse the grid file format: first line r, then r rows of r floats."""
@@ -387,26 +389,29 @@ def _named_graphon(spec: str) -> Graphon:
 
 def graphon_sample(phi: Graphon, n: int, seed: int) -> LabeledNetwork:
     """One network: uniform node coordinates, independent ties through phi."""
-    rng = random.Random(seed)
-    u = [rng.random() for _ in range(n)]
-    return _tie_sample(n, rng, lambda i, j: phi(u[i - 1], u[j - 1]))
+
+    def draw_nodes(rng):
+        u = [rng.random() for _ in range(n)]
+        return lambda i, j: phi(u[i - 1], u[j - 1])
+
+    return _tie_sample(n, seed, draw_nodes)
 
 
 def beta_sample(spec: BetaSpec, seed: int) -> LabeledNetwork:
-    return _tie_sample(spec.n, random.Random(seed), spec.tie_prob)
+    return _tie_sample(spec.n, seed, lambda rng: spec.tie_prob)
 
 
 def marginal_beta_sample(n: int, mix: MixingSpec, seed: int) -> LabeledNetwork:
-    rng = random.Random(seed)
-    if mix.kind == "gaussian":
-        mu, sigma, _, _ = mix.params
-        betas = tuple(rng.gauss(mu, sigma) for _ in range(n))
-    else:
-        atoms = mix.atoms()
-        vals = [a[0] for a in atoms]
-        ws = [a[1] for a in atoms]
-        betas = tuple(rng.choices(vals, weights=ws)[0] for _ in range(n))
-    return _tie_sample(n, rng, BetaSpec(betas).tie_prob)
+    def draw_nodes(rng):
+        if mix.kind == "gaussian":
+            mu, sigma, _, _ = mix.params
+            betas = [rng.gauss(mu, sigma) for _ in range(n)]
+        else:
+            vals, ws = zip(*mix.atoms())
+            betas = [rng.choices(vals, weights=ws)[0] for _ in range(n)]
+        return BetaSpec(tuple(betas)).tie_prob
+
+    return _tie_sample(n, seed, draw_nodes)
 
 
 # --- kernel moments ---------------------------------------------------------
@@ -427,7 +432,9 @@ _MAX_QUADRATURE_ENTRIES = 64**4
 
 def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
     """Integrate the product of edge kernels by summing out one vertex at a
-    time (min-degree order), contracting only the factors that touch it."""
+    time (min-degree order), contracting only the factors that touch it.
+    Each vertex lies on an edge, and a contraction keeps the rest of its
+    factors' vertices, so every vertex touches a factor at its turn."""
     tensors = [(tuple(sorted((a, b))), phi_grid) for a, b in edges]
     scalar = 1.0
     remaining = set(range(k))
@@ -439,9 +446,6 @@ def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
         touching = [(vars_, arr) for vars_, arr in tensors if v in vars_]
         tensors = [(vars_, arr) for vars_, arr in tensors if v not in vars_]
         remaining.remove(v)
-        if not touching:
-            scalar *= float(np.sum(w))
-            continue
         union = sorted(set().union(*(set(vars_) for vars_, _ in touching)))
         out_size = len(w) ** (len(union) - 1)  # v is summed out
         if len(union) > 5 or out_size > _MAX_QUADRATURE_ENTRIES:

@@ -133,9 +133,6 @@ class LabeledMobius:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "is_exact", exact)
 
-    def value(self, mask: int):
-        return self.z[mask]
-
 
 def _superset_transform(values: tuple, m: int, op) -> list:
     """out[S] = in[S] combined by ``op`` with every superset T of S:
@@ -207,9 +204,6 @@ class MobiusVector:
         )
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "is_exact", exact)
-
-    def value(self, u: UnlabeledClass):
-        return self.z[u]
 
     def in_order(self) -> list:
         return [(u, self.z[u]) for u in enumerate_classes(self.n, True)]

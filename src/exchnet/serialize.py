@@ -117,9 +117,7 @@ def fit_report_to_json(fr: FitReport) -> dict:
     if fr.z is not None:
         out["z"] = {u.key(): encode_value(v) for u, v in fr.z.in_order()}
     if fr.q is not None:
-        out["q"] = {
-            u.key(): encode_value(v) for u, v in fr.q.in_order() if v
-        }
+        out["q"] = class_distribution_to_json(fr.q)["q"]
     if fr.nu is not None:
         out["nu"] = dict(fr.nu)
     return out

@@ -375,14 +375,14 @@ class TestCriterion12Generative:
             assert est.value == 0.3**u.edge_count
 
     def test_product_kernel_moments_within_bound(self):
-        uv = Graphon.from_callable(lambda a, b: a * b, "uv")
+        uv = Graphon(lambda a, b: a * b, "uv")
         est_edge = graphon_z(uv, edge_class())
         assert abs(est_edge.value - 0.25) <= max(est_edge.error, 1e-15)
         est_star = graphon_z(uv, star_class(2))
         assert abs(est_star.value - 1 / 12) <= est_star.error
 
     def test_diagnostic_flags_and_clears(self):
-        uv = Graphon.from_callable(lambda a, b: a * b, "uv")
+        uv = Graphon(lambda a, b: a * b, "uv")
         flagged = er_characterization_diagnostic(graphon_mobius(uv, 4), 0.25)
         assert flagged.flags_dependence()
         assert flagged.residual_two_star > 0

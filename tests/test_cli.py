@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from exchnet import genmodels
 from exchnet.cli import _HANDLERS, _build_parser, main
 from exchnet.dependence import incidence_graph
 from exchnet.genmodels import (
@@ -272,6 +273,18 @@ class TestMarkovAndSkeleton:
         assert obj["markov"] is False
         assert obj["counterexample"] == {"A": ["1-2"], "B": ["1-3"], "S": []}
 
+    @pytest.mark.parametrize("n", [8, 10**6])
+    def test_dependence_graph_past_the_node_cap_is_size_cap(self, capsys, tmp_path, n):
+        # refused before the per-dyad table is built, whatever n asks for
+        joint = tmp_path / "joint.json"
+        joint.write_text(dump_json(joint_to_json(er_joint(3, Fraction(1, 3)))))
+        dep = tmp_path / "dep.json"
+        dep.write_text(json.dumps({"n": n, "kind": "undirected", "edges": []}))
+        code = main(["markov", str(joint), str(dep)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("size cap:")
+
     def test_skeleton_classification(self, capsys, tmp_path):
         jt = marginal_beta_joint(4, MixingSpec.two_point(-1.0, 1.5, 0.5))
         joint = tmp_path / "joint.json"
@@ -411,6 +424,45 @@ class TestSample:
             "two-point:-1.0,1.5,0.5", "--seed", "5",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "mixing, want",
+        [
+            (
+                "point:0.3",
+                ["1-2,1-4,1-5,2-4,2-5,3-4,3-5", "1-2,1-3,1-4,1-5,2-3,2-4,2-5,3-4"],
+            ),
+            (
+                "gaussian:0.1,1.2",
+                ["1-2,1-3,1-4,1-5,2-3,2-4,2-5,3-4,4-5", "1-3,1-4,2-3,2-4"],
+            ),
+        ],
+        ids=["point", "gaussian"],
+    )
+    def test_point_and_gaussian_mixing_draws(self, capsys, mixing, want):
+        code, out = run_cli(
+            capsys, "sample", "marginal-beta", "--n", "5", "--mixing", mixing,
+            "--seed", "5", "--count", "2",
+        )
+        assert code == 0
+        blocks = [b.split("\n", 1)[1] for b in out.split("# sample ")[1:]]
+        nets = [parse_edge_list(b) for b in blocks]
+        got = [",".join(f"{i}-{j}" for i, j in x.sorted_edges()) for x in nets]
+        assert got == want
+
+    def test_unknown_mixing_kind_is_invalid_parameters(self, capsys):
+        code, out = run_cli(
+            capsys, "sample", "marginal-beta", "--n", "4", "--mixing", "beta:1,2",
+            "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+
+    def test_past_the_node_cap_is_size_cap(self, capsys):
+        n = str(genmodels.MAX_SAMPLE_NODES + 1)
+        code = main(["sample", "er", "--n", n, "--p", "0.5", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("size cap:")
 
     def test_missing_seed_is_parse_error(self, capsys):
         code = main(["sample", "er", "--n", "4", "--p", "0.5"])
@@ -686,6 +738,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("invalid parameters:")
+
+    def test_extend_without_a_moment_file_is_invalid_parameters(self, capsys):
+        code = main(["extend", "--m", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("invalid parameters:")
+
+    def test_missing_input_file_is_io_error(self, capsys, tmp_path):
+        code = main(["mle", str(tmp_path / "missing.edges")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("io error:")
 
     def test_grid_rows_past_r_are_invalid_parameters(self, capsys, tmp_path):
         grid = tmp_path / "long.grid"

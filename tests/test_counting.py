@@ -19,11 +19,11 @@ from exchnet.counting import (
     star_count_from_degrees,
     sub,
     sub_in_complete,
-    t_inj,
     triangle_class,
     two_disjoint_edges_class,
     two_disjoint_edges_from_degrees,
 )
+from exchnet.estimation import exch_mle
 from exchnet.graphs import (
     DegreeDistribution,
     InvariantError,
@@ -89,19 +89,20 @@ class TestSub:
 
 
 class TestTInj:
+    """The injective homomorphism density t_inj(F, G), inj(F, G) over all
+    injective maps, is the exchangeable MLE's z of F's class at G."""
+
     def test_edge_density_of_paw(self, paw):
-        assert t_inj(edge_class().representative(), paw) == Fraction(2, 3)
+        assert exch_mle(paw).z[edge_class()] == Fraction(2, 3)
 
     def test_self_density(self):
         tri = triangle_class().representative()
-        assert t_inj(tri, tri) == 1
+        assert exch_mle(tri).z[triangle_class()] == 1
         p4 = path_class(4).representative()
-        assert t_inj(p4, p4) == Fraction(2, 24)
+        assert exch_mle(p4).z[path_class(4)] == Fraction(2, 24)
 
     def test_complete_target(self):
-        assert t_inj(
-            LabeledNetwork.complete(3), LabeledNetwork.complete(4)
-        ) == 1
+        assert exch_mle(LabeledNetwork.complete(4)).z[triangle_class()] == 1
 
 
 class TestSigma:
@@ -238,7 +239,7 @@ class TestInvariantErrors:
     cannot strip the way it strips an assert."""
 
     def test_inj_not_divisible_by_aut(self, monkeypatch):
-        monkeypatch.setattr(counting, "aut_of_support", lambda f: 7)
+        monkeypatch.setattr(counting, "class_aut", lambda u: 7)
         with pytest.raises(InvariantError):
             sub(edge_class().representative(), LabeledNetwork.complete(3))
 

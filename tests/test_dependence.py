@@ -12,6 +12,7 @@ from exchnet.dependence import (
     ci_test,
     classify_skeleton,
     complete_dependence_graph,
+    dependence_graph_from_edges,
     dissociated_check,
     empty_dependence_graph,
     global_markov_check,
@@ -69,6 +70,14 @@ class TestStructures:
             inc = incidence_graph(n)
             kn = kneser_graph(n)
             assert kn.adjacency == inc.complement().adjacency
+
+    def test_node_count_out_of_range_is_refused(self):
+        # num_dyads(-1) is 1: a negative n would build a graph over one dyad
+        with pytest.raises(ValueError):
+            dependence_graph_from_edges(-1, UNDIRECTED, [])
+        with pytest.raises(SizeCapError):
+            dependence_graph_from_edges(8, UNDIRECTED, [])
+        assert dependence_graph_from_edges(7, UNDIRECTED, []).m == 21
 
 
 class TestIncidenceCliques:

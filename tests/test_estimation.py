@@ -219,9 +219,14 @@ class TestDissociatedOracles:
     def test_every_class_at_four_against_a_t_grid(self):
         ts = np.linspace(0.0, 1.0, 2001)
         edge = edge_class()
+        # 2K2, the triangle, star3, path4 and C4
+        non_unique = {
+            "1-4,2-3", "1-2,1-3,2-3", "1-4,2-4,3-4", "1-4,2-3,3-4", "1-3,1-4,2-3,2-4",
+        }
         for k, u in enumerate(enumerate_classes(4, True)):
             rep = dissociated_mle(u.padded(4))
-            assert rep.status in ("optimal", "non_unique"), u.key()
+            want = "non_unique" if u.key() in non_unique else "optimal"
+            assert rep.status == want, u.key()
             qx = rep.q.value(u)
             # no grid point beats the fit, and the fit's t attains it
             assert qx >= grid_v(k, ts).max() - 1e-9, u.key()
@@ -520,6 +525,18 @@ class TestSummarized:
     def test_two_point_marginal_beta_summarized_at_five(self):
         jt = marginal_beta_joint(5, MixingSpec.two_point(-1.0, 1.5, 0.5))
         assert summarized_check(jt).holds
+
+    def test_class_distributions_at_five(self):
+        # n = 5 has degree collisions, so the groups' classes are compared
+        p = Fraction(1, 3)
+        er = ClassDistribution(5, {
+            u: class_size(u, 5) * p**u.edge_count * (1 - p) ** (10 - u.edge_count)
+            for u in enumerate_classes(5, True)
+        })
+        assert summarized_check(er).holds
+        u1, u2 = degree_collision_classes(5)[0]
+        res = summarized_check(ClassDistribution.point_mass(u1, 5))
+        assert not res.holds and res.witness == (u1, u2)
 
 
 class TestSigmaDegreeFunction:

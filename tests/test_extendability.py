@@ -307,17 +307,11 @@ class TestDissociatedExtendableCheck:
 
     def test_paw_dissociated_fit_report(self, paw_dissociated_fit):
         rep = dissociated_extendable_check(paw_dissociated_fit.z, 5)
-        # no published verdict for this case: require an honest, validated
-        # report either way
-        if rep.feasible:
-            assert rep.certificate is not None
-            back = mobius_from_class_distribution(
-                rep.certificate.to_float()
-            ).restrict(4)
-            for u, v in back.in_order():
-                assert abs(v - paw_dissociated_fit.z.z[u]) < 1e-5
-        else:
-            assert rep.infeasibility_margin is not None
+        # no published verdict for this case: pin the one the LP reaches
+        assert not rep.feasible and rep.certificate is None
+        assert rep.m == 5 and rep.method == "lp"
+        assert rep.worst_constraint == "1-2,1-3,2-3"
+        assert rep.infeasibility_margin == pytest.approx(0.229167, abs=1e-6)
 
     def test_constant_kernel_moments_extend(self):
         mv = er_mobius(4, 0.25)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exchnet import genmodels
 from exchnet.counting import (
     complete_class,
     cycle_class,
@@ -20,6 +21,7 @@ from exchnet.genmodels import (
     Graphon,
     MixingSpec,
     beta_joint,
+    beta_sample,
     er_characterization_diagnostic,
     er_class_distribution,
     er_joint,
@@ -28,10 +30,11 @@ from exchnet.genmodels import (
     graphon_sample,
     graphon_z,
     marginal_beta_joint,
+    marginal_beta_sample,
     parse_graphon_name,
     parse_graphon_text,
 )
-from exchnet.graphs import LabeledNetwork
+from exchnet.graphs import LabeledNetwork, SizeCapError
 from exchnet.mobius import InvalidParametersError, labeled_mobius_from_joint
 
 
@@ -210,6 +213,24 @@ def test_asymmetric_grid_is_refused(grid, data):
         Graphon.from_grid(grid)
 
 
+class TestSampleNodeCap:
+    """Every sampler draws one number per dyad, so time and memory grow as
+    n^2; n past ``MAX_SAMPLE_NODES`` is refused."""
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n: graphon_sample(Graphon.constant(0.5), n, 0),
+            lambda n: beta_sample(BetaSpec((0.0,) * n), 0),
+            lambda n: marginal_beta_sample(n, MixingSpec.point_mass(0.0), 0),
+        ],
+        ids=["graphon", "beta", "marginal-beta"],
+    )
+    def test_one_past_the_cap_is_size_cap(self, draw):
+        with pytest.raises(SizeCapError):
+            draw(genmodels.MAX_SAMPLE_NODES + 1)
+
+
 class TestGraphonMoments:
     def test_constant_kernel_exact(self):
         phi = Graphon.constant(0.3)
@@ -219,20 +240,20 @@ class TestGraphonMoments:
             assert est.error == 0.0
 
     def test_product_kernel_closed_forms(self):
-        uv = Graphon.from_callable(lambda a, b: a * b, "uv")
+        uv = Graphon(lambda a, b: a * b, "uv")
         est_edge = graphon_z(uv, edge_class())
         assert est_edge.value == pytest.approx(0.25, abs=1e-12)
         est_star = graphon_z(uv, star_class(2))
         assert abs(est_star.value - 1 / 12) <= max(est_star.error, 1e-5)
 
     def test_quadrature_error_shrinks_with_resolution(self):
-        uv = Graphon.from_callable(lambda a, b: a * b, "uv")
+        uv = Graphon(lambda a, b: a * b, "uv")
         coarse = graphon_z(uv, star_class(2), r=16)
         fine = graphon_z(uv, star_class(2), r=128)
         assert abs(fine.value - 1 / 12) < abs(coarse.value - 1 / 12)
 
     def test_mc_error_shrinks_with_samples(self):
-        uv = Graphon.from_callable(lambda a, b: a * b, "uv")
+        uv = Graphon(lambda a, b: a * b, "uv")
         small = graphon_z(uv, edge_class(), method="mc", samples=2000, seed=3)
         big = graphon_z(uv, edge_class(), method="mc", samples=6000, seed=3)
         assert big.error < small.error
@@ -303,7 +324,7 @@ class TestKernelJointsAreDissociated:
     def test_quadrature_moments_factor_over_components(self):
         from exchnet.mobius import labeled_from_exchangeable
 
-        uv = Graphon.from_callable(lambda a, b: a * b, "uv")
+        uv = Graphon(lambda a, b: a * b, "uv")
         mv = graphon_mobius(uv, 4)
         lm = labeled_from_exchangeable(mv)
         assert dissociated_check(lm).holds
@@ -325,7 +346,7 @@ class TestErDiagnostic:
         assert diag.max_deviation == 0
 
     def test_product_kernel_is_flagged(self):
-        uv = Graphon.from_callable(lambda a, b: a * b, "uv")
+        uv = Graphon(lambda a, b: a * b, "uv")
         mv = graphon_mobius(uv, 4)
         diag = er_characterization_diagnostic(mv, 0.25)
         assert diag.flags_dependence()
