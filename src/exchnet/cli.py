@@ -44,16 +44,15 @@ from .genmodels import (
     parse_graphon_text,
 )
 from .graphs import (
-    InvalidNetworkError,
     LabeledNetwork,
     SizeCapError,
     class_from_key,
     degree_distribution,
+    dyad_label,
     dyads,
     format_edge_list,
     parse_edge_list,
 )
-from .mobius import InvalidParametersError
 from .serialize import (
     depgraph_from_json,
     depgraph_to_json,
@@ -235,7 +234,7 @@ def _cmd_markov(args) -> dict:
     res = global_markov_check(jt, dep)
     ce = None
     if res.counterexample:
-        labels = [f"{i}-{j}" for i, j in dyads(jt.n)]
+        labels = [dyad_label(d) for d in dyads(jt.n)]
 
         def names(mask):
             return [labels[k] for k in range(len(labels)) if mask >> k & 1]
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
     except SizeCapError as err:
         sys.stderr.write(f"size cap: {err}\n")
         return 3
-    except (InvalidParametersError, InvalidNetworkError, ValueError) as err:
+    except ValueError as err:
         sys.stderr.write(f"invalid parameters: {err}\n")
         return 2
     except OSError as err:

@@ -63,8 +63,6 @@ def _pattern_order(adj: list, k: int) -> list:
 
 def _inj_masks(f_adj: list, k: int, g_adj: list, m: int) -> int:
     """Count injective maps {0..k-1} -> {0..m-1} preserving f's edges."""
-    if k > m:
-        return 0
     if k == 0:
         return 1
     order = _pattern_order(f_adj, k)
@@ -100,20 +98,13 @@ def _inj_masks(f_adj: list, k: int, g_adj: list, m: int) -> int:
     return count
 
 
-@lru_cache(maxsize=500000)
-def _inj_cached(fn: int, fmask: int, gn: int, gmask: int) -> int:
-    f = LabeledNetwork.from_mask(fn, fmask)
-    g = LabeledNetwork.from_mask(gn, gmask)
-    return _inj_masks(f.adjacency_bitsets(), f.n, g.adjacency_bitsets(), g.n)
-
-
 def inj(f: LabeledNetwork, g: LabeledNetwork) -> int:
     """Number of injective homomorphisms from f (on its non-isolated support)
     into g.  Edges must map to edges; non-edges are unconstrained."""
     fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
     if fs.n > g.n:
         return 0
-    return _inj_cached(fs.n, fs.mask, g.n, g.mask)
+    return _inj_masks(fs.adjacency_bitsets(), fs.n, g.adjacency_bitsets(), g.n)
 
 
 def sub(f: LabeledNetwork, g: LabeledNetwork) -> int:
@@ -249,9 +240,8 @@ def r_count(u: UnlabeledClass, x: LabeledNetwork) -> int:
 
 def sub_in_complete(u: UnlabeledClass, n: int) -> int:
     """sub(u, K_n): copies of the class inside the complete graph, which are
-    the n!/(n-k)! injections of its k vertices over its automorphisms."""
-    if u.n_vertices > n:
-        return 0
+    the n!/(n-k)! injections of its k vertices over its automorphisms (the
+    falling factorial is 0 for k > n)."""
     return _exact_div(
         _falling_factorial(n, u.n_vertices), class_aut(u), "copies in K_n"
     )

@@ -10,7 +10,6 @@ bidirected edges; the two readings have dual separation rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Iterable
 
@@ -131,7 +130,6 @@ def dependence_graph_from_edges(
     return DependenceGraph(n, kind, tuple(adj))
 
 
-@lru_cache(maxsize=None)
 def incidence_graph(n: int, kind: str = UNDIRECTED) -> DependenceGraph:
     """Dyads adjacent iff they share a node (line graph of the complete graph)."""
     if n < 3:
@@ -147,7 +145,6 @@ def incidence_graph(n: int, kind: str = UNDIRECTED) -> DependenceGraph:
     return DependenceGraph(n, kind, tuple(adj))
 
 
-@lru_cache(maxsize=None)
 def kneser_graph(n: int, kind: str = UNDIRECTED) -> DependenceGraph:
     """Dyads adjacent iff disjoint; the complement of the incidence graph."""
     if n < 3:

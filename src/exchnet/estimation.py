@@ -27,7 +27,6 @@ from .counting import (
     two_disjoint_edges_class,
 )
 from .graphs import (
-    MAX_NODES,
     InvariantError,
     LabeledNetwork,
     SizeCapError,
@@ -36,14 +35,13 @@ from .graphs import (
     degree_distribution,
     disconnected_classes,
     enumerate_classes,
-    num_dyads,
 )
 from .lp import maximize, solve_feasibility
 from .mobius import (
-    MAX_LATTICE_NODES,
     InvalidParametersError,
     JointTable,
     MobiusVector,
+    _by_mask,
     _close,
     _exact_or_float,
     mobius_from_class_distribution,
@@ -127,14 +125,11 @@ class ClassDistribution:
         return [(u, self.value(u)) for u in enumerate_classes(self.n, True)]
 
     def to_joint(self) -> JointTable:
-        if self.n > MAX_LATTICE_NODES:
-            raise SizeCapError(
-                f"joint expansion supports n <= {MAX_LATTICE_NODES}"
-            )
-        probs = []
-        for mask in range(1 << num_dyads(self.n)):
-            probs.append(self.labeled_prob(LabeledNetwork.from_mask(self.n, mask)))
-        return JointTable(self.n, tuple(probs))
+        probs = {
+            u: self.value(u) / class_size(u, self.n)
+            for u in enumerate_classes(self.n, True)
+        }
+        return JointTable(self.n, _by_mask(self.n, probs, "joint expansion"))
 
 
 @dataclass
@@ -536,7 +531,7 @@ def _class_stat_table(spec: ErgmSpec) -> tuple:
         cols = [table.row(u) for u in stat_classes]
         rows = [tuple(c[k] for c in cols) for k in range(len(classes))]
     stats = np.array(rows, dtype=float)
-    sizes = np.array([class_size(u, spec.n) for u in classes], dtype=float)
+    sizes = table.sizes.astype(float)
     return classes, stats, sizes
 
 
@@ -560,6 +555,9 @@ def ergm_eval(spec: ErgmSpec, nu, x: LabeledNetwork) -> float:
     vec = _nu_vector(spec, nu)
     _, stats, sizes = _class_stat_table(spec)
     psi = _log_partition(stats, sizes, vec)
+    # an exponent beyond float range makes the partition inf - inf
+    if not math.isfinite(psi):
+        raise InvalidParametersError(f"log partition is {psi} at these parameters")
     s_x = np.array(ergm_stats(spec, x), dtype=float)
     return math.exp(float(s_x @ vec) - psi)
 
@@ -688,8 +686,6 @@ def degree_collision_classes(n: int) -> list:
     """
     if n < 1:
         raise InvalidParametersError("degree collision scan needs n >= 1")
-    if n > MAX_NODES:
-        raise SizeCapError(f"degree collision scan supports n <= {MAX_NODES}")
     groups: dict = {}
     for u in enumerate_classes(n, True):
         dd = degree_distribution(u.padded(n))
@@ -741,8 +737,6 @@ def sigma_is_degree_function(u: UnlabeledClass, n: int) -> tuple:
     Returns (answer, witness) where the witness is a pair of padded
     representatives with equal degree counts and different counts of u.
     """
-    if n > MAX_NODES:
-        raise SizeCapError(f"degree-function scan supports n <= {MAX_NODES}")
     table = class_table(n)
     row = table.row(u)
     for group in degree_collision_classes(n):

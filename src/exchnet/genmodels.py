@@ -70,7 +70,13 @@ def _tie_sample(n: int, seed: int, draw_nodes: Callable) -> LabeledNetwork:
         raise SizeCapError(f"sampling supports n <= {MAX_SAMPLE_NODES}, got {n}")
     rng = random.Random(seed)
     tie_prob = draw_nodes(rng)
-    edges = [(i, j) for i, j in dyads(n) if rng.random() < tie_prob(i, j)]
+    # the colex pairs walked in place: ``dyads(n)`` would keep them cached
+    edges = [
+        (i, j)
+        for j in range(2, n + 1)
+        for i in range(1, j)
+        if rng.random() < tie_prob(i, j)
+    ]
     return LabeledNetwork.from_edges(n, edges)
 
 
@@ -197,11 +203,9 @@ def marginal_beta_joint(n: int, mix: MixingSpec) -> JointTable:
     seeded Monte Carlo and reports the largest per-configuration standard
     error on the resulting table.
     """
+    if n > MAX_EXACT_MIX_NODES:
+        raise SizeCapError(f"mixing joints support n <= {MAX_EXACT_MIX_NODES}")
     if mix.kind in ("point_mass", "two_point"):
-        if n > MAX_EXACT_MIX_NODES:
-            raise SizeCapError(
-                f"exact mixing supports n <= {MAX_EXACT_MIX_NODES}"
-            )
         atoms = mix.atoms()
         m = num_dyads(n)
         acc = np.zeros(1 << m)
@@ -221,10 +225,6 @@ def marginal_beta_joint(n: int, mix: MixingSpec) -> JointTable:
         acc /= acc.sum()
         return JointTable(n, tuple(float(v) for v in acc))
     if mix.kind == "gaussian":
-        if n > MAX_EXACT_MIX_NODES:
-            raise SizeCapError(
-                f"mixing joints support n <= {MAX_EXACT_MIX_NODES}"
-            )
         mu, sigma, samples, seed = mix.params
         rng = random.Random(seed)
         m = num_dyads(n)
@@ -366,6 +366,7 @@ def parse_graphon_text(text: str) -> Graphon:
     return Graphon.from_grid(rows)
 
 
+@functools.lru_cache(maxsize=32)
 def parse_graphon_name(spec: str) -> Graphon:
     """Named kernels: ``const:eta`` or ``product:logistic:mu,sigma``.
 
@@ -373,11 +374,6 @@ def parse_graphon_name(spec: str) -> Graphon:
     once per process and the same object (with its midpoint grids) is
     returned on later calls.
     """
-    return _named_graphon(spec)
-
-
-@functools.lru_cache(maxsize=32)
-def _named_graphon(spec: str) -> Graphon:
     if spec.startswith("const:"):
         return Graphon.constant(float(spec.split(":", 1)[1]))
     if spec.startswith("product:logistic:"):

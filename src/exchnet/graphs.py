@@ -366,7 +366,9 @@ def _class_lattice(n: int) -> tuple:
     is canonicalized on its full support.  Order: edge count, then vertex
     count, then canonical bits.
     """
-    if not (1 <= n <= MAX_NODES):
+    if n < 1:
+        raise InvalidNetworkError(f"class enumeration needs n >= 1, got {n}")
+    if n > MAX_NODES:
         raise SizeCapError(f"class enumeration supports 1 <= n <= {MAX_NODES}")
     adds: dict = {(0, 0): {}}
     frontier = [(0, 0)]
@@ -455,10 +457,6 @@ class DegreeDistribution:
     def __post_init__(self):
         if sum(j * c for j, c in enumerate(self.counts)) % 2 != 0:
             raise InvalidNetworkError("odd total degree")
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
 
 
 def degree_distribution(g: LabeledNetwork) -> DegreeDistribution:

@@ -18,6 +18,7 @@ from typing import Mapping
 
 from .counting import class_table, sub_in_complete
 from .graphs import (
+    InvalidNetworkError,
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
@@ -45,6 +46,8 @@ class InvalidParametersError(ValueError):
 
 
 def _check_lattice_size(n: int, what: str):
+    if n < 0:
+        raise InvalidNetworkError(f"{what} needs n >= 0, got {n}")
     if n > MAX_LATTICE_NODES:
         raise SizeCapError(
             f"{what} enumerates the full dyad lattice and supports "
@@ -148,8 +151,8 @@ def _superset_transform(values: tuple, m: int, op) -> list:
 
 def _refuse_negative(p, config: int, message):
     """Return the probability ``p``; raise with ``message()`` when it is
-    negative (exactly for rationals, beyond 1e-9 for floats)."""
-    if (p < 0) if isinstance(p, (Fraction, int)) else (p < -1e-9):
+    negative (exactly for rationals, beyond ``FLOAT_NEG_TOL`` for floats)."""
+    if (p < 0) if isinstance(p, (Fraction, int)) else (p < -FLOAT_NEG_TOL):
         raise InvalidParametersError(message(), config=config)
     return p
 
@@ -220,15 +223,18 @@ class MobiusVector:
         return MobiusVector(n2, keep)
 
 
+def _by_mask(n: int, values: Mapping, what: str) -> tuple:
+    """The value of each dyad mask's class, in mask order (n small)."""
+    _check_lattice_size(n, what)
+    return tuple(
+        values[UnlabeledClass.of(LabeledNetwork.from_mask(n, mask))]
+        for mask in range(1 << num_dyads(n))
+    )
+
+
 def labeled_from_exchangeable(mv: MobiusVector) -> LabeledMobius:
     """Expand class-indexed z to the full dyad lattice (n small)."""
-    _check_lattice_size(mv.n, "labeled_from_exchangeable")
-    m = num_dyads(mv.n)
-    z = []
-    for mask in range(1 << m):
-        u = UnlabeledClass.of(LabeledNetwork.from_mask(mv.n, mask))
-        z.append(mv.z[u])
-    return LabeledMobius(mv.n, tuple(z))
+    return LabeledMobius(mv.n, _by_mask(mv.n, mv.z, "labeled_from_exchangeable"))
 
 
 def exchangeable_from_labeled(lm: LabeledMobius) -> MobiusVector:

@@ -57,7 +57,10 @@ def mobius_from_json(obj: dict) -> MobiusVector:
     _check(obj, "zvector")
     z = {}
     for item in obj["z"]:
-        z[class_from_key(item["class"])] = decode_value(item["z"])
+        u = class_from_key(item["class"])
+        if u in z:
+            raise ValueError(f"class {u.key()} given twice, again as {item['class']!r}")
+        z[u] = decode_value(item["z"])
     return MobiusVector(obj["n"], z)
 
 
@@ -194,4 +197,4 @@ def validate_against_schema(obj, schema) -> list:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -664,6 +664,21 @@ def er_joint_doc(first):
     return doc
 
 
+def reader_argv(reader, doc, tmp_path, paw_file):
+    """The command line that reads ``doc`` as the input file ``reader`` names."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    joint = tmp_path / "joint.json"
+    joint.write_text(dump_json(joint_to_json(er_joint(3, Fraction(1, 3)))))
+    return {
+        "extend": ["extend", str(bad), "--m", "5"],
+        "eval": ["eval", "edges", str(bad), str(paw_file)],
+        "markov-joint": ["markov", str(bad), str(bad)],
+        "markov-depgraph": ["markov", str(joint), str(bad)],
+        "skeleton": ["skeleton", str(bad)],
+    }[reader]
+
+
 class TestExitCodes:
     def test_unknown_command_is_parse_error(self):
         assert main(["frobnicate"]) == 1
@@ -707,21 +722,49 @@ class TestExitCodes:
     def test_malformed_json_is_invalid_parameters(
         self, capsys, tmp_path, paw_file, reader, doc
     ):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        joint = tmp_path / "joint.json"
-        joint.write_text(dump_json(joint_to_json(er_joint(3, Fraction(1, 3)))))
-        argv = {
-            "extend": ["extend", str(bad), "--m", "5"],
-            "eval": ["eval", "edges", str(bad), str(paw_file)],
-            "markov-joint": ["markov", str(bad), str(bad)],
-            "markov-depgraph": ["markov", str(joint), str(bad)],
-            "skeleton": ["skeleton", str(bad)],
-        }[reader]
-        code = main(argv)
+        code = main(reader_argv(reader, doc, tmp_path, paw_file))
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("invalid parameters:")
+
+    @pytest.mark.parametrize(
+        "reader, doc, message",
+        [
+            ("extend", {**er_moments_doc("1-2", "1/3"), "n": 0}, "needs n >= 1, got 0"),
+            ("extend", {**er_moments_doc("1-2", "1/3"), "n": -3}, "needs n >= 1, got -3"),
+            ("skeleton", {**er_joint_doc("8/27"), "n": -2}, "needs n >= 0, got -2"),
+            (
+                "extend",
+                {"n": 4, "z": er_moments_doc("1-2", "1/3")["z"] + [{"class": "2-3", "z": "1/2"}]},
+                "class 1-2 given twice, again as '2-3'",
+            ),
+            ("markov-depgraph", {"n": 3, "kind": "directed", "edges": []}, "'directed' not in enum"),
+            (
+                "skeleton",
+                {"n": 3, "probs": ["-1/27", "13/27"] + er_joint_doc("8/27")["probs"][2:]},
+                "negative probability",
+            ),
+            ("extend", er_moments_doc("EMPTY", "1/2"), "z of the empty class is 1/2, not 1"),
+            # the Gibbs exponent overflows, so the log partition is inf - inf
+            ("eval", {"nu": {"star1": 1e308}}, "log partition is nan"),
+        ],
+        ids=["n0", "n-3", "joint-n-2", "class-twice", "kind-enum", "negative-entry",
+             "empty-z", "eval-overflow"],
+    )
+    def test_refusal_names_the_fault(
+        self, capsys, tmp_path, paw_file, reader, doc, message
+    ):
+        code = main(reader_argv(reader, doc, tmp_path, paw_file))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("invalid parameters:")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("star1", [800, -1e308])
+    def test_eval_that_underflows_answers_zero(self, capsys, tmp_path, paw_file, star1):
+        argv = reader_argv("eval", {"nu": {"star1": star1}}, tmp_path, paw_file)
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (0, {"probability": 0.0})
 
     @pytest.mark.parametrize(
         "argv",

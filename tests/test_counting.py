@@ -160,6 +160,9 @@ class TestRCount:
             "1-2,1-3,1-4,2-3,2-4,3-4": 1,
         }
 
+    def test_class_on_more_vertices_than_the_network(self, paw):
+        assert r_count(path_class(5), paw) == 0
+
     def test_matches_member_enumeration_oracle_n4(self):
         classes = enumerate_classes(4, True)
         for u in classes:

@@ -8,6 +8,7 @@ from exchnet.dependence import (
     MAX_MARKOV_DYADS,
     UNDIRECTED,
     DependenceGraph,
+    DissociatedCheckResult,
     _triples,
     ci_test,
     classify_skeleton,
@@ -224,6 +225,11 @@ class TestClassifySkeleton:
 
 
 class TestDissociatedCheck:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_at_most_one_dyad_always_holds(self, n):
+        lm = labeled_mobius_from_joint(er_joint(n, Fraction(1, 3)))
+        assert dissociated_check(lm) == DissociatedCheckResult(True)
+
     def test_er_is_dissociated(self):
         lm = labeled_mobius_from_joint(er_joint(4, Fraction(1, 3)))
         assert dissociated_check(lm).holds

@@ -295,6 +295,12 @@ class TestErgmStats:
 
 
 class TestErgmEval:
+    def test_exponent_past_float_range_is_refused(self, paw):
+        # exp overflows to inf in every class with an edge, so the log
+        # partition would be inf - inf
+        with pytest.raises(InvalidParametersError, match="log partition"):
+            ergm_eval(ErgmSpec("edges", 4), {"star1": 1e308}, paw)
+
     def test_zero_parameters_give_uniform(self, paw):
         spec = ErgmSpec("full_exchangeable", 4)
         p = ergm_eval(spec, {}, paw)

@@ -34,7 +34,7 @@ from exchnet.genmodels import (
     parse_graphon_name,
     parse_graphon_text,
 )
-from exchnet.graphs import LabeledNetwork, SizeCapError
+from exchnet.graphs import LabeledNetwork, SizeCapError, dyads
 from exchnet.mobius import InvalidParametersError, labeled_mobius_from_joint
 
 
@@ -229,6 +229,12 @@ class TestSampleNodeCap:
     def test_one_past_the_cap_is_size_cap(self, draw):
         with pytest.raises(SizeCapError):
             draw(genmodels.MAX_SAMPLE_NODES + 1)
+
+    def test_a_sample_caches_no_dyad_list(self):
+        # a cached dyad list at n = 1500 holds about 100 MB for the process
+        before = dyads.cache_info()
+        assert graphon_sample(Graphon.constant(0.5), 41, 0).n == 41
+        assert dyads.cache_info() == before
 
 
 class TestGraphonMoments:

@@ -29,6 +29,7 @@ from exchnet.graphs import (
     enumerate_classes,
     format_edge_list,
     num_dyads,
+    parse_dyad_label,
     parse_edge_list,
 )
 
@@ -56,6 +57,10 @@ class TestLabeledNetwork:
         assert dyad_index(2, 4) == 4
         # dyads within {1..3} occupy a prefix of the order at n=4
         assert dyads(4)[: len(dyads(3))] == dyads(3)
+
+    def test_dyad_given_high_node_first(self):
+        assert dyad_index(4, 2) == dyad_index(2, 4) == 4
+        assert parse_dyad_label("4-2") == parse_dyad_label("2-4") == (2, 4)
 
     def test_induced_subnetwork(self):
         g = LabeledNetwork.from_edges(5, [(1, 2), (2, 5), (3, 4)])
@@ -188,6 +193,15 @@ class TestEnumerateClasses:
         for n in (8, 9):
             with pytest.raises(SizeCapError):
                 enumerate_classes(n, True)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fewer_than_one_node_is_invalid(self, n):
+        with pytest.raises(InvalidNetworkError, match="needs n >= 1"):
+            enumerate_classes(n, True)
+
+    def test_class_size_below_its_vertex_count(self):
+        path5 = UnlabeledClass.of(LabeledNetwork.path(5))
+        assert [class_size(path5, n) for n in (3, 4, 5)] == [0, 0, 60]
 
     def test_class_sizes_sum_to_labeled_count(self):
         for n in (3, 4, 5):

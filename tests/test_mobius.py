@@ -365,6 +365,30 @@ class TestBidirectedEvaluation:
             )
 
 
+def near_degenerate_law(gap: float) -> MobiusVector:
+    """z at n = 3 with every z_U = 1 except z_cherry = 1 - gap: each labeled
+    cherry gets probability -gap and the empty network -3 gap."""
+    cherry = UnlabeledClass.of(LabeledNetwork.from_edges(3, [(1, 3), (2, 3)]))
+    z = {u: 1.0 for u in enumerate_classes(3, True)}
+    z[cherry] = 1 - gap
+    return MobiusVector(3, z)
+
+
+class TestOneNegativeTolerance:
+    """Class moments and the full lattice judge a float law alike."""
+
+    def test_both_paths_refuse_a_negative_beyond_tolerance(self):
+        mv = near_degenerate_law(2e-10)
+        assert not validate_mobius(mv).ok
+        with pytest.raises(InvalidParametersError):
+            joint_from_labeled_mobius(labeled_from_exchangeable(mv))
+
+    def test_both_paths_accept_a_negative_within_tolerance(self):
+        mv = near_degenerate_law(1e-13)
+        assert validate_mobius(mv).ok
+        joint_from_labeled_mobius(labeled_from_exchangeable(mv))
+
+
 class TestValidateMobius:
     def test_er_always_valid(self):
         for p in (Fraction(0), Fraction(1, 3), Fraction(1)):

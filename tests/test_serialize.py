@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from exchnet.dependence import BIDIRECTED, incidence_graph, kneser_graph
 from exchnet.estimation import ClassDistribution, FitReport, exch_mle
 from exchnet.genmodels import er_joint
@@ -95,3 +97,10 @@ class TestSchemas:
         assert validate_against_schema({"n": "four", "z": []}, schema)
         assert validate_against_schema({"z": []}, schema)
         assert validate_against_schema({"n": 4, "z": [{"class": 3}]}, schema)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_are_not_written(self, value):
+        with pytest.raises(ValueError):
+            dump_json({"probability": value})
