@@ -63,7 +63,6 @@ from .genmodels import (
     marginal_beta_joint,
 )
 from .graphs import (
-    CanonicalForm,
     DegreeDistribution,
     InvariantError,
     LabeledNetwork,

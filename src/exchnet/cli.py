@@ -33,6 +33,7 @@ from .estimation import (
 )
 from .extendability import dissociated_extendable_check, extendable_check
 from .genmodels import (
+    MAX_SAMPLE_NODES,
     BetaSpec,
     Graphon,
     MixingSpec,
@@ -51,6 +52,7 @@ from .graphs import (
     dyad_label,
     dyads,
     format_edge_list,
+    num_dyads,
     parse_edge_list,
 )
 from .serialize import (
@@ -289,6 +291,12 @@ def _cmd_sample(args) -> str:
     else:
         phi = Graphon.constant(args.p) if args.model == "er" else _parse_phi(args.phi)
         draw = functools.partial(graphon_sample, phi, args.n)
+    # the samples are joined before any is written, so their dyads (at least
+    # one per sample) are bounded by one sample at the node cap, past which
+    # the sampler itself refuses
+    n, cap = args.n or len(args.beta.split(",")), num_dyads(MAX_SAMPLE_NODES)
+    if args.count > 1 and max(num_dyads(n), 1) * args.count > cap:
+        raise SizeCapError(f"sampling supports n(n-1)/2 * count <= {cap}")
     return "\n".join(
         f"# sample {k}\n" + format_edge_list(draw(child_seed(args.seed, k)))
         for k in range(args.count)

@@ -537,10 +537,11 @@ def _class_stat_table(spec: ErgmSpec) -> tuple:
 
 def _gibbs_weights(stats, sizes, nu) -> tuple:
     """Unnormalized class weights exp(S nu + log|class| - shift) and the
-    shift, the largest exponent."""
-    expo = stats @ nu + np.log(sizes)
-    shift = float(np.max(expo))
-    return np.exp(expo - shift), shift
+    shift, the largest exponent; an exponent past float range stays inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = stats @ nu + np.log(sizes)
+        shift = float(np.max(expo))
+        return np.exp(expo - shift), shift
 
 
 def _log_partition(stats, sizes, nu):
@@ -559,7 +560,8 @@ def ergm_eval(spec: ErgmSpec, nu, x: LabeledNetwork) -> float:
     if not math.isfinite(psi):
         raise InvalidParametersError(f"log partition is {psi} at these parameters")
     s_x = np.array(ergm_stats(spec, x), dtype=float)
-    return math.exp(float(s_x @ vec) - psi)
+    with np.errstate(over="ignore"):
+        return math.exp(float(s_x @ vec) - psi)
 
 
 def _facial_set(spec: ErgmSpec, stats, x_idx: int) -> np.ndarray:

@@ -209,31 +209,6 @@ class LabeledNetwork:
         return f"LabeledNetwork(n={self.n}, [{es}])"
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Lexicographically minimal upper-triangular adjacency bitstring.
-
-    Bits follow the colex dyad order of :func:`dyads`.  The bits are the
-    least of the n! relabeled masks read as integers with dyad 0 the most
-    significant bit, taken from the relabeling table (n <= 7).  Two labeled
-    networks on the same node count share a CanonicalForm iff they are
-    isomorphic.
-    """
-
-    n_vertices: int
-    bits: tuple
-
-    def to_network(self) -> LabeledNetwork:
-        ds = dyads(self.n_vertices)
-        return LabeledNetwork(
-            self.n_vertices,
-            frozenset(ds[k] for k, b in enumerate(self.bits) if b),
-        )
-
-    def sort_key(self):
-        return (self.n_vertices, self.bits)
-
-
 @lru_cache(maxsize=None)
 def _relabel_table(n: int) -> np.ndarray:
     """T[c, v, p]: dyads 4c..4c+3 holding the bits of v, relabeled by the
@@ -241,7 +216,7 @@ def _relabel_table(n: int) -> np.ndarray:
 
     Each entry is a uint32 read with dyad 0 as the most significant of the
     n(n-1)/2 bits, so ORing one row per chunk of a mask gives the mask under
-    every relabeling, as integers that compare like the bit tuples.
+    every relabeling, as integers that compare like bit strings, dyad 0 first.
     """
     if n > MAX_NODES:
         raise SizeCapError(f"vertex relabelings support n <= {MAX_NODES}, got {n}")
@@ -277,48 +252,52 @@ def _canon_min(n: int, mask: int) -> int:
     return int(_relabelings(n, mask).min())
 
 
-def _bits(n: int, value: int) -> tuple:
-    """The n(n-1)/2 bits of ``value``, the most significant first."""
-    nd = num_dyads(n)
-    return tuple(value >> (nd - 1 - k) & 1 for k in range(nd))
-
-
-def canonical_form(g: LabeledNetwork) -> CanonicalForm:
-    """Canonical form of g on all of its n vertices (isolated ones included)."""
-    return CanonicalForm(g.n, _bits(g.n, _canon_min(g.n, g.mask)))
+def canonical_form(g: LabeledNetwork) -> int:
+    """Canonical code of g on all of its n vertices (isolated ones included):
+    the least of its n! relabeled masks, read as an integer with dyad 0 the
+    most significant bit.  Two networks on the same node count share a code
+    iff they are isomorphic."""
+    return _canon_min(g.n, g.mask)
 
 
 @dataclass(frozen=True)
 class UnlabeledClass:
-    """An isomorphism class, keyed by the canonical form of its edge-induced
-    representative (no isolated vertices).  The empty graph gets its own flag.
+    """An isomorphism class: the vertex count of its edge-induced
+    representative (no isolated vertices) and that representative's
+    canonical code.  The empty class is (0, 0).
     """
 
-    canon: CanonicalForm
-    is_empty: bool
+    n_vertices: int
+    code: int
 
     @classmethod
     def empty(cls) -> "UnlabeledClass":
-        return cls(CanonicalForm(0, ()), True)
+        return cls(0, 0)
 
     @classmethod
     def of(cls, g: LabeledNetwork) -> "UnlabeledClass":
         """The class of g, after restriction to its non-isolated vertices."""
         if not g.edges:
             return cls.empty()
-        return cls(canonical_form(g.restrict_to_support()), False)
+        sub = g.restrict_to_support()
+        return cls(sub.n, canonical_form(sub))
 
     @property
-    def n_vertices(self) -> int:
-        return self.canon.n_vertices
+    def is_empty(self) -> bool:
+        return self.n_vertices == 0
 
     @property
     def edge_count(self) -> int:
-        return sum(self.canon.bits)
+        return self.code.bit_count()
 
     def representative(self) -> LabeledNetwork:
         """The canonical labeled representative on exactly n_vertices nodes."""
-        return self.canon.to_network()
+        ds, code, edges = dyads(self.n_vertices), self.code, []
+        while code:  # set bits, lowest first: bit i is dyad len(ds) - 1 - i
+            low = code & -code
+            edges.append(ds[len(ds) - low.bit_length()])
+            code ^= low
+        return LabeledNetwork(self.n_vertices, frozenset(edges))
 
     def padded(self, n: int) -> LabeledNetwork:
         """The representative padded with isolated vertices up to n nodes."""
@@ -329,7 +308,7 @@ class UnlabeledClass:
         return LabeledNetwork(n, self.representative().edges)
 
     def sort_key(self):
-        return (self.edge_count, self.n_vertices, self.canon.bits)
+        return (self.edge_count, self.n_vertices, self.code)
 
     def key(self) -> str:
         """Serialization key: sorted i-j pairs of the representative."""
@@ -364,7 +343,7 @@ def _class_lattice(n: int) -> tuple:
     its placements among the n - k isolated nodes.  A representative has no
     isolated node and every new edge touches the new labels, so each child
     is canonicalized on its full support.  Order: edge count, then vertex
-    count, then canonical bits.
+    count, then canonical code.
     """
     if n < 1:
         raise InvalidNetworkError(f"class enumeration needs n >= 1, got {n}")
@@ -395,12 +374,9 @@ def _class_lattice(n: int) -> tuple:
                     new_frontier.append(child)
                 out[child] = out.get(child, 0) + count
         frontier = new_frontier
-    keys = sorted(adds, key=lambda c: (bin(c[1]).count("1"), c[0], c[1]))
+    keys = sorted(adds, key=lambda c: (c[1].bit_count(), c[0], c[1]))
     index = {c: i for i, c in enumerate(keys)}
-    classes = tuple(
-        UnlabeledClass(CanonicalForm(k, _bits(k, best)), not k)
-        for k, best in keys
-    )
+    classes = tuple(UnlabeledClass(*key) for key in keys)
     additions = tuple({index[w]: a for w, a in adds[v].items()} for v in keys)
     return classes, additions
 

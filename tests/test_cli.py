@@ -464,6 +464,39 @@ class TestSample:
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("size cap:")
 
+    @pytest.mark.parametrize(
+        "model, n, count, code",
+        [("er", 1414, 2, 0), ("er", 1415, 2, 3), ("beta", 1414, 2, 0),
+         ("beta", 1415, 2, 3), ("er", 1, 1999001, 3)],
+    )
+    def test_dyads_of_all_samples_bounded_by_one_at_the_node_cap(
+        self, capsys, monkeypatch, model, n, count, code
+    ):
+        # 2 samples at n = 1415 hold more dyads than one at n = 2000, so
+        # they are refused before the first draw (a sample on one node
+        # counts as one dyad); draws are stubbed here
+        import exchnet.cli as cli
+        from exchnet.graphs import LabeledNetwork
+
+        drawn = []
+
+        def draw(*args):
+            drawn.append(args)
+            return LabeledNetwork.empty(1)
+
+        monkeypatch.setattr(cli, "graphon_sample", draw)
+        monkeypatch.setattr(cli, "beta_sample", draw)
+        options = {
+            "er": ["--n", str(n), "--p", "0.5"],
+            "beta": ["--beta", ",".join(["0"] * n)],
+        }[model]
+        result = main(["sample", model, *options, "--seed", "1", "--count", str(count)])
+        captured = capsys.readouterr()
+        assert (result, len(drawn)) == (code, 0 if code else count)
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("size cap:")
+
     def test_missing_seed_is_parse_error(self, capsys):
         code = main(["sample", "er", "--n", "4", "--p", "0.5"])
         assert code == 1
@@ -544,6 +577,12 @@ class TestGraphonZ:
         assert code == 0
         obj = json.loads(out)
         assert obj["value"] == pytest.approx(0.09)
+
+    def test_empty_class_moment_is_one(self, capsys):
+        code, out = run_cli(capsys, "graphon-z", "const:0.3", "EMPTY")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["class"], obj["value"]) == ("EMPTY", 1.0)
 
     def test_mc_requires_seed(self, capsys):
         code, _ = run_cli(
@@ -747,9 +786,20 @@ class TestExitCodes:
             ("extend", er_moments_doc("EMPTY", "1/2"), "z of the empty class is 1/2, not 1"),
             # the Gibbs exponent overflows, so the log partition is inf - inf
             ("eval", {"nu": {"star1": 1e308}}, "log partition is nan"),
+            (
+                "skeleton",
+                {**er_joint_doc("8/27"), "probs": er_joint_doc("8/27")["probs"][:7]},
+                "need 8 entries for n=3, got 7",
+            ),
+            ("eval", {"nu": [0.1, 0.2]}, "need 1 values, got 2"),
+            (
+                "markov-depgraph",
+                {"n": 3, "kind": "undirected", "edges": [["1-2", "2-1"]]},
+                "self-adjacency at dyad 1-2",
+            ),
         ],
         ids=["n0", "n-3", "joint-n-2", "class-twice", "kind-enum", "negative-entry",
-             "empty-z", "eval-overflow"],
+             "empty-z", "eval-overflow", "probs-length", "nu-length", "dyad-twice"],
     )
     def test_refusal_names_the_fault(
         self, capsys, tmp_path, paw_file, reader, doc, message
@@ -765,6 +815,84 @@ class TestExitCodes:
         argv = reader_argv("eval", {"nu": {"star1": star1}}, tmp_path, paw_file)
         code, out = run_cli(capsys, *argv)
         assert (code, json.loads(out)) == (0, {"probability": 0.0})
+
+    def test_eval_that_underflows_writes_nothing_to_stderr(self, tmp_path, paw_file):
+        # numpy reports an overflow on stderr, which capsys does not see in
+        # the test's own process
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import exchnet
+
+        argv = reader_argv("eval", {"nu": {"star1": -1e308}}, tmp_path, paw_file)
+        src = str(Path(exchnet.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "exchnet.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == {"probability": 0.0}
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["markov", "{dir}/joint5.json", "{dir}/dep5.json"], 3,
+             "global Markov check supports at most 6 dyads"),
+            (["skeleton", "{dir}/joint5.json"], 3,
+             "skeleton search supports at most 6 dyads"),
+            (["skeleton", "{dir}/joint7.json"], 3, "supports n <= 6, got 7"),
+            (["fit", "edges", "{dir}/path7.edges"], 3, "ergm fitting supports n <= 6"),
+            (["eval", "edges", "{dir}/nu.json", "{dir}/path7.edges"], 3,
+             "ergm evaluation supports n <= 6"),
+            (["graphon-z", "const:0.3", "1-2,2-3,3-4,4-5,5-6,6-7"], 3,
+             "kernel moments support classes on <= 6 vertices"),
+            (["sample", "beta", "--beta", "nan,0", "--seed", "1"], 2,
+             "propensities must be finite"),
+            (["sample", "marginal-beta", "--n", "4", "--mixing", "two-point:0,1,2",
+              "--seed", "1"], 2, "mixture weight must be in [0, 1]"),
+            (["sample", "marginal-beta", "--n", "4", "--mixing", "gaussian:0,-1",
+              "--seed", "1"], 2, "sigma must be nonnegative"),
+            (["graphon-z", "const:1.5", "1-2"], 2, "constant level must be in [0, 1]"),
+            (["graphon-z", "product:foo", "1-2"], 2, "unknown kernel spec 'product:foo'"),
+            (["graphon-z", "{dir}/high.grid", "1-2"], 2, "grid values must lie in [0, 1]"),
+            (["graphon-z", "const:0.3", "1-2", "--r", "1"], 2, "resolution must be >= 2"),
+            (["mle", "{dir}/n0.edges"], 2, "node count must be positive"),
+            (["mle", "{dir}/headless.edges"], 2, "expected header 'n <count>'"),
+        ],
+        ids=["markov-joint5", "skeleton-joint5", "joint-n7", "fit-n7", "eval-n7",
+             "graphon-z-7-vertices", "beta-nan", "two-point-weight", "gaussian-sigma",
+             "const-level", "product-spec", "grid-value", "resolution-1",
+             "edge-list-n0", "edge-list-headless"],
+    )
+    def test_refused_input_exits_with_one_line(
+        self, capsys, tmp_path, argv, code, message
+    ):
+        from exchnet.dependence import empty_dependence_graph
+        from exchnet.graphs import LabeledNetwork
+
+        joint3 = joint_to_json(er_joint(3, Fraction(1, 3)))
+        files = {
+            "joint5.json": dump_json(joint_to_json(er_joint(5, Fraction(1, 3)))),
+            "dep5.json": dump_json(depgraph_to_json(empty_dependence_graph(5))),
+            "joint7.json": json.dumps({**joint3, "n": 7}),
+            "path7.edges": format_edge_list(LabeledNetwork.path(7)),
+            "nu.json": json.dumps({"nu": {"star1": 0.25}}),
+            "high.grid": "2\n0.2 1.5\n1.5 0.6\n",
+            "n0.edges": "n 0\n",
+            "headless.edges": "1 2\n2 3\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        result = main([a.format(dir=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert (result, captured.out) == (code, "")
+        prefix = {2: "invalid parameters: ", 3: "size cap: "}[code]
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "argv",
