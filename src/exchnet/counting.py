@@ -167,19 +167,24 @@ class ClassTable:
                 removals[j][k] = _exact_div(
                     sizes[k] * a, sizes[j], "edge removals"
                 )
-        # columns in shipped order; the classes with fewer edges come first.
-        # Entries are at most sub(U, K_7) <= 7!, sums of them stay in int64.
-        below = np.searchsorted(edges, edges)
-        s = np.zeros((len(self.classes), len(self.classes)), dtype=np.int32)
-        for j, b in enumerate(removals):
-            s[j, j] = 1
-            lo = below[j]
-            acc = s[:lo, list(b)].astype(np.int64) @ np.array(
-                list(b.values()), dtype=np.int64
-            )
-            s[:lo, j], rem = np.divmod(acc, edges[j] - edges[:lo])
-            if rem.any():
-                raise InvariantError(f"one-edge recursion at n={n}, column {j}")
+        # the columns of the classes with e edges from those with e - 1, one
+        # float32 product per e.  Exact: every partial sum is an integer of at
+        # most 21 * 7! < 2^24 (S <= sub(U, K_7) <= 7!, b's columns sum to e),
+        # and a quotient by e - e(U) <= 21 that is not whole stays so
+        at = np.searchsorted(edges, np.arange(edges[-1] + 2))
+        s = np.eye(len(self.classes), dtype=np.int32)
+        for e in range(1, edges[-1] + 1):
+            prev, lo, hi = at[e - 1], at[e], at[e + 1]
+            b = np.zeros((lo - prev, hi - lo), dtype=np.float32)
+            for j in range(lo, hi):
+                for k, v in removals[j].items():
+                    b[k - prev, j - lo] = v
+            acc = s[:lo, prev:lo].astype(np.float32) @ b
+            acc /= (e - edges[:lo])[:, None]
+            s[:lo, lo:hi] = acc
+            bad = np.flatnonzero((s[:lo, lo:hi] != acc).any(axis=0))
+            if bad.size:
+                raise InvariantError(f"one-edge recursion at n={n}, column {lo + bad[0]}")
         self.S = s
 
     def row(self, u: UnlabeledClass) -> tuple:

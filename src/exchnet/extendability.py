@@ -32,7 +32,7 @@ from .graphs import (
     enumerate_classes,
     num_dyads,
 )
-from .lp import solve_feasibility
+from .lp import _Row, solve_feasibility
 from .mobius import (
     InvalidParametersError,
     JointTable,
@@ -92,18 +92,18 @@ def _check_sizes(n: int, m: int) -> None:
 
 @lru_cache(maxsize=64)
 def _sigma_rows(m: int, n: int) -> tuple:
-    """The non-empty classes U at n, the classes at m and the row of each U."""
+    """The non-empty classes U at n, the classes at m and each U's row (a _Row)."""
     table = class_table(m)
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
-    rows = tuple(table.moment_row(u) for u in targets)
+    rows = tuple(_Row(table.moment_row(u)) for u in targets)
     return tuple(targets), table.classes, rows
 
 
 @lru_cache(maxsize=64)
 def _product_terms(m: int, n: int) -> tuple:
     """For every disconnected class U at m on more than n vertices: U, its
-    components on at most n vertices, U's row and the row of its one
-    component on more than n vertices (None when there is none)."""
+    components on at most n vertices, U's row (a ``_Row`` if the LP reads it
+    as is) and the row of its one component on more than n, or None."""
     table = class_table(m)
     out = []
     for u, comps in disconnected_classes(m):
@@ -115,8 +115,9 @@ def _product_terms(m: int, n: int) -> tuple:
                 f"{u.key()} has {len(big)} components on over {n} vertices"
             )
         small = tuple(c for c in comps if c.n_vertices <= n)
+        row_u = table.moment_row(u)
         row_big = table.moment_row(big[0]) if big else None
-        out.append((u, small, table.moment_row(u), row_big))
+        out.append((u, small, row_u if big else _Row(row_u), row_big))
     return tuple(out)
 
 

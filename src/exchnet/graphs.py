@@ -332,9 +332,10 @@ def class_from_key(key: str) -> UnlabeledClass:
 
 @lru_cache(maxsize=None)
 def _class_lattice(n: int) -> tuple:
-    """The classes at n in enumeration order, and for each class V its
-    one-edge additions {index of W: a(V, W)}, where a(V, W) counts the
-    non-edges of V padded to n nodes whose addition gives a graph in W.
+    """The classes at n in enumeration order; for each class V its one-edge
+    additions {index of W: a(V, W)}, where a(V, W) counts the non-edges of V
+    padded to n nodes whose addition gives a graph in W; and each class's
+    automorphism count on its support.
 
     One breadth-first pass from the empty class, one edge count at a time,
     on (vertex count, least relabeling) keys; each ``UnlabeledClass`` is
@@ -342,14 +343,17 @@ def _class_lattice(n: int) -> tuple:
     canonicalized once, at the first free labels, and counted for each of
     its placements among the n - k isolated nodes.  A representative has no
     isolated node and every new edge touches the new labels, so each child
-    is canonicalized on its full support.  Order: edge count, then vertex
-    count, then canonical code.
+    is canonicalized on its full support.  A child's relabelings are the
+    parent's ORed with those of its one new dyad, so the children on each
+    vertex count take one gather, one OR and one minimum per row; the
+    relabelings equal to a new class's minimum are its automorphisms.
+    Order: edge count, then vertex count, then canonical code.
     """
     if n < 1:
         raise InvalidNetworkError(f"class enumeration needs n >= 1, got {n}")
     if n > MAX_NODES:
         raise SizeCapError(f"class enumeration supports 1 <= n <= {MAX_NODES}")
-    adds: dict = {(0, 0): {}}
+    adds, auts = {(0, 0): {}}, {(0, 0): 1}
     frontier = [(0, 0)]
     while frontier:
         new_frontier = []
@@ -358,27 +362,34 @@ def _class_lattice(n: int) -> tuple:
             nd = num_dyads(k)
             # the representative's mask, dyad 0 the least significant bit
             base = int(f"{best:0{nd}b}"[::-1], 2)
-            # (dyad, child's vertex count, placements): the non-edges of the
-            # representative, its edges to node k + 1 (the colex dyads
-            # nd..nd + k - 1) and the edge {k + 1, k + 2} (dyad nd + 2k)
-            cands = [(d, k, 1) for d in range(nd) if not base >> d & 1]
-            if k + 1 <= n:
-                cands += [(d, k + 1, n - k) for d in range(nd, nd + k)]
-            if k + 2 <= n:
-                cands.append((nd + 2 * k, k + 2, math.comb(n - k, 2)))
+            # (child's vertex count, new dyads, placements of each): the
+            # non-edges of the representative, its edges to node k + 1 (the
+            # colex dyads nd..nd + k - 1) and the edge {k + 1, k + 2} (dyad
+            # nd + 2k)
             out = adds[key]
-            for bit, nn, count in cands:
-                child = (nn, _canon_min(nn, base | 1 << bit))
-                if child not in adds:
-                    adds[child] = {}
-                    new_frontier.append(child)
-                out[child] = out.get(child, 0) + count
+            for nn, new, count in (
+                (k, [d for d in range(nd) if not base >> d & 1], 1),
+                (k + 1, range(nd, nd + k), n - k),
+                (k + 2, [nd + 2 * k], math.comb(n - k, 2)),
+            ):
+                if nn > n or not new:
+                    continue
+                ds = np.array(new)
+                images = _relabel_table(nn)[ds >> 2, 1 << (ds & 3)]
+                images |= _relabelings(nn, base)
+                for row, least in zip(images, images.min(axis=1).tolist()):
+                    child = (nn, least)
+                    if child not in adds:
+                        adds[child] = {}
+                        auts[child] = int(np.count_nonzero(row == least))
+                        new_frontier.append(child)
+                    out[child] = out.get(child, 0) + count
         frontier = new_frontier
     keys = sorted(adds, key=lambda c: (c[1].bit_count(), c[0], c[1]))
     index = {c: i for i, c in enumerate(keys)}
     classes = tuple(UnlabeledClass(*key) for key in keys)
     additions = tuple({index[w]: a for w, a in adds[v].items()} for v in keys)
-    return classes, additions
+    return classes, additions, {c: auts[key] for c, key in zip(classes, keys)}
 
 
 def class_additions(n: int) -> tuple:
@@ -404,10 +415,11 @@ def aut_count(g: LabeledNetwork) -> int:
 
 @lru_cache(maxsize=None)
 def class_aut(cls_: UnlabeledClass) -> int:
-    """Automorphism count of the class representative on its support."""
+    """Automorphism count of the class representative on its support, as
+    the class lattice at its vertex count records it."""
     if cls_.is_empty:
         return 1
-    return aut_count(cls_.representative())
+    return _class_lattice(cls_.n_vertices)[2][cls_]
 
 
 def class_size(cls_: UnlabeledClass, n: int) -> int:

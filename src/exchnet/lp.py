@@ -9,7 +9,8 @@ Rational data (every coefficient an int or Fraction) get an exact verdict
 while paying for rational arithmetic about once per LP, as in the float
 simplex plus exact check of QSopt_ex (Applegate, Cook, Dash & Espinoza,
 Oper. Res. Lett. 35, 2007).  One pass scales each row to integers (and
-finds out whether the data are rational at all); both halves read it:
+finds out whether the data are rational at all; a row given as a ``_Row``
+brings the part that does not read b); both halves read it:
 
 1. The pivots run in floats, on coefficients taken as int / scale, which
    is correctly rounded as float(Fraction) is.  Ratios within
@@ -258,6 +259,20 @@ def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
     return Optimum(x, float(obj[-1]), obj[:n].copy(), pivots)
 
 
+class _Row(tuple):
+    """A row of ints and Fractions with the part of its scaling that does
+    not read b: the lcm of its denominators, the row times it, and its
+    floats (int / int is correctly rounded as float(Fraction) is)."""
+
+    def __new__(cls, row):
+        self = super().__new__(cls, row)
+        ratios = [v.as_integer_ratio() for v in self]
+        self.lcm = lcm(*{q for _, q in ratios})
+        self.ints = [p * (self.lcm // q) for p, q in ratios]
+        self.floats = [v / self.lcm for v in self.ints]
+        return self
+
+
 @dataclass
 class _Scaled:
     """Rational rows of A x = b (every coefficient an int or Fraction), row i
@@ -269,35 +284,29 @@ class _Scaled:
     rhs: list  # integers >= 0
     scales: list
     signs: list
+    floats: list  # the caller's rows as floats, for the float pass
 
     @classmethod
     def of(cls, a_rows: Sequence, b: Sequence) -> "_Scaled | None":
-        """None unless every coefficient is an int or a Fraction."""
-        rational = (int, Fraction)
+        """None unless every coefficient is an int or a Fraction; a ``_Row``
+        brings its own scaling, times scale_i / its lcm here."""
+        rat = (int, Fraction)
         n = len(a_rows[0]) if len(a_rows) else 0
-        rows, rhs, scales, signs = [], [], [], []
+        system = cls(n, [], [], [], [], [])
         for row, bi in zip(a_rows, b):
-            if not isinstance(bi, rational) or not all(
-                map(isinstance, row, repeat(rational))
-            ):
+            if not isinstance(row, _Row) and all(map(isinstance, row, repeat(rat))):
+                row = _Row(row)
+            if not isinstance(bi, rat) or not isinstance(row, _Row):
                 return None
-            ratios = [v.as_integer_ratio() for v in row]
-            scale = lcm(bi.denominator, *{q for _, q in ratios})
+            scale = lcm(row.lcm, bi.denominator)
             sign = -1 if bi < 0 else 1
-            k = sign * scale
-            rows.append([p * (k // q) for p, q in ratios])
-            rhs.append(bi.numerator * (k // bi.denominator))
-            scales.append(scale)
-            signs.append(sign)
-        return cls(n, rows, rhs, scales, signs)
-
-    def floats(self) -> list:
-        """The caller's coefficients of A as floats for the float pass,
-        correctly rounded as float(Fraction) rounds: so is int / int."""
-        return [
-            [sign * v / scale for v in row]
-            for row, scale, sign in zip(self.rows, self.scales, self.signs)
-        ]
+            k = sign * (scale // row.lcm)
+            system.rows.append(row.ints if k == 1 else [k * v for v in row.ints])
+            system.rhs.append(bi.numerator * (sign * scale // bi.denominator))
+            system.scales.append(scale)
+            system.signs.append(sign)
+            system.floats.append(row.floats)
+        return system
 
 
 def _bareiss(mat: list) -> bool:
@@ -317,9 +326,11 @@ def _bareiss(mat: list) -> bool:
         for r in range(c + 1, k):
             row = mat[r]
             f = row[c]
-            mat[r] = row[:c] + [
-                (piv * a - f * t) // prev for a, t in zip(row[c:], top[c:])
-            ]
+            if f:
+                tail = [(piv * a - f * t) // prev for a, t in zip(row[c:], top[c:])]
+            else:
+                tail = [piv * a // prev for a in row[c:]]
+            mat[r] = row[:c] + tail
         prev = piv
     return True
 
@@ -424,6 +435,6 @@ def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
     system = _Scaled.of(a_rows, b)
     if system is None:
         return _phase_one(a_rows, b, False)
-    tab, basis, _ = _initial_tableau(system.floats(), b, float)
+    tab, basis, _ = _initial_tableau(system.floats, b, float)
     pivots, _ = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
     return _exact_from_basis(a_rows, b, basis, pivots, system)

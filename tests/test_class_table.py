@@ -1,10 +1,11 @@
 """The sigma table S[U][W] = sigma_U(W padded to n) against brute force."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
-from oracles import oracle_sub
+from oracles import oracle_aut, oracle_sub
 
 from exchnet.counting import (
     class_table,
@@ -14,7 +15,14 @@ from exchnet.counting import (
     triangle_class,
     two_disjoint_edges_class,
 )
-from exchnet.graphs import LabeledNetwork, SizeCapError
+from exchnet.graphs import (
+    LabeledNetwork,
+    SizeCapError,
+    _class_lattice,
+    class_additions,
+    class_aut,
+    enumerate_classes,
+)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -115,3 +123,47 @@ def test_second_call_is_a_cache_hit():
     hits = class_table.cache_info().hits
     assert class_table(5) is first
     assert class_table.cache_info().hits == hits + 1
+
+
+# The seven-node lattice and sigma table, byte for byte: the classes, the
+# one-edge additions, the automorphism counts, S_7 and the class sizes.
+SEVEN_NODE_DIGESTS = {
+    "classes": (
+        lambda: repr([(c.n_vertices, c.code) for c in enumerate_classes(7)]),
+        "3080556565a2f98547d6b4885920a64bf71afff87e92ede0dd414a27859af293",
+    ),
+    "additions": (
+        lambda: repr([sorted(a.items()) for a in class_additions(7)]),
+        "a4d0136952135bf686376b9a1168ccb0c64acae1447bdf3dfc060e38e571b7bc",
+    ),
+    "auts": (
+        lambda: repr([class_aut(c) for c in enumerate_classes(7)]),
+        "58dbc0f57f74d498c94b8d85234e460aa361adf2cba9f91097c5b3e5b824fc06",
+    ),
+    "sigma": (
+        lambda: class_table(7).S.astype("<i4").tobytes(),
+        "6dfedadec3a0adc861851ef249a754f76533ac50dcd31ebeb1b0ecb4c0a03d87",
+    ),
+    "sizes": (
+        lambda: repr(class_table(7).sizes.tolist()),
+        "47fdaf0b1b2c45bcf37ed95c73ba087ae4be5b25ed3a7100fbba073bdc97a29e",
+    ),
+}
+
+
+@pytest.mark.parametrize("part", sorted(SEVEN_NODE_DIGESTS))
+def test_seven_node_lattice_bytes(part):
+    value, digest = SEVEN_NODE_DIGESTS[part]
+    data = value()
+    if isinstance(data, str):
+        data = data.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lattice_aut_counts_match_oracle(n):
+    classes, _, auts = _class_lattice(n)
+    assert list(auts) == list(classes)
+    for u in classes[1:]:
+        assert auts[u] == oracle_aut(u.representative()), u.key()
+    assert auts[classes[0]] == 1  # the empty class

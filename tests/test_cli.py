@@ -365,6 +365,45 @@ class TestExtend:
             q = json.loads(out)["certificate"]["q"]
             assert all(isinstance(v, float) for v in q.values()), flags
 
+    def test_rows_scaled_once_answer_as_fresh_ones(self, capsys, tmp_path, paw):
+        # exact, dissociated and float LPs on one (m, n) share the moment
+        # rows that ``_sigma_rows`` scales once; each report must equal the
+        # report of a fresh call, with the rows built anew
+        from oracles import oracle_block_moments
+
+        from exchnet import extendability
+        from exchnet.estimation import exch_mle
+        from exchnet.graphs import enumerate_classes
+        from exchnet.mobius import MobiusVector
+
+        half, fifth = Fraction(1, 2), Fraction(1, 5)
+        z = oracle_block_moments(
+            enumerate_classes(4, True), (Fraction(1, 3), Fraction(2, 3)),
+            ((half, fifth), (fifth, Fraction(1, 10))),
+        )
+        files = {
+            "block": MobiusVector(4, z),
+            "float": MobiusVector(4, {u: float(v) for u, v in z.items()}),
+            "paw": exch_mle(paw),
+        }
+        for name, mv in files.items():
+            (tmp_path / name).write_text(dump_json(mobius_to_json(mv)))
+        calls = [
+            ["block"], ["block", "--dissociated"], ["float"], ["paw"],
+            ["float", "--dissociated"], ["block"],
+        ]
+        calls = [
+            ["extend", str(tmp_path / f), "--m", "6", *rest] for f, *rest in calls
+        ]
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert [code for code, _ in shared] == [0] * len(calls)
+        # the dissociated verdicts come from the LP with its product rows
+        assert {json.loads(shared[i][1])["method"] for i in (1, 4)} == {"lp"}
+        for argv, got in zip(calls, shared):
+            extendability._sigma_rows.cache_clear()
+            extendability._product_terms.cache_clear()
+            assert run_cli(capsys, *argv) == got, argv
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_dissociated_one_node_agrees_with_exact(self, capsys, tmp_path, m):
         edges = tmp_path / "one.edges"

@@ -7,6 +7,7 @@ exact answer is re-checked here in Fraction arithmetic.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from exchnet.lp import (
     _exact_from_basis,
     _phase_one,
     _initial_tableau,
+    _Row,
     _Scaled,
     _solve,
     maximize,
@@ -262,9 +264,62 @@ wide = st.one_of(
 def test_float_tableau_from_the_scaled_rows_is_bit_identical(system):
     a_rows, b = system
     want = _initial_tableau(a_rows, b, float)
-    got = _initial_tableau(_Scaled.of(a_rows, b).floats(), b, float)
+    got = _initial_tableau(_Scaled.of(a_rows, b).floats, b, float)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
+
+
+def scaled_from_scratch(a_rows, b):
+    """Rows, right-hand sides, scales, signs and float rows of A x = b as
+    ``_Scaled`` defines them: row i times sign(b_i) and the lcm of every
+    denominator in the row and in b_i; floats as float(Fraction) rounds."""
+    rows, rhs, scales, signs = [], [], [], []
+    for row, bi in zip(a_rows, b):
+        scale = lcm(Fraction(bi).denominator, *(Fraction(v).denominator for v in row))
+        sign = -1 if bi < 0 else 1
+        rows.append([sign * scale * Fraction(v) for v in row])
+        rhs.append(sign * scale * Fraction(bi))
+        scales.append(scale)
+        signs.append(sign)
+    floats = [[float(Fraction(v)).hex() for v in row] for row in a_rows]
+    return rows, rhs, scales, signs, floats
+
+
+# right-hand sides whose denominators often do not divide the rows' lcm
+rhs_values = st.one_of(
+    st.just(0), st.integers(-5, 5), st.fractions(-3, 3, max_denominator=30), wide
+)
+
+
+@example(([[Fraction(1, 2), Fraction(1, 3), 1]],
+          [[Fraction(1, 6)], [Fraction(1, 5)], [Fraction(-7, 6)], [0]]))
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(wide, min_size=3, max_size=3), min_size=m, max_size=m),
+    st.lists(st.lists(rhs_values, min_size=m, max_size=m), min_size=1, max_size=4),
+)))
+def test_cached_row_scaling_is_never_stale(system):
+    # rows scaled once (``_Row``) and reused for several right-hand sides
+    # scale as rows scaled from scratch do; a float b takes the float pass
+    a_rows, bs = system
+    cached = [_Row(r) for r in a_rows]
+    for b in bs:
+        want = scaled_from_scratch(a_rows, b)
+        for rows in (cached, a_rows):
+            got = _Scaled.of(rows, b)
+            floats = [[v.hex() for v in r] for r in got.floats]
+            assert (got.rows, got.rhs, got.scales, got.signs, floats) == want
+            assert all(type(v) is int for r in got.rows for v in r)
+            assert all(type(v) is int for v in got.rhs)
+        assert _Scaled.of(cached, [float(v) for v in b]) is None
+    assert [r.ints for r in cached] == [_Row(r).ints for r in a_rows]
+
+
+def test_float_rhs_on_cached_rows_takes_the_float_pass():
+    a_rows = [[Fraction(1, 2), Fraction(1, 4)], [1, 1]]
+    got = solve_feasibility([_Row(r) for r in a_rows], [0.375, 1.0])
+    assert got == solve_feasibility(a_rows, [0.375, 1.0])
+    assert all(isinstance(v, float) for v in got.x)
 
 
 big = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**60), 2**60))
