@@ -30,7 +30,6 @@ from .dependence import (
     skeleton,
 )
 from .estimation import (
-    ClassDistribution,
     ErgmSpec,
     FitReport,
     degree_collision_classes,
@@ -75,6 +74,7 @@ from .graphs import (
     enumerate_classes,
 )
 from .mobius import (
+    ClassDistribution,
     InvalidParametersError,
     JointTable,
     LabeledMobius,

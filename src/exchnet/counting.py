@@ -34,13 +34,6 @@ from .graphs import (
 )
 
 
-def _falling_factorial(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
 def _pattern_order(adj: list, k: int) -> list:
     """Vertex order for backtracking: highest degree first, then neighbors of
     already-placed vertices, so edge constraints bite as early as possible."""
@@ -132,8 +125,9 @@ class ClassTable:
     """sigma counts between the classes at n: S[U][W] = sigma_U(W padded to n).
 
     Rows and columns follow ``enumerate_classes(n)``, the empty class first
-    and K_n last, so S[U][K_n] = sub(U, K_n) and the class moments of a class
-    distribution q are z = D^-1 S q with D = diag(S[.][K_n]).  S is built
+    and K_n last.  A copy of U in K_n is a member of U on n nodes, so
+    S[U][K_n] = sub(U, K_n) = |U| (``sizes``) and the class moments of a
+    class distribution q are z = D^-1 S q with D = diag(sizes).  S is built
     once, column by column in edge-count order, from the one-edge recursion
 
         (e(W) - e(U)) S[U][W] = sum_V b(W, V) S[U][V]   for e(U) < e(W),
@@ -195,10 +189,10 @@ class ClassTable:
         return tuple(self.S[self.index[u]].tolist())
 
     def moment_row(self, u: UnlabeledClass) -> tuple:
-        """S[U][W] / sub(U, K_n) as Fractions for every class W at n, so
-        that the row dotted with a class distribution q is z_U; U has at
-        most n vertices."""
-        denom = sub_in_complete(u, self.n)
+        """S[U][W] / |U| as Fractions for every class W at n, so that the
+        row dotted with a class distribution q is z_U; U has at most n
+        vertices."""
+        denom = int(self.sizes[self.index[u]])
         row = self.row(u)
         # one Fraction per distinct count: a row has few
         frac = {s: Fraction(s, denom) for s in set(row)}
@@ -241,15 +235,6 @@ def r_count(u: UnlabeledClass, x: LabeledNetwork) -> int:
     if u not in table.index:
         return 0
     return table.supergraphs(x)[table.index[u]]
-
-
-def sub_in_complete(u: UnlabeledClass, n: int) -> int:
-    """sub(u, K_n): copies of the class inside the complete graph, which are
-    the n!/(n-k)! injections of its k vertices over its automorphisms (the
-    falling factorial is 0 for k > n)."""
-    return _exact_div(
-        _falling_factorial(n, u.n_vertices), class_aut(u), "copies in K_n"
-    )
 
 
 def star_count_from_degrees(dd: DegreeDistribution, k: int) -> int:

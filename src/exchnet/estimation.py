@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from fractions import Fraction
@@ -22,7 +22,6 @@ from .counting import (
     class_table,
     matching_class,
     star_class,
-    sub_in_complete,
     triangle_class,
     two_disjoint_edges_class,
 )
@@ -38,12 +37,11 @@ from .graphs import (
 )
 from .lp import maximize, solve_feasibility
 from .mobius import (
+    ClassDistribution,
     InvalidParametersError,
     JointTable,
     MobiusVector,
-    _by_mask,
     _close,
-    _exact_or_float,
     mobius_from_class_distribution,
 )
 
@@ -85,53 +83,6 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Exchangeable distribution in compressed form: probability per class.
-
-    The implied labeled distribution is uniform within each class, so the
-    probability of a particular network x is q[class of x] / |class|.
-    """
-
-    n: int
-    q: Mapping
-    is_exact: bool = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        classes = set(enumerate_classes(self.n, True))
-        extra = set(self.q) - classes
-        if extra:
-            raise ValueError(f"unknown classes for n={self.n}: {sorted(c.key() for c in extra)[:3]}")
-        q, exact = _exact_or_float(
-            self.q, lambda q: sum(q.values()), "the total class probability",
-            tol=1e-9, neg_tol=1e-12,
-        )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "is_exact", exact)
-
-    @classmethod
-    def point_mass(cls, u: UnlabeledClass, n: int) -> "ClassDistribution":
-        return cls(n, {u: Fraction(1)})
-
-    def value(self, u: UnlabeledClass):
-        zero = Fraction(0) if self.is_exact else 0.0
-        return self.q.get(u, zero)
-
-    def labeled_prob(self, x: LabeledNetwork):
-        u = UnlabeledClass.of(x)
-        return self.value(u) / class_size(u, self.n)
-
-    def in_order(self) -> list:
-        return [(u, self.value(u)) for u in enumerate_classes(self.n, True)]
-
-    def to_joint(self) -> JointTable:
-        probs = {
-            u: self.value(u) / class_size(u, self.n)
-            for u in enumerate_classes(self.n, True)
-        }
-        return JointTable(self.n, _by_mask(self.n, probs, "joint expansion"))
-
-
 @dataclass
 class FitReport:
     """Outcome of a likelihood fit."""
@@ -153,11 +104,11 @@ class FitReport:
 
 def exch_mle(x: LabeledNetwork) -> MobiusVector:
     """Exchangeable MLE of the class moments: the observed subgraph densities
-    sigma_U(x) / sub(U, K_n)."""
+    sigma_U(x) / sub(U, K_n), where sub(U, K_n) is the class size |U|."""
     table = class_table(x.n)
     z = {
-        u: Fraction(s, sub_in_complete(u, x.n))
-        for u, s in zip(table.classes, table.sigmas(x))
+        u: Fraction(s, size)
+        for u, s, size in zip(table.classes, table.sigmas(x), table.sizes.tolist())
     }
     return MobiusVector(x.n, z)
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .counting import class_table, edge_class
-from .estimation import ClassDistribution
 from .genmodels import er_class_distribution
 from .graphs import (
     MAX_NODES,
@@ -34,6 +33,7 @@ from .graphs import (
 )
 from .lp import _Row, solve_feasibility
 from .mobius import (
+    ClassDistribution,
     InvalidParametersError,
     JointTable,
     MobiusVector,
@@ -92,11 +92,12 @@ def _check_sizes(n: int, m: int) -> None:
 
 @lru_cache(maxsize=64)
 def _sigma_rows(m: int, n: int) -> tuple:
-    """The non-empty classes U at n, the classes at m and each U's row (a _Row)."""
+    """The non-empty classes U at n, the classes at m and the LP's constant
+    rows as ``_Row``s: each U's moment row, then normalization (all ones)."""
     table = class_table(m)
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
-    rows = tuple(_Row(table.moment_row(u)) for u in targets)
-    return tuple(targets), table.classes, rows
+    rows = [*map(table.moment_row, targets), (Fraction(1),) * len(table.classes)]
+    return tuple(targets), table.classes, tuple(map(_Row, rows))
 
 
 @lru_cache(maxsize=64)
@@ -168,7 +169,7 @@ def _lp_report(
     every product constraint at m (within ``tol`` for float input)."""
     targets, classes_m, rows = _sigma_rows(m, mv.n)
     keys = [u.key() for u in targets] + ["normalization"]
-    a_rows = [*rows, (Fraction(1),) * len(classes_m)]
+    a_rows = list(rows)
     # a float z of the empty class alone makes the LP a float one too
     b = [mv.z[u] for u in targets] + [Fraction(1) if mv.is_exact else 1.0]
     for key, row, rhs in products or ():

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .counting import cycle_class, star_class
-from .estimation import ClassDistribution
 from .graphs import (
     LabeledNetwork,
     SizeCapError,
@@ -31,6 +30,7 @@ from .graphs import (
 )
 from .mobius import (
     MAX_LATTICE_NODES,
+    ClassDistribution,
     InvalidParametersError,
     JointTable,
     MobiusVector,
@@ -421,6 +421,9 @@ class MomentEstimate:
 
 
 MAX_MOMENT_VERTICES = 6
+# Monte Carlo draws per moment: K_6 on a 3 x 3 grid kernel takes 50-58 us a
+# draw (Python 3.11.7, shared 2-CPU machine), about a minute at the cap
+MAX_MC_SAMPLES = 10**6
 # quadrature: the most entries of the r x r grid or of one elimination's
 # output, that of K5's first elimination at the default r = 64 (128 MiB)
 _MAX_QUADRATURE_ENTRIES = 64**4
@@ -498,9 +501,9 @@ def graphon_z(
     value.  The kernel grids at r and r // 2 are read from ``phi``, which
     builds each once (``Graphon.midpoint_grid``), so repeated calls on one
     kernel object, as in ``graphon_mobius``, evaluate the kernel once per
-    grid point.  Monte Carlo with ``samples >= 1`` draws, seeded by
-    ``seed``, reports the standard error of the mean; fewer samples are
-    refused with ``InvalidParametersError``.
+    grid point.  Monte Carlo with ``samples >= 1`` draws, seeded by ``seed``,
+    reports the standard error of the mean; fewer samples are refused with
+    ``InvalidParametersError``, more than ``MAX_MC_SAMPLES`` with ``SizeCapError``.
     """
     if u.is_empty:
         return MomentEstimate(1.0, 0.0, method)
@@ -521,6 +524,8 @@ def graphon_z(
     if method == "mc":
         if samples < 1:
             raise InvalidParametersError("samples must be >= 1")
+        if samples > MAX_MC_SAMPLES:
+            raise SizeCapError(f"kernel moments support samples <= {MAX_MC_SAMPLES}")
         rng = random.Random(seed)
         rep = u.representative()
         k = rep.n

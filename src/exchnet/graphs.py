@@ -413,7 +413,6 @@ def aut_count(g: LabeledNetwork) -> int:
     return int(np.count_nonzero(images == images[0]))
 
 
-@lru_cache(maxsize=None)
 def class_aut(cls_: UnlabeledClass) -> int:
     """Automorphism count of the class representative on its support, as
     the class lattice at its vertex count records it."""

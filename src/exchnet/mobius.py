@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .counting import class_table, sub_in_complete
+from .counting import class_table
 from .graphs import (
     InvalidNetworkError,
     LabeledNetwork,
@@ -171,11 +171,10 @@ def joint_from_labeled_mobius(lm: LabeledMobius) -> JointTable:
     """Invert by inclusion-exclusion; raise if any configuration goes negative."""
     m = num_dyads(lm.n)
     probs = _superset_transform(lm.z, m, operator.sub)
-    neg_tol = 0 if lm.is_exact else FLOAT_NEG_TOL
     for mask, p in enumerate(probs):
-        if p < -neg_tol:
-            raise InvalidParametersError(
-                f"configuration {mask:b} has probability {p}", config=mask
+        if p < 0:
+            _refuse_negative(
+                p, mask, lambda: f"configuration {mask:b} has probability {p}"
             )
     if not lm.is_exact:
         probs = [max(p, 0.0) for p in probs]
@@ -223,6 +222,53 @@ class MobiusVector:
         return MobiusVector(n2, keep)
 
 
+@dataclass(frozen=True)
+class ClassDistribution:
+    """Exchangeable distribution in compressed form: probability per class.
+
+    The implied labeled distribution is uniform within each class, so the
+    probability of a particular network x is q[class of x] / |class|.
+    """
+
+    n: int
+    q: Mapping
+    is_exact: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        classes = set(enumerate_classes(self.n, True))
+        extra = set(self.q) - classes
+        if extra:
+            raise ValueError(f"unknown classes for n={self.n}: {sorted(c.key() for c in extra)[:3]}")
+        q, exact = _exact_or_float(
+            self.q, lambda q: sum(q.values()), "the total class probability",
+            tol=1e-9, neg_tol=1e-12,
+        )
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "is_exact", exact)
+
+    @classmethod
+    def point_mass(cls, u: UnlabeledClass, n: int) -> "ClassDistribution":
+        return cls(n, {u: Fraction(1)})
+
+    def value(self, u: UnlabeledClass):
+        zero = Fraction(0) if self.is_exact else 0.0
+        return self.q.get(u, zero)
+
+    def labeled_prob(self, x: LabeledNetwork):
+        u = UnlabeledClass.of(x)
+        return self.value(u) / class_size(u, self.n)
+
+    def in_order(self) -> list:
+        return [(u, self.value(u)) for u in enumerate_classes(self.n, True)]
+
+    def to_joint(self) -> JointTable:
+        probs = {
+            u: self.value(u) / class_size(u, self.n)
+            for u in enumerate_classes(self.n, True)
+        }
+        return JointTable(self.n, _by_mask(self.n, probs, "joint expansion"))
+
+
 def _by_mask(n: int, values: Mapping, what: str) -> tuple:
     """The value of each dyad mask's class, in mask order (n small)."""
     _check_lattice_size(n, what)
@@ -238,12 +284,18 @@ def labeled_from_exchangeable(mv: MobiusVector) -> LabeledMobius:
 
 
 def exchangeable_from_labeled(lm: LabeledMobius) -> MobiusVector:
-    z = {}
-    m = num_dyads(lm.n)
-    for mask in range(1 << m):
+    """Collapse labeled z to one value per class; the masks of a class must
+    agree (exactly for rationals, within ``FLOAT_SUM_TOL`` for floats)."""
+    first: dict = {}  # class -> (its first mask, that mask's z)
+    for mask, v in enumerate(lm.z):
         u = UnlabeledClass.of(LabeledNetwork.from_mask(lm.n, mask))
-        z.setdefault(u, lm.z[mask])
-    return MobiusVector(lm.n, z)
+        mask0, v0 = first.setdefault(u, (mask, v))
+        if not _close(v, v0, FLOAT_SUM_TOL):
+            raise InvalidParametersError(
+                f"z is not exchangeable: class {u.key()} has {v0} at mask "
+                f"{mask0:b} and {v} at mask {mask:b}"
+            )
+    return MobiusVector(lm.n, {u: v for u, (_, v) in first.items()})
 
 
 def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
@@ -268,12 +320,12 @@ def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
     return _refuse_negative(total, x.mask, lambda: f"P({x}) = {total} < 0")
 
 
-def mobius_from_class_distribution(cd) -> MobiusVector:
+def mobius_from_class_distribution(cd: ClassDistribution) -> MobiusVector:
     """Class moments of a distribution given per-class probabilities.
 
-    z_U = E[sigma_U(X)] / sub(U, K_n), that is z = D^-1 S q over the sigma
-    table S (see ``counting.ClassTable``); the expectation is a single sigma
-    value per class because sigma is isomorphism-invariant.
+    z_U = E[sigma_U(X)] / sub(U, K_n), where sub(U, K_n) is the class size
+    |U|: z = D^-1 S q over the sigma table S (``counting.ClassTable``), one
+    sigma value per class since sigma is isomorphism-invariant.
     """
     n = cd.n
     table = class_table(n)
@@ -286,13 +338,12 @@ def mobius_from_class_distribution(cd) -> MobiusVector:
                 acc[k] = q * s if acc[k] is None else acc[k] + q * s
     exact = cd.is_exact
     z = {}
-    for u, a in zip(table.classes, acc):
+    for u, a, denom in zip(table.classes, acc, table.sizes.tolist()):
         if u.is_empty:
             z[u] = Fraction(1) if exact else 1.0
             continue
         if a is None:
             a = Fraction(0) if exact else 0.0
-        denom = sub_in_complete(u, n)
         z[u] = Fraction(a, denom) if exact else a / denom
     return MobiusVector(n, z)
 

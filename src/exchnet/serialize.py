@@ -13,9 +13,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .dependence import DependenceGraph, dependence_graph_from_edges
-from .estimation import ClassDistribution, FitReport
+from .estimation import FitReport
 from .graphs import class_from_key, dyad_label, dyads
-from .mobius import JointTable, MobiusVector
+from .mobius import ClassDistribution, JointTable, MobiusVector
 
 
 def encode_value(v):
@@ -25,11 +25,17 @@ def encode_value(v):
 
 
 def decode_value(v):
+    """A Fraction from a string or int (refused beyond float range), else a float."""
     if isinstance(v, (str, int)):
         try:
-            return Fraction(v)
+            x = Fraction(v)
+            float(x)
         except ZeroDivisionError:
             raise ValueError(f"{v!r} has a zero denominator") from None
+        except OverflowError:
+            short = str(v) if len(str(v)) <= 24 else f"{str(v)[:20]}..."
+            raise ValueError(f"value {short} is beyond float range") from None
+        return x
     return float(v)
 
 

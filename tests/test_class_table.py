@@ -11,7 +11,6 @@ from exchnet.counting import (
     class_table,
     sigma,
     star_class,
-    sub_in_complete,
     triangle_class,
     two_disjoint_edges_class,
 )
@@ -21,6 +20,7 @@ from exchnet.graphs import (
     _class_lattice,
     class_additions,
     class_aut,
+    class_size,
     enumerate_classes,
 )
 
@@ -96,7 +96,7 @@ def test_last_column_is_copies_in_complete_graph(n):
     assert table.classes[-1].n_vertices == n
     assert table.classes[-1].edge_count == n * (n - 1) // 2
     for u in table.classes:
-        assert table.row(u)[-1] == sub_in_complete(u, n)
+        assert table.row(u)[-1] == class_size(u, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -116,6 +116,11 @@ def test_labeled_network_lookup_matches_padded_class(paw):
         assert s == want
     with pytest.raises(ValueError):
         class_table(3).sigmas(paw)
+
+
+def test_supergraphs_of_a_network_of_another_size_are_refused():
+    with pytest.raises(ValueError, match="network on 3 nodes, table for n=4"):
+        class_table(4).supergraphs(LabeledNetwork.path(3))
 
 
 def test_second_call_is_a_cache_hit():

@@ -901,11 +901,23 @@ class TestExitCodes:
             (["graphon-z", "const:0.3", "1-2", "--r", "1"], 2, "resolution must be >= 2"),
             (["mle", "{dir}/n0.edges"], 2, "node count must be positive"),
             (["mle", "{dir}/headless.edges"], 2, "expected header 'n <count>'"),
+            (["graphon-z", "const:0.3", "1-2", "--method", "mc", "--samples", "1000001",
+              "--seed", "1"], 3, "kernel moments support samples <= 1000000"),
+            # a moment beyond float range, which the LP's float pass cannot read
+            (["extend", "{dir}/big.json", "--m", "3"], 2, "value 1e400 is beyond float range"),
+            (["extend", "{dir}/big.json", "--m", "3", "--dissociated"], 2,
+             "value 1e400 is beyond float range"),
+            (["extend", "{dir}/bigint.json", "--m", "3"], 2,
+             "value 10000000000000000000... is beyond float range"),
+            (["extend", "{dir}/bigint.json", "--m", "3", "--dissociated"], 2,
+             "value 10000000000000000000... is beyond float range"),
         ],
         ids=["markov-joint5", "skeleton-joint5", "joint-n7", "fit-n7", "eval-n7",
              "graphon-z-7-vertices", "beta-nan", "two-point-weight", "gaussian-sigma",
              "const-level", "product-spec", "grid-value", "resolution-1",
-             "edge-list-n0", "edge-list-headless"],
+             "edge-list-n0", "edge-list-headless", "mc-samples-cap",
+             "moment-1e400", "moment-1e400-dissociated", "moment-10^400",
+             "moment-10^400-dissociated"],
     )
     def test_refused_input_exits_with_one_line(
         self, capsys, tmp_path, argv, code, message
@@ -924,6 +936,10 @@ class TestExitCodes:
             "n0.edges": "n 0\n",
             "headless.edges": "1 2\n2 3\n",
         }
+        for name, z in (("big.json", "1e400"), ("bigint.json", 10**400)):
+            files[name] = json.dumps(
+                {"n": 2, "z": [{"class": "EMPTY", "z": "1"}, {"class": "1-2", "z": z}]}
+            )
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         result = main([a.format(dir=tmp_path) for a in argv])

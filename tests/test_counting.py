@@ -18,7 +18,6 @@ from exchnet.counting import (
     star_class,
     star_count_from_degrees,
     sub,
-    sub_in_complete,
     triangle_class,
     two_disjoint_edges_class,
     two_disjoint_edges_from_degrees,
@@ -193,6 +192,10 @@ class TestDegreeFormulas:
         dd = degree_distribution(LabeledNetwork.complete(4))
         assert star_count_from_degrees(dd, 3) == 4
 
+    def test_zero_star_is_refused(self, paw):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            star_count_from_degrees(degree_distribution(paw), 0)
+
     def test_two_disjoint_edges_examples(self, paw, path4):
         assert two_disjoint_edges_from_degrees(degree_distribution(paw)) == 1
         single = LabeledNetwork.from_edges(2, [(1, 2)])
@@ -277,11 +280,6 @@ class TestInvariantErrors:
         )
         with pytest.raises(InvariantError, match="one-edge recursion"):
             counting.ClassTable(3)
-
-    def test_copies_in_complete_graph_not_integral(self, monkeypatch):
-        monkeypatch.setattr(counting, "class_aut", lambda u: 7)
-        with pytest.raises(InvariantError):
-            sub_in_complete(triangle_class(), 4)
 
     def test_odd_total_degree(self, monkeypatch):
         monkeypatch.setattr(DegreeDistribution, "__post_init__", lambda self: None)

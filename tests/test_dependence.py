@@ -40,6 +40,35 @@ def two_point_joint():
 
 
 class TestStructures:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: DependenceGraph(3, "directed", (0, 0, 0)), "unknown edge kind"),
+            (
+                lambda: DependenceGraph(3, UNDIRECTED, (0, 0)),
+                "adjacency size does not match dyad count",
+            ),
+            (lambda: DependenceGraph(3, UNDIRECTED, (0, 0b10, 0)), "self-adjacency at dyad 1"),
+            (lambda: incidence_graph(2), "incidence graph needs n >= 3"),
+            (lambda: kneser_graph(2), "kneser graph needs n >= 3"),
+            (
+                lambda: ci_test(er_joint(3, Fraction(1, 2)), 0, 1, 0),
+                "A and B must be non-empty",
+            ),
+            (
+                lambda: global_markov_check(
+                    er_joint(3, Fraction(1, 2)), empty_dependence_graph(2)
+                ),
+                "node counts differ",
+            ),
+        ],
+        ids=["kind", "adjacency-size", "self-adjacency", "incidence-n2",
+             "kneser-n2", "ci-empty-a", "markov-node-counts"],
+    )
+    def test_malformed_request_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_incidence_counts(self):
         dep = incidence_graph(4)
         assert dep.m == 6

@@ -559,6 +559,25 @@ class TestSigmaDegreeFunction:
         assert sigma(triangle_class(), x1) != sigma(triangle_class(), x2)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ErgmSpec("nope", 4), ValueError, "unknown family 'nope'"),
+        (
+            lambda: ergm_stats(ErgmSpec("edges", 5), LabeledNetwork.path(4)),
+            ValueError,
+            "network on 4 nodes, family at n=5",
+        ),
+        (lambda: summarized_constraints(7), SizeCapError, "supports n <= 6"),
+        (lambda: summarized_check(object()), TypeError, "expected JointTable"),
+    ],
+    ids=["unknown-family", "stats-wrong-size", "constraints-n7", "check-type"],
+)
+def test_library_refusal(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestSummarizedConstraints:
     def test_none_at_four(self):
         assert summarized_constraints(4) == []

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exchnet.counting import (
-    class_table,
-    sub_in_complete,
-    two_disjoint_edges_class,
-)
+from exchnet.counting import class_table, two_disjoint_edges_class
 from exchnet.dependence import dissociated_check
 from exchnet.estimation import ClassDistribution, exch_mle
 from exchnet import extendability
@@ -36,6 +32,7 @@ from exchnet.graphs import (
     LabeledNetwork,
     SizeCapError,
     class_from_key,
+    class_size,
     component_classes,
     enumerate_classes,
     num_dyads,
@@ -98,7 +95,7 @@ def assert_dissociated_certificate(mv, rep, tol):
 
 def row_of(u, m):
     table = class_table(m)
-    denom = sub_in_complete(u, m)
+    denom = class_size(u, m)
     return [Fraction(int(s), denom) for s in table.S[table.index[u]]]
 
 
@@ -144,6 +141,10 @@ def assert_farkas(mv, rep, dissociated):
 
 
 class TestMarginalizeJoint:
+    def test_keep_nothing_is_refused(self):
+        with pytest.raises(ValueError, match="keep must be non-empty"):
+            marginalize_joint(er_joint(3, Fraction(1, 3)), [])
+
     def test_keep_all_is_identity(self):
         jt = er_joint(4, Fraction(1, 3))
         assert marginalize_joint(jt, [1, 2, 3, 4]).probs == jt.probs

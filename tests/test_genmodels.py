@@ -275,6 +275,46 @@ class TestGraphonMoments:
         with pytest.raises(ValueError):
             parse_graphon_text("2\n0.1 0.2\n0.3 0.4\n")
 
+    def test_mc_past_the_cap_draws_nothing(self):
+        calls = []
+        phi = Graphon(lambda a, b: calls.append((a, b)) or 0.5, "counted")
+        calls.clear()  # the constructor's symmetry spot check
+        with pytest.raises(SizeCapError, match="samples <= 1000000"):
+            graphon_z(
+                phi, edge_class(), method="mc",
+                samples=genmodels.MAX_MC_SAMPLES + 1, seed=1,
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: MixingSpec.gaussian(0, 1, 0, 1), ValueError, "mc_samples must be >= 1"),
+            (
+                lambda: MixingSpec.gaussian(0, 1, 10, 1).atoms(),
+                ValueError,
+                "kind 'gaussian' has no finite atom list",
+            ),
+            (
+                lambda: marginal_beta_joint(3, MixingSpec("uniform", (0.0, 1.0))),
+                ValueError,
+                "unknown mixing kind 'uniform'",
+            ),
+            (lambda: er_joint(7, 0.5), SizeCapError, "joint tables support n <= 6"),
+            (lambda: Graphon.from_grid([[0.5, 0.5]]), ValueError, "grid must be square"),
+            (
+                lambda: graphon_z(Graphon.constant(0.3), edge_class(), method="simpson"),
+                ValueError,
+                "unknown method 'simpson'",
+            ),
+        ],
+        ids=["gaussian-no-samples", "gaussian-atoms", "unknown-kind", "er-joint-n7",
+             "grid-not-square", "unknown-method"],
+    )
+    def test_library_refusal(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_mc_needs_a_sample(self, samples):
         with pytest.raises(InvalidParametersError, match="samples"):

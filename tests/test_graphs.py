@@ -324,10 +324,18 @@ class TestEdgeListFormat:
         with pytest.raises(InvalidNetworkError):
             parse_edge_list("n 3\n1 2 3\n")
 
+    def test_comments_alone_have_no_header(self):
+        with pytest.raises(InvalidNetworkError, match="missing 'n <count>' header"):
+            parse_edge_list("# no network here\n\n")
+
 
 class TestUnlabeledClass:
     def test_empty_class_key(self):
         assert UnlabeledClass.empty().key() == "EMPTY"
+
+    def test_padding_into_too_few_nodes_is_refused(self, paw):
+        with pytest.raises(InvalidNetworkError, match="4 vertices does not fit in n=3"):
+            UnlabeledClass.of(paw).padded(3)
 
     def test_key_round_trip(self):
         from exchnet.graphs import class_from_key

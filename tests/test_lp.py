@@ -38,8 +38,8 @@ PAW = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
 
 def extension_lp(mv, m):
     """The rows extendable_check hands to the LP: moments, then normalization."""
-    targets, classes_m, rows = _sigma_rows(m, mv.n)
-    a_rows = [list(r) for r in rows] + [[Fraction(1)] * len(classes_m)]
+    targets, _, rows = _sigma_rows(m, mv.n)
+    a_rows = [list(r) for r in rows]
     b = [mv.z[u] for u in targets] + [Fraction(1)]
     return a_rows, b
 

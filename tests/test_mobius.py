@@ -10,11 +10,12 @@ from exchnet.counting import edge_class, triangle_class
 from exchnet.dependence import (
     BIDIRECTED,
     complete_dependence_graph,
+    empty_dependence_graph,
     incidence_graph,
     kneser_graph,
 )
 from exchnet.estimation import ClassDistribution
-from exchnet.genmodels import er_joint, er_mobius
+from exchnet.genmodels import BetaSpec, beta_joint, er_joint, er_mobius
 from exchnet.graphs import (
     LabeledNetwork,
     UnlabeledClass,
@@ -171,6 +172,49 @@ class TestExchangeableMoments:
     def test_class_set_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MobiusVector(4, {UnlabeledClass.empty(): Fraction(1)})
+
+    @pytest.mark.parametrize(
+        "joint, message",
+        [
+            # node propensities 0.5, 0 and -0.5: dyad 1-2 has z 0.6225,
+            # dyad 1-3 has 0.5
+            (beta_joint(BetaSpec((0.5, 0.0, -0.5))), "class 1-2 has 0.622"),
+            # all mass on the graph whose one edge is 1-2
+            (
+                JointTable(3, tuple(Fraction(int(m == 1)) for m in range(8))),
+                "class 1-2 has 1 at mask 1 and 0 at mask 10",
+            ),
+        ],
+        ids=["float", "exact"],
+    )
+    def test_labeled_z_that_is_not_exchangeable_is_refused(self, joint, message):
+        with pytest.raises(InvalidParametersError, match=message):
+            exchangeable_from_labeled(labeled_mobius_from_joint(joint))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: er_mobius(3, Fraction(1, 2)).restrict(4),
+                "can only restrict to fewer nodes",
+            ),
+            (
+                lambda: exch_joint_from_mobius(
+                    er_mobius(3, Fraction(1, 2)), LabeledNetwork.empty(4)
+                ),
+                "network on 4 nodes, moments for n=3",
+            ),
+            (lambda: LabeledMobius(2, (1,)), "need 2 entries for n=2, got 1"),
+            (
+                lambda: bidirected_joint(empty_dependence_graph(3), {}, 0),
+                "needs a bidirected structure",
+            ),
+        ],
+        ids=["restrict-up", "joint-wrong-size", "labeled-length", "undirected"],
+    )
+    def test_malformed_request_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestPointMassAndMixture:
