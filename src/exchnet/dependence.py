@@ -229,10 +229,11 @@ def separates(dep: DependenceGraph, a_mask: int, b_mask: int, s_mask: int) -> bo
 # --- conditional independence on joint tables --------------------------------
 
 
-def _marginal_over(jt: JointTable, dyad_mask: int) -> dict:
-    """Marginal table over a dyad subset: projected mask -> probability."""
+def _marginal_over(pairs, dyad_mask: int) -> dict:
+    """Marginal table over a dyad subset from (mask, probability) pairs:
+    projected mask -> probability."""
     out: dict = {}
-    for mask, p in enumerate(jt.probs):
+    for mask, p in pairs:
         if not p:
             continue
         key = mask & dyad_mask
@@ -261,18 +262,10 @@ def ci_test(jt: JointTable, a_mask: int, b_mask: int, s_mask: int) -> bool:
     if a_mask & b_mask or a_mask & s_mask or b_mask & s_mask:
         raise ValueError("A, B, S must be pairwise disjoint")
     exact = jt.is_exact
-    abs_mask = a_mask | b_mask | s_mask
-    joint = _marginal_over(jt, abs_mask)
-    p_s: dict = {}
-    p_as: dict = {}
-    p_bs: dict = {}
-    for key, p in joint.items():
-        ks = key & s_mask
-        kas = key & (a_mask | s_mask)
-        kbs = key & (b_mask | s_mask)
-        p_s[ks] = p_s.get(ks, 0) + p
-        p_as[kas] = p_as.get(kas, 0) + p
-        p_bs[kbs] = p_bs.get(kbs, 0) + p
+    joint = _marginal_over(enumerate(jt.probs), a_mask | b_mask | s_mask)
+    p_s = _marginal_over(joint.items(), s_mask)
+    p_as = _marginal_over(joint.items(), a_mask | s_mask)
+    p_bs = _marginal_over(joint.items(), b_mask | s_mask)
     # every (a, b, s) cell must factorize, including zero cells
     for s_val in submasks(s_mask):
         ps = p_s.get(s_val, 0)

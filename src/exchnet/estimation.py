@@ -45,6 +45,10 @@ from .mobius import (
     mobius_from_class_distribution,
 )
 
+# The fits' convergence sets this cap, not their size: raised to 7, 6,263 of
+# the 6,264 (class, family) fits at n = 7 end optimal or boundary within
+# 0.4 s, but frank_strauss on 1-7,2-7,3-6,3-7,4-6,4-7,5-6,5-7 ends failed
+# after 200 Newton steps.  At n = 6 none of the 936 fits fails.
 MAX_FIT_NODES = 6
 # the dissociated fit's branch and bound needs every disconnected class to
 # be K2 + C, which holds on at most 5 vertices (3K2 has three components)
@@ -639,17 +643,13 @@ def degree_collision_classes(n: int) -> list:
     """
     if n < 1:
         raise InvalidParametersError("degree collision scan needs n >= 1")
+    # classes are enumerated in sort-key order, so each group is sorted and
+    # the groups come out in the order of their first classes
     groups: dict = {}
     for u in enumerate_classes(n, True):
         dd = degree_distribution(u.padded(n))
         groups.setdefault(dd.counts, []).append(u)
-    out = [
-        sorted(g, key=UnlabeledClass.sort_key)
-        for g in groups.values()
-        if len(g) >= 2
-    ]
-    out.sort(key=lambda g: g[0].sort_key())
-    return out
+    return [g for g in groups.values() if len(g) >= 2]
 
 
 @dataclass

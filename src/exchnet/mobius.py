@@ -45,13 +45,19 @@ class InvalidParametersError(ValueError):
         self.config = config
 
 
-def _check_lattice_size(n: int, what: str):
+def _check_lattice_size(n: int, what: str, values=None):
+    """Refuse n outside 0..``MAX_LATTICE_NODES``, and ``values`` (when
+    given) unless it holds one entry per dyad mask."""
     if n < 0:
         raise InvalidNetworkError(f"{what} needs n >= 0, got {n}")
     if n > MAX_LATTICE_NODES:
         raise SizeCapError(
             f"{what} enumerates the full dyad lattice and supports "
             f"n <= {MAX_LATTICE_NODES}, got {n}"
+        )
+    if values is not None and len(values) != 1 << num_dyads(n):
+        raise ValueError(
+            f"need {1 << num_dyads(n)} entries for n={n}, got {len(values)}"
         )
 
 
@@ -62,20 +68,29 @@ def _close(got, want, tol: float) -> bool:
     return abs(float(got) - float(want)) <= tol
 
 
-def _exact_or_float(values, one, label: str, tol=FLOAT_SUM_TOL, neg_tol=None):
+def _exact_or_float(
+    values, one, label: str, tol=FLOAT_SUM_TOL, neg_tol=None, in_float_range=False
+):
     """The exact-or-float decision of a value container, made once.
 
     ``values`` is a tuple or a mapping.  When every value is an int or a
     Fraction it comes back unchanged with True; otherwise a copy holding the
-    float of each value comes back with False, and a NaN or infinity is
-    refused.  ``one(values)`` must be 1 (within ``tol`` for floats), and with
-    ``neg_tol`` given no value may be negative (below -neg_tol for floats).
+    float of each value comes back with False, and a NaN, an infinity or a
+    value beyond float range is refused; with ``in_float_range`` an exact
+    value beyond float range is refused too.  ``one(values)`` must be 1
+    (within ``tol`` for floats), and with ``neg_tol`` given no value may be
+    negative (below -neg_tol for floats).
     """
     is_map = isinstance(values, Mapping)
     vals = values.values() if is_map else values
     exact = all(isinstance(v, (int, Fraction)) for v in vals)
+    if not exact or in_float_range:
+        try:
+            floats = [float(v) for v in vals]
+        except OverflowError:
+            raise InvalidParametersError("a value is beyond float range") from None
     if not exact:
-        vals = [float(v) for v in vals]
+        vals = floats
         bad = next((v for v in vals if not math.isfinite(v)), None)
         if bad is not None:
             raise InvalidParametersError(f"value {bad} is not finite")
@@ -101,12 +116,7 @@ class JointTable:
     is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_lattice_size(self.n, "JointTable")
-        m = num_dyads(self.n)
-        if len(self.probs) != 1 << m:
-            raise ValueError(
-                f"need {1 << m} entries for n={self.n}, got {len(self.probs)}"
-            )
+        _check_lattice_size(self.n, "JointTable", self.probs)
         probs, exact = _exact_or_float(
             self.probs, sum, "the total probability", neg_tol=FLOAT_NEG_TOL
         )
@@ -124,12 +134,7 @@ class LabeledMobius:
     is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_lattice_size(self.n, "LabeledMobius")
-        m = num_dyads(self.n)
-        if len(self.z) != 1 << m:
-            raise ValueError(
-                f"need {1 << m} entries for n={self.n}, got {len(self.z)}"
-            )
+        _check_lattice_size(self.n, "LabeledMobius", self.z)
         z, exact = _exact_or_float(
             self.z, operator.itemgetter(0), "z of the empty dyad set"
         )
@@ -200,9 +205,12 @@ class MobiusVector:
                 f"missing={sorted(c.key() for c in missing)[:3]} "
                 f"extra={sorted(c.key() for c in extra)[:3]}"
             )
+        # only class moments take the range pass: labeled moments reach
+        # float code through this class, and a joint or class law is
+        # nonnegative with sum 1
         z, exact = _exact_or_float(
             self.z, operator.itemgetter(UnlabeledClass.empty()),
-            "z of the empty class",
+            "z of the empty class", in_float_range=True,
         )
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "is_exact", exact)
@@ -251,8 +259,10 @@ class ClassDistribution:
         return cls(n, {u: Fraction(1)})
 
     def value(self, u: UnlabeledClass):
-        zero = Fraction(0) if self.is_exact else 0.0
-        return self.q.get(u, zero)
+        # an exact value comes out a Fraction: divided by a class size, an
+        # int entry would turn into a float
+        v = self.q.get(u, 0)
+        return Fraction(v) if self.is_exact else float(v)
 
     def labeled_prob(self, x: LabeledNetwork):
         u = UnlabeledClass.of(x)
@@ -410,6 +420,8 @@ def validate_mobius(mv: MobiusVector) -> MobiusValidation:
             report.violations.append(("range", f"z[{u.key()}] = {v} outside [0,1]"))
     if not report.ok:
         return report
+    # the walk is per class, but float cancellation sets the cap: at n = 7
+    # a valid 20-edge MLE in floats reads P(x) = -1.3e-11, past FLOAT_NEG_TOL
     _check_lattice_size(mv.n, "validate_mobius")
     total = None
     for u in enumerate_classes(mv.n, True):

@@ -6,7 +6,7 @@ import pytest
 
 from exchnet import genmodels
 from exchnet.cli import _HANDLERS, _build_parser, main
-from exchnet.dependence import incidence_graph
+from exchnet.dependence import empty_dependence_graph, incidence_graph
 from exchnet.genmodels import (
     MixingSpec,
     er_joint,
@@ -15,6 +15,7 @@ from exchnet.genmodels import (
     parse_graphon_text,
 )
 from exchnet.graphs import format_edge_list, parse_edge_list
+from exchnet.mobius import JointTable
 from exchnet.serialize import (
     depgraph_to_json,
     dump_json,
@@ -141,6 +142,100 @@ def test_six_node_output_bytes(capsys, tmp_path, command):
     code, out = run_cli(capsys, *argv, str(net))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIX_NODE_DIGESTS[command]
+
+
+def _er_mixture_joint():
+    """The even mixture of independent ties at 1/3 and 2/3 on 4 nodes: exact,
+    and every two dyads are dependent."""
+    low = er_joint(4, Fraction(1, 3)).probs
+    high = er_joint(4, Fraction(2, 3)).probs
+    return JointTable(4, tuple((a + b) / 2 for a, b in zip(low, high)))
+
+
+# 4-node joints and dependence graphs for the Markov and skeleton digests
+MARKOV_JOINTS = {
+    "er-exact": lambda: er_joint(4, Fraction(1, 3)),
+    "mixture-exact": _er_mixture_joint,
+    "er-float": lambda: er_joint(4, 0.3),
+    "beta-float": lambda: marginal_beta_joint(
+        4, MixingSpec.two_point(-1.0, 1.5, 0.5)
+    ),
+}
+MARKOV_GRAPHS = {
+    "empty": empty_dependence_graph,
+    "incidence": incidence_graph,
+}
+# stdout digests recorded before `ci_test` read its S, A+S and B+S marginals
+# off the joint marginal and before the collision groups dropped their
+# re-sorts; the failing checks of both mixtures pin their counterexamples
+MARKOV_DIGESTS = {
+    ("er-exact", "empty", "undirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("er-exact", "empty", "bidirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("er-exact", "incidence", "undirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("er-exact", "incidence", "bidirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("mixture-exact", "empty", "undirected"): "839083d17435052762cd6a77df8e03050f90fb4ee9dc3c191f37ffc5c3167a8c",
+    ("mixture-exact", "empty", "bidirected"): "839083d17435052762cd6a77df8e03050f90fb4ee9dc3c191f37ffc5c3167a8c",
+    ("mixture-exact", "incidence", "undirected"): "5d7d3bd52f83eefb0c7f4659300ad568d0f40eeef734094b7600b3f6bc8d18ef",
+    ("mixture-exact", "incidence", "bidirected"): "14f318cf7a0598e9fc2219b5d8f8fba7ca165b871de3d7d31f20e669eff0f625",
+    ("er-float", "empty", "undirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("er-float", "empty", "bidirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("er-float", "incidence", "undirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("er-float", "incidence", "bidirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+    ("beta-float", "empty", "undirected"): "839083d17435052762cd6a77df8e03050f90fb4ee9dc3c191f37ffc5c3167a8c",
+    ("beta-float", "empty", "bidirected"): "839083d17435052762cd6a77df8e03050f90fb4ee9dc3c191f37ffc5c3167a8c",
+    ("beta-float", "incidence", "undirected"): "5d7d3bd52f83eefb0c7f4659300ad568d0f40eeef734094b7600b3f6bc8d18ef",
+    ("beta-float", "incidence", "bidirected"): "340ebdfdbf29dd94fde18896dd9f4c3bbf1c9c79ee42bad8ec9c3542cf1cb4b6",
+}
+SKELETON_DIGESTS = {
+    "er-exact": "00855500d6e08d6a4cf10c3ba2b7606ad69fdcce6d00f380f7be8fd74c37ce41",
+    "mixture-exact": "1f386ef3cf70253a2c653fc3223af9ebcbcaa3874a0257f2dd053d94f030d4cb",
+    "er-float": "00855500d6e08d6a4cf10c3ba2b7606ad69fdcce6d00f380f7be8fd74c37ce41",
+    "beta-float": "ecd2a5c293a6957963274e884312f22a538e9b4747dcae588f094d938f0e290e",
+}
+COLLISION_DIGESTS = {
+    1: "ea9986b7f8beff9bcbb0cca9b888898ae78c0043d50013f29bcd016fd1df4877",
+    2: "0a1a262e43209e28fde1f7c9becb7e8733e2a24cf18d547737174e3229bb24f3",
+    3: "153dda75aaa13e4dea5efd17cb0ea0afc7108bfcb3815566cee03e85dc531736",
+    4: "3403d618ef69b641e6a0c080704a58aea41ad157b20d5508441a5e8143a92e75",
+    5: "eeae6532df30b85ca744e6451cb702489b3f344aa3a4d6aca87999051f314af1",
+    6: "4e2d65ad8cb001285ea6b9c09d1920e39076c522efdb4ee3b7cc4d276bd91c23",
+    7: "5f72e95a70b0a0697f8634126014b090b68c748db44fed3d0104e99fb3907d7f",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _write_joint(tmp_path, joint: str):
+    path = tmp_path / "joint.json"
+    path.write_text(dump_json(joint_to_json(MARKOV_JOINTS[joint]())))
+    return path
+
+
+@pytest.mark.parametrize(
+    "joint, graph, kind", sorted(MARKOV_DIGESTS), ids=lambda c: "-".join(c)
+)
+def test_markov_output_bytes(capsys, tmp_path, joint, graph, kind):
+    dep = tmp_path / "dep.json"
+    dep.write_text(dump_json(depgraph_to_json(MARKOV_GRAPHS[graph](4, kind))))
+    code, out = run_cli(capsys, "markov", str(_write_joint(tmp_path, joint)), str(dep))
+    assert code == 0
+    assert _digest(out) == MARKOV_DIGESTS[joint, graph, kind]
+
+
+@pytest.mark.parametrize("joint", sorted(SKELETON_DIGESTS))
+def test_skeleton_output_bytes(capsys, tmp_path, joint):
+    code, out = run_cli(capsys, "skeleton", str(_write_joint(tmp_path, joint)))
+    assert code == 0
+    assert _digest(out) == SKELETON_DIGESTS[joint]
+
+
+@pytest.mark.parametrize("n", sorted(COLLISION_DIGESTS))
+def test_collisions_output_bytes(capsys, n):
+    code, out = run_cli(capsys, "collisions", "--n", str(n))
+    assert code == 0
+    assert _digest(out) == COLLISION_DIGESTS[n]
 
 
 class TestNetworksSmallerThanTheStatistics:

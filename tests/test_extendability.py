@@ -287,6 +287,16 @@ class TestExtendableCheck:
         with pytest.raises(InvalidParametersError):
             extendable_check(er_mobius(4, Fraction(1, 2)), 3)
 
+    @pytest.mark.parametrize(
+        "check", [extendable_check, dissociated_extendable_check]
+    )
+    @pytest.mark.parametrize("empty", [1, 1.0])
+    def test_moment_beyond_float_range_is_invalid(self, check, empty):
+        # the LP's float pass cannot read z_edge = 10**400, exact or mixed
+        z = {class_from_key("EMPTY"): empty, class_from_key("1-2"): Fraction(10**400)}
+        with pytest.raises(InvalidParametersError, match="beyond float range"):
+            check(MobiusVector(2, z), 3)
+
     def test_float_mode(self):
         mv = er_mobius(4, Fraction(1, 3)).to_float()
         rep = extendable_check(mv, 5)

@@ -34,7 +34,13 @@ from exchnet.genmodels import (
     parse_graphon_name,
     parse_graphon_text,
 )
-from exchnet.graphs import LabeledNetwork, SizeCapError, dyads
+from exchnet.graphs import (
+    LabeledNetwork,
+    SizeCapError,
+    class_size,
+    dyads,
+    enumerate_classes,
+)
 from exchnet.mobius import InvalidParametersError, labeled_mobius_from_joint
 
 
@@ -66,6 +72,23 @@ class TestIndependentTies:
     def test_half_is_uniform(self):
         jt = er_joint(3, Fraction(1, 2))
         assert all(p == Fraction(1, 8) for p in jt.probs)
+
+    @pytest.mark.parametrize("p", [0, 1, Fraction(1, 3), 0.3])
+    def test_exactness_follows_the_tie_probability(self, p):
+        # an int or Fraction p gives exact containers, a float p float ones
+        exact = not isinstance(p, float)
+        m = len(dyads(4))
+        mv = er_mobius(4, p)
+        assert mv.is_exact == exact
+        assert mv.z == {u: p**u.edge_count for u in enumerate_classes(4, True)}
+        cd = er_class_distribution(4, p)
+        assert cd.is_exact == exact
+        one = 1 if exact else 1.0
+        assert cd.q == {
+            u: class_size(u, 4) * p**u.edge_count * (one - p) ** (m - u.edge_count)
+            for u in enumerate_classes(4, True)
+        }
+        assert cd.to_joint().is_exact == exact
 
     def test_class_distribution_matches_joint(self):
         p = Fraction(1, 3)
@@ -132,6 +155,17 @@ class TestMarginalBeta:
         jt2 = marginal_beta_joint(3, mix)
         assert jt1.probs == jt2.probs
         assert jt1.mc_std_error is not None and jt1.mc_std_error > 0
+
+    def test_gaussian_past_the_cap_draws_nothing(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(
+            genmodels.random.Random, "gauss", lambda *args: draws.append(args)
+        )
+        cap = genmodels.MAX_MIX_SAMPLES
+        assert MixingSpec.gaussian(0, 1, cap, 0).params[2] == cap
+        with pytest.raises(SizeCapError, match="mc_samples <= 100000"):
+            marginal_beta_joint(5, MixingSpec.gaussian(0, 1, cap + 1, 0))
+        assert draws == []
 
 
 class TestGraphonSampling:

@@ -184,10 +184,12 @@ class TestEnumerateClasses:
         assert sizes == sorted(sizes)
 
     def test_order_is_edge_count_then_bits(self):
-        classes = enumerate_classes(4, True)
-        keys = [c.sort_key() for c in classes]
-        assert keys == sorted(keys)
-        assert classes[0].is_empty
+        # degree_collision_classes relies on this order and does not sort
+        for n in range(1, 8):
+            classes = enumerate_classes(n, True)
+            keys = [c.sort_key() for c in classes]
+            assert keys == sorted(keys)
+            assert classes[0].is_empty
 
     def test_deterministic_between_calls(self):
         a = [c.key() for c in enumerate_classes(5, True)]
