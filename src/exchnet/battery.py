@@ -22,7 +22,6 @@ from .dependence import (
     kneser_graph,
 )
 from .estimation import (
-    ClassDistribution,
     ErgmSpec,
     STATUS_NON_UNIQUE,
     degree_collision_classes,
@@ -33,7 +32,12 @@ from .estimation import (
 )
 from .extendability import extendable_check
 from .graphs import LabeledNetwork, UnlabeledClass, dyad_index
-from .mobius import bidirected_joint, mask_of, mobius_from_class_distribution
+from .mobius import (
+    ClassDistribution,
+    bidirected_joint,
+    mask_of,
+    mobius_from_class_distribution,
+)
 
 
 @dataclass

@@ -6,9 +6,10 @@ A pattern larger than its target yields 0.
 
 :func:`class_table` holds the sigma counts between all classes at a node
 count n <= 7, built by a one-edge recursion without any subgraph search.
-Every class-moment computation reads it, and so does :func:`r_count`, the
-supergraph count; :func:`inj`, :func:`sub` and :func:`sigma` search one
-pattern at a time and serve as its independent check.
+Every class-moment computation reads it, and so do :func:`r_count`, the
+supergraph count, and the statistic families of ``estimation`` (degree
+counts aside); :func:`inj`, :func:`sub` and :func:`sigma` search one pattern
+at a time and serve as its independent check.
 """
 
 from __future__ import annotations
@@ -198,16 +199,11 @@ class ClassTable:
         frac = {s: Fraction(s, denom) for s in set(row)}
         return tuple(map(frac.__getitem__, row))
 
-    def sigmas(self, x: LabeledNetwork, classes=None) -> tuple:
-        """sigma_U(x) for each U in ``classes`` (default: every class at n)."""
+    def sigmas(self, x: LabeledNetwork) -> tuple:
+        """sigma_U(x) for every class U at n: the column of x's class."""
         if x.n > self.n:
             raise ValueError(f"network on {x.n} nodes, table for n={self.n}")
-        col = self.S[:, self.index[UnlabeledClass.of(x)]].tolist()
-        if classes is None:
-            return tuple(col)
-        return tuple(
-            col[self.index[u]] if u in self.index else 0 for u in classes
-        )
+        return tuple(self.S[:, self.index[UnlabeledClass.of(x)]].tolist())
 
     def supergraphs(self, x: LabeledNetwork) -> tuple:
         """r(U, x) for every class U at n: the labeled graphs on x's n nodes

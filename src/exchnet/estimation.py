@@ -33,7 +33,9 @@ from .graphs import (
     class_size,
     degree_distribution,
     disconnected_classes,
+    dyads,
     enumerate_classes,
+    num_dyads,
 )
 from .lp import maximize, solve_feasibility
 from .mobius import (
@@ -418,10 +420,6 @@ class ErgmSpec:
     def stat_names(self) -> tuple:
         return _family_table(self.family, self.n)[0]
 
-    def stat_classes(self) -> tuple | None:
-        """Classes whose sigma counts are the statistics; None for sem."""
-        return _family_table(self.family, self.n)[1]
-
 
 @lru_cache(maxsize=None)
 def _family_table(family: str, n: int) -> tuple:
@@ -444,14 +442,43 @@ def _family_table(family: str, n: int) -> tuple:
     return tuple(name for name, _ in rows), tuple(u for _, u in rows)
 
 
-def ergm_stats(spec: ErgmSpec, x: LabeledNetwork) -> tuple:
-    """Exact integer statistic vector for the family."""
+@lru_cache(maxsize=None)
+def _stat_table(family: str, n: int) -> np.ndarray:
+    """The family's statistics of every class at n, one row per class in
+    ``enumerate_classes(n)`` order, read-only.  A sem row is the padded
+    class's degree counts 1..n-1, read from the class codes without a sigma
+    table.  Any other column is the row of S for its statistic class, zero
+    for a class on more than n vertices, read as a transposed view (one row
+    at n = 7 costs no transposing copy of S_7).  The bits of the fits' float
+    products depend on the layout, so the fits take C-order float copies."""
+    if family == "sem":
+        classes = enumerate_classes(n, True)
+        # dyad d < C(k, 2) of n's colex dyads is bit C(k, 2) - 1 - d of a k-vertex code
+        top = np.array([num_dyads(u.n_vertices) - 1 for u in classes])[:, None]
+        bit = top - np.arange(num_dyads(n))
+        edges = np.array([u.code for u in classes])[:, None] >> np.maximum(bit, 0) & (bit >= 0)
+        degrees = edges @ (np.array(dyads(n)).reshape(-1, 2, 1) == np.arange(1, n + 1)).sum(axis=1)
+        out = (degrees[:, :, None] == np.arange(1, n)).sum(axis=1)
+    else:
+        table = class_table(n)
+        idx = [table.index.get(u, -1) for u in _family_table(family, n)[1]]
+        out = table.S[idx]
+        out[np.array(idx) < 0] = 0
+        out = out.T
+    out.flags.writeable = False
+    return out
+
+
+def _class_index(spec: ErgmSpec, x: LabeledNetwork) -> int:
+    """x's row in the family's statistics table."""
     if x.n != spec.n:
         raise ValueError(f"network on {x.n} nodes, family at n={spec.n}")
-    if spec.family == "sem":
-        dd = degree_distribution(x)
-        return tuple(dd.counts[1:])
-    return class_table(spec.n).sigmas(x, spec.stat_classes())
+    return class_table(spec.n).index[UnlabeledClass.of(x)]
+
+
+def ergm_stats(spec: ErgmSpec, x: LabeledNetwork) -> tuple:
+    """Exact integer statistic vector for the family: x's row of its table."""
+    return tuple(_stat_table(spec.family, spec.n)[_class_index(spec, x)].tolist())
 
 
 def _nu_vector(spec: ErgmSpec, nu) -> np.ndarray:
@@ -474,22 +501,6 @@ def _nu_vector(spec: ErgmSpec, nu) -> np.ndarray:
     return arr
 
 
-def _class_stat_table(spec: ErgmSpec) -> tuple:
-    """Classes, the statistics of each class (one row per class) and the
-    class sizes.  Statistic classes are rows of the sigma table."""
-    table = class_table(spec.n)
-    classes = table.classes
-    stat_classes = spec.stat_classes()
-    if stat_classes is None:
-        rows = [ergm_stats(spec, u.padded(spec.n)) for u in classes]
-    else:
-        cols = [table.row(u) for u in stat_classes]
-        rows = [tuple(c[k] for c in cols) for k in range(len(classes))]
-    stats = np.array(rows, dtype=float)
-    sizes = table.sizes.astype(float)
-    return classes, stats, sizes
-
-
 def _gibbs_weights(stats, sizes, nu) -> tuple:
     """Unnormalized class weights exp(S nu + log|class| - shift) and the
     shift, the largest exponent; an exponent past float range stays inf."""
@@ -509,14 +520,13 @@ def ergm_eval(spec: ErgmSpec, nu, x: LabeledNetwork) -> float:
     if spec.n > MAX_FIT_NODES:
         raise SizeCapError(f"ergm evaluation supports n <= {MAX_FIT_NODES}")
     vec = _nu_vector(spec, nu)
-    _, stats, sizes = _class_stat_table(spec)
-    psi = _log_partition(stats, sizes, vec)
+    stats = _stat_table(spec.family, spec.n).astype(float, order="C")
+    psi = _log_partition(stats, class_table(spec.n).sizes.astype(float), vec)
     # an exponent beyond float range makes the partition inf - inf
     if not math.isfinite(psi):
         raise InvalidParametersError(f"log partition is {psi} at these parameters")
-    s_x = np.array(ergm_stats(spec, x), dtype=float)
     with np.errstate(over="ignore"):
-        return math.exp(float(s_x @ vec) - psi)
+        return math.exp(float(stats[_class_index(spec, x)] @ vec) - psi)
 
 
 def _facial_set(spec: ErgmSpec, stats, x_idx: int) -> np.ndarray:
@@ -535,8 +545,7 @@ def _facial_set(spec: ErgmSpec, stats, x_idx: int) -> np.ndarray:
     if spec.family == "full_exchangeable":
         return np.arange(len(stats)) == x_idx
     face = np.ones(len(stats), dtype=bool)
-    # integer statistics, so the float gaps are exact
-    gaps = [tuple(int(v) for v in row) for row in stats - stats[x_idx]]
+    gaps = list(map(tuple, (stats - stats[x_idx]).tolist()))
     while True:
         cols = sorted({g for g, on in zip(gaps, face) if on})
         rows = [list(r) for r in zip(*cols)]
@@ -565,12 +574,13 @@ def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
     """
     if spec.n > MAX_FIT_NODES:
         raise SizeCapError(f"ergm fitting supports n <= {MAX_FIT_NODES}")
-    classes, stats, sizes = _class_stat_table(spec)
-    target = np.array(ergm_stats(spec, x), dtype=float)
-    x_idx = class_table(spec.n).index[UnlabeledClass.of(x)]
+    table = class_table(spec.n)
+    x_idx = _class_index(spec, x)
+    stats = _stat_table(spec.family, spec.n)
     face = _facial_set(spec, stats, x_idx)
     interior = bool(face.all())
-    stats, sizes = stats[face], sizes[face]
+    target = stats[x_idx].astype(float)
+    stats, sizes = stats[face].astype(float, order="C"), table.sizes[face].astype(float)
     dim = stats.shape[1]
     nu = np.zeros(dim)
 
@@ -615,9 +625,9 @@ def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
         nu = nu + t * step
         step_norm = float(np.max(np.abs(t * step), initial=0.0))
 
-    q = np.zeros(len(classes))
+    q = np.zeros(len(table.classes))
     q[face] = moments(nu)[0]
-    cd = ClassDistribution(spec.n, {u: float(p) for u, p in zip(classes, q)})
+    cd = ClassDistribution(spec.n, {u: float(p) for u, p in zip(table.classes, q)})
     lik = cd.labeled_prob(x)
     return FitReport(
         family=spec.family,
@@ -635,20 +645,17 @@ def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:
 
 
 def degree_collision_classes(n: int) -> list:
-    """Groups (size >= 2) of classes on n nodes sharing a degree distribution.
-
-    Classes are padded with isolated vertices to exactly n nodes, so the
-    degree counts include degree-zero entries.  n < 1 is refused with
-    ``InvalidParametersError``.
-    """
+    """Groups (size >= 2) of classes on n nodes sharing a degree distribution
+    when padded with isolated vertices to n nodes: their sem statistics,
+    the counts of degrees 1..n-1, which fix the count of degree 0.  n < 1
+    is refused with ``InvalidParametersError``."""
     if n < 1:
         raise InvalidParametersError("degree collision scan needs n >= 1")
     # classes are enumerated in sort-key order, so each group is sorted and
     # the groups come out in the order of their first classes
     groups: dict = {}
-    for u in enumerate_classes(n, True):
-        dd = degree_distribution(u.padded(n))
-        groups.setdefault(dd.counts, []).append(u)
+    for u, row in zip(enumerate_classes(n, True), _stat_table("sem", n).tolist()):
+        groups.setdefault(tuple(row), []).append(u)
     return [g for g in groups.values() if len(g) >= 2]
 
 
@@ -721,25 +728,17 @@ class SummarizedConstraint:
 
 def summarized_constraints(n: int) -> list:
     """One linear z constraint per degree-distribution collision pair."""
-    if n > MAX_FIT_NODES:
-        raise SizeCapError(
-            f"constraint construction supports n <= {MAX_FIT_NODES}"
-        )
     table = class_table(n)
     out = []
     for group in degree_collision_classes(n):
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                u1, u2 = group[a], group[b]
-                x1 = u1.padded(n)
-                ex = x1.edge_count
-                r1 = table.supergraphs(x1)
-                r2 = table.supergraphs(u2.padded(n))
-                coeffs = {}
-                for u, c1, c2 in zip(table.classes, r1, r2):
-                    diff = c1 - c2
-                    if diff:
-                        sign = -1 if (u.edge_count - ex) % 2 else 1
-                        coeffs[u] = sign * diff
-                out.append(SummarizedConstraint((u1, u2), coeffs))
+        for u1, u2 in itertools.combinations(group, 2):
+            r1 = table.supergraphs(u1.padded(n))
+            r2 = table.supergraphs(u2.padded(n))
+            coeffs = {}
+            for u, c1, c2 in zip(table.classes, r1, r2):
+                diff = c1 - c2
+                if diff:
+                    sign = -1 if (u.edge_count - u1.edge_count) % 2 else 1
+                    coeffs[u] = sign * diff
+            out.append(SummarizedConstraint((u1, u2), coeffs))
     return out

@@ -38,7 +38,6 @@ from exchnet.dependence import (
     skeleton,
 )
 from exchnet.estimation import (
-    ClassDistribution,
     ErgmSpec,
     degree_collision_classes,
     ergm_stats,
@@ -68,6 +67,7 @@ from exchnet.graphs import (
     num_dyads,
 )
 from exchnet.mobius import (
+    ClassDistribution,
     JointTable,
     bidirected_joint,
     joint_from_labeled_mobius,

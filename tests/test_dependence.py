@@ -23,7 +23,6 @@ from exchnet.dependence import (
     separates,
     skeleton,
 )
-from exchnet.estimation import ClassDistribution
 from exchnet.genmodels import er_joint, marginal_beta_joint, MixingSpec
 from exchnet.graphs import (
     LabeledNetwork,
@@ -31,7 +30,7 @@ from exchnet.graphs import (
     UnlabeledClass,
     class_from_key,
 )
-from exchnet.mobius import JointTable, labeled_mobius_from_joint
+from exchnet.mobius import ClassDistribution, JointTable, labeled_mobius_from_joint
 
 
 @pytest.fixture(scope="module")

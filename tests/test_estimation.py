@@ -9,6 +9,7 @@ from exchnet import estimation
 
 from exchnet.counting import (
     edge_class,
+    matching_class,
     sigma,
     star_class,
     triangle_class,
@@ -16,7 +17,6 @@ from exchnet.counting import (
 )
 from exchnet.dependence import dissociated_check
 from exchnet.estimation import (
-    ClassDistribution,
     FAMILIES,
     ErgmSpec,
     degree_collision_classes,
@@ -50,6 +50,7 @@ from exchnet.graphs import (
     num_dyads,
 )
 from exchnet.mobius import (
+    ClassDistribution,
     InvalidParametersError,
     exch_joint_from_mobius,
     exchangeable_from_labeled,
@@ -293,6 +294,31 @@ class TestErgmStats:
         want = tuple(sigma(u, paw) for u in enumerate_classes(4, False))
         assert got == want
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_class_matches_independent_counts(self, n):
+        # sem counts degrees; every other statistic is the search-based
+        # sigma of its class, 0 for a class on more than n vertices (the
+        # frank_strauss triangle at n = 2, se_star's two disjoint edges at 3)
+        named = {"triangle": triangle_class(), "two_disjoint_edges": two_disjoint_edges_class()}
+
+        def stat_class(name):
+            for prefix, make in (("star", star_class), ("matching", matching_class)):
+                if name.startswith(prefix) and name[len(prefix):].isdigit():
+                    return make(int(name[len(prefix):]))
+            return named[name] if name in named else class_from_key(name)
+
+        for family in FAMILIES:
+            assert not estimation._stat_table(family, n).flags.writeable
+        for u in enumerate_classes(n, True):
+            x = u.padded(n)
+            for family in FAMILIES:
+                spec = ErgmSpec(family, n)
+                if family == "sem":
+                    want = degree_distribution(x).counts[1:]
+                else:
+                    want = tuple(sigma(stat_class(name), x) for name in spec.stat_names())
+                assert ergm_stats(spec, x) == want, (family, u.key())
+
 
 class TestErgmEval:
     def test_exponent_past_float_range_is_refused(self, paw):
@@ -335,6 +361,22 @@ class TestErgmEval:
 
 
 class TestErgmFit:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gibbs_products_read_c_order_floats(self, family, paw, monkeypatch):
+        # the bits of stats @ nu depend on the layout: C order made the recorded outputs
+        seen = []
+
+        def spy(stats, sizes, nu):
+            seen.append(stats.flags.c_contiguous and stats.dtype == np.float64)
+            return gibbs(stats, sizes, nu)
+
+        gibbs = estimation._gibbs_weights
+        monkeypatch.setattr(estimation, "_gibbs_weights", spy)
+        spec = ErgmSpec(family, 4)
+        ergm_fit(spec, paw)
+        ergm_eval(spec, [0.1] * len(spec.stat_names()), paw)
+        assert seen and all(seen)
+
     def test_full_family_single_observation_is_boundary(self, paw):
         rep = ergm_fit(ErgmSpec("full_exchangeable", 4), paw)
         assert rep.status == "boundary"
@@ -514,6 +556,12 @@ class TestDegreeCollisions:
                 groups += 1
         assert groups == len(degree_collision_classes(6))
 
+    def test_degree_counts_build_no_sigma_table(self, monkeypatch):
+        # collisions at n read the sem table alone, so they cost no S_n
+        monkeypatch.setattr(estimation, "class_table", None)
+        sem = estimation._stat_table.__wrapped__("sem", 6)
+        assert sem.shape == (156, 5)
+
 
 class TestSummarized:
     def test_er_is_summarized(self):
@@ -568,10 +616,10 @@ class TestSigmaDegreeFunction:
             ValueError,
             "network on 4 nodes, family at n=5",
         ),
-        (lambda: summarized_constraints(7), SizeCapError, "supports n <= 6"),
+        (lambda: summarized_constraints(8), SizeCapError, "support n <= 7, got 8"),
         (lambda: summarized_check(object()), TypeError, "expected JointTable"),
     ],
-    ids=["unknown-family", "stats-wrong-size", "constraints-n7", "check-type"],
+    ids=["unknown-family", "stats-wrong-size", "constraints-n8", "check-type"],
 )
 def test_library_refusal(call, error, message):
     with pytest.raises(error, match=message):
@@ -584,6 +632,14 @@ class TestSummarizedConstraints:
 
     def test_three_at_five(self):
         assert len(summarized_constraints(5)) == 3
+
+    def test_seven_nodes_one_per_collision_pair(self):
+        cons = summarized_constraints(7)
+        groups = degree_collision_classes(7)
+        assert len(cons) == sum(math.comb(len(g), 2) for g in groups) == 3282
+        mv = er_mobius(7, Fraction(1, 3))
+        for c in cons[::97]:
+            assert c.evaluate(mv) == 0
 
     def test_constraints_annihilate_summarized_models(self):
         cons = summarized_constraints(5)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from exchnet.counting import class_table, two_disjoint_edges_class
 from exchnet.dependence import dissociated_check
-from exchnet.estimation import ClassDistribution, exch_mle
+from exchnet.estimation import exch_mle
 from exchnet import extendability
 from exchnet.extendability import (
     CertificateError,
@@ -38,6 +38,7 @@ from exchnet.graphs import (
     num_dyads,
 )
 from exchnet.mobius import (
+    ClassDistribution,
     InvalidParametersError,
     JointTable,
     MobiusVector,

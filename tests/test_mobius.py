@@ -14,7 +14,6 @@ from exchnet.dependence import (
     incidence_graph,
     kneser_graph,
 )
-from exchnet.estimation import ClassDistribution
 from exchnet.genmodels import BetaSpec, beta_joint, er_joint, er_mobius
 from exchnet.graphs import (
     LabeledNetwork,
@@ -25,6 +24,7 @@ from exchnet.graphs import (
     num_dyads,
 )
 from exchnet.mobius import (
+    ClassDistribution,
     InvalidParametersError,
     JointTable,
     LabeledMobius,

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from exchnet.dependence import BIDIRECTED, incidence_graph, kneser_graph
-from exchnet.estimation import ClassDistribution, FitReport, exch_mle
+from exchnet.estimation import FitReport, exch_mle
 from exchnet.genmodels import er_joint
 from exchnet.graphs import LabeledNetwork, UnlabeledClass
+from exchnet.mobius import ClassDistribution
 from exchnet.serialize import (
     class_distribution_to_json,
     depgraph_from_json,
