@@ -113,7 +113,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("extend", help="extendability feasibility")
     sp.add_argument("z_json", type=Path, nargs="?")
-    sp.add_argument("--input", type=Path, help="alternative to the positional path")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--dissociated", action="store_true")
 
@@ -253,10 +252,9 @@ def _cmd_skeleton(args) -> dict:
 
 
 def _cmd_extend(args) -> dict:
-    source = args.z_json if args.z_json is not None else args.input
-    if source is None:
-        raise ValueError("extend needs a moment file (positional or --input)")
-    mv = mobius_from_json(json.loads(source.read_text()))
+    if args.z_json is None:
+        raise ValueError("extend needs a moment file")
+    mv = mobius_from_json(json.loads(args.z_json.read_text()))
     check = dissociated_extendable_check if args.dissociated else extendable_check
     return extend_report_to_json(check(mv, args.m))
 

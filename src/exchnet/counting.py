@@ -155,6 +155,7 @@ class ClassTable:
         )
         sizes = self.sizes.tolist()
         edges = np.array([u.edge_count for u in self.classes])
+        self._odd = edges % 2 == 1
         # removals[j][k] = b(class j, class k)
         removals: list = [{} for _ in self.classes]
         for k, adds in enumerate(class_additions(n)):
@@ -205,17 +206,22 @@ class ClassTable:
             raise ValueError(f"network on {x.n} nodes, table for n={self.n}")
         return tuple(self.S[:, self.index[UnlabeledClass.of(x)]].tolist())
 
+    def signed_supergraphs(self, j: int) -> tuple:
+        """(-1)^(e(U) - e(W)) r(U, x) for every class U at n, x any network in
+        W, the class of index j: the inclusion-exclusion coefficients of P(x)."""
+        r, rem = np.divmod(self.S[j].astype(np.int64) * self.sizes, self.sizes[j])
+        if rem.any():
+            raise InvariantError(f"labeled supergraph counts of {self.classes[j]}")
+        r[self._odd != self._odd[j]] *= -1
+        return tuple(r.tolist())
+
     def supergraphs(self, x: LabeledNetwork) -> tuple:
         """r(U, x) for every class U at n: the labeled graphs on x's n nodes
         in class U that contain x."""
         if x.n != self.n:
             raise ValueError(f"network on {x.n} nodes, table for n={self.n}")
         j = self.index[UnlabeledClass.of(x)]
-        num = self.S[j].astype(np.int64) * self.sizes
-        r, rem = np.divmod(num, self.sizes[j])
-        if rem.any():
-            raise InvariantError(f"labeled supergraph counts of {x}")
-        return tuple(r.tolist())
+        return tuple(map(abs, self.signed_supergraphs(j)))
 
 
 @lru_cache(maxsize=None)

@@ -731,14 +731,9 @@ def summarized_constraints(n: int) -> list:
     table = class_table(n)
     out = []
     for group in degree_collision_classes(n):
-        for u1, u2 in itertools.combinations(group, 2):
-            r1 = table.supergraphs(u1.padded(n))
-            r2 = table.supergraphs(u2.padded(n))
-            coeffs = {}
-            for u, c1, c2 in zip(table.classes, r1, r2):
-                diff = c1 - c2
-                if diff:
-                    sign = -1 if (u.edge_count - u1.edge_count) % 2 else 1
-                    coeffs[u] = sign * diff
+        # equal degrees, so equal edge counts: the rows share one sign
+        rows = [table.signed_supergraphs(table.index[u]) for u in group]
+        for (u1, r1), (u2, r2) in itertools.combinations(zip(group, rows), 2):
+            coeffs = {u: a - b for u, a, b in zip(table.classes, r1, r2) if a != b}
             out.append(SummarizedConstraint((u1, u2), coeffs))
     return out

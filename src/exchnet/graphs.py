@@ -310,6 +310,7 @@ class UnlabeledClass:
     def sort_key(self):
         return (self.edge_count, self.n_vertices, self.code)
 
+    @lru_cache(maxsize=None)  # one entry per class on at most MAX_NODES vertices
     def key(self) -> str:
         """Serialization key: sorted i-j pairs of the representative."""
         if self.is_empty:

@@ -249,7 +249,7 @@ class ClassDistribution:
             raise ValueError(f"unknown classes for n={self.n}: {sorted(c.key() for c in extra)[:3]}")
         q, exact = _exact_or_float(
             self.q, lambda q: sum(q.values()), "the total class probability",
-            tol=1e-9, neg_tol=1e-12,
+            tol=1e-9, neg_tol=FLOAT_NEG_TOL,
         )
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "is_exact", exact)
@@ -308,26 +308,24 @@ def exchangeable_from_labeled(lm: LabeledMobius) -> MobiusVector:
     return MobiusVector(lm.n, {u: v for u, (_, v) in first.items()})
 
 
-def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
-    """P(X = x) for the exchangeable distribution with class moments mv.
+def _class_prob(mv: MobiusVector, j: int):
+    """P(X = x), sign unchecked, for each x in the class of index j: z_U times
+    U's signed supergraph count, summed over the classes U in order."""
+    table = class_table(mv.n)
+    total = None  # x's own class contains x, so some term always counts
+    for u, c in zip(table.classes, table.signed_supergraphs(j)):
+        if c:
+            term = mv.z[u] * c
+            total = term if total is None else total + term
+    return total
 
-    Inclusion-exclusion over classes: the sign alternates with the edge-count
-    gap and each class is weighted by the number of its labeled members that
-    contain x.
-    """
+
+def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
+    """P(X = x) for the exchangeable distribution with class moments mv."""
     if x.n != mv.n:
         raise ValueError(f"network on {x.n} nodes, moments for n={mv.n}")
-    ex = x.edge_count
-    total = None  # x's own class contains x, so some term always counts
-    table = class_table(mv.n)
-    for u, r in zip(table.classes, table.supergraphs(x)):
-        if r == 0:
-            continue
-        term = mv.z[u] * r
-        if (u.edge_count - ex) % 2:
-            term = -term
-        total = term if total is None else total + term
-    return _refuse_negative(total, x.mask, lambda: f"P({x}) = {total} < 0")
+    p = _class_prob(mv, class_table(mv.n).index[UnlabeledClass.of(x)])
+    return _refuse_negative(p, x.mask, lambda: f"P({x}) = {p} < 0")
 
 
 def mobius_from_class_distribution(cd: ClassDistribution) -> MobiusVector:
@@ -408,9 +406,9 @@ def validate_mobius(mv: MobiusVector) -> MobiusValidation:
     """Check z feasibility at mv's own node count.
 
     Verifies the [0,1] range and nonnegativity of every implied
-    configuration probability (one representative per class suffices, by
-    exchangeability); ``MobiusVector`` already holds z of the empty class at
-    1.  Returns a report instead of raising.
+    configuration probability (one per class suffices, by exchangeability);
+    ``MobiusVector`` already holds z of the empty class at 1.  Returns a
+    report instead of raising; float moments are refused above n = 6.
     """
     report = MobiusValidation(ok=True)
     tol = 0 if mv.is_exact else 1e-9
@@ -420,22 +418,23 @@ def validate_mobius(mv: MobiusVector) -> MobiusValidation:
             report.violations.append(("range", f"z[{u.key()}] = {v} outside [0,1]"))
     if not report.ok:
         return report
-    # the walk is per class, but float cancellation sets the cap: at n = 7
-    # a valid 20-edge MLE in floats reads P(x) = -1.3e-11, past FLOAT_NEG_TOL
-    _check_lattice_size(mv.n, "validate_mobius")
-    total = None
-    for u in enumerate_classes(mv.n, True):
-        x = u.padded(mv.n)
+    if not mv.is_exact and mv.n > 6:  # P(x) = -1.3e-11 on a valid 7-node MLE
+        raise SizeCapError(
+            f"float validation supports n <= 6, got {mv.n}: float cancellation "
+            "passes the -1e-12 tolerance at n = 7; validate exact moments"
+        )
+    table = class_table(mv.n)
+    total = 0
+    for j, (u, size) in enumerate(zip(table.classes, table.sizes.tolist())):
+        p = _class_prob(mv, j)
         try:
-            p = exch_joint_from_mobius(mv, x)
+            _refuse_negative(p, None, lambda: f"P({u.padded(mv.n)}) = {p} < 0")
         except InvalidParametersError as err:
             report.ok = False
             report.violations.append(("negative_config", str(err)))
             continue
-        w = class_size(u, mv.n)
-        contrib = p * w
-        total = contrib if total is None else total + contrib
-    if report.ok and total is not None:
+        total += p * size
+    if report.ok:
         drift = total - 1
         if drift < -tol or drift > tol:
             report.ok = False

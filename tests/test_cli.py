@@ -425,17 +425,6 @@ class TestExtend:
         code, out = run_cli(capsys, "extend", str(zfile), "--m", str(m), *flags)
         assert (code, out) == (want, "")
 
-    def test_input_flag_form(self, capsys, tmp_path, paw):
-        from exchnet.estimation import exch_mle
-
-        zfile = tmp_path / "z.json"
-        zfile.write_text(dump_json(mobius_to_json(exch_mle(paw))))
-        code, out = run_cli(
-            capsys, "extend", "--input", str(zfile), "--m", "5"
-        )
-        assert code == 0
-        assert json.loads(out)["feasible"] is False
-
     def test_dissociated_flag(self, capsys, tmp_path):
         from exchnet.genmodels import er_mobius
 

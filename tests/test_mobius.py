@@ -17,6 +17,7 @@ from exchnet.dependence import (
 from exchnet.genmodels import BetaSpec, beta_joint, er_joint, er_mobius
 from exchnet.graphs import (
     LabeledNetwork,
+    SizeCapError,
     UnlabeledClass,
     class_size,
     dyad_index,
@@ -28,6 +29,7 @@ from exchnet.mobius import (
     InvalidParametersError,
     JointTable,
     LabeledMobius,
+    MobiusValidation,
     MobiusVector,
     bidirected_joint,
     exch_joint_from_mobius,
@@ -155,7 +157,7 @@ class TestExchangeableMoments:
 
     def test_uniform_within_class_reconstruction(self):
         rng = random.Random(9)
-        for n in (3, 4):
+        for n in (3, 4, 5, 6):
             classes = enumerate_classes(n, True)
             weights = {u: Fraction(rng.randrange(1, 9)) for u in classes}
             total = sum(weights.values())
@@ -469,3 +471,27 @@ class TestValidateMobius:
         report = validate_mobius(MobiusVector(3, z))
         assert not report.ok
         assert report.violations[0][0] == "range"
+
+    @pytest.mark.parametrize("law", ["er", "mle"])
+    def test_exact_seven_node_laws_are_valid(self, law):
+        from exchnet.estimation import exch_mle
+
+        if law == "er":
+            mv = er_mobius(7, Fraction(1, 3))
+        else:
+            k7 = LabeledNetwork.complete(7)
+            mv = exch_mle(LabeledNetwork.from_edges(7, sorted(k7.edges)[1:]))
+        assert validate_mobius(mv) == MobiusValidation(ok=True)
+
+    def test_nudged_seven_node_law_has_a_negative_class(self):
+        z = dict(er_mobius(7, Fraction(1, 3)).z)
+        z[edge_class()] += Fraction(1, 100)
+        report = validate_mobius(MobiusVector(7, z))
+        assert not report.ok
+        kind, message = report.first()
+        assert kind == "negative_config" and message.endswith(" < 0")
+
+    def test_float_seven_node_validation_is_refused(self):
+        with pytest.raises(SizeCapError, match="float validation") as err:
+            validate_mobius(er_mobius(7, 0.3))
+        assert "lattice" not in str(err.value)
