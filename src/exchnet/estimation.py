@@ -61,8 +61,8 @@ MAX_DISSOCIATED_NODES = 5
 BNB_GAP = 1e-9
 BNB_MIN_WIDTH = 1e-12
 # dissociated_mle: interval at which golden-section search on v(t) stops;
-# largest reduced cost of a column kept on an optimal face; q distance of a
-# distinct maximizer
+# largest reduced cost of a column kept on an optimal face (and largest q
+# of a class counted empty); mass off q's support of a distinct maximizer
 GOLDEN_TOL = 1e-10
 FACE_TOL = 1e-9
 DISTINCT_TOL = 1e-4
@@ -313,15 +313,14 @@ def _face_optimum(rows: np.ndarray, rhs, free: np.ndarray, objective):
     return q, free[res.reduced <= FACE_TOL]
 
 
-def _lex_extreme(rows: np.ndarray, rhs, free: np.ndarray, sign: float):
-    """The lexicographic maximum (sign 1) or minimum (sign -1) of q, in
-    class order, over {q >= 0 : rows q = rhs, q_j = 0 off ``free``}: one LP
-    per class still free, each narrowing the face to its own optimal face.
-    None when an LP fails."""
+def _lex_extreme(rows: np.ndarray, rhs, free: np.ndarray):
+    """The lexicographic maximum of q, in class order, over {q >= 0 :
+    rows q = rhs, q_j = 0 off ``free``}: one LP per class still free, each
+    narrowing the face to its own optimal face.  None when an LP fails."""
     q = None
     for k in range(rows.shape[1]):
         if k in free:
-            step = _face_optimum(rows, rhs, free, sign * np.eye(rows.shape[1])[k])
+            step = _face_optimum(rows, rhs, free, np.eye(rows.shape[1])[k])
             if step is None:
                 return None
             q, free = step
@@ -337,14 +336,14 @@ def dissociated_mle(x: LabeledNetwork) -> FitReport:
     golden-section search on v over the t interval of its best box refines
     t*.  At n <= 3 there is no product row, and the fit is one LP.
 
-    The optimal face at t* is mapped by its lexicographic maximum and
-    minimum in class order.  The status is non-unique when they differ by
-    more than ``DISTINCT_TOL``.  On all 52 inputs the cap allows (each class
-    padded to n = 1..5) v(t* +- 1e-4) is at least 2.2e-8 (relative) below
-    v(t*), so this test alone decides: lifting ``MAX_DISSOCIATED_NODES``
-    means checking that again.  The lexicographic maximum is the reported
-    representative; ``iterations`` counts the node LPs, and
-    ``log_likelihood_upper`` is the log of the final upper bound.
+    The reported q is the lexicographic maximum over the optimal face at t*
+    in class order, a vertex of it: any other point of the face puts mass
+    on a free class q leaves empty, and the status is non-unique when one
+    LP finds more than ``DISTINCT_TOL`` there.  On all 52 inputs the cap
+    allows (each class padded to n = 1..5) v(t* +- 1e-4) is at least 2.2e-8
+    (relative) below v(t*), so this test alone decides: lifting
+    ``MAX_DISSOCIATED_NODES`` means checking that again.  ``iterations``
+    counts the node LPs; ``log_likelihood_upper`` logs the final upper bound.
     """
     n = x.n
     if n > MAX_DISSOCIATED_NODES:
@@ -371,18 +370,19 @@ def dissociated_mle(x: LabeledNetwork) -> FitReport:
         rows, rhs = np.ones((1, dim)), [1.0]
         upper, nodes = 1.0, 1
     start = _face_optimum(rows, rhs, np.arange(dim), unit)
-    q_max = q_min = None
+    q_max = spread = None
     if start is not None:
-        q_max = _lex_extreme(rows, rhs, start[1], 1.0)
-        q_min = _lex_extreme(rows, rhs, start[1], -1.0)
-    if q_max is None or q_min is None:
+        q_max = _lex_extreme(rows, rhs, start[1])
+    if q_max is not None:
+        face = start[1]
+        off = np.zeros(dim)
+        off[face[q_max[face] <= FACE_TOL]] = 1.0
+        spread = _face_optimum(rows, rhs, face, off)
+    if spread is None:
         return FitReport(
-            family="dissociated",
-            status=STATUS_FAILED,
-            log_likelihood=float("-inf"),
-            iterations=nodes,
+            "dissociated", STATUS_FAILED, float("-inf"), iterations=nodes
         )
-    distinct = float(np.abs(q_max - q_min).max()) > DISTINCT_TOL
+    distinct = float(off @ spread[0]) > DISTINCT_TOL
     q = np.maximum(q_max, 0.0)
     q /= q.sum()
     size = class_size(x_cls, n)

@@ -40,10 +40,6 @@ FLOAT_NEG_TOL = 1e-12
 class InvalidParametersError(ValueError):
     """A parameter vector implies a negative configuration probability."""
 
-    def __init__(self, message: str, config: int | None = None):
-        super().__init__(message)
-        self.config = config
-
 
 def _check_lattice_size(n: int, what: str, values=None):
     """Refuse n outside 0..``MAX_LATTICE_NODES``, and ``values`` (when
@@ -154,11 +150,11 @@ def _superset_transform(values: tuple, m: int, op) -> list:
     return f
 
 
-def _refuse_negative(p, config: int, message):
+def _refuse_negative(p, message):
     """Return the probability ``p``; raise with ``message()`` when it is
     negative (exactly for rationals, beyond ``FLOAT_NEG_TOL`` for floats)."""
     if (p < 0) if isinstance(p, (Fraction, int)) else (p < -FLOAT_NEG_TOL):
-        raise InvalidParametersError(message(), config=config)
+        raise InvalidParametersError(message())
     return p
 
 
@@ -179,7 +175,7 @@ def joint_from_labeled_mobius(lm: LabeledMobius) -> JointTable:
     for mask, p in enumerate(probs):
         if p < 0:
             _refuse_negative(
-                p, mask, lambda: f"configuration {mask:b} has probability {p}"
+                p, lambda: f"configuration {mask:b} has probability {p}"
             )
     if not lm.is_exact:
         probs = [max(p, 0.0) for p in probs]
@@ -325,7 +321,7 @@ def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
     if x.n != mv.n:
         raise ValueError(f"network on {x.n} nodes, moments for n={mv.n}")
     p = _class_prob(mv, class_table(mv.n).index[UnlabeledClass.of(x)])
-    return _refuse_negative(p, x.mask, lambda: f"P({x}) = {p} < 0")
+    return _refuse_negative(p, lambda: f"P({x}) = {p} < 0")
 
 
 def mobius_from_class_distribution(cd: ClassDistribution) -> MobiusVector:
@@ -377,9 +373,7 @@ def bidirected_joint(dep, z_conn: Mapping, h_mask: int):
         term = -prod if extra.bit_count() % 2 else prod
         total = term if total is None else total + term
     return _refuse_negative(
-        total,
-        h_mask,
-        lambda: f"configuration {h_mask:b} has probability {total}",
+        total, lambda: f"configuration {h_mask:b} has probability {total}"
     )
 
 
@@ -428,7 +422,7 @@ def validate_mobius(mv: MobiusVector) -> MobiusValidation:
     for j, (u, size) in enumerate(zip(table.classes, table.sizes.tolist())):
         p = _class_prob(mv, j)
         try:
-            _refuse_negative(p, None, lambda: f"P({u.padded(mv.n)}) = {p} < 0")
+            _refuse_negative(p, lambda: f"P({u.padded(mv.n)}) = {p} < 0")
         except InvalidParametersError as err:
             report.ok = False
             report.violations.append(("negative_config", str(err)))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -166,6 +167,40 @@ class TestMarginalBeta:
         with pytest.raises(SizeCapError, match="mc_samples <= 100000"):
             marginal_beta_joint(5, MixingSpec.gaussian(0, 1, cap + 1, 0))
         assert draws == []
+
+
+# sha256 of repr((probs, mc_std_error, is_exact)), recorded before the
+# per-dyad product became one doubling array shared by every caller
+TABLE_DIGESTS = {
+    "er-0-float": (lambda: er_joint(0, 0.3), "f989e0f14c9620560789b97f4c79ec7aeb41118f858458000cc2cd32fd31a102"),
+    "er-0-exact": (lambda: er_joint(0, Fraction(1, 3)), "f250f819587ed3c598a994e056b31871f54190457628f51942b3ee8d1be3db23"),
+    "er-1-float": (lambda: er_joint(1, 0.3), "f989e0f14c9620560789b97f4c79ec7aeb41118f858458000cc2cd32fd31a102"),
+    "er-1-exact": (lambda: er_joint(1, Fraction(1, 3)), "f250f819587ed3c598a994e056b31871f54190457628f51942b3ee8d1be3db23"),
+    "er-5-2/7": (lambda: er_joint(5, Fraction(2, 7)), "e4264300fc7597eccfa380be59dfec28b49b1ff02827350f3d210c4c8f753762"),
+    "er-6-1/3": (lambda: er_joint(6, Fraction(1, 3)), "c1622d05d14afe1c850e689da7250e8195ac842864cdad46280e0cc4b6eb7189"),
+    "er-6-0.3": (lambda: er_joint(6, 0.3), "ff574b47937ba080d5a4918f91fd1fbe304f19cfda8c86dd7971c1a72206928c"),
+    "beta-5": (lambda: beta_joint(BetaSpec((0.5, -0.3, 0.8, 0.1, -1.2))), "20d8270a4269c2a1861fd589daa1dc18cad06c80ca19de5c742c5e97b367a421"),
+    "two-point-5": (
+        lambda: marginal_beta_joint(5, MixingSpec.two_point(-1.0, 1.5, 0.5)),
+        "4dda4b7b721c7d293895bc689a78a59b01a592930f6590a015fd7c8fb9fa19a3",
+    ),
+    "point-mass-5": (
+        lambda: marginal_beta_joint(5, MixingSpec.point_mass(0.4)),
+        "10c04168b8704b7113cb6e7cdc7d94fd24611c969f497972addc5fb16a5fb143",
+    ),
+    "gaussian-5": (
+        lambda: marginal_beta_joint(5, MixingSpec.gaussian(0.0, 1.0, 200, 3)),
+        "02a9843a74b5d01f5ac14aaf5b8c1e7c0837e8050c0796d989f93fba9ba0455c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_DIGESTS))
+def test_joint_table_bytes(case):
+    build, digest = TABLE_DIGESTS[case]
+    jt = build()
+    data = repr((jt.probs, jt.mc_std_error, jt.is_exact)).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestGraphonSampling:
