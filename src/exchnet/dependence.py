@@ -10,6 +10,7 @@ bidirected edges; the two readings have dual separation rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterable
 
@@ -255,14 +256,16 @@ def ci_test(jt: JointTable, a_mask: int, b_mask: int, s_mask: int) -> bool:
     """Does X_A and X_B factorize given X_S, for every positive S config?
 
     Cross-multiplied form P(abs) P(s) = P(as) P(bs) avoids division; exact in
-    rational mode, relative tolerance in float mode.
+    rational mode, relative tolerance in float mode.  Both sides are of
+    degree 2 in the entries, so an exact table is tested on ``jt.scaled``,
+    its entries as integers over their common denominator.
     """
     if not a_mask or not b_mask:
         raise ValueError("A and B must be non-empty")
     if a_mask & b_mask or a_mask & s_mask or b_mask & s_mask:
         raise ValueError("A, B, S must be pairwise disjoint")
     exact = jt.is_exact
-    joint = _marginal_over(enumerate(jt.probs), a_mask | b_mask | s_mask)
+    joint = _marginal_over(enumerate(jt.scaled), a_mask | b_mask | s_mask)
     p_s = _marginal_over(joint.items(), s_mask)
     p_as = _marginal_over(joint.items(), a_mask | s_mask)
     p_bs = _marginal_over(joint.items(), b_mask | s_mask)
@@ -281,9 +284,12 @@ def ci_test(jt: JointTable, a_mask: int, b_mask: int, s_mask: int) -> bool:
     return True
 
 
-def _triples(m: int):
+@lru_cache(maxsize=None)
+def _triples(m: int) -> tuple:
     """All (A, B, S) disjoint with A, B non-empty, smallest first, A before B."""
     full = (1 << m) - 1
+    # generated in (A, B, S) order, so a stable sort on the size alone
+    # orders by (size, A, B, S)
     out = [
         (a, b, s)
         for a in submasks(full)
@@ -292,15 +298,8 @@ def _triples(m: int):
         if a and b and (a & -a) < (b & -b)
         for s in submasks(full & ~a & ~b)
     ]
-    out.sort(
-        key=lambda t: (
-            bin(t[0]).count("1") + bin(t[1]).count("1") + bin(t[2]).count("1"),
-            t[0],
-            t[1],
-            t[2],
-        )
-    )
-    return out
+    out.sort(key=lambda t: (t[0] | t[1] | t[2]).bit_count())
+    return tuple(out)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -103,7 +104,8 @@ class JointTable:
     """Exact probability table over all labeled networks on n nodes.
 
     ``probs[mask]`` is P(X = network with that dyad bitmask).  Entries are
-    Fractions (exact mode) or floats; mixed entries are stored as floats.
+    ints and Fractions (exact mode) or floats; mixed entries are stored as
+    floats.
     """
 
     n: int
@@ -118,6 +120,15 @@ class JointTable:
         )
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "is_exact", exact)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """The entries as integers over their common denominator when exact
+        (a positive multiple of ``probs``), else ``probs`` itself."""
+        if not self.is_exact:
+            return self.probs
+        den = math.lcm(*(p.denominator for p in self.probs))
+        return tuple(p.numerator * (den // p.denominator) for p in self.probs)
 
 
 @dataclass(frozen=True)

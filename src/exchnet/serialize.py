@@ -158,6 +158,18 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+# JSON Schema type name -> test of a parsed JSON value
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
 def validate_against_schema(obj, schema) -> list:
     """Structural validation: type, required, properties, items, enum.
 
@@ -169,19 +181,8 @@ def validate_against_schema(obj, schema) -> list:
     def walk(value, sch, path):
         t = sch.get("type")
         if t:
-            ok = {
-                "object": lambda v: isinstance(v, dict),
-                "array": lambda v: isinstance(v, list),
-                "string": lambda v: isinstance(v, str),
-                "number": lambda v: isinstance(v, (int, float))
-                and not isinstance(v, bool),
-                "integer": lambda v: isinstance(v, int)
-                and not isinstance(v, bool),
-                "boolean": lambda v: isinstance(v, bool),
-                "null": lambda v: v is None,
-            }
             types = t if isinstance(t, list) else [t]
-            if not any(ok[tt](value) for tt in types):
+            if not any(_JSON_TYPES[tt](value) for tt in types):
                 errors.append(f"{path}: expected {t}, got {type(value).__name__}")
                 return
         if "enum" in sch and value not in sch["enum"]:

@@ -235,6 +235,31 @@ def oracle_triples(m: int) -> list:
     return out
 
 
+def oracle_ci(jt, a_mask: int, b_mask: int, s_mask: int) -> bool:
+    """Is X_A independent of X_B given X_S under an exact table?  Fraction
+    marginals summed over every configuration, then every cell (a, b, s)
+    cross-checked: P(a, b, s) P(s) = P(a, s) P(b, s), which holds trivially
+    where P(s) = 0."""
+    parts = [
+        [k for k in range(num_dyads(jt.n)) if mask >> k & 1]
+        for mask in (a_mask, b_mask, s_mask)
+    ]
+    p_abs, p_as, p_bs, p_s = Counter(), Counter(), Counter(), Counter()
+    for x, p in enumerate(jt.probs):
+        a, b, s = (tuple(x >> k & 1 for k in part) for part in parts)
+        p = Fraction(p)
+        p_abs[a, b, s] += p
+        p_as[a, s] += p
+        p_bs[b, s] += p
+        p_s[s] += p
+    return all(
+        p_abs[a, b, s] * p_s[s] == p_as[a, s] * p_bs[b, s]
+        for a in product((0, 1), repeat=len(parts[0]))
+        for b in product((0, 1), repeat=len(parts[1]))
+        for s in product((0, 1), repeat=len(parts[2]))
+    )
+
+
 def oracle_bidirected_joint(dep, z_conn, h_mask: int):
     """P(X_H = 1, rest = 0) by inclusion-exclusion over every dyad mask that
     contains H, summed in increasing mask order.  z of a mask is the product

@@ -920,9 +920,28 @@ class TestExitCodes:
                 {"n": 3, "kind": "undirected", "edges": [["1-2", "2-1"]]},
                 "self-adjacency at dyad 1-2",
             ),
+            # the schema validator's first violation, word for word
+            (
+                "skeleton",
+                er_joint_doc(True),
+                "not a joint document: $.probs[0]: expected ['string', 'number'], got bool",
+            ),
+            (
+                "extend",
+                er_moments_doc("1-2", True),
+                "not a zvector document: $.z[1].z: expected ['string', 'number'], got bool",
+            ),
+            (
+                "skeleton",
+                {**er_joint_doc("8/27"), "n": 3.0},
+                "not a joint document: $.n: expected integer, got float",
+            ),
+            ("skeleton", {"n": 3}, "not a joint document: $: missing required key 'probs'"),
+            ("skeleton", [], "not a joint document: $: expected object, got list"),
         ],
         ids=["n0", "n-3", "joint-n-2", "class-twice", "kind-enum", "negative-entry",
-             "empty-z", "eval-overflow", "probs-length", "nu-length", "dyad-twice"],
+             "empty-z", "eval-overflow", "probs-length", "nu-length", "dyad-twice",
+             "probs-bool", "z-bool", "n-float", "probs-missing", "joint-not-object"],
     )
     def test_refusal_names_the_fault(
         self, capsys, tmp_path, paw_file, reader, doc, message

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from oracles import oracle_first_unfactored_mask, oracle_triples
+from hypothesis import given, settings, strategies as st
+from oracles import oracle_ci, oracle_first_unfactored_mask, oracle_triples
 
 from exchnet.dependence import (
     BIDIRECTED,
@@ -29,8 +30,41 @@ from exchnet.graphs import (
     SizeCapError,
     UnlabeledClass,
     class_from_key,
+    num_dyads,
 )
 from exchnet.mobius import ClassDistribution, JointTable, labeled_mobius_from_joint
+
+
+# distinct primes, at least seven of them above 8
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+
+
+@st.composite
+def _coprime_joint(draw):
+    """An exact table at n = 3: seven entries over distinct primes, each at
+    most 1/8, and one more that makes the total 1."""
+    primes = draw(st.permutations(_PRIMES))
+    probs = [Fraction(draw(st.integers(0, p // 8)), p) for p in primes[:7]]
+    probs.insert(draw(st.integers(0, 7)), 1 - sum(probs))
+    return JointTable(3, tuple(probs))
+
+
+def _er_two_point_joint():
+    """The even mixture of independent ties at 1/5 and 3/5 on 4 nodes: exact,
+    and every two dyads are dependent."""
+    low = er_joint(4, Fraction(1, 5)).probs
+    high = er_joint(4, Fraction(3, 5)).probs
+    return JointTable(4, tuple((a + b) / 2 for a, b in zip(low, high)))
+
+
+def _block_joint():
+    """Dyads 1-2 and 1-3 take (0, 0), (1, 0), (0, 1) with probabilities 1/2,
+    1/4, 1/4, independently of four independent ties at 1/3: entries over
+    81, 162 and 324, and statements that hold and that fail."""
+    head = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0)]
+    third = Fraction(1, 3)
+    tail = [third ** t.bit_count() * (1 - third) ** (4 - t.bit_count()) for t in range(16)]
+    return JointTable(4, tuple(head[x & 3] * tail[x >> 2] for x in range(64)))
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +203,38 @@ class TestCiTest:
         with pytest.raises(ValueError):
             ci_test(jt, 1, 1, 0)
 
+    @pytest.mark.parametrize(
+        "make, outcomes",
+        [
+            (lambda: er_joint(4, Fraction(1, 3)), {True}),
+            (_er_two_point_joint, {False}),
+            (_block_joint, {True, False}),
+        ],
+        ids=["er", "two-point", "block"],
+    )
+    def test_matches_oracle_on_every_triple(self, make, outcomes):
+        jt = make()
+        verdicts = {
+            t: oracle_ci(jt, *t) for t in oracle_triples(num_dyads(jt.n))
+        }
+        assert {t: ci_test(jt, *t) for t in verdicts} == verdicts
+        assert set(verdicts.values()) == outcomes
+
+    @settings(max_examples=60, deadline=None)
+    @given(jt=_coprime_joint())
+    def test_matches_oracle_on_coprime_denominators(self, jt):
+        for t in oracle_triples(3):
+            assert ci_test(jt, *t) == oracle_ci(jt, *t), t
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_integer_entries(self, p):
+        jt = er_joint(4, p)
+        assert all(type(v) is int for v in jt.probs)
+        assert ci_test(jt, 1 << 0, 1 << 5, 0)
+        assert ci_test(jt, 1 << 0, 1 << 1, (1 << 2) | (1 << 3))
+        assert classify_skeleton(skeleton(jt)) == "empty"
+        assert global_markov_check(jt, empty_dependence_graph(4)).holds
+
 
 class TestGlobalMarkov:
     def test_er_against_empty_graph(self):
@@ -201,7 +267,7 @@ class TestGlobalMarkov:
 class TestTriples:
     @pytest.mark.parametrize("m", range(MAX_MARKOV_DYADS + 1))
     def test_matches_oracle_in_order(self, m):
-        assert _triples(m) == oracle_triples(m)
+        assert list(_triples(m)) == oracle_triples(m)
 
 
 class TestSkeleton:
