@@ -53,9 +53,15 @@ class DependenceGraph:
             raise ValueError(f"unknown edge kind {self.kind!r}")
         if len(self.adjacency) != num_dyads(self.n):
             raise ValueError("adjacency size does not match dyad count")
+        m = len(self.adjacency)
         for k, bits in enumerate(self.adjacency):
             if bits >> k & 1:
                 raise ValueError(f"self-adjacency at dyad {k}")
+            if bits >> m:
+                raise ValueError(f"dyad {k} is adjacent past the last dyad {m - 1}")
+            for j in range(k + 1, m):
+                if (bits >> j ^ self.adjacency[j] >> k) & 1:
+                    raise ValueError(f"adjacency not symmetric at dyads {k} and {j}")
 
     @property
     def m(self) -> int:
@@ -66,15 +72,12 @@ class DependenceGraph:
         return dyads(self.n)
 
     def edge_pairs(self) -> list:
-        out = []
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                if self.adjacency[a] >> b & 1:
-                    out.append((a, b))
-        return out
+        adj, m = self.adjacency, self.m
+        return [(a, b) for a in range(m) for b in range(a + 1, m) if adj[a] >> b & 1]
 
     def edge_count(self) -> int:
-        return len(self.edge_pairs())
+        # each edge sets a bit at both ends: the adjacency is symmetric
+        return sum(bits.bit_count() for bits in self.adjacency) // 2
 
     def degree(self, k: int) -> int:
         return bin(self.adjacency[k]).count("1")
@@ -88,22 +91,17 @@ class DependenceGraph:
 
     def induced_on_nodes(self, keep: Iterable[int]) -> "DependenceGraph":
         """Restriction to dyads within a node subset, relabeled to {1..n'}."""
-        keep = sorted(keep)
-        relab = {v: t + 1 for t, v in enumerate(keep)}
-        kept = set(keep)
-        old = dyads(self.n)
-        new_index = {}
-        for k, (i, j) in enumerate(old):
-            if i in kept and j in kept:
-                new_index[k] = dyad_index(relab[i], relab[j])
-        m2 = num_dyads(len(keep))
-        adj = [0] * m2
+        relab = {v: t + 1 for t, v in enumerate(sorted(keep))}
+        new_index = {
+            k: dyad_index(relab[i], relab[j])
+            for k, (i, j) in enumerate(dyads(self.n))
+            if i in relab and j in relab
+        }
+        adj = [0] * num_dyads(len(relab))
         for k, nk in new_index.items():
-            bits = self.adjacency[k]
             for k2, nk2 in new_index.items():
-                if bits >> k2 & 1:
-                    adj[nk] |= 1 << nk2
-        return DependenceGraph(len(keep), self.kind, tuple(adj))
+                adj[nk] |= (self.adjacency[k] >> k2 & 1) << nk2
+        return DependenceGraph(len(relab), self.kind, tuple(adj))
 
 
 def dependence_graph_from_edges(
@@ -136,13 +134,8 @@ def incidence_graph(n: int, kind: str = UNDIRECTED) -> DependenceGraph:
     if n < 3:
         raise ValueError("incidence graph needs n >= 3")
     ds = dyads(n)
-    m = len(ds)
-    adj = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if set(ds[a]) & set(ds[b]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+    # each row directly: sharing a node is a symmetric relation
+    adj = [sum(1 << b for b, d in enumerate(ds) if d != c and set(d) & set(c)) for c in ds]
     return DependenceGraph(n, kind, tuple(adj))
 
 

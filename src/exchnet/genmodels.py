@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
 
@@ -41,14 +41,36 @@ MAX_EXACT_MIX_NODES = 5
 # takes 0.13-0.15 ms a draw (Python 3.11.7, shared 2-CPU machine), 13 s at
 # the cap
 MAX_MIX_SAMPLES = 10**5
-MAX_SAMPLE_NODES = 2000  # one sample at n = 2000: 7 s, 0.45 GB (Python 3.11)
+MAX_SAMPLE_NODES = 2000  # one sample at n = 2000: 2.6-4.2 s, 0.17-0.24 GB (Python 3.11)
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+def _map(f: Callable, x: np.ndarray) -> np.ndarray:
+    """The scalar function f on every element of x, as floats."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _sigmoid(t) -> np.ndarray:
+    """The logistic function, elementwise, with ``math.exp`` (numpy's exp may
+    differ from it in the last bit): a value's bits do not depend on its array."""
+    t = np.asarray(t, dtype=float)
+    e = _map(math.exp, -np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+# cells evaluated at once: bounds the temporaries (~150 B a logistic cell)
+_BLOCK_CELLS = 1 << 15
+
+
+def _pair_matrix(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f(x_i, x_j) for all i, j, f elementwise: the cells i <= j, a block of
+    rows at a time, mirrored, so the matrix is exactly symmetric."""
+    n = len(x)
+    out = np.empty((n, n))
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    for a in range(0, n, rows):
+        i, j = (k + a for k in np.triu_indices(min(rows, n - a), 0, n - a))
+        out[i, j] = out[j, i] = f(x[i], x[j])
+    return out
 
 
 # --- independent ties ---------------------------------------------------------
@@ -64,22 +86,23 @@ def _dyad_products(pv: Sequence, one) -> np.ndarray:
     return probs
 
 
-def _tie_sample(n: int, seed: int, draw_nodes: Callable) -> LabeledNetwork:
+def _tie_sample(n: int, seed: int, f: Callable, draw_nodes: Callable) -> LabeledNetwork:
     """One network from ``random.Random(seed)``: ``draw_nodes(rng)`` draws the
-    node values and returns tie_prob(i, j); each dyad, in colex order, is then
-    a tie when one draw falls below it.  n > ``MAX_SAMPLE_NODES`` is refused."""
+    node values x, then each dyad (i, j), in colex order, is a tie when one
+    draw falls below f(x_i, x_j).  n > ``MAX_SAMPLE_NODES`` is refused."""
     if n > MAX_SAMPLE_NODES:
         raise SizeCapError(f"sampling supports n <= {MAX_SAMPLE_NODES}, got {n}")
     rng = random.Random(seed)
-    tie_prob = draw_nodes(rng)
-    # the colex pairs walked in place: ``dyads(n)`` would keep them cached
-    edges = [
+    probs = _pair_matrix(f, np.array(draw_nodes(rng), dtype=float))
+    # the colex pairs walked in place (``dyads(n)`` would keep them cached)
+    # and the ties passed on as drawn, never held as a list
+    ties = (
         (i, j)
         for j in range(2, n + 1)
-        for i in range(1, j)
-        if rng.random() < tie_prob(i, j)
-    ]
-    return LabeledNetwork.from_edges(n, edges)
+        for i, p in enumerate(probs[j - 1, : j - 1].tolist(), 1)
+        if rng.random() < p
+    )
+    return LabeledNetwork.from_edges(n, ties)
 
 
 def er_joint(n: int, p) -> JointTable:
@@ -125,8 +148,10 @@ class BetaSpec:
     def n(self) -> int:
         return len(self.beta)
 
-    def tie_prob(self, i: int, j: int) -> float:
-        return _sigmoid(self.beta[i - 1] + self.beta[j - 1])
+    def dyad_probs(self) -> list:
+        """The tie probability of every dyad, in colex order."""
+        beta = self.beta
+        return _sigmoid([beta[i - 1] + beta[j - 1] for i, j in dyads(self.n)]).tolist()
 
 
 def beta_joint(spec: BetaSpec) -> JointTable:
@@ -134,8 +159,7 @@ def beta_joint(spec: BetaSpec) -> JointTable:
     n = spec.n
     if n > MAX_LATTICE_NODES:
         raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
-    pv = [spec.tie_prob(i, j) for i, j in dyads(n)]
-    return JointTable(n, tuple(_dyad_products(pv, 1.0)))
+    return JointTable(n, tuple(_dyad_products(spec.dyad_probs(), 1.0)))
 
 
 # --- marginal mixture over propensities ----------------------------------------
@@ -197,8 +221,7 @@ def marginal_beta_joint(n: int, mix: MixingSpec) -> JointTable:
         raise SizeCapError(f"mixing joints support n <= {MAX_EXACT_MIX_NODES}")
 
     def row(betas) -> np.ndarray:
-        tie_prob = BetaSpec(tuple(betas)).tie_prob
-        pv = [tie_prob(i, j) for i, j in dyads(n)]
+        pv = BetaSpec(tuple(betas)).dyad_probs()
         return _dyad_products(pv, 1.0).astype(float)
 
     acc = np.zeros(1 << num_dyads(n))
@@ -240,47 +263,33 @@ class Graphon:
 
     Either a named closed form (constant, or the logistic product form driven
     by a Gaussian propensity quantile) or a grid with bilinear interpolation.
-    The kernel's midpoint lattice at each resolution is computed on first use
-    and kept for the life of the object (``midpoint_grid``).
+    ``fn`` acts elementwise on coordinate arrays (a scalar result stands for
+    a constant), so each lattice or batch of points is one call.
     """
 
     fn: Callable
     description: str
-    _grids: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        # spot-check symmetry and range on a coarse lattice
-        pts = [k / 7 for k in range(8)]
-        for u in pts:
-            for v in pts:
-                a = self.fn(u, v)
-                b = self.fn(v, u)
-                if abs(a - b) > SYMMETRY_TOL:
-                    raise ValueError(f"kernel not symmetric at ({u}, {v})")
-                if not -1e-12 <= a <= 1 + 1e-12:
-                    raise ValueError(f"kernel value {a} outside [0, 1]")
+        # spot-check symmetry and range on a coarse lattice, in one call
+        pts = np.arange(8) / 7
+        vals = np.broadcast_to(self.fn(pts[:, None], pts), (8, 8)).tolist()
+        for i, j in itertools.product(range(8), repeat=2):
+            if abs(vals[i][j] - vals[j][i]) > SYMMETRY_TOL:
+                raise ValueError(f"kernel not symmetric at ({pts[i]}, {pts[j]})")
+            if not -1e-12 <= vals[i][j] <= 1 + 1e-12:
+                raise ValueError(f"kernel value {vals[i][j]} outside [0, 1]")
 
-    def __call__(self, u: float, v: float) -> float:
-        return min(1.0, max(0.0, self.fn(u, v)))
+    def __call__(self, u, v) -> np.ndarray:
+        """The kernel at (u, v), elementwise (a constant as a 0-d array),
+        clamped to [0, 1] as min(1, max(0, x)) does: NaN and -0.0 read 0.0."""
+        x = np.asarray(self.fn(u, v), dtype=float)
+        return np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
 
     def midpoint_grid(self, r: int) -> np.ndarray:
-        """The kernel at ((i + 1/2) / r, (j + 1/2) / r) for 0 <= i, j < r, as
-        a read-only r x r array; the kernel is called at i <= j only, and the
-        grid is built once per resolution."""
-        grid = self._grids.get(r)
-        if grid is None:
-            pts = (np.arange(r) + 0.5) / r
-            grid = np.empty((r, r))
-            for i in range(r):
-                for j in range(i, r):
-                    val = self(float(pts[i]), float(pts[j]))
-                    grid[i, j] = val
-                    grid[j, i] = val
-            grid.flags.writeable = False
-            self._grids[r] = grid
-        return grid
+        """The kernel at ((i + 1/2) / r, (j + 1/2) / r) for 0 <= i, j < r, an
+        r x r array, evaluated at i <= j and mirrored."""
+        return _pair_matrix(self, (np.arange(r) + 0.5) / r)
 
     @classmethod
     def constant(cls, eta: float) -> "Graphon":
@@ -295,13 +304,14 @@ class Graphon:
         kernel at the logistic of 2 mu."""
         if not sigma >= 0:
             raise ValueError("sigma must be nonnegative")
-        nd = NormalDist(mu, sigma) if sigma > 0 else None
+        quantile = NormalDist(mu, sigma).inv_cdf if sigma > 0 else lambda u: mu
 
-        def beta_of(u: float) -> float:
-            if nd is None:
-                return mu
-            u = min(max(u, 1e-12), 1 - 1e-12)
-            return nd.inv_cdf(u)
+        def beta_of(u) -> np.ndarray:
+            # each distinct coordinate's quantile once: a lattice repeats them
+            coords, where = np.unique(
+                np.clip(u, 1e-12, 1 - 1e-12), return_inverse=True
+            )
+            return _map(quantile, coords)[where.reshape(np.shape(u))]
 
         return cls(
             lambda u, v: _sigmoid(beta_of(u) + beta_of(v)),
@@ -313,23 +323,21 @@ class Graphon:
         grid = np.asarray(values, dtype=float)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ValueError("grid must be square")
+        # before the symmetry difference, which an infinite cell makes NaN
+        if not ((0 <= grid) & (grid <= 1)).all():
+            raise ValueError("grid values must lie in [0, 1]")
         if np.max(np.abs(grid - grid.T)) > SYMMETRY_TOL:
             raise ValueError("grid must be symmetric")
-        if grid.min() < 0 or grid.max() > 1:
-            raise ValueError("grid values must lie in [0, 1]")
         r = grid.shape[0]
 
-        def interp(u: float, v: float) -> float:
-            if r == 1:
-                return float(grid[0, 0])
+        def interp(u, v) -> np.ndarray:
             # one evaluation order for (u, v) and (v, u): exactly symmetric
-            u, v = min(u, v), max(u, v)
-            x = min(max(u, 0.0), 1.0) * (r - 1)
-            y = min(max(v, 0.0), 1.0) * (r - 1)
-            x0, y0 = int(x), int(y)
-            x1, y1 = min(x0 + 1, r - 1), min(y0 + 1, r - 1)
+            x = np.clip(np.minimum(u, v), 0.0, 1.0) * (r - 1)
+            y = np.clip(np.maximum(u, v), 0.0, 1.0) * (r - 1)
+            x0, y0 = x.astype(np.intp), y.astype(np.intp)
+            x1, y1 = np.minimum(x0 + 1, r - 1), np.minimum(y0 + 1, r - 1)
             fx, fy = x - x0, y - y0
-            return float(
+            return (
                 grid[x0, y0] * (1 - fx) * (1 - fy)
                 + grid[x1, y0] * fx * (1 - fy)
                 + grid[x0, y1] * (1 - fx) * fy
@@ -356,30 +364,24 @@ def parse_graphon_name(spec: str) -> Graphon:
     """Named kernels: ``const:eta`` or ``product:logistic:mu,sigma``.
 
     A named kernel is a function of its spec alone, so each spec is built
-    once per process and the same object (with its midpoint grids) is
-    returned on later calls.
+    and spot-checked once per process and the same object is returned on
+    later calls.
     """
     if spec.startswith("const:"):
         return Graphon.constant(float(spec.split(":", 1)[1]))
     if spec.startswith("product:logistic:"):
-        args = spec.split(":", 2)[2]
-        mu_s, sigma_s = args.split(",")
-        return Graphon.product_logistic(float(mu_s), float(sigma_s))
+        mu, sigma = spec.removeprefix("product:logistic:").split(",")
+        return Graphon.product_logistic(float(mu), float(sigma))
     raise ValueError(f"unknown kernel spec {spec!r}")
 
 
 def graphon_sample(phi: Graphon, n: int, seed: int) -> LabeledNetwork:
     """One network: uniform node coordinates, independent ties through phi."""
-
-    def draw_nodes(rng):
-        u = [rng.random() for _ in range(n)]
-        return lambda i, j: phi(u[i - 1], u[j - 1])
-
-    return _tie_sample(n, seed, draw_nodes)
+    return _tie_sample(n, seed, phi, lambda rng: [rng.random() for _ in range(n)])
 
 
 def beta_sample(spec: BetaSpec, seed: int) -> LabeledNetwork:
-    return _tie_sample(spec.n, seed, lambda rng: spec.tie_prob)
+    return _tie_sample(spec.n, seed, lambda a, b: _sigmoid(a + b), lambda rng: spec.beta)
 
 
 def marginal_beta_sample(n: int, mix: MixingSpec, seed: int) -> LabeledNetwork:
@@ -390,9 +392,9 @@ def marginal_beta_sample(n: int, mix: MixingSpec, seed: int) -> LabeledNetwork:
         else:
             vals, ws = zip(*mix.atoms())
             betas = [rng.choices(vals, weights=ws)[0] for _ in range(n)]
-        return BetaSpec(tuple(betas)).tie_prob
+        return BetaSpec(tuple(betas)).beta
 
-    return _tie_sample(n, seed, draw_nodes)
+    return _tie_sample(n, seed, lambda a, b: _sigmoid(a + b), draw_nodes)
 
 
 # --- kernel moments ---------------------------------------------------------
@@ -406,8 +408,8 @@ class MomentEstimate:
 
 
 MAX_MOMENT_VERTICES = 6
-# Monte Carlo draws per moment: K_6 on a 3 x 3 grid kernel takes 50-58 us a
-# draw (Python 3.11.7, shared 2-CPU machine), about a minute at the cap
+# Monte Carlo draws per moment: K_6 on the logistic kernel takes about 10 us
+# a draw (Python 3.11.7, shared 2-CPU machine), about 10 s at the cap
 MAX_MC_SAMPLES = 10**6
 # quadrature: the most entries of the r x r grid or of one elimination's
 # output, that of K5's first elimination at the default r = 64 (128 MiB)
@@ -456,9 +458,8 @@ def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
     return scalar
 
 
-def _quadrature_value(phi: Graphon, u: UnlabeledClass, r: int) -> float:
-    w = np.full(r, 1.0 / r)
-    grid = phi.midpoint_grid(r)
+def _quadrature_value(grid: np.ndarray, u: UnlabeledClass) -> float:
+    w = np.full(len(grid), 1.0 / len(grid))
     rep = u.representative()
     edges = [(i - 1, j - 1) for i, j in rep.sorted_edges()]
     c = float(grid[0, 0])
@@ -483,12 +484,11 @@ def graphon_z(
 
     Midpoint quadrature at resolution r (a power of two keeps constant
     kernels exact); the reported error is the gap to the half-resolution
-    value.  The kernel grids at r and r // 2 are read from ``phi``, which
-    builds each once (``Graphon.midpoint_grid``), so repeated calls on one
-    kernel object, as in ``graphon_mobius``, evaluate the kernel once per
-    grid point.  Monte Carlo with ``samples >= 1`` draws, seeded by ``seed``,
-    reports the standard error of the mean; fewer samples are refused with
-    ``InvalidParametersError``, more than ``MAX_MC_SAMPLES`` with ``SizeCapError``.
+    value, each lattice one evaluation of the kernel.  Monte Carlo with
+    ``samples >= 1`` draws, seeded by ``seed``, evaluates the kernel on a
+    chunk of draws at a time and reports the standard error of the mean;
+    fewer samples are refused with ``InvalidParametersError``, more than
+    ``MAX_MC_SAMPLES`` with ``SizeCapError``.
     """
     if u.is_empty:
         return MomentEstimate(1.0, 0.0, method)
@@ -503,8 +503,8 @@ def graphon_z(
             raise SizeCapError(
                 "quadrature grid too large; lower the resolution"
             )
-        val = _quadrature_value(phi, u, r)
-        coarse = _quadrature_value(phi, u, r // 2)
+        val = _quadrature_value(phi.midpoint_grid(r), u)
+        coarse = _quadrature_value(phi.midpoint_grid(r // 2), u)
         return MomentEstimate(val, abs(val - coarse), f"quadrature:{r}")
     if method == "mc":
         if samples < 1:
@@ -513,17 +513,18 @@ def graphon_z(
             raise SizeCapError(f"kernel moments support samples <= {MAX_MC_SAMPLES}")
         rng = random.Random(seed)
         rep = u.representative()
-        k = rep.n
         edges = [(i - 1, j - 1) for i, j in rep.sorted_edges()]
-        total = 0.0
-        total_sq = 0.0
-        for _ in range(samples):
-            us = [rng.random() for _ in range(k)]
-            prod = 1.0
-            for a, b in edges:
-                prod *= phi(us[a], us[b])
-            total += prod
-            total_sq += prod * prod
+        total = total_sq = 0.0
+        chunk = max(1, _BLOCK_CELLS // len(edges))
+        for start in range(0, samples, chunk):
+            c = min(chunk, samples - start)
+            us = np.array([rng.random() for _ in range(c * rep.n)]).reshape(c, rep.n)
+            prod = np.ones(c)
+            for a, b in edges:  # in edge order, as one draw multiplies
+                prod *= phi(us[:, a], us[:, b])
+            # draw by draw: cumsum adds left to right, np.sum pairwise
+            total = float(np.cumsum(np.append(total, prod))[-1])
+            total_sq = float(np.cumsum(np.append(total_sq, prod * prod))[-1])
         mean = total / samples
         var = max(total_sq / samples - mean * mean, 0.0)
         return MomentEstimate(mean, math.sqrt(var / samples), f"mc:{samples}")
@@ -532,10 +533,10 @@ def graphon_z(
 
 def graphon_mobius(phi: Graphon, n: int) -> MobiusVector:
     """Class moments for every class at n, as floats, by ``graphon_z``'s
-    default quadrature."""
-    return MobiusVector(
-        n, {u: graphon_z(phi, u).value for u in enumerate_classes(n, True)}
-    )
+    default quadrature (r = 64) on one lattice."""
+    grid = phi.midpoint_grid(64)
+    z = {u: _quadrature_value(grid, u) for u in enumerate_classes(n, True)}
+    return MobiusVector(n, z)
 
 
 # --- independence characterization diagnostic -----------------------------------

@@ -8,7 +8,8 @@ independent check.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import exp, prod
+from statistics import NormalDist
 from types import SimpleNamespace
 
 from exchnet.graphs import LabeledNetwork, num_dyads
@@ -162,6 +163,63 @@ def oracle_block_moments(classes, weights, probs) -> dict:
             total += term
         z[u] = total
     return z
+
+
+def oracle_kernel(spec):
+    """A kernel as a scalar function of (u, v): ``("const", eta)``,
+    ``("logistic", mu, sigma)`` (the logistic of the two propensities'
+    sum, each the normal quantile of its coordinate kept within 1e-12 of
+    (0, 1)) or ``("grid", rows)`` (bilinear interpolation at
+    (min(u, v), max(u, v)))."""
+    kind, *params = spec
+    if kind == "const":
+        return lambda u, v: params[0]
+    if kind == "logistic":
+        mu, sigma = params
+
+        def beta(u):
+            if sigma == 0:
+                return mu
+            return NormalDist(mu, sigma).inv_cdf(min(max(u, 1e-12), 1 - 1e-12))
+
+        def logistic(t):
+            if t >= 0:
+                return 1.0 / (1.0 + exp(-t))
+            e = exp(t)
+            return e / (1.0 + e)
+
+        return lambda u, v: logistic(beta(u) + beta(v))
+    rows = params[0]
+    r = len(rows)
+
+    def interp(u, v):
+        if r == 1:
+            return rows[0][0]
+        u, v = min(u, v), max(u, v)
+        x, y = min(max(u, 0.0), 1.0) * (r - 1), min(max(v, 0.0), 1.0) * (r - 1)
+        x0, y0 = int(x), int(y)
+        x1, y1 = min(x0 + 1, r - 1), min(y0 + 1, r - 1)
+        fx, fy = x - x0, y - y0
+        return (
+            rows[x0][y0] * (1 - fx) * (1 - fy)
+            + rows[x1][y0] * fx * (1 - fy)
+            + rows[x0][y1] * (1 - fx) * fy
+            + rows[x1][y1] * fx * fy
+        )
+
+    return interp
+
+
+def oracle_midpoint_lattice(f, r: int) -> list:
+    """The r x r midpoint lattice of a scalar kernel, one call per cell i <= j
+    at ((i + 1/2) / r, (j + 1/2) / r), mirrored, each value clamped by
+    min(1, max(0, x))."""
+    pts = [(i + 0.5) / r for i in range(r)]
+    out = [[0.0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            out[i][j] = out[j][i] = min(1.0, max(0.0, f(pts[i], pts[j])))
+    return out
 
 
 def oracle_components(g: LabeledNetwork) -> list:

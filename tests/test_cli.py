@@ -14,7 +14,7 @@ from exchnet.genmodels import (
     marginal_beta_joint,
     parse_graphon_text,
 )
-from exchnet.graphs import format_edge_list, parse_edge_list
+from exchnet.graphs import enumerate_classes, format_edge_list, parse_edge_list
 from exchnet.mobius import JointTable
 from exchnet.serialize import (
     depgraph_to_json,
@@ -142,6 +142,126 @@ def test_six_node_output_bytes(capsys, tmp_path, command):
     code, out = run_cli(capsys, *argv, str(net))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIX_NODE_DIGESTS[command]
+
+
+# Kernel commands, pinned by the sha256 of each group's exit codes and
+# stdout, recorded when every kernel was called one point at a time: arrays
+# must not move a byte.  Quadrature runs on every class up to five vertices
+# (K5 at r = 63 and 64 costs about a second a kernel and is left out there;
+# at r = 128 it is refused).  The last grid has cells that interpolate to
+# -0.0 and to just above 1, which the clamp reads as 0.0 and 1.0.
+KERNEL_GRIDS = {
+    "g3.grid": "3\n0.9 0.1 0.3\n0.1 0.6 0.2\n0.3 0.2 0.7\n",
+    "g1.grid": "1\n0.4\n",
+    "signed.grid": "3\n-0.0 -0.0 1.0\n-0.0 -0.0 1.0\n1.0 1.0 1.0\n",
+}
+K5 = "1-2,1-3,1-4,1-5,2-3,2-4,2-5,3-4,3-5,4-5"
+
+
+def _kernel_requests(group: str, kernel: str) -> list:
+    phi = kernel if kernel.startswith(("const:", "product:")) else "{dir}/" + kernel
+    if group == "mc":
+        return [
+            ["graphon-z", phi, cls, "--method", "mc", "--samples", s, "--seed", "7"]
+            for cls in ("1-2", "1-2,1-3,2-3", "1-2,2-3,3-4,4-5", K5)
+            for s in ("1", "2", "3000", "40000")
+        ]
+    if group == "sample":
+        return [
+            ["sample", "graphon", "--phi", phi, "--n", n, "--seed", "3", "--count", "2"]
+            for n in ("1", "2", "40", "300")
+        ]
+    if group == "sample-er":
+        return [
+            ["sample", "er", "--n", n, "--p", p, "--seed", "3", "--count", "2"]
+            for n in ("1", "40", "300")
+            for p in ("0.3", "0.0", "1.0", "-0.0")
+        ]
+    if group == "sample-propensity":
+        return [["sample", "beta", "--beta", "0.5,0.0,-0.5,1.0,2.5,-3.0", "--seed", "3",
+                 "--count", "3"]] + [
+            ["sample", "marginal-beta", "--n", "30", "--mixing", m, "--seed", "3",
+             "--count", "2"]
+            for m in ("point:0.4", "two-point:-1.0,0.5,0.3", "gaussian:0.2,0.8")
+        ]
+    if group == "wide":
+        return [
+            ["graphon-z", "product:logistic:0.0,1.0", "1-2,2-3", "--r", "1024"],
+            ["graphon-z", "product:logistic:-1.5,2.5", "1-2,1-3,2-3", "--r", "512"],
+            ["graphon-z", "const:-0.0", "1-2,2-3", "--r", "8"],
+            ["graphon-z", "const:-0.0", "1-2", "--method", "mc", "--samples", "5",
+             "--seed", "1"],
+        ]
+    r = group.removeprefix("r")
+    return [
+        ["graphon-z", phi, u.key(), "--r", r]
+        for u in enumerate_classes(5, True)
+        if not u.is_empty and not (u.key() == K5 and r in ("63", "64"))
+    ]
+
+
+KERNEL_DIGESTS = {
+    ("mc", "const:0.3"): "e9e19f322018a28a88094feb089646b2bae564997cfc0bea9b37da94766723da",
+    ("mc", "g1.grid"): "856d7fd73a1b3315235094a7d7a437ede2940ec1e3bdf574cadcb2bf5ed11be1",
+    ("mc", "g3.grid"): "fb95544011054a9c46f0687338834b4f687c7b525a775f2e97681d11d0f08fd8",
+    ("mc", "product:logistic:0.0,1.0"): "10789ecc0d59306e02f6aac930a951aca64c243ff3ffa0558366122b6c52ecfe",
+    ("mc", "product:logistic:0.3,0.0"): "de90d5aaae718574108a5683b7bb4783b7b2e2e3835e06ccf66c188404ed2a8b",
+    ("mc", "signed.grid"): "cd7728e61ae24dc2dd5e31b28a65a54250aded14ce261120a6eb5e13bd933d73",
+    ("r128", "const:0.3"): "71f3e9328e7262e182bf854e691a6e562f733ae5d7e48539872ba23610805e70",
+    ("r128", "g1.grid"): "2b92a3e7a6d778d350cc6d23f37838f180f529586201e5804ca8b584019bd7bf",
+    ("r128", "g3.grid"): "5ee0564b6b946f242e4013b339696ec336947d93bf7e66b8b283e7468530e525",
+    ("r128", "product:logistic:0.0,1.0"): "057ad5ea3068d3388ac07ffa9da01aa8dbdb482b1c6bc813a2a6aad394bb7751",
+    ("r128", "product:logistic:0.3,0.0"): "7a908f70bd34c7e8abed976622da1d806f1a7822ad00ea2d2ac73401578cf51f",
+    ("r128", "signed.grid"): "4e678511b59b8748c2f028a16ae35ea01893ceae27b4db4b6dc442fe8fefdf25",
+    ("r2", "const:0.3"): "d8aadb358e01082c0434e7daea99d9c589791457af2e1074111b5bf0c1b525cc",
+    ("r2", "g1.grid"): "7784ac4b76cb70db5d0628a47c2455a514c1a3e2581e00478fbe22836e97094e",
+    ("r2", "g3.grid"): "a13865ea589c746dfc7d7f8adc1dd3f44521243a296f2239f6be673d55b42401",
+    ("r2", "product:logistic:0.0,1.0"): "8319ab33ba9d2528ce32b0c6940d3784d79e0948d16c26469066c7e612c199cb",
+    ("r2", "product:logistic:0.3,0.0"): "dd1e36f5f5f79403d1ead1b7237abd5f1dbf8accc4b55e84d9bab14149e53704",
+    ("r2", "signed.grid"): "cbfd45c5d616ddb360750d844f4632cb05ec4caf92de58727a829ba672eb6e2a",
+    ("r63", "const:0.3"): "6deb1347ead13eec4b9ffefed421c86c2859371163faaced74ff781ad2af78ae",
+    ("r63", "g1.grid"): "46d227e4f8c07db7e5178a4c2569086ec17d52105daff86906ea32d88542c5fd",
+    ("r63", "g3.grid"): "3285861f34f05835a517a34fb68bc4b2001b7ff6d91d36ee9d25e917b94b6f61",
+    ("r63", "product:logistic:0.0,1.0"): "a3121098e0c21e4bb309fa041e5af0b29faa957f93606a4153445ace5b9edbf9",
+    ("r63", "product:logistic:0.3,0.0"): "8f4c888f6209d1e6facfa3c613a5f978bb639567d8d5d5f68badaf8f2ef023b3",
+    ("r63", "signed.grid"): "a0892dab1b9d31c1b8d58240de729a764a22546773ce83a9c91bddf48c321d11",
+    ("r64", "const:0.3"): "45639769bc0a9b00199590411bab12587dbffa285de4bcdb6c22522e8f81d28f",
+    ("r64", "g1.grid"): "85e92f74597e8f499948a41f95a2f1516670c7ab5fc2092e53ad1aea48866fbc",
+    ("r64", "g3.grid"): "10fca4e121b0f9415b58025de7bdb2f7947720418cae4d348067791a4e631fe4",
+    ("r64", "product:logistic:0.0,1.0"): "1867caaf742f43a3bd9a42b9fb1915ca4bc0405243127f8e8856abd832ce5dce",
+    ("r64", "product:logistic:0.3,0.0"): "fe9893929fb47a969e90874a4581f28ac34643edb950550647da19dac81f6a60",
+    ("r64", "signed.grid"): "1a6fa438e15d38391a246b4f1796bf1fdc73c056ed81aaadd0ef622a2fe43231",
+    ("sample", "const:0.3"): "1c5354aac05f6874c0424f5a8fad3b5632de9ff19a152c37b9998108b59425c5",
+    ("sample", "g1.grid"): "b7c6364888866eb7495d4495df736a4227f2e8e710c3477fd32eb3b9268d3b18",
+    ("sample", "g3.grid"): "43a49c1ceea66226d4c5513daa43352db5242c70bdb37fd8e1062a172e377d75",
+    ("sample", "product:logistic:0.0,1.0"): "21322dc64ed2bc11d24ab6b0d5bb33ab133ad062cc93de7df15a085e58ad7c91",
+    ("sample", "product:logistic:0.3,0.0"): "7a491c047c5a65ed6821d76571b03d00003faf58c7c1d085f2c81d07a3582597",
+    ("sample", "signed.grid"): "e385174f7764e027990f077a4bf220fa8469154bf7d8d6f74f00aeb6a845b744",
+    ("sample-er", ""): "0ca3435504ab09bbdfd78bb7a66d176d3819a68a1bf7d7463cb21edf17c1c779",
+    ("sample-propensity", ""): "7cbf5f4b598cba8872d4ad8966e98a9f1ca3a50ee0f6fa3302a8b71424b03b37",
+    ("wide", ""): "1db9c28a6375ab6300698766ba170644a758c815120d288257875f989c4da5a6",
+}
+
+
+@pytest.mark.parametrize(
+    "group, kernel", sorted(KERNEL_DIGESTS), ids=lambda v: v.replace(":", "-")
+)
+def test_kernel_output_bytes(capsys, tmp_path, group, kernel):
+    for name, text in KERNEL_GRIDS.items():
+        (tmp_path / name).write_text(text)
+    outs = [
+        "%d\n%s" % run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+        for argv in _kernel_requests(group, kernel)
+    ]
+    digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+    assert digest == KERNEL_DIGESTS[group, kernel]
+
+
+def _grid_text(rows, cell, value) -> str:
+    """A grid file of ``rows`` with ``value`` written at ``cell``."""
+    text = [[str(v) for v in row] for row in rows]
+    text[cell[0]][cell[1]] = value
+    return f"{len(rows)}\n" + "".join(" ".join(row) + "\n" for row in text)
 
 
 def _er_mixture_joint():
@@ -1001,6 +1121,12 @@ class TestExitCodes:
             (["graphon-z", "const:1.5", "1-2"], 2, "constant level must be in [0, 1]"),
             (["graphon-z", "product:foo", "1-2"], 2, "unknown kernel spec 'product:foo'"),
             (["graphon-z", "{dir}/high.grid", "1-2"], 2, "grid values must lie in [0, 1]"),
+            # a NaN cell no spot check reads; an infinite one, refused before
+            # the symmetry difference would warn on it
+            (["graphon-z", "{dir}/nan.grid", "1-2"], 2, "grid values must lie in [0, 1]"),
+            (["sample", "graphon", "--phi", "{dir}/nan.grid", "--n", "5", "--seed", "1"], 2,
+             "grid values must lie in [0, 1]"),
+            (["graphon-z", "{dir}/inf.grid", "1-2"], 2, "grid values must lie in [0, 1]"),
             (["graphon-z", "const:0.3", "1-2", "--r", "1"], 2, "resolution must be >= 2"),
             (["mle", "{dir}/n0.edges"], 2, "node count must be positive"),
             (["mle", "{dir}/headless.edges"], 2, "expected header 'n <count>'"),
@@ -1017,7 +1143,8 @@ class TestExitCodes:
         ],
         ids=["markov-joint5", "skeleton-joint5", "joint-n7", "fit-n7", "eval-n7",
              "graphon-z-7-vertices", "beta-nan", "two-point-weight", "gaussian-sigma",
-             "const-level", "product-spec", "grid-value", "resolution-1",
+             "const-level", "product-spec", "grid-value", "grid-nan", "sample-grid-nan",
+             "grid-inf", "resolution-1",
              "edge-list-n0", "edge-list-headless", "mc-samples-cap",
              "moment-1e400", "moment-1e400-dissociated", "moment-10^400",
              "moment-10^400-dissociated"],
@@ -1036,6 +1163,8 @@ class TestExitCodes:
             "path7.edges": format_edge_list(LabeledNetwork.path(7)),
             "nu.json": json.dumps({"nu": {"star1": 0.25}}),
             "high.grid": "2\n0.2 1.5\n1.5 0.6\n",
+            "nan.grid": _grid_text([[0.5] * 20 for _ in range(20)], (12, 12), "nan"),
+            "inf.grid": "2\n0.2 inf\ninf 0.6\n",
             "n0.edges": "n 0\n",
             "headless.edges": "1 2\n2 3\n",
         }

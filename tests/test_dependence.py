@@ -82,6 +82,15 @@ class TestStructures:
                 "adjacency size does not match dyad count",
             ),
             (lambda: DependenceGraph(3, UNDIRECTED, (0, 0b10, 0)), "self-adjacency at dyad 1"),
+            # dyad 0 names dyad 1, which does not name dyad 0
+            (
+                lambda: DependenceGraph(3, UNDIRECTED, (0b010, 0, 0)),
+                "adjacency not symmetric at dyads 0 and 1",
+            ),
+            (
+                lambda: DependenceGraph(3, BIDIRECTED, (1 << 9, 0, 0)),
+                "dyad 0 is adjacent past the last dyad 2",
+            ),
             (lambda: incidence_graph(2), "incidence graph needs n >= 3"),
             (lambda: kneser_graph(2), "kneser graph needs n >= 3"),
             (
@@ -95,7 +104,8 @@ class TestStructures:
                 "node counts differ",
             ),
         ],
-        ids=["kind", "adjacency-size", "self-adjacency", "incidence-n2",
+        ids=["kind", "adjacency-size", "self-adjacency", "asymmetric", "past-last-dyad",
+             "incidence-n2",
              "kneser-n2", "ci-empty-a", "markov-node-counts"],
     )
     def test_malformed_request_is_value_error(self, call, message):

@@ -2,6 +2,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,7 @@ from exchnet.graphs import (
     enumerate_classes,
 )
 from exchnet.mobius import InvalidParametersError, labeled_mobius_from_joint
+from oracles import oracle_kernel, oracle_midpoint_lattice
 
 
 def _is_exchangeable(jt, tol=1e-12) -> bool:
@@ -399,19 +401,42 @@ class TestGraphonMoments:
         assert flat(0.1, 0.9) == flat(0.5, 0.5) == 1 / (1 + math.exp(-1.0))
 
 
+# each kernel kind by its library constructor and by the scalar oracle
+LATTICE_KERNELS = {
+    "const": (lambda: parse_graphon_name("const:0.3"), ("const", 0.3)),
+    "logistic": (
+        lambda: parse_graphon_name("product:logistic:0.0,1.0"), ("logistic", 0.0, 1.0)
+    ),
+    "logistic-shifted": (
+        lambda: Graphon.product_logistic(-1.5, 2.5), ("logistic", -1.5, 2.5)
+    ),
+    "logistic-flat": (
+        lambda: parse_graphon_name("product:logistic:0.3,0.0"), ("logistic", 0.3, 0.0)
+    ),
+    "grid": (
+        lambda: Graphon.from_grid([[0.9, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.7]]),
+        ("grid", [[0.9, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.7]]),
+    ),
+    "grid-1": (lambda: Graphon.from_grid([[0.4]]), ("grid", [[0.4]])),
+    # cells that interpolate to -0.0 or to just above 1 read as 0.0 and 1.0
+    "grid-signed": (
+        lambda: Graphon.from_grid([[-0.0, -0.0, 1.0], [-0.0, -0.0, 1.0], [1.0, 1.0, 1.0]]),
+        ("grid", [[-0.0, -0.0, 1.0], [-0.0, -0.0, 1.0], [1.0, 1.0, 1.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 64, 200])
+@pytest.mark.parametrize("kind", sorted(LATTICE_KERNELS))
+def test_midpoint_grid_matches_per_cell_oracle(kind, r):
+    # bitwise, -0.0 included; r = 200 is evaluated in two blocks of rows
+    build, spec = LATTICE_KERNELS[kind]
+    want = np.array(oracle_midpoint_lattice(oracle_kernel(spec), r))
+    assert build().midpoint_grid(r).tobytes() == want.tobytes()
+
+
 class TestKernelGridCache:
     GRID = [[0.9, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.7]]
-
-    def test_cached_grid_is_read_only(self):
-        grid = Graphon.from_grid(self.GRID).midpoint_grid(8)
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0, 0] = 0.5
-
-    def test_grids_are_built_once_per_resolution(self):
-        phi = Graphon.from_grid(self.GRID)
-        assert phi.midpoint_grid(8) is phi.midpoint_grid(8)
-        assert phi.midpoint_grid(4).shape == (4, 4)
 
     def test_same_resolution_kernels_keep_their_own_grids(self):
         low, high = [[0.2, 0.4], [0.4, 0.6]], [[0.7, 0.1], [0.1, 0.3]]
