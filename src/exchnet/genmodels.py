@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import string
+import weakref
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -65,10 +66,11 @@ def _pair_matrix(f: Callable, x: np.ndarray) -> np.ndarray:
     """f(x_i, x_j) for all i, j, f elementwise: the cells i <= j, a block of
     rows at a time, mirrored, so the matrix is exactly symmetric."""
     n = len(x)
-    out = np.empty((n, n))
+    out, k = np.empty((n, n)), np.arange(n)
     rows = max(1, _BLOCK_CELLS // max(n, 1))
     for a in range(0, n, rows):
-        i, j = (k + a for k in np.triu_indices(min(rows, n - a), 0, n - a))
+        i, j = np.nonzero(k[a : a + rows, None] <= k)  # the cells i <= j of these rows
+        i += a
         out[i, j] = out[j, i] = f(x[i], x[j])
     return out
 
@@ -123,11 +125,10 @@ def er_mobius(n: int, p) -> MobiusVector:
 
 def er_class_distribution(n: int, p) -> ClassDistribution:
     m = num_dyads(n)
-    q = {}
-    for u in enumerate_classes(n, True):
-        e = u.edge_count
-        q[u] = class_size(u, n) * p**e * (1 - p) ** (m - e)
-    return ClassDistribution(n, q)
+    return ClassDistribution(n, {
+        u: class_size(u, n) * p**u.edge_count * (1 - p) ** (m - u.edge_count)
+        for u in enumerate_classes(n, True)
+    })
 
 
 # --- node-propensity model ----------------------------------------------------
@@ -255,6 +256,9 @@ def marginal_beta_joint(n: int, mix: MixingSpec) -> JointTable:
 
 
 SYMMETRY_TOL = 1e-12
+# kernel -> {r: midpoint lattice} for r <= 64 (32 KiB a lattice) while the kernel
+# lives: parse_graphon_name keeps named kernels, so their lattices are built once
+_lattices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -263,17 +267,20 @@ class Graphon:
 
     Either a named closed form (constant, or the logistic product form driven
     by a Gaussian propensity quantile) or a grid with bilinear interpolation.
-    ``fn`` acts elementwise on coordinate arrays (a scalar result stands for
-    a constant), so each lattice or batch of points is one call.
+    Its value at (u, v) is fn(point(u), point(v)), clamped: ``point`` maps a
+    coordinate (the logistic form's quantile), and both act elementwise on
+    arrays, so a lattice is one call (a scalar ``fn`` result is a constant).
     """
 
     fn: Callable
     description: str
+    point: Callable = np.asarray
 
     def __post_init__(self):
         # spot-check symmetry and range on a coarse lattice, in one call
         pts = np.arange(8) / 7
-        vals = np.broadcast_to(self.fn(pts[:, None], pts), (8, 8)).tolist()
+        p = self.point(pts)
+        vals = np.full((8, 8), self.fn(p[:, None], p)).tolist()
         for i, j in itertools.product(range(8), repeat=2):
             if abs(vals[i][j] - vals[j][i]) > SYMMETRY_TOL:
                 raise ValueError(f"kernel not symmetric at ({pts[i]}, {pts[j]})")
@@ -281,15 +288,23 @@ class Graphon:
                 raise ValueError(f"kernel value {vals[i][j]} outside [0, 1]")
 
     def __call__(self, u, v) -> np.ndarray:
-        """The kernel at (u, v), elementwise (a constant as a 0-d array),
-        clamped to [0, 1] as min(1, max(0, x)) does: NaN and -0.0 read 0.0."""
-        x = np.asarray(self.fn(u, v), dtype=float)
+        """The kernel at (u, v), elementwise (a constant as a 0-d array)."""
+        return self.at(self.point(u), self.point(v))
+
+    def at(self, a, b) -> np.ndarray:
+        """``fn`` at mapped points, clamped to [0, 1] as min(1, max(0, x))
+        does: NaN and -0.0 read 0.0."""
+        x = np.asarray(self.fn(a, b), dtype=float)
         return np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
 
     def midpoint_grid(self, r: int) -> np.ndarray:
-        """The kernel at ((i + 1/2) / r, (j + 1/2) / r) for 0 <= i, j < r, an
-        r x r array, evaluated at i <= j and mirrored."""
-        return _pair_matrix(self, (np.arange(r) + 0.5) / r)
+        """The kernel at ((i + 1/2) / r, (j + 1/2) / r) for 0 <= i, j < r, a
+        read-only r x r array, evaluated at i <= j and mirrored."""
+        kept = _lattices.setdefault(self, {}) if r <= 64 else {}
+        if r not in kept:
+            kept[r] = _pair_matrix(self.at, self.point((np.arange(r) + 0.5) / r))
+            kept[r].flags.writeable = False
+        return kept[r]
 
     @classmethod
     def constant(cls, eta: float) -> "Graphon":
@@ -305,17 +320,10 @@ class Graphon:
         if not sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         quantile = NormalDist(mu, sigma).inv_cdf if sigma > 0 else lambda u: mu
-
-        def beta_of(u) -> np.ndarray:
-            # each distinct coordinate's quantile once: a lattice repeats them
-            coords, where = np.unique(
-                np.clip(u, 1e-12, 1 - 1e-12), return_inverse=True
-            )
-            return _map(quantile, coords)[where.reshape(np.shape(u))]
-
         return cls(
-            lambda u, v: _sigmoid(beta_of(u) + beta_of(v)),
+            lambda a, b: _sigmoid(a + b),
             f"product:logistic:{mu},{sigma}",
+            lambda u: _map(quantile, np.clip(u, 1e-12, 1 - 1e-12)),
         )
 
     @classmethod
@@ -377,7 +385,9 @@ def parse_graphon_name(spec: str) -> Graphon:
 
 def graphon_sample(phi: Graphon, n: int, seed: int) -> LabeledNetwork:
     """One network: uniform node coordinates, independent ties through phi."""
-    return _tie_sample(n, seed, phi, lambda rng: [rng.random() for _ in range(n)])
+    return _tie_sample(
+        n, seed, phi.at, lambda r: phi.point([r.random() for _ in range(n)])
+    )
 
 
 def beta_sample(spec: BetaSpec, seed: int) -> LabeledNetwork:
@@ -408,8 +418,8 @@ class MomentEstimate:
 
 
 MAX_MOMENT_VERTICES = 6
-# Monte Carlo draws per moment: K_6 on the logistic kernel takes about 10 us
-# a draw (Python 3.11.7, shared 2-CPU machine), about 10 s at the cap
+# Monte Carlo draws per moment: K_6 on the logistic kernel takes about 4 us
+# a draw (Python 3.11.7, shared 2-CPU machine), about 4 s at the cap
 MAX_MC_SAMPLES = 10**6
 # quadrature: the most entries of the r x r grid or of one elimination's
 # output, that of K5's first elimination at the default r = 64 (128 MiB)
@@ -439,9 +449,7 @@ def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
                 "quadrature intermediate too large; lower the resolution"
             )
         letters = {var: string.ascii_lowercase[i] for i, var in enumerate(union)}
-        subs = [
-            "".join(letters[var] for var in vars_) for vars_, _ in touching
-        ]
+        subs = ["".join(letters[var] for var in vars_) for vars_, _ in touching]
         subs.append(letters[v])  # the weight vector sums v out
         out_vars = tuple(var for var in union if var != v)
         out = "".join(letters[var] for var in out_vars)
@@ -500,9 +508,7 @@ def graphon_z(
         if r < 2:
             raise ValueError("resolution must be >= 2")
         if r * r > _MAX_QUADRATURE_ENTRIES:
-            raise SizeCapError(
-                "quadrature grid too large; lower the resolution"
-            )
+            raise SizeCapError("quadrature grid too large; lower the resolution")
         val = _quadrature_value(phi.midpoint_grid(r), u)
         coarse = _quadrature_value(phi.midpoint_grid(r // 2), u)
         return MomentEstimate(val, abs(val - coarse), f"quadrature:{r}")
@@ -515,13 +521,13 @@ def graphon_z(
         rep = u.representative()
         edges = [(i - 1, j - 1) for i, j in rep.sorted_edges()]
         total = total_sq = 0.0
-        chunk = max(1, _BLOCK_CELLS // len(edges))
+        chunk = max(1, _BLOCK_CELLS // (len(edges) * rep.n))  # draws a block
         for start in range(0, samples, chunk):
             c = min(chunk, samples - start)
             us = np.array([rng.random() for _ in range(c * rep.n)]).reshape(c, rep.n)
-            prod = np.ones(c)
+            pts, prod = phi.point(us), np.ones(c)
             for a, b in edges:  # in edge order, as one draw multiplies
-                prod *= phi(us[:, a], us[:, b])
+                prod *= phi.at(pts[:, a], pts[:, b])
             # draw by draw: cumsum adds left to right, np.sum pairwise
             total = float(np.cumsum(np.append(total, prod))[-1])
             total_sq = float(np.cumsum(np.append(total_sq, prod * prod))[-1])
@@ -581,8 +587,7 @@ def er_characterization_diagnostic(z, eta: float) -> ErDiagnostic:
         if dev > worst_dev:
             worst_dev = dev
             worst = u
-    s2 = star_class(2)
-    c4 = cycle_class(4)
+    s2, c4 = star_class(2), cycle_class(4)
     r2 = abs(float(values[s2]) - eta**2) if s2 in values else float("nan")
     r4 = abs(float(values[c4]) - eta**4) if c4 in values else float("nan")
     return ErDiagnostic(eta, worst_dev, worst, r2, r4)

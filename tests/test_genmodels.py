@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -437,6 +439,27 @@ def test_midpoint_grid_matches_per_cell_oracle(kind, r):
 
 class TestKernelGridCache:
     GRID = [[0.9, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.7]]
+
+    def test_cached_grid_is_read_only(self):
+        grid = Graphon.from_grid(self.GRID).midpoint_grid(8)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+
+    def test_grids_are_built_once_per_resolution(self):
+        phi = Graphon.from_grid(self.GRID)
+        assert phi.midpoint_grid(8) is phi.midpoint_grid(8)
+        assert phi.midpoint_grid(4).shape == (4, 4)
+
+    def test_only_small_grids_are_kept_and_only_with_their_kernel(self):
+        phi = Graphon.from_grid(self.GRID)
+        big = phi.midpoint_grid(128)  # past graphon_z's default r = 64
+        assert big is not phi.midpoint_grid(128) and not big.flags.writeable
+        phi.midpoint_grid(64)
+        kernel = weakref.ref(phi)
+        del phi
+        gc.collect()
+        assert kernel() is None
 
     def test_same_resolution_kernels_keep_their_own_grids(self):
         low, high = [[0.2, 0.4], [0.4, 0.6]], [[0.7, 0.1], [0.1, 0.3]]
