@@ -168,7 +168,7 @@ def _parse_mixing(spec: str) -> MixingSpec:
         return MixingSpec.two_point(ba, bb, w)
     if kind == "gaussian":
         mu, sigma = (float(t) for t in rest.split(","))
-        return MixingSpec.gaussian(mu, sigma, 1, 0)
+        return MixingSpec.gaussian(mu, sigma)
     raise ValueError(f"unknown mixing spec {spec!r}")
 
 

@@ -1,8 +1,9 @@
 """Generative network models: independent ties, node propensities, their
 mixtures, and symmetric-kernel (graphon-style) models.
 
-Exact joint tables are produced wherever the mixing structure is finite; the
-Gaussian mixing kind and kernel sampling are seeded Monte Carlo.
+Joint tables of finite mixtures are exact atom sums; Gaussian mixing is the
+product-logistic kernel's law, read off its quadrature moments.  Sampling is
+seeded.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from .mobius import (
     InvalidParametersError,
     JointTable,
     MobiusVector,
+    joint_from_labeled_mobius,
+    labeled_from_exchangeable,
 )
 
 MAX_EXACT_MIX_NODES = 5
-# Monte Carlo draws of a Gaussian mixing law: marginal_beta_joint(5, ...)
-# takes 0.13-0.15 ms a draw (Python 3.11.7, shared 2-CPU machine), 13 s at
-# the cap
-MAX_MIX_SAMPLES = 10**5
 MAX_SAMPLE_NODES = 2000  # one sample at n = 2000: 2.6-4.2 s, 0.17-0.24 GB (Python 3.11)
 
 
@@ -104,7 +103,7 @@ def _tie_sample(n: int, seed: int, f: Callable, draw_nodes: Callable) -> Labeled
         for i, p in enumerate(probs[j - 1, : j - 1].tolist(), 1)
         if rng.random() < p
     )
-    return LabeledNetwork.from_edges(n, ties)
+    return LabeledNetwork(n, frozenset(ties))
 
 
 def er_joint(n: int, p) -> JointTable:
@@ -171,9 +170,8 @@ class MixingSpec:
     """Distribution of the i.i.d. node propensities.
 
     kinds: ``point_mass(beta)``, ``two_point(beta_a, beta_b, w)`` with w the
-    weight of beta_a, and ``gaussian(mu, sigma, mc_samples, seed)``.  Only
-    kinds with finite logistic moments are supported; arbitrary mixing
-    distributions are not.
+    weight of beta_a, and ``gaussian(mu, sigma)``, propensities N(mu, sigma^2).
+    Arbitrary mixing distributions are not supported.
     """
 
     kind: str
@@ -190,16 +188,10 @@ class MixingSpec:
         return cls("two_point", (float(beta_a), float(beta_b), float(w)))
 
     @classmethod
-    def gaussian(
-        cls, mu: float, sigma: float, mc_samples: int, seed: int
-    ) -> "MixingSpec":
+    def gaussian(cls, mu: float, sigma: float) -> "MixingSpec":
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-        if mc_samples > MAX_MIX_SAMPLES:
-            raise SizeCapError(f"mixing laws support mc_samples <= {MAX_MIX_SAMPLES}")
-        return cls("gaussian", (float(mu), float(sigma), int(mc_samples), int(seed)))
+        return cls("gaussian", (float(mu), float(sigma)))
 
     def atoms(self) -> list:
         """(value, weight) support points for the exactly mixable kinds."""
@@ -214,41 +206,33 @@ class MixingSpec:
 def marginal_beta_joint(n: int, mix: MixingSpec) -> JointTable:
     """Mixture of node-propensity models over i.i.d. propensities.
 
-    Exact atom sums for point and two-point kinds; the Gaussian kind uses
-    seeded Monte Carlo and reports the largest per-configuration standard
-    error on the resulting table.
+    Exact atom sums for point and two-point kinds.  Gaussian mixing is the
+    law of the product-logistic kernel (beta = the normal quantile of a
+    uniform coordinate): its class moments are ``graphon_z``'s default
+    quadrature, expanded to the dyad lattice and inverted, and the table
+    carries the largest of their quadrature gaps as ``quadrature_gap``.
     """
     if n > MAX_EXACT_MIX_NODES:
         raise SizeCapError(f"mixing joints support n <= {MAX_EXACT_MIX_NODES}")
-
-    def row(betas) -> np.ndarray:
-        pv = BetaSpec(tuple(betas)).dyad_probs()
-        return _dyad_products(pv, 1.0).astype(float)
-
-    acc = np.zeros(1 << num_dyads(n))
+    if mix.kind == "gaussian":
+        phi = Graphon.product_logistic(*mix.params)
+        est = {u: graphon_z(phi, u) for u in enumerate_classes(n, True)}
+        z = MobiusVector(n, {u: e.value for u, e in est.items()})
+        jt = joint_from_labeled_mobius(labeled_from_exchangeable(z))
+        gap = max(e.error for e in est.values())
+        return JointTable(n, jt.probs, quadrature_gap=gap)
     if mix.kind in ("point_mass", "two_point"):
+        acc = np.zeros(1 << num_dyads(n))
         # node 0's atom varies fastest and weights multiply in node order,
         # the summation order the float table is pinned in
         for combo in itertools.product(mix.atoms(), repeat=n):
             betas, ws = zip(*reversed(combo))
             weight = math.prod(ws)
             if weight != 0.0:
-                acc += weight * row(betas)
+                pv = BetaSpec(betas).dyad_probs()
+                acc += weight * _dyad_products(pv, 1.0).astype(float)
         acc /= acc.sum()
         return JointTable(n, tuple(acc.tolist()))
-    if mix.kind == "gaussian":
-        mu, sigma, samples, seed = mix.params
-        rng = random.Random(seed)
-        sq = np.zeros_like(acc)
-        for _ in range(samples):
-            r = row(rng.gauss(mu, sigma) for _ in range(n))
-            acc += r
-            sq += r * r
-        mean = acc / samples
-        var = np.maximum(sq / samples - mean * mean, 0.0)
-        se = float(np.max(np.sqrt(var / samples)))
-        mean /= mean.sum()
-        return JointTable(n, tuple(mean.tolist()), mc_std_error=se)
     raise ValueError(f"unknown mixing kind {mix.kind!r}")
 
 
@@ -317,7 +301,9 @@ class Graphon:
         """Logistic of the sum of two Gaussian propensities, fed by uniform
         coordinates through the normal quantile; sigma = 0 is the constant
         kernel at the logistic of 2 mu."""
-        if not sigma >= 0:
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise ValueError("mu and sigma must be finite")
+        if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         quantile = NormalDist(mu, sigma).inv_cdf if sigma > 0 else lambda u: mu
         return cls(
@@ -397,7 +383,7 @@ def beta_sample(spec: BetaSpec, seed: int) -> LabeledNetwork:
 def marginal_beta_sample(n: int, mix: MixingSpec, seed: int) -> LabeledNetwork:
     def draw_nodes(rng):
         if mix.kind == "gaussian":
-            mu, sigma, _, _ = mix.params
+            mu, sigma = mix.params
             betas = [rng.gauss(mu, sigma) for _ in range(n)]
         else:
             vals, ws = zip(*mix.atoms())

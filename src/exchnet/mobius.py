@@ -105,12 +105,13 @@ class JointTable:
 
     ``probs[mask]`` is P(X = network with that dyad bitmask).  Entries are
     ints and Fractions (exact mode) or floats; mixed entries are stored as
-    floats.
+    floats.  ``quadrature_gap`` is set on a table built from quadrature
+    moments: the largest gap of one to its half-resolution value.
     """
 
     n: int
     probs: tuple
-    mc_std_error: float | None = None
+    quadrature_gap: float | None = None
     is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

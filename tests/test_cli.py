@@ -1118,6 +1118,9 @@ class TestExitCodes:
               "--seed", "1"], 2, "mixture weight must be in [0, 1]"),
             (["sample", "marginal-beta", "--n", "4", "--mixing", "gaussian:0,-1",
               "--seed", "1"], 2, "sigma must be nonnegative"),
+            (["graphon-z", "product:logistic:inf,1", "1-2"], 2, "mu and sigma must be finite"),
+            (["sample", "graphon", "--phi", "product:logistic:0,inf", "--n", "3", "--seed", "1"],
+             2, "mu and sigma must be finite"),
             (["graphon-z", "const:1.5", "1-2"], 2, "constant level must be in [0, 1]"),
             (["graphon-z", "product:foo", "1-2"], 2, "unknown kernel spec 'product:foo'"),
             (["graphon-z", "{dir}/high.grid", "1-2"], 2, "grid values must lie in [0, 1]"),
@@ -1143,6 +1146,7 @@ class TestExitCodes:
         ],
         ids=["markov-joint5", "skeleton-joint5", "joint-n7", "fit-n7", "eval-n7",
              "graphon-z-7-vertices", "beta-nan", "two-point-weight", "gaussian-sigma",
+             "logistic-infinite-mu", "sample-logistic-infinite-sigma",
              "const-level", "product-spec", "grid-value", "grid-nan", "sample-grid-nan",
              "grid-inf", "resolution-1",
              "edge-list-n0", "edge-list-headless", "mc-samples-cap",

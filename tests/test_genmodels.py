@@ -45,7 +45,13 @@ from exchnet.graphs import (
     dyads,
     enumerate_classes,
 )
-from exchnet.mobius import InvalidParametersError, labeled_mobius_from_joint
+from exchnet.mobius import (
+    InvalidParametersError,
+    exchangeable_from_labeled,
+    joint_from_labeled_mobius,
+    labeled_from_exchangeable,
+    labeled_mobius_from_joint,
+)
 from oracles import oracle_kernel, oracle_midpoint_lattice
 
 
@@ -154,27 +160,27 @@ class TestMarginalBeta:
         )
         assert abs(lm.z[1] - want) < 1e-14
 
-    def test_gaussian_kind_is_seeded_and_reports_error(self):
-        mix = MixingSpec.gaussian(0.0, 1.0, 200, seed=42)
-        jt1 = marginal_beta_joint(3, mix)
-        jt2 = marginal_beta_joint(3, mix)
-        assert jt1.probs == jt2.probs
-        assert jt1.mc_std_error is not None and jt1.mc_std_error > 0
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "mu, sigma", [(0.0, 1.0), (-1.5, 2.5), (0.5, 0.0)], ids=["std", "wide", "flat"]
+    )
+    def test_gaussian_kind_is_the_product_logistic_law(self, n, mu, sigma):
+        jt = marginal_beta_joint(n, MixingSpec.gaussian(mu, sigma))
+        phi = Graphon.product_logistic(mu, sigma)
+        # exchangeable, and the label expansion of the kernel moments bit for bit
+        lm = labeled_mobius_from_joint(jt)
+        exchangeable_from_labeled(lm)
+        want = labeled_from_exchangeable(graphon_mobius(phi, n))
+        assert jt.probs == joint_from_labeled_mobius(want).probs
+        gaps = [graphon_z(phi, u).error for u in enumerate_classes(n, True)]
+        assert jt.quadrature_gap == max(gaps) < 1e-3
+        if sigma == 0.0:
+            assert jt.quadrature_gap == 0.0
 
-    def test_gaussian_past_the_cap_draws_nothing(self, monkeypatch):
-        draws = []
-        monkeypatch.setattr(
-            genmodels.random.Random, "gauss", lambda *args: draws.append(args)
-        )
-        cap = genmodels.MAX_MIX_SAMPLES
-        assert MixingSpec.gaussian(0, 1, cap, 0).params[2] == cap
-        with pytest.raises(SizeCapError, match="mc_samples <= 100000"):
-            marginal_beta_joint(5, MixingSpec.gaussian(0, 1, cap + 1, 0))
-        assert draws == []
 
-
-# sha256 of repr((probs, mc_std_error, is_exact)), recorded before the
-# per-dyad product became one doubling array shared by every caller
+# sha256 of repr((probs, error field, is_exact)), recorded before the
+# per-dyad product became one doubling array shared by every caller;
+# gaussian-5 since Gaussian mixing became the product-logistic kernel's law
 TABLE_DIGESTS = {
     "er-0-float": (lambda: er_joint(0, 0.3), "f989e0f14c9620560789b97f4c79ec7aeb41118f858458000cc2cd32fd31a102"),
     "er-0-exact": (lambda: er_joint(0, Fraction(1, 3)), "f250f819587ed3c598a994e056b31871f54190457628f51942b3ee8d1be3db23"),
@@ -193,8 +199,8 @@ TABLE_DIGESTS = {
         "10c04168b8704b7113cb6e7cdc7d94fd24611c969f497972addc5fb16a5fb143",
     ),
     "gaussian-5": (
-        lambda: marginal_beta_joint(5, MixingSpec.gaussian(0.0, 1.0, 200, 3)),
-        "02a9843a74b5d01f5ac14aaf5b8c1e7c0837e8050c0796d989f93fba9ba0455c",
+        lambda: marginal_beta_joint(5, MixingSpec.gaussian(0.0, 1.0)),
+        "a5bb2fc44620669bcc2219f9971ebfd9354b078a8873079541ddf7bbf7900733",
     ),
 }
 
@@ -203,7 +209,7 @@ TABLE_DIGESTS = {
 def test_joint_table_bytes(case):
     build, digest = TABLE_DIGESTS[case]
     jt = build()
-    data = repr((jt.probs, jt.mc_std_error, jt.is_exact)).encode()
+    data = repr((jt.probs, jt.quadrature_gap, jt.is_exact)).encode()
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -231,15 +237,14 @@ class TestGraphonSampling:
         assert abs(edges / total - eta) < 3 * se
 
     def test_product_form_matches_marginal_beta_moments(self):
-        # the logistic product kernel driven by the normal quantile samples
-        # the same model as Gaussian propensity mixing
+        # Monte Carlo draws of the logistic product kernel driven by the
+        # normal quantile land on the quadrature law of Gaussian mixing
         mu, sigma = 0.2, 0.8
         phi = Graphon.product_logistic(mu, sigma)
         est = graphon_z(phi, edge_class(), method="mc", samples=30000, seed=5)
-        jt = marginal_beta_joint(3, MixingSpec.gaussian(mu, sigma, 20000, seed=11))
+        jt = marginal_beta_joint(3, MixingSpec.gaussian(mu, sigma))
         lm = labeled_mobius_from_joint(jt)
-        tol = 3 * (est.error + (jt.mc_std_error or 0) * 8)
-        assert abs(est.value - lm.z[1]) < max(tol, 0.01)
+        assert abs(est.value - lm.z[1]) < 3 * est.error + jt.quadrature_gap
 
 
 def _symmetric_grid(r: int, upper: list) -> list:
@@ -362,9 +367,13 @@ class TestGraphonMoments:
     @pytest.mark.parametrize(
         "call, error, message",
         [
-            (lambda: MixingSpec.gaussian(0, 1, 0, 1), ValueError, "mc_samples must be >= 1"),
             (
-                lambda: MixingSpec.gaussian(0, 1, 10, 1).atoms(),
+                lambda: marginal_beta_joint(3, MixingSpec.gaussian(math.inf, 1)),
+                ValueError,
+                "mu and sigma must be finite",
+            ),
+            (
+                lambda: MixingSpec.gaussian(0, 1).atoms(),
                 ValueError,
                 "kind 'gaussian' has no finite atom list",
             ),
@@ -381,7 +390,7 @@ class TestGraphonMoments:
                 "unknown method 'simpson'",
             ),
         ],
-        ids=["gaussian-no-samples", "gaussian-atoms", "unknown-kind", "er-joint-n7",
+        ids=["gaussian-infinite-mu", "gaussian-atoms", "unknown-kind", "er-joint-n7",
              "grid-not-square", "unknown-method"],
     )
     def test_library_refusal(self, call, error, message):
