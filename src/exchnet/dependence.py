@@ -22,7 +22,6 @@ from .graphs import (
     mask_components,
     num_dyads,
     parse_dyad_label,
-    reachable,
     submasks,
 )
 from .mobius import JointTable, LabeledMobius, _close as _close_abs
@@ -175,34 +174,36 @@ def incidence_cliques(n: int) -> list:
     if n > MAX_NODES:
         raise SizeCapError(f"incidence cliques support n <= {MAX_NODES}")
     dep = incidence_graph(n, UNDIRECTED)
-    m = dep.m
     ds = dep.vertices
     cliques = []
-    for mask in range(1, 1 << m):
-        members = [k for k in range(m) if mask >> k & 1]
-        ok = all(
-            dep.adjacency[a] >> b & 1
-            for i, a in enumerate(members)
-            for b in members[i + 1 :]
-        )
-        if not ok:
+    for mask in range(1, 1 << dep.m):
+        members = tuple(k for k in range(dep.m) if mask >> k & 1)
+        # a clique: each member is adjacent to every other one
+        if any(mask & ~dep.adjacency[k] & ~(1 << k) for k in members):
             continue
-        common = set(ds[members[0]])
-        nodes = set()
-        for k in members:
-            common &= set(ds[k])
-            nodes |= set(ds[k])
-        if common:
-            shape = IncidenceClique(tuple(members), "star", len(members))
-        elif len(members) == 3 and len(nodes) == 3:
-            shape = IncidenceClique(tuple(members), "triangle")
-        else:
-            shape = IncidenceClique(tuple(members), "other")
-        cliques.append(shape)
+        if set.intersection(*(set(ds[k]) for k in members)):
+            cliques.append(IncidenceClique(members, "star", len(members)))
+            continue
+        nodes = set().union(*(ds[k] for k in members))
+        shape = "triangle" if len(members) == 3 and len(nodes) == 3 else "other"
+        cliques.append(IncidenceClique(members, shape))
     return cliques
 
 
 # --- separation --------------------------------------------------------------
+
+
+def _allowed(dep: DependenceGraph):
+    """The dyads a path from A to B may use given S, a function of (A, B, S)."""
+    if dep.kind == UNDIRECTED:
+        full = (1 << dep.m) - 1
+        return lambda a_mask, b_mask, s_mask: full & ~s_mask
+    return lambda a_mask, b_mask, s_mask: a_mask | b_mask | s_mask
+
+
+def _apart(parts: tuple, a_mask: int, b_mask: int) -> bool:
+    """No connected part of the allowed dyads meets both A and B."""
+    return not any(p & a_mask and p & b_mask for p in parts)
 
 
 def separates(dep: DependenceGraph, a_mask: int, b_mask: int, s_mask: int) -> bool:
@@ -211,13 +212,8 @@ def separates(dep: DependenceGraph, a_mask: int, b_mask: int, s_mask: int) -> bo
     Undirected: every path from A to B meets S.  Bidirected: every path from
     A to B leaves the union of A, B, and S.
     """
-    adj = tuple(dep.adjacency)
-    full = (1 << dep.m) - 1
-    if dep.kind == UNDIRECTED:
-        allowed = full & ~s_mask
-    else:
-        allowed = a_mask | b_mask | s_mask
-    return not (reachable(adj, allowed, a_mask) & b_mask)
+    allowed = _allowed(dep)(a_mask, b_mask, s_mask)
+    return _apart(mask_components(dep.adjacency, allowed), a_mask, b_mask)
 
 
 # --- conditional independence on joint tables --------------------------------
@@ -310,8 +306,12 @@ def global_markov_check(jt: JointTable, dep: DependenceGraph) -> MarkovCheckResu
         )
     if dep.n != jt.n:
         raise ValueError("joint and dependence graph node counts differ")
+    # the parts of every dyad set, once: a connected allowed set separates nothing
+    parts = [mask_components(dep.adjacency, mask) for mask in range(1 << m)]
+    allowed = _allowed(dep)
     for a, b, s in _triples(m):
-        if separates(dep, a, b, s) and not ci_test(jt, a, b, s):
+        split = parts[allowed(a, b, s)]
+        if len(split) > 1 and _apart(split, a, b) and not ci_test(jt, a, b, s):
             return MarkovCheckResult(False, (a, b, s))
     return MarkovCheckResult(True)
 
@@ -342,17 +342,16 @@ SKELETON_OTHER = "other"
 
 
 def classify_skeleton(sk: DependenceGraph) -> str:
-    """Match against the four reference structures on the same node count."""
-    if all(bits == 0 for bits in sk.adjacency):
-        return SKELETON_EMPTY
-    full = (1 << sk.m) - 1
-    if all(sk.adjacency[k] == full & ~(1 << k) for k in range(sk.m)):
-        return SKELETON_COMPLETE
+    """Match against the four reference structures on the same node count,
+    in this order (at n = 3 the Kneser graph is empty, the incidence one
+    complete)."""
+    refs = [(SKELETON_EMPTY, empty_dependence_graph),
+            (SKELETON_COMPLETE, complete_dependence_graph)]
     if sk.n >= 3:
-        if sk.adjacency == incidence_graph(sk.n).adjacency:
-            return SKELETON_INCIDENCE
-        if sk.adjacency == kneser_graph(sk.n).adjacency:
-            return SKELETON_KNESER
+        refs += [(SKELETON_INCIDENCE, incidence_graph), (SKELETON_KNESER, kneser_graph)]
+    for name, make in refs:
+        if make(sk.n).adjacency == sk.adjacency:
+            return name
     return SKELETON_OTHER
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 
 from .counting import class_table, edge_class
 from .genmodels import er_class_distribution
@@ -38,6 +38,7 @@ from .mobius import (
     JointTable,
     MobiusVector,
     _close,
+    _over_lcm,
     mobius_from_class_distribution,
 )
 
@@ -132,12 +133,11 @@ def _certificate_valid(
         # z_U = sum_W S[U][W] q_W / sub(U, K_m) with q_W = num_W / den, in
         # integers over q's support; sub(U, K_m) = S[U][K_m] ends the row
         table = class_table(cert.n)
-        support = [(table.index[w], q) for w, q in cert.q.items() if q]
-        den = lcm(*(q.denominator for _, q in support))
-        nums = [(j, q.numerator * (den // q.denominator)) for j, q in support]
+        cols, qs = zip(*((table.index[w], q) for w, q in cert.q.items() if q))
+        nums, den = _over_lcm(qs)
         for u in targets:
             s, z = table.row(u), mv.z[u]
-            got = sum(s[j] * num for j, num in nums)
+            got = sum(s[j] * num for j, num in zip(cols, nums))
             if got * z.denominator != s[-1] * den * z.numerator:
                 return False
         return True

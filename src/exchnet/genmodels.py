@@ -412,6 +412,13 @@ MAX_MC_SAMPLES = 10**6
 _MAX_QUADRATURE_ENTRIES = 64**4
 
 
+@functools.lru_cache(maxsize=256)
+def _einsum_path(spec: str, shapes: tuple) -> tuple:
+    """einsum's own contraction path for operands of these shapes."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(spec, *operands, optimize=True)[0])
+
+
 def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
     """Integrate the product of edge kernels by summing out one vertex at a
     time (min-degree order), contracting only the factors that touch it.
@@ -435,16 +442,12 @@ def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
                 "quadrature intermediate too large; lower the resolution"
             )
         letters = {var: string.ascii_lowercase[i] for i, var in enumerate(union)}
-        subs = ["".join(letters[var] for var in vars_) for vars_, _ in touching]
-        subs.append(letters[v])  # the weight vector sums v out
+        touching.append(((v,), w))  # the weight vector sums v out
         out_vars = tuple(var for var in union if var != v)
-        out = "".join(letters[var] for var in out_vars)
-        reduced = np.einsum(
-            ",".join(subs) + "->" + out,
-            *[arr for _, arr in touching],
-            w,
-            optimize=True,
-        )
+        spec = ",".join("".join(map(letters.get, vars_)) for vars_, _ in touching)
+        spec += "->" + "".join(map(letters.get, out_vars))
+        path = _einsum_path(spec, tuple(arr.shape for _, arr in touching))
+        reduced = np.einsum(spec, *(arr for _, arr in touching), optimize=path)
         if out_vars:
             tensors.append((out_vars, reduced))
         else:

@@ -323,6 +323,7 @@ class UnlabeledClass:
         return self.key()
 
 
+@lru_cache(maxsize=4096)  # keys are canonicalized once; 1,044 classes at n = 7
 def class_from_key(key: str) -> UnlabeledClass:
     if key == "EMPTY":
         return UnlabeledClass.empty()

@@ -109,8 +109,11 @@ def _pivot(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
     pivot_row = tab[leave] / tab[leave, enter]
     factors = tab[:, enter].copy()
     factors[leave] = 0
-    rows = np.flatnonzero(factors)
-    tab[rows] -= np.outer(factors[rows], pivot_row)
+    if tab.dtype == object:  # multiply no Fraction by a zero factor
+        rows = np.flatnonzero(factors)
+        tab[rows] -= np.outer(factors[rows], pivot_row)
+    else:  # a zero factor leaves its row's values as they are
+        tab -= factors[:, None] * pivot_row
     tab[leave] = pivot_row
     basis[leave] = enter
 
@@ -127,28 +130,27 @@ def _bland(tab: np.ndarray, basis: list, eps, pivot_eps) -> tuple:
     obj = tab[m]
     pivots = 0
     seen = {hash(tuple(sorted(basis)))}
-    while True:
-        improving = np.flatnonzero(obj[:width] < -eps)
-        if not improving.size:
+    while width:  # a tableau with no columns is optimal as it stands
+        improving = obj[:width] < -eps
+        enter = int(improving.argmax())
+        if not improving[enter]:
+            break
+        # the ratio test in Python: a numpy call costs more than a short column
+        pairs = enumerate(tab[:m, [enter, width]].tolist())
+        ratios = {i: rhs / c for i, (c, rhs) in pairs if c > pivot_eps}
+        if not ratios:
+            # entries in (0, pivot_eps] only, phase one being bounded below:
+            # stop; the exact check or ``maximize`` catches a basis not optimal
             return pivots, False
-        enter = int(improving[0])
-        col = tab[:m, enter]
-        cand = np.flatnonzero(col > pivot_eps)
-        if not cand.size:
-            # phase one is bounded below by 0, so the column has entries in
-            # (0, pivot_eps] only: stop (the exact check of rational data
-            # catches a basis that is not optimal, and ``maximize`` one of
-            # phase two)
-            return pivots, False
-        ratios = tab[cand, width] / col[cand]
-        tied = cand[ratios <= ratios.min() + eps]
-        leave = min((int(i) for i in tied), key=basis.__getitem__)
+        low = min(ratios.values()) + eps
+        leave = min((i for i, r in ratios.items() if r <= low), key=basis.__getitem__)
         _pivot(tab, basis, leave, enter)
         pivots += 1
         key = hash(tuple(sorted(basis)))
         if key in seen:
             return pivots, True
         seen.add(key)
+    return pivots, False
 
 
 def _result(

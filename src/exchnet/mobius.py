@@ -65,6 +65,20 @@ def _close(got, want, tol: float) -> bool:
     return abs(float(got) - float(want)) <= tol
 
 
+def _over_lcm(values) -> tuple:
+    """Exact values as integers over their least common denominator, and it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _total(values):
+    """The sum of a sequence, all exact or all float; exact ones add as integers."""
+    if values and isinstance(values[0], float):
+        return sum(values)
+    nums, den = _over_lcm(values)
+    return Fraction(sum(nums), den)
+
+
 def _exact_or_float(
     values, one, label: str, tol=FLOAT_SUM_TOL, neg_tol=None, in_float_range=False
 ):
@@ -117,7 +131,7 @@ class JointTable:
     def __post_init__(self):
         _check_lattice_size(self.n, "JointTable", self.probs)
         probs, exact = _exact_or_float(
-            self.probs, sum, "the total probability", neg_tol=FLOAT_NEG_TOL
+            self.probs, _total, "the total probability", neg_tol=FLOAT_NEG_TOL
         )
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "is_exact", exact)
@@ -126,10 +140,7 @@ class JointTable:
     def scaled(self) -> tuple:
         """The entries as integers over their common denominator when exact
         (a positive multiple of ``probs``), else ``probs`` itself."""
-        if not self.is_exact:
-            return self.probs
-        den = math.lcm(*(p.denominator for p in self.probs))
-        return tuple(p.numerator * (den // p.denominator) for p in self.probs)
+        return tuple(_over_lcm(self.probs)[0]) if self.is_exact else self.probs
 
 
 @dataclass(frozen=True)
@@ -256,8 +267,8 @@ class ClassDistribution:
         if extra:
             raise ValueError(f"unknown classes for n={self.n}: {sorted(c.key() for c in extra)[:3]}")
         q, exact = _exact_or_float(
-            self.q, lambda q: sum(q.values()), "the total class probability",
-            tol=1e-9, neg_tol=FLOAT_NEG_TOL,
+            self.q, lambda q: _total(list(q.values())),
+            "the total class probability", tol=1e-9, neg_tol=FLOAT_NEG_TOL,
         )
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "is_exact", exact)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .dependence import DependenceGraph, dependence_graph_from_edges
@@ -25,10 +26,13 @@ def encode_value(v):
 
 
 def decode_value(v):
-    """A Fraction from a string or int (refused beyond float range), else a float."""
+    """A Fraction from a string or int (refused beyond float range), else a
+    float; "p" and "p/q" strings of ASCII digits skip ``Fraction``'s regex."""
     if isinstance(v, (str, int)):
+        p, slash, q = v.partition("/") if isinstance(v, str) else ("", "", "")
+        fast = (p + q).isascii() and p.isdigit() and (q.isdigit() or not slash)
         try:
-            x = Fraction(v)
+            x = Fraction(int(p), int(q) if slash else 1) if fast else Fraction(v)
             float(x)
         except ZeroDivisionError:
             raise ValueError(f"{v!r} has a zero denominator") from None
@@ -54,7 +58,7 @@ def mobius_to_json(mv: MobiusVector) -> dict:
 def _check(obj, schema: str) -> None:
     """Raise ValueError naming the first violation when ``obj`` is not a
     valid document of the shipped ``schema``."""
-    errors = validate_against_schema(obj, load_schema(schema))
+    errors = validate_against_schema(obj, _shipped_schema(schema))
     if errors:
         raise ValueError(f"not a {schema} document: {errors[0]}")
 
@@ -156,6 +160,10 @@ def load_schema(name: str) -> dict:
         resources.files("exchnet").joinpath(f"schemas/{name}.json").read_text()
     )
     return json.loads(text)
+
+
+# each shipped schema is read once, into a cache that no caller can reach
+_shipped_schema = lru_cache(maxsize=8)(load_schema)
 
 
 # JSON Schema type name -> test of a parsed JSON value

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import oracle_ci, oracle_first_unfactored_mask, oracle_triples
 
+from exchnet import dependence
 from exchnet.dependence import (
     BIDIRECTED,
     MAX_MARKOV_DYADS,
@@ -31,6 +32,7 @@ from exchnet.graphs import (
     UnlabeledClass,
     class_from_key,
     num_dyads,
+    reachable,
 )
 from exchnet.mobius import ClassDistribution, JointTable, labeled_mobius_from_joint
 
@@ -186,6 +188,35 @@ class TestSeparation:
         assert separates(dep, a, b, 0)  # paths leave {1-2, 3-4}
         rest = (1 << 6) - 1 & ~(a | b)
         assert not separates(dep, a, b, rest)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", [UNDIRECTED, BIDIRECTED])
+    @pytest.mark.parametrize(
+        "make",
+        [empty_dependence_graph, incidence_graph, kneser_graph, complete_dependence_graph],
+    )
+    def test_component_tables_equal_per_triple_reachability(
+        self, make, kind, n, monkeypatch
+    ):
+        """The triples that the Markov check tests, read off one component
+        table per allowed set, are the triples that a search from A through
+        the allowed dyads finds apart from B, in the same order."""
+        dep = make(n, kind)
+        full = (1 << dep.m) - 1
+        want = [
+            (a, b, s)
+            for a, b, s in _triples(dep.m)
+            if not reachable(
+                dep.adjacency, full & ~s if kind == UNDIRECTED else a | b | s, a
+            ) & b
+        ]
+        tested = []
+        monkeypatch.setattr(
+            dependence, "ci_test", lambda jt, *t: tested.append(t) or True
+        )
+        assert global_markov_check(er_joint(n, Fraction(1, 3)), dep).holds
+        assert tested == want
+        assert [t for t in _triples(dep.m) if separates(dep, *t)] == want
 
 
 class TestCiTest:

@@ -492,6 +492,22 @@ class TestKernelGridCache:
         assert parse_graphon_name("product:logistic:0.0,2.0") is not phi
 
 
+class TestEinsumPaths:
+    @pytest.mark.parametrize(
+        "spec", ["ab,bc,b->ac", "ab,ac,ad,a->bcd", "abc,ab,bc,b->ac", "ab,ab,a->b"]
+    )
+    def test_stored_path_contracts_bitwise_as_a_fresh_search(self, spec):
+        rng = np.random.default_rng(7)
+        ops = [rng.random((16,) * len(sub)) for sub in spec.split("->")[0].split(",")]
+        path = genmodels._einsum_path(spec, tuple(op.shape for op in ops))
+        assert list(path) == np.einsum_path(spec, *ops, optimize=True)[0]
+        got = np.einsum(spec, *ops, optimize=path)
+        assert np.array_equal(got, np.einsum(spec, *ops, optimize=True))
+
+    def test_cache_is_bounded(self):
+        assert genmodels._einsum_path.cache_info().maxsize is not None
+
+
 class TestKernelJointsAreDissociated:
     def test_quadrature_moments_factor_over_components(self):
         from exchnet.mobius import labeled_from_exchangeable

@@ -100,6 +100,39 @@ def test_certified_equals_exact_bland(mv, m):
     assert_exactly_certified(a_rows, b, got)
 
 
+# solve_feasibility's pivots on ER moments, recorded before the float pivot
+# loop ran on whole tableaus and a Python ratio test; where the exact Bland
+# reference is rerun (m <= 6, ER(5, 1/2) taking about 17 s) it takes the
+# same pivots, and at m = 7 it takes about 45 s, so there the pin stands alone
+PINNED_PIVOTS = [
+    (4, Fraction(1, 3), 5, 27),
+    (4, Fraction(2, 5), 5, 32),
+    (4, Fraction(1, 3), 6, 85),
+    (5, Fraction(1, 3), 6, 502),
+    (5, Fraction(1, 2), 6, 953),
+    (4, Fraction(1, 3), 7, 286),
+    (4, Fraction(1, 2), 7, 655),
+    (4, Fraction(2, 5), 7, 484),
+]
+
+
+@pytest.mark.parametrize(
+    "n,p,m,pivots", PINNED_PIVOTS, ids=[f"er{n}-{p}-m{m}" for n, p, m, _ in PINNED_PIVOTS]
+)
+def test_pivot_counts_on_er_moments_are_pinned(n, p, m, pivots):
+    a_rows, b = extension_lp(er_mobius(n, p), m)
+    got = solve_feasibility(a_rows, b)
+    assert got.feasible and got.pivots == pivots
+    if m <= 6:
+        assert _phase_one(a_rows, b, exact=True).pivots == pivots
+
+
+def test_an_lp_with_no_columns_takes_no_pivot():
+    res = solve_feasibility([], [])
+    assert res.feasible and res.pivots == 0 and res.x == []
+    assert _phase_one([], [], exact=False).pivots == 0
+
+
 def test_verdicts_of_the_cases():
     verdicts = {name: solve_feasibility(*extension_lp(mv, m)).feasible
                 for name, mv, m in CASES}

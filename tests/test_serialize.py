@@ -2,14 +2,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from exchnet.dependence import BIDIRECTED, incidence_graph, kneser_graph
 from exchnet.estimation import FitReport, exch_mle
 from exchnet.genmodels import er_joint
-from exchnet.graphs import LabeledNetwork, UnlabeledClass
+from exchnet.graphs import LabeledNetwork, UnlabeledClass, class_from_key
 from exchnet.mobius import ClassDistribution
 from exchnet.serialize import (
+    _shipped_schema,
     class_distribution_to_json,
+    decode_value,
     depgraph_from_json,
     depgraph_to_json,
     dump_json,
@@ -105,3 +108,76 @@ class TestRefusals:
     def test_non_finite_floats_are_not_written(self, value):
         with pytest.raises(ValueError):
             dump_json({"probability": value})
+
+
+def _outcome(parse, text):
+    """(type, value) of what ``parse(text)`` returns, or (type, message) of
+    what it raises."""
+    try:
+        value = parse(text)
+    except Exception as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+# digits inside and outside ASCII, signs, decimals, exponents, separators
+_TOKEN_CHARS = "0123456789/+-._eE ²٣x"
+
+
+class TestDecodeValue:
+    @given(
+        st.one_of(
+            st.text(_TOKEN_CHARS, max_size=10),
+            st.from_regex(r"[0-9]{1,400}(/[0-9]{1,400})?", fullmatch=True),
+        )
+    )
+    @example("²")
+    @example("٣")
+    @example("1_000")
+    @example(" 1/2 ")
+    @example("1 /2")
+    @example("1/-2")
+    @example("1/0")
+    @example("0/0")
+    @example("-3/4")
+    @example("+3")
+    @example("1.25")
+    @example("1e-3")
+    @example("1e400")
+    @example("5/")
+    @example("/5")
+    @example("1" + "0" * 400)
+    @example("1" + "0" * 400 + "/3")
+    @example("1" * 5000)
+    def test_agrees_with_fraction_of_the_string(self, text):
+        """``decode_value`` returns what ``Fraction(text)`` returns, or
+        raises its error: a ``ValueError`` as it is, a zero denominator and a
+        value beyond float range as ``ValueError``s of their own."""
+        want = _outcome(Fraction, text)
+        if want[0] is ZeroDivisionError:
+            want = (ValueError, f"{text!r} has a zero denominator")
+        elif _outcome(lambda t: float(Fraction(t)), text)[0] is OverflowError:
+            short = text if len(text) <= 24 else f"{text[:20]}..."
+            want = (ValueError, f"value {short} is beyond float range")
+        assert _outcome(decode_value, text) == want
+
+
+class TestCaches:
+    def test_a_loaded_schema_changed_by_its_caller_changes_no_validation(self):
+        obj = joint_to_json(er_joint(2, Fraction(1, 3)))
+        joint_from_json(obj)
+        schema = load_schema("joint")
+        schema["required"].append("mask_order")
+        schema["properties"]["probs"]["type"] = "string"
+        assert joint_from_json(obj).probs == er_joint(2, Fraction(1, 3)).probs
+        assert load_schema("joint")["required"] == ["n", "probs"]
+
+    def test_a_bad_class_key_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                class_from_key("1-2,2-x")
+        assert class_from_key("2-3,1-2") == class_from_key("1-2,1-3")
+
+    @pytest.mark.parametrize("cached", [_shipped_schema, class_from_key])
+    def test_caches_are_bounded(self, cached):
+        assert cached.cache_info().maxsize is not None
