@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -44,6 +45,7 @@ from .mobius import (
     JointTable,
     MobiusVector,
     _close,
+    _over_lcm,
     mobius_from_class_distribution,
 )
 
@@ -538,25 +540,28 @@ def _facial_set(spec: ErgmSpec, stats, x_idx: int) -> np.ndarray:
     sum_p mu_p (p - s(x)) = -sum_p (p - s(x)) over the distinct points.
     While that LP is infeasible, its Farkas vector y scores
     y.(p - s(x)) <= 0 on every point and < 0 on some, and the face keeps
-    the classes that score 0.  Full exchangeable statistics form a
-    unitriangular S, so each class point is a vertex and the face is x's
-    class.
+    the points that score 0; y over its common denominator scores each
+    point in integers, with the same signs.  Full exchangeable statistics
+    form a unitriangular S, so each class point is a vertex and the face is
+    x's class.
     """
     if spec.family == "full_exchangeable":
         return np.arange(len(stats)) == x_idx
-    face = np.ones(len(stats), dtype=bool)
     gaps = list(map(tuple, (stats - stats[x_idx]).tolist()))
+    points = sorted(set(gaps))
+    point_of = {g: k for k, g in enumerate(points)}
+    on = np.ones(len(points), dtype=bool)
     while True:
-        cols = sorted({g for g, on in zip(gaps, face) if on})
+        cols = [g for g, keep in zip(points, on) if keep]
         rows = [list(r) for r in zip(*cols)]
         res = solve_feasibility(rows, [-sum(r) for r in rows])
         if res.feasible:
-            return face
-        scores = [sum(yi * gi for yi, gi in zip(res.dual, g)) for g in gaps]
-        on_face = [sc for sc, on in zip(scores, face) if on]
-        if max(on_face) > 0 or min(on_face) == 0:
+            return on[[point_of[g] for g in gaps]]
+        y = _over_lcm(res.dual)[0]
+        scores = [sum(map(operator.mul, y, g)) for g in cols]
+        if max(scores) > 0 or min(scores) == 0:
             raise InvariantError(f"{spec.family} Farkas vector {res.dual}")
-        face &= np.array([sc == 0 for sc in scores])
+        on[on] = [sc == 0 for sc in scores]
 
 
 def ergm_fit(spec: ErgmSpec, x: LabeledNetwork) -> FitReport:

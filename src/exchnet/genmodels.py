@@ -124,8 +124,12 @@ def er_mobius(n: int, p) -> MobiusVector:
 
 def er_class_distribution(n: int, p) -> ClassDistribution:
     m = num_dyads(n)
+    # each power once per edge count; the product stays size * p^e * (1-p)^(m-e),
+    # left to right, which keeps the bits of a float table
+    ties = [p**e for e in range(m + 1)]
+    gaps = [(1 - p) ** (m - e) for e in range(m + 1)]
     return ClassDistribution(n, {
-        u: class_size(u, n) * p**u.edge_count * (1 - p) ** (m - u.edge_count)
+        u: class_size(u, n) * ties[u.edge_count] * gaps[u.edge_count]
         for u in enumerate_classes(n, True)
     })
 

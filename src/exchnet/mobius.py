@@ -17,6 +17,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .counting import class_table
 from .graphs import (
     InvalidNetworkError,
@@ -352,27 +354,23 @@ def mobius_from_class_distribution(cd: ClassDistribution) -> MobiusVector:
 
     z_U = E[sigma_U(X)] / sub(U, K_n), where sub(U, K_n) is the class size
     |U|: z = D^-1 S q over the sigma table S (``counting.ClassTable``), one
-    sigma value per class since sigma is isomorphism-invariant.
+    sigma value per class since sigma is isomorphism-invariant.  A float z
+    is a running sum of the terms q_W S[U][W] over the support in q's order,
+    the additions of a scalar loop; an exact one sums the integers of q over
+    its common denominator.
     """
-    n = cd.n
-    table = class_table(n)
-    acc = [None] * len(table.classes)
-    for w, q in cd.q.items():
-        if not q:
-            continue
-        for k, s in enumerate(table.S[:, table.index[w]].tolist()):
-            if s:
-                acc[k] = q * s if acc[k] is None else acc[k] + q * s
-    exact = cd.is_exact
-    z = {}
-    for u, a, denom in zip(table.classes, acc, table.sizes.tolist()):
-        if u.is_empty:
-            z[u] = Fraction(1) if exact else 1.0
-            continue
-        if a is None:
-            a = Fraction(0) if exact else 0.0
-        z[u] = Fraction(a, denom) if exact else a / denom
-    return MobiusVector(n, z)
+    table = class_table(cd.n)
+    support = [(table.index[w], q) for w, q in cd.q.items() if q]
+    cols = table.S[:, [j for j, _ in support]]
+    qs = [q for _, q in support]
+    if cd.is_exact:
+        nums, den = _over_lcm(qs)
+        sums = [Fraction(sum(map(operator.mul, nums, r)), den) for r in cols.tolist()]
+    else:
+        sums = np.cumsum(cols * np.array(qs), axis=1)[:, -1].tolist()
+    z = {u: a / d for u, a, d in zip(table.classes, sums, table.sizes.tolist())}
+    z[UnlabeledClass.empty()] = Fraction(1) if cd.is_exact else 1.0
+    return MobiusVector(cd.n, z)
 
 
 # --- bidirected factorized evaluation ---------------------------------------

@@ -111,7 +111,7 @@ def depgraph_from_json(obj: dict) -> DependenceGraph:
 def class_distribution_to_json(cd: ClassDistribution) -> dict:
     return {
         "n": cd.n,
-        "q": {u.key(): encode_value(v) for u, v in cd.in_order() if v},
+        "q": {u.key(): encode_value(v) for u, v in cd.q.items() if v},
     }
 
 
@@ -186,26 +186,30 @@ def validate_against_schema(obj, schema) -> list:
     """
     errors: list = []
 
+    def where(path) -> str:
+        # "$" or (parent, step format, key or index): spelled out on a violation
+        return path if path == "$" else where(path[0]) + path[1].format(path[2])
+
     def walk(value, sch, path):
         t = sch.get("type")
         if t:
             types = t if isinstance(t, list) else [t]
             if not any(_JSON_TYPES[tt](value) for tt in types):
-                errors.append(f"{path}: expected {t}, got {type(value).__name__}")
+                errors.append(f"{where(path)}: expected {t}, got {type(value).__name__}")
                 return
         if "enum" in sch and value not in sch["enum"]:
-            errors.append(f"{path}: {value!r} not in enum")
+            errors.append(f"{where(path)}: {value!r} not in enum")
         if isinstance(value, dict):
             for req in sch.get("required", []):
                 if req not in value:
-                    errors.append(f"{path}: missing required key {req!r}")
+                    errors.append(f"{where(path)}: missing required key {req!r}")
             props = sch.get("properties", {})
             for k, v in value.items():
                 if k in props:
-                    walk(v, props[k], f"{path}.{k}")
+                    walk(v, props[k], (path, ".{}", k))
         if isinstance(value, list) and "items" in sch:
             for i, v in enumerate(value):
-                walk(v, sch["items"], f"{path}[{i}]")
+                walk(v, sch["items"], (path, "[{}]", i))
 
     walk(obj, schema, "$")
     return errors

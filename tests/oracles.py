@@ -7,6 +7,7 @@ independent check.
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import exp, prod
 from statistics import NormalDist
@@ -382,19 +383,75 @@ def oracle_solve(b_rows, c):
     return _exact_solve([list(col) for col in zip(*b_rows)], c)
 
 
+def _exact_rank(rows) -> int:
+    """The rank of a matrix, by Gaussian elimination in Fractions."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * v for a, v in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@lru_cache(maxsize=64)
+def _lp_vertices(cols: tuple, b: tuple) -> tuple:
+    """Every solution of {x >= 0 : A x = b} on a basis of A's columns, as
+    (support, x) pairs in Fractions: each vertex is one, since its support
+    is independent and extends to a basis."""
+    found = []
+    for support in combinations(range(len(cols)), _exact_rank(cols)):
+        x = _exact_solve([cols[j] for j in support], b)
+        if x is not None and min(x, default=0) >= 0:
+            found.append((support, x))
+    return tuple(found)
+
+
 def oracle_lp_max(a_rows, b, c):
     """max c.x over {x >= 0 : A x = b} in Fractions, by enumerating every
-    set of independent columns that solves A x = b with x >= 0 (each vertex
-    is such a set); None when there is none.  The LP must be bounded."""
-    n = len(a_rows[0])
-    cols = [[row[j] for row in a_rows] for j in range(n)]
-    best = None
-    for k in range(len(a_rows) + 1):
-        for support in combinations(range(n), k):
-            x = _exact_solve([cols[j] for j in support], b)
-            if x is None or min(x, default=0) < 0:
-                continue
-            value = sum((Fraction(c[j]) * v for j, v in zip(support, x)),
-                        Fraction(0))
-            best = value if best is None else max(best, value)
-    return best
+    basis of A's columns that solves A x = b with x >= 0 (each vertex is
+    such a basis); None when there is none.  The LP must be bounded."""
+    cols = tuple(zip(*a_rows))
+    values = [sum((Fraction(c[j]) * v for j, v in zip(support, x)), Fraction(0))
+              for support, x in _lp_vertices(cols, tuple(b))]
+    return max(values, default=None)
+
+
+def oracle_facial_set(stats, x_idx: int) -> list:
+    """Whether each class's statistics s(W) lie on the smallest face of the
+    hull of the class statistics that holds s(x), the class of index x_idx:
+    a point is on it iff it takes a positive weight in some convex
+    combination of the distinct points that equals s(x)."""
+    points = sorted(set(map(tuple, stats)))
+    a_rows = [list(r) for r in zip(*points)] + [[1] * len(points)]
+    b = list(stats[x_idx]) + [1]
+    on = {p for j, p in enumerate(points)
+          if oracle_lp_max(a_rows, b, [int(i == j) for i in range(len(points))]) > 0}
+    return [tuple(s) in on for s in stats]
+
+
+def oracle_class_moments(cd, table):
+    """z_U = sum_W q_W S[U][W] / |U| by a scalar loop over every nonzero
+    entry of every support column, summed in q's order: z of the empty class
+    is exactly 1."""
+    acc = [None] * len(table.classes)
+    for w, q in cd.q.items():
+        if not q:
+            continue
+        for k, s in enumerate(table.S[:, table.index[w]].tolist()):
+            if s:
+                acc[k] = q * s if acc[k] is None else acc[k] + q * s
+    z = {}
+    for u, a, denom in zip(table.classes, acc, table.sizes.tolist()):
+        if u.is_empty:
+            z[u] = Fraction(1) if cd.is_exact else 1.0
+            continue
+        if a is None:
+            a = Fraction(0) if cd.is_exact else 0.0
+        z[u] = Fraction(a, denom) if cd.is_exact else a / denom
+    return z

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -59,7 +61,7 @@ from exchnet.mobius import (
     mobius_from_class_distribution,
     validate_mobius,
 )
-from oracles import oracle_sub
+from oracles import oracle_facial_set, oracle_sub
 
 GOLDEN_MLE = {
     "1-2": Fraction(2, 3),
@@ -486,6 +488,62 @@ class TestErgmBoundaryFaces:
             rep = ergm_fit(spec, x)
             want = exch_mle(x)
             assert {w: float(v) for w, v in want.z.items()} == rep.z.z
+
+
+# sha256 of one line "family key mask" per family (sorted) and class (in
+# enumeration order) at n, the face a string of 0s and 1s over the classes;
+# recorded from facial sets scored in Fractions
+FACE_DIGESTS = {
+    5: "26f2e219ae4e4801e853f6b1738c26266d917eae31d563f82c4ffe1e13f4771e",
+    6: "f9122b2027d4aa47d2e863a1c272985a04aa11c15d9f8228bd2deaabfe068c83",
+}
+
+
+def facial_set(family: str, n: int, u: UnlabeledClass) -> list:
+    spec = ErgmSpec(family, n)
+    stats = estimation._stat_table(family, n)
+    return estimation._facial_set(spec, stats, estimation._class_index(spec, u.padded(n))).tolist()
+
+
+class TestFacialSet:
+    """The exact face that holds s(x), against vertex enumeration."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_equals_the_oracle(self, family):
+        for n in range(1, 5):
+            stats = estimation._stat_table(family, n).tolist()
+            for x_idx, u in enumerate(enumerate_classes(n, True)):
+                want = oracle_facial_set(stats, x_idx)
+                assert facial_set(family, n, u) == want, (n, u.key())
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_every_face_is_pinned(self, n):
+        digest = hashlib.sha256()
+        for family in sorted(FAMILIES):
+            for u in enumerate_classes(n, True):
+                mask = "".join("1" if on else "0" for on in facial_set(family, n, u))
+                digest.update(f"{family} {u.key()} {mask}\n".encode())
+        assert digest.hexdigest() == FACE_DIGESTS[n]
+
+    @pytest.mark.parametrize("dual", [[1, -3], [0, 0]])
+    def test_a_dual_that_does_not_separate_raises(self, monkeypatch, dual):
+        # s(empty) = (0, 0) is a vertex of the kneser points at n = 4, so the
+        # first LP is infeasible; y = (1, -3) scores (1, 0) at 1 and (2, 1)
+        # at -1, and y = 0 scores every point 0.  Only the first round's dual
+        # is replaced, so the first round's check must raise.
+        real = estimation.solve_feasibility
+        rounds = []
+
+        def spoiled(rows, b):
+            res = real(rows, b)
+            rounds.append(res)
+            if len(rounds) > 1 or res.feasible:
+                return res
+            return dataclasses.replace(res, dual=[Fraction(v) for v in dual])
+
+        monkeypatch.setattr(estimation, "solve_feasibility", spoiled)
+        with pytest.raises(InvariantError, match="kneser Farkas vector"):
+            ergm_fit(ErgmSpec("kneser", 4), UnlabeledClass.empty().padded(4))
 
 
 class TestCanonicalParams:

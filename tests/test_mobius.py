@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_bidirected_joint
+from oracles import oracle_bidirected_joint, oracle_class_moments
 
-from exchnet.counting import edge_class, triangle_class
+from exchnet.counting import class_table, edge_class, triangle_class
 from exchnet.dependence import (
     BIDIRECTED,
     complete_dependence_graph,
@@ -14,7 +14,14 @@ from exchnet.dependence import (
     incidence_graph,
     kneser_graph,
 )
-from exchnet.genmodels import BetaSpec, beta_joint, er_joint, er_mobius
+from exchnet.estimation import FAMILIES, ErgmSpec, ergm_fit
+from exchnet.genmodels import (
+    BetaSpec,
+    beta_joint,
+    er_class_distribution,
+    er_joint,
+    er_mobius,
+)
 from exchnet.graphs import (
     LabeledNetwork,
     SizeCapError,
@@ -217,6 +224,37 @@ class TestExchangeableMoments:
     def test_malformed_request_is_value_error(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+class TestClassMomentsAgainstTheScalarLoop:
+    """Class moments summed on arrays take the scalar loop's operations."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_float_moments_of_every_fit_are_bit_identical(self, n):
+        for family in FAMILIES:
+            for u in enumerate_classes(n, True):
+                cd = ergm_fit(ErgmSpec(family, n), u.padded(n)).q
+                got = mobius_from_class_distribution(cd).z
+                want = oracle_class_moments(cd, class_table(n))
+                assert [(w, v.hex()) for w, v in got.items()] == [
+                    (w, v.hex()) for w, v in want.items()
+                ], (family, u.key())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_moments_are_equal_fractions(self, n):
+        rng = random.Random(n)
+        classes = enumerate_classes(n, True)
+        support = rng.sample(classes, min(5, len(classes)))
+        weights = [rng.randint(1, 9) for _ in support]
+        laws = [
+            er_class_distribution(n, Fraction(1, 3)),
+            er_class_distribution(n, 1),
+            ClassDistribution(n, {u: Fraction(w, sum(weights)) for u, w in zip(support, weights)}),
+        ]
+        for cd in laws:
+            got = mobius_from_class_distribution(cd).z
+            assert got == oracle_class_moments(cd, class_table(n))
+            assert all(type(v) is Fraction for v in got.values())
 
 
 class TestPointMassAndMixture:
