@@ -9,7 +9,8 @@ Canonical forms and automorphism counts both come from one cached table per
 node count n <= 7 that holds every chunk of 4 dyads under all n! vertex
 relabelings: a mask's relabelings are the OR of one table row per chunk,
 its canonical form is their minimum and its automorphisms are the
-relabelings equal to the identity's.
+relabelings equal to the identity's.  The classes themselves are read from
+a shipped atlas, ``atlas.npy`` (see ``_atlas``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,11 +63,7 @@ def dyad_index(i: int, j: int) -> int:
 @lru_cache(maxsize=None)
 def dyads(n: int) -> tuple[tuple[int, int], ...]:
     """All dyads of {1..n} in colex order: (1,2), (1,3), (2,3), (1,4), ..."""
-    out = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            out.append((i, j))
-    return tuple(out)
+    return tuple((i, j) for j in range(2, n + 1) for i in range(1, j))
 
 
 def num_dyads(n: int) -> int:
@@ -160,11 +158,7 @@ class LabeledNetwork:
 
     def support(self) -> tuple[int, ...]:
         """Non-isolated vertices, ascending."""
-        s = set()
-        for i, j in self.edges:
-            s.add(i)
-            s.add(j)
-        return tuple(sorted(s))
+        return tuple(sorted({v for e in self.edges for v in e}))
 
     def restrict_to_support(self) -> "LabeledNetwork":
         """Relabel the non-isolated vertices to {1..k}, dropping isolated ones."""
@@ -332,71 +326,47 @@ def class_from_key(key: str) -> UnlabeledClass:
     return UnlabeledClass.of(LabeledNetwork.from_edges(n, edges))
 
 
+@lru_cache(maxsize=1)
+def _atlas() -> tuple:
+    """(class rows, pair rows) of the shipped class lattice at MAX_NODES,
+    ``atlas.npy``: one row (vertex count, code, automorphisms on the
+    support) per class in enumeration order, and one row (index of V, index
+    of W, b0) per one-edge addition, grouped by V, after a header row (node
+    count, classes, pairs).  Read once per process, on first use."""
+    data = np.load(Path(__file__).with_name("atlas.npy"), allow_pickle=False)
+    classes = int(data[0, 1])
+    return data[1 : 1 + classes], data[1 + classes :]
+
+
 @lru_cache(maxsize=None)
 def _class_lattice(n: int) -> tuple:
-    """The classes at n in enumeration order; for each class V its one-edge
-    additions {index of W: a(V, W)}, where a(V, W) counts the non-edges of V
-    padded to n nodes whose addition gives a graph in W; and each class's
-    automorphism count on its support.
-
-    One breadth-first pass from the empty class, one edge count at a time,
-    on (vertex count, least relabeling) keys; each ``UnlabeledClass`` is
-    built once, at the end.  A non-edge touching isolated nodes is
-    canonicalized once, at the first free labels, and counted for each of
-    its placements among the n - k isolated nodes.  A representative has no
-    isolated node and every new edge touches the new labels, so each child
-    is canonicalized on its full support.  A child's relabelings are the
-    parent's ORed with those of its one new dyad, so the children on each
-    vertex count take one gather, one OR and one minimum per row; the
-    relabelings equal to a new class's minimum are its automorphisms.
-    Order: edge count, then vertex count, then canonical code.
-    """
+    """The classes at n in enumeration order (edge count, vertex count,
+    code); for each class V its one-edge additions {index of W: a(V, W)},
+    a(V, W) the non-edges of V padded to n nodes whose addition gives a
+    graph in W; and each class's automorphism count on its support.  All
+    read off the atlas: its classes on at most n vertices, in its order, and
+    a(V, W) = b0 times the placements of W's new vertices among the n - k_V
+    isolated nodes of V: 1, n - k_V or C(n - k_V, 2)."""
     if n < 1:
         raise InvalidNetworkError(f"class enumeration needs n >= 1, got {n}")
     if n > MAX_NODES:
         raise SizeCapError(f"class enumeration supports 1 <= n <= {MAX_NODES}")
-    adds, auts = {(0, 0): {}}, {(0, 0): 1}
-    frontier = [(0, 0)]
-    while frontier:
-        new_frontier = []
-        for key in frontier:
-            k, best = key
-            nd = num_dyads(k)
-            # the representative's mask, dyad 0 the least significant bit
-            base = int(f"{best:0{nd}b}"[::-1], 2)
-            # (child's vertex count, new dyads, placements of each): the
-            # non-edges of the representative, its edges to node k + 1 (the
-            # colex dyads nd..nd + k - 1) and the edge {k + 1, k + 2} (dyad
-            # nd + 2k)
-            out = adds[key]
-            for nn, new, count in (
-                (k, [d for d in range(nd) if not base >> d & 1], 1),
-                (k + 1, range(nd, nd + k), n - k),
-                (k + 2, [nd + 2 * k], math.comb(n - k, 2)),
-            ):
-                if nn > n or not new:
-                    continue
-                ds = np.array(new)
-                images = _relabel_table(nn)[ds >> 2, 1 << (ds & 3)]
-                images |= _relabelings(nn, base)
-                for row, least in zip(images, images.min(axis=1).tolist()):
-                    child = (nn, least)
-                    if child not in adds:
-                        adds[child] = {}
-                        auts[child] = int(np.count_nonzero(row == least))
-                        new_frontier.append(child)
-                    out[child] = out.get(child, 0) + count
-        frontier = new_frontier
-    keys = sorted(adds, key=lambda c: (c[1].bit_count(), c[0], c[1]))
-    index = {c: i for i, c in enumerate(keys)}
-    classes = tuple(UnlabeledClass(*key) for key in keys)
-    additions = tuple({index[w]: a for w, a in adds[v].items()} for v in keys)
-    return classes, additions, {c: auts[key] for c, key in zip(classes, keys)}
+    rows, pairs = _atlas()
+    kept = rows[:, 0] <= n
+    index = np.cumsum(kept) - 1
+    v, w, b0 = pairs[kept[pairs[:, 1]]].T  # W on at most n vertices, so V too
+    free = n - rows[v, 0]
+    a = b0 * np.choose(rows[w, 0] - rows[v, 0], (1, free, free * (free - 1) // 2))
+    classes = tuple(UnlabeledClass(k, code) for k, code in rows[kept, :2].tolist())
+    additions = tuple({} for _ in classes)
+    for i, j, x in zip(index[v].tolist(), index[w].tolist(), a.tolist()):
+        additions[i][j] = x
+    return classes, additions, dict(zip(classes, rows[kept, 2].tolist()))
 
 
 def class_additions(n: int) -> tuple:
     """a(V, W) for the classes at n: one dict {index of W: a(V, W)} per class
-    V, in ``enumerate_classes(n)`` order, recorded by the enumeration pass."""
+    V, in ``enumerate_classes(n)`` order, read off the class atlas."""
     return _class_lattice(n)[1]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -25,19 +26,44 @@ def encode_value(v):
     return float(v)
 
 
+# Tokens such as "1e-300" may carry an exponent up to this magnitude (the
+# int digit limit): ``Fraction`` builds 10**|exponent| before any refusal.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def _past_exponent_cap(v: str) -> bool:
+    """Whether ``Fraction`` reads v with an exponent past MAX_EXPONENT in
+    magnitude: told by reading v with the exponent's digits zeroed, which
+    keeps its syntax and builds no large power."""
+    m = _EXPONENT.search(v)
+    try:  # an exponent past int's digit limit is refused by Fraction at once
+        if m is None or abs(int(m[1])) <= MAX_EXPONENT:
+            return False
+        Fraction(v[: m.start(1)] + re.sub(r"\d", "0", m[1]) + v[m.end(1) :])
+    except ValueError:
+        return False
+    return True
+
+
 def decode_value(v):
-    """A Fraction from a string or int (refused beyond float range), else a
-    float; "p" and "p/q" strings of ASCII digits skip ``Fraction``'s regex."""
+    """A Fraction from a string or int (refused beyond float range or past
+    the exponent cap), else a float; "p" and "p/q" strings of ASCII digits
+    skip ``Fraction``'s regex."""
     if isinstance(v, (str, int)):
         p, slash, q = v.partition("/") if isinstance(v, str) else ("", "", "")
         fast = (p + q).isascii() and p.isdigit() and (q.isdigit() or not slash)
+        short = str(v) if len(str(v)) <= 24 else f"{str(v)[:20]}..."
+        if not fast and isinstance(v, str) and _past_exponent_cap(v):
+            raise ValueError(
+                f"value {short} has an exponent past {MAX_EXPONENT} in magnitude"
+            )
         try:
             x = Fraction(int(p), int(q) if slash else 1) if fast else Fraction(v)
             float(x)
         except ZeroDivisionError:
             raise ValueError(f"{v!r} has a zero denominator") from None
         except OverflowError:
-            short = str(v) if len(str(v)) <= 24 else f"{str(v)[:20]}..."
             raise ValueError(f"value {short} is beyond float range") from None
         return x
     return float(v)

@@ -2,9 +2,13 @@
 
 Everything here enumerates permutations or labeled graphs directly, with no
 pruning and no shared code with the package internals, so it can serve as an
-independent check.
+independent check.  The one exception is ``oracle_class_lattice``, the
+breadth-first class enumeration that generates the shipped class atlas: it
+canonicalizes with the package's relabeling tables, which
+``oracle_canonical_bits`` and ``oracle_aut`` check on their own.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +17,18 @@ from math import exp, prod
 from statistics import NormalDist
 from types import SimpleNamespace
 
-from exchnet.graphs import LabeledNetwork, num_dyads
+import numpy as np
+
+from exchnet.graphs import (
+    MAX_NODES,
+    InvalidNetworkError,
+    LabeledNetwork,
+    SizeCapError,
+    UnlabeledClass,
+    _relabel_table,
+    _relabelings,
+    num_dyads,
+)
 
 
 def oracle_inj(f: LabeledNetwork, g: LabeledNetwork) -> int:
@@ -79,6 +94,93 @@ def oracle_edge_additions(n: int) -> tuple:
             if not mask >> k & 1:
                 additions[v, bits[mask | 1 << k]] += 1
     return sizes, additions
+
+
+def oracle_class_lattice(n: int) -> tuple:
+    """The classes at n in enumeration order; for each class V its one-edge
+    additions {index of W: a(V, W)}, where a(V, W) counts the non-edges of V
+    padded to n nodes whose addition gives a graph in W; and each class's
+    automorphism count on its support.
+
+    One breadth-first pass from the empty class, one edge count at a time,
+    on (vertex count, least relabeling) keys; each ``UnlabeledClass`` is
+    built once, at the end.  A non-edge touching isolated nodes is
+    canonicalized once, at the first free labels, and counted for each of
+    its placements among the n - k isolated nodes.  A representative has no
+    isolated node and every new edge touches the new labels, so each child
+    is canonicalized on its full support.  A child's relabelings are the
+    parent's ORed with those of its one new dyad, so the children on each
+    vertex count take one gather, one OR and one minimum per row; the
+    relabelings equal to a new class's minimum are its automorphisms.
+    Order: edge count, then vertex count, then canonical code.
+    """
+    if n < 1:
+        raise InvalidNetworkError(f"class enumeration needs n >= 1, got {n}")
+    if n > MAX_NODES:
+        raise SizeCapError(f"class enumeration supports 1 <= n <= {MAX_NODES}")
+    adds, auts = {(0, 0): {}}, {(0, 0): 1}
+    frontier = [(0, 0)]
+    while frontier:
+        new_frontier = []
+        for key in frontier:
+            k, best = key
+            nd = num_dyads(k)
+            # the representative's mask, dyad 0 the least significant bit
+            base = int(f"{best:0{nd}b}"[::-1], 2)
+            # (child's vertex count, new dyads, placements of each): the
+            # non-edges of the representative, its edges to node k + 1 (the
+            # colex dyads nd..nd + k - 1) and the edge {k + 1, k + 2} (dyad
+            # nd + 2k)
+            out = adds[key]
+            for nn, new, count in (
+                (k, [d for d in range(nd) if not base >> d & 1], 1),
+                (k + 1, range(nd, nd + k), n - k),
+                (k + 2, [nd + 2 * k], math.comb(n - k, 2)),
+            ):
+                if nn > n or not new:
+                    continue
+                ds = np.array(new)
+                images = _relabel_table(nn)[ds >> 2, 1 << (ds & 3)]
+                images |= _relabelings(nn, base)
+                for row, least in zip(images, images.min(axis=1).tolist()):
+                    child = (nn, least)
+                    if child not in adds:
+                        adds[child] = {}
+                        auts[child] = int(np.count_nonzero(row == least))
+                        new_frontier.append(child)
+                    out[child] = out.get(child, 0) + count
+        frontier = new_frontier
+    keys = sorted(adds, key=lambda c: (c[1].bit_count(), c[0], c[1]))
+    index = {c: i for i, c in enumerate(keys)}
+    classes = tuple(UnlabeledClass(*key) for key in keys)
+    additions = tuple({index[w]: a for w, a in adds[v].items()} for v in keys)
+    return classes, additions, {c: auts[key] for c, key in zip(classes, keys)}
+
+
+def oracle_atlas() -> np.ndarray:
+    """The class atlas ``src/exchnet/atlas.npy`` rebuilt from
+    ``oracle_class_lattice(MAX_NODES)``: a header row (node count, classes,
+    pairs), one row (vertex count, code, automorphisms) per class in
+    enumeration order, and one row (index of V, index of W, b0) per one-edge
+    addition, grouped by V in enumeration order, where a(V, W) = b0 times 1,
+    n - k_V or C(n - k_V, 2) as W has 0, 1 or 2 vertices more than V.
+
+    Regenerate the file from the repository root with
+    ``PYTHONPATH=src:tests python3 -c 'import numpy, oracles; numpy.save("src/exchnet/atlas.npy", oracles.oracle_atlas())'``.
+    """
+    n = MAX_NODES
+    classes, additions, auts = oracle_class_lattice(n)
+    rows = [(n, len(classes), sum(map(len, additions)))]
+    rows += [(u.n_vertices, u.code, auts[u]) for u in classes]
+    for v, adds in enumerate(additions):
+        free = n - classes[v].n_vertices
+        for w, a in adds.items():
+            new = classes[w].n_vertices - classes[v].n_vertices
+            per = (1, free, math.comb(free, 2))[new]
+            b0, rem = divmod(a, per)
+            assert rem == 0, (v, w, a, per)
+            rows.append((v, w, b0))
+    return np.array(rows, dtype="<i4")
 
 
 def oracle_isomorphic(g: LabeledNetwork, h: LabeledNetwork) -> bool:

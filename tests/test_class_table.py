@@ -2,10 +2,11 @@
 
 import hashlib
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import oracle_aut, oracle_sub
+from oracles import oracle_atlas, oracle_aut, oracle_class_lattice, oracle_sub
 
 from exchnet.counting import (
     class_table,
@@ -14,9 +15,12 @@ from exchnet.counting import (
     triangle_class,
     two_disjoint_edges_class,
 )
+from exchnet import graphs
 from exchnet.graphs import (
+    InvalidNetworkError,
     LabeledNetwork,
     SizeCapError,
+    _atlas,
     _class_lattice,
     class_additions,
     class_aut,
@@ -170,3 +174,39 @@ def test_lattice_aut_counts_match_oracle(n):
     for u in classes[1:]:
         assert auts[u] == oracle_aut(u.representative()), u.key()
     assert auts[classes[0]] == 1  # the empty class
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_lattice_read_off_the_atlas_matches_the_enumeration(n):
+    got, want = _class_lattice(n), oracle_class_lattice(n)
+    assert got == want
+    # the same order of additions and automorphisms, and Python ints only
+    assert [list(a.items()) for a in got[1]] == [list(a.items()) for a in want[1]]
+    assert list(got[2].items()) == list(want[2].items())
+    ints = [x for c in got[0] for x in (c.n_vertices, c.code)]
+    ints += [x for a in got[1] for item in a.items() for x in item]
+    assert {type(x) for x in ints + list(got[2].values())} == {int}
+
+
+def test_shipped_atlas_is_the_enumeration_at_seven():
+    """The shipped file, against the one the breadth-first enumeration
+    builds; ``oracles.oracle_atlas`` gives the command that regenerates it."""
+    shipped = np.load(Path(graphs.__file__).with_name("atlas.npy"), allow_pickle=False)
+    assert shipped.dtype == np.dtype("<i4")
+    assert np.array_equal(shipped, oracle_atlas())
+
+
+def test_atlas_is_read_once_for_every_node_count():
+    _atlas.cache_clear()
+    for n in range(1, 8):
+        _class_lattice.__wrapped__(n)
+    info = _atlas.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
+
+
+@pytest.mark.parametrize("n, error", [(0, InvalidNetworkError), (8, SizeCapError)])
+def test_refused_node_count_reads_no_atlas(n, error):
+    before = _atlas.cache_info()
+    with pytest.raises(error):
+        _class_lattice(n)
+    assert _atlas.cache_info() == before

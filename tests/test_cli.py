@@ -1143,6 +1143,11 @@ class TestExitCodes:
              "value 10000000000000000000... is beyond float range"),
             (["extend", "{dir}/bigint.json", "--m", "3", "--dissociated"], 2,
              "value 10000000000000000000... is beyond float range"),
+            # exponents refused before Fraction builds their power of ten
+            (["extend", "{dir}/huge.json", "--m", "3"], 2,
+             "value 1e999999999 has an exponent past 4300 in magnitude"),
+            (["extend", "{dir}/tiny.json", "--m", "3"], 2,
+             "value 1e-1000000 has an exponent past 4300 in magnitude"),
         ],
         ids=["markov-joint5", "skeleton-joint5", "joint-n7", "fit-n7", "eval-n7",
              "graphon-z-7-vertices", "beta-nan", "two-point-weight", "gaussian-sigma",
@@ -1151,7 +1156,7 @@ class TestExitCodes:
              "grid-inf", "resolution-1",
              "edge-list-n0", "edge-list-headless", "mc-samples-cap",
              "moment-1e400", "moment-1e400-dissociated", "moment-10^400",
-             "moment-10^400-dissociated"],
+             "moment-10^400-dissociated", "moment-1e999999999", "moment-1e-1000000"],
     )
     def test_refused_input_exits_with_one_line(
         self, capsys, tmp_path, argv, code, message
@@ -1172,7 +1177,12 @@ class TestExitCodes:
             "n0.edges": "n 0\n",
             "headless.edges": "1 2\n2 3\n",
         }
-        for name, z in (("big.json", "1e400"), ("bigint.json", 10**400)):
+        for name, z in (
+            ("big.json", "1e400"),
+            ("bigint.json", 10**400),
+            ("huge.json", "1e999999999"),
+            ("tiny.json", "1e-1000000"),
+        ):
             files[name] = json.dumps(
                 {"n": 2, "z": [{"class": "EMPTY", "z": "1"}, {"class": "1-2", "z": z}]}
             )

@@ -1,3 +1,4 @@
+import fractions
 import json
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from exchnet.genmodels import er_joint
 from exchnet.graphs import LabeledNetwork, UnlabeledClass, class_from_key
 from exchnet.mobius import ClassDistribution
 from exchnet.serialize import (
+    MAX_EXPONENT,
     _shipped_schema,
     class_distribution_to_json,
     decode_value,
@@ -124,6 +126,16 @@ def _outcome(parse, text):
 _TOKEN_CHARS = "0123456789/+-._eE ²٣x"
 
 
+def _exponent_past_cap(text):
+    """Whether ``Fraction`` reads text with an exponent past MAX_EXPONENT in
+    magnitude, by the standard library's own pattern for its literals."""
+    m = fractions._RATIONAL_FORMAT.match(text)
+    try:
+        return bool(m and m["exp"]) and abs(int(m["exp"])) > MAX_EXPONENT
+    except ValueError:  # past int's digit limit: Fraction refuses it as fast
+        return False
+
+
 class TestDecodeValue:
     @given(
         st.one_of(
@@ -149,15 +161,36 @@ class TestDecodeValue:
     @example("1" + "0" * 400)
     @example("1" + "0" * 400 + "/3")
     @example("1" * 5000)
+    @example("1e4300")
+    @example("0e-4300")
+    @example("1e4301")
+    @example("1e-4301")
+    @example("0E1000000")
+    @example("1e4000000")
+    @example("1e999999999")
+    @example("1e-1000000")
+    @example("-2.5E-999_999_999 ")
+    @example("1e" + "9" * 5000)
+    @example("x1e999999999")
+    @example("1e+٣٣٣٣٣")
     def test_agrees_with_fraction_of_the_string(self, text):
         """``decode_value`` returns what ``Fraction(text)`` returns, or
         raises its error: a ``ValueError`` as it is, a zero denominator and a
-        value beyond float range as ``ValueError``s of their own."""
+        value beyond float range as ``ValueError``s of their own.  A token
+        that ``Fraction`` reads with an exponent past the cap is refused
+        before ``Fraction`` builds the power of ten."""
+        short = text if len(text) <= 24 else f"{text[:20]}..."
+        if _exponent_past_cap(text):
+            want = (
+                ValueError,
+                f"value {short} has an exponent past {MAX_EXPONENT} in magnitude",
+            )
+            assert _outcome(decode_value, text) == want
+            return
         want = _outcome(Fraction, text)
         if want[0] is ZeroDivisionError:
             want = (ValueError, f"{text!r} has a zero denominator")
         elif _outcome(lambda t: float(Fraction(t)), text)[0] is OverflowError:
-            short = text if len(text) <= 24 else f"{text[:20]}..."
             want = (ValueError, f"value {short} is beyond float range")
         assert _outcome(decode_value, text) == want
 
