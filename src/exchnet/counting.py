@@ -95,7 +95,7 @@ def _inj_masks(f_adj: list, k: int, g_adj: list, m: int) -> int:
 def inj(f: LabeledNetwork, g: LabeledNetwork) -> int:
     """Number of injective homomorphisms from f (on its non-isolated support)
     into g.  Edges must map to edges; non-edges are unconstrained."""
-    fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
+    fs = f.restrict_to_support()
     if fs.n > g.n:
         return 0
     return _inj_masks(fs.adjacency_bitsets(), fs.n, g.adjacency_bitsets(), g.n)
@@ -103,16 +103,11 @@ def inj(f: LabeledNetwork, g: LabeledNetwork) -> int:
 
 def sub(f: LabeledNetwork, g: LabeledNetwork) -> int:
     """Number of subgraphs of g isomorphic to f: inj(f,g) / aut(f)."""
-    fs = f.restrict_to_support() if f.edges else LabeledNetwork.empty(0)
-    return _exact_div(inj(fs, g), class_aut(UnlabeledClass.of(fs)), "inj by aut")
+    return _exact_div(inj(f, g), class_aut(UnlabeledClass.of(f)), "inj by aut")
 
 
 def sigma(u: UnlabeledClass, x: LabeledNetwork) -> int:
     """Number of labeled members of the class that are subgraphs of x."""
-    if u.is_empty:
-        return 1
-    if u.n_vertices > x.n:
-        return 0
     return sub(u.representative(), x)
 
 

@@ -17,6 +17,7 @@ from typing import Iterable
 from .graphs import (
     MAX_NODES,
     SizeCapError,
+    _node_relabeling,
     dyad_index,
     dyads,
     mask_components,
@@ -66,10 +67,6 @@ class DependenceGraph:
     def m(self) -> int:
         return num_dyads(self.n)
 
-    @property
-    def vertices(self) -> tuple:
-        return dyads(self.n)
-
     def edge_pairs(self) -> list:
         adj, m = self.adjacency, self.m
         return [(a, b) for a in range(m) for b in range(a + 1, m) if adj[a] >> b & 1]
@@ -89,8 +86,9 @@ class DependenceGraph:
         return DependenceGraph(self.n, self.kind, adj)
 
     def induced_on_nodes(self, keep: Iterable[int]) -> "DependenceGraph":
-        """Restriction to dyads within a node subset, relabeled to {1..n'}."""
-        relab = {v: t + 1 for t, v in enumerate(sorted(keep))}
+        """Restriction to dyads within a node subset, relabeled to {1..n'};
+        a label outside 1..n or a repeated one is refused."""
+        relab = _node_relabeling(self.n, keep)
         new_index = {
             k: dyad_index(relab[i], relab[j])
             for k, (i, j) in enumerate(dyads(self.n))
@@ -174,7 +172,7 @@ def incidence_cliques(n: int) -> list:
     if n > MAX_NODES:
         raise SizeCapError(f"incidence cliques support n <= {MAX_NODES}")
     dep = incidence_graph(n, UNDIRECTED)
-    ds = dep.vertices
+    ds = dyads(n)
     cliques = []
     for mask in range(1, 1 << dep.m):
         members = tuple(k for k in range(dep.m) if mask >> k & 1)
@@ -201,6 +199,12 @@ def _allowed(dep: DependenceGraph):
     return lambda a_mask, b_mask, s_mask: a_mask | b_mask | s_mask
 
 
+def _check_dyad_mask(m: int, mask: int) -> None:
+    """Refuse a dyad mask with a bit past the last of m dyads."""
+    if mask >> m:
+        raise ValueError(f"a dyad mask has a bit past the last dyad {m - 1}")
+
+
 def _apart(parts: tuple, a_mask: int, b_mask: int) -> bool:
     """No connected part of the allowed dyads meets both A and B."""
     return not any(p & a_mask and p & b_mask for p in parts)
@@ -210,8 +214,10 @@ def separates(dep: DependenceGraph, a_mask: int, b_mask: int, s_mask: int) -> bo
     """Separation of A from B given S under dep's edge kind.
 
     Undirected: every path from A to B meets S.  Bidirected: every path from
-    A to B leaves the union of A, B, and S.
+    A to B leaves the union of A, B, and S.  A mask with a bit past the
+    last dyad raises ``ValueError``.
     """
+    _check_dyad_mask(dep.m, a_mask | b_mask | s_mask)
     allowed = _allowed(dep)(a_mask, b_mask, s_mask)
     return _apart(mask_components(dep.adjacency, allowed), a_mask, b_mask)
 
@@ -247,12 +253,14 @@ def ci_test(jt: JointTable, a_mask: int, b_mask: int, s_mask: int) -> bool:
     Cross-multiplied form P(abs) P(s) = P(as) P(bs) avoids division; exact in
     rational mode, relative tolerance in float mode.  Both sides are of
     degree 2 in the entries, so an exact table is tested on ``jt.scaled``,
-    its entries as integers over their common denominator.
+    its entries as integers over their common denominator.  A mask with a
+    bit past the last dyad raises ``ValueError``.
     """
     if not a_mask or not b_mask:
         raise ValueError("A and B must be non-empty")
     if a_mask & b_mask or a_mask & s_mask or b_mask & s_mask:
         raise ValueError("A, B, S must be pairwise disjoint")
+    _check_dyad_mask(num_dyads(jt.n), a_mask | b_mask | s_mask)
     exact = jt.is_exact
     joint = _marginal_over(enumerate(jt.scaled), a_mask | b_mask | s_mask)
     p_s = _marginal_over(joint.items(), s_mask)

@@ -512,18 +512,14 @@ def _gibbs_weights(stats, sizes, nu) -> tuple:
         return np.exp(expo - shift), shift
 
 
-def _log_partition(stats, sizes, nu):
-    w, shift = _gibbs_weights(stats, sizes, nu)
-    return shift + math.log(float(np.sum(w)))
-
-
 def ergm_eval(spec: ErgmSpec, nu, x: LabeledNetwork) -> float:
     """Normalized probability of x under the family with parameters nu."""
     if spec.n > MAX_FIT_NODES:
         raise SizeCapError(f"ergm evaluation supports n <= {MAX_FIT_NODES}")
     vec = _nu_vector(spec, nu)
     stats = _stat_table(spec.family, spec.n).astype(float, order="C")
-    psi = _log_partition(stats, class_table(spec.n).sizes.astype(float), vec)
+    w, shift = _gibbs_weights(stats, class_table(spec.n).sizes.astype(float), vec)
+    psi = shift + math.log(float(np.sum(w)))
     # an exponent beyond float range makes the partition inf - inf
     if not math.isfinite(psi):
         raise InvalidParametersError(f"log partition is {psi} at these parameters")

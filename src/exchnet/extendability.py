@@ -47,11 +47,12 @@ PRODUCT_TOL = 1e-7
 
 
 def marginalize_joint(jt: JointTable, keep) -> JointTable:
-    """Distribution of the subnetwork induced by ``keep`` (relabeled 1..n')."""
+    """Distribution of the subnetwork induced by ``keep`` (relabeled 1..n');
+    a label outside 1..n or a repeated one raises ``InvalidNetworkError``."""
     keep = sorted(keep)
     if not keep:
         raise ValueError("keep must be non-empty")
-    n2 = len(keep)
+    n2 = LabeledNetwork.empty(jt.n).induced(keep).n  # refuses bad labels first
     acc: dict = {}
     for mask in range(len(jt.probs)):
         p = jt.probs[mask]
@@ -127,24 +128,20 @@ def _certificate_valid(
     mv: MobiusVector, cert: ClassDistribution, tol: float
 ) -> bool:
     """Whether the class distribution ``cert`` at m reproduces every class
-    moment of mv: exactly when both are exact, else within ``tol``."""
-    targets, classes_m, rows = _sigma_rows(cert.n, mv.n)
-    if mv.is_exact and cert.is_exact:
-        # z_U = sum_W S[U][W] q_W / sub(U, K_m) with q_W = num_W / den, in
-        # integers over q's support; sub(U, K_m) = S[U][K_m] ends the row
-        table = class_table(cert.n)
-        cols, qs = zip(*((table.index[w], q) for w, q in cert.q.items() if q))
-        nums, den = _over_lcm(qs)
-        for u in targets:
-            s, z = table.row(u), mv.z[u]
-            got = sum(s[j] * num for j, num in zip(cols, nums))
+    moment of mv, z_U = sum_W S[U][W] q_W / S[U][K_m] over q's support:
+    exactly when both are exact, else within ``tol``."""
+    table = class_table(cert.n)
+    cols, qs = zip(*((table.index[w], q) for w, q in cert.q.items() if q))
+    exact = mv.is_exact and cert.is_exact
+    if exact:  # q_W = num_W / den: compare in integers
+        qs, den = _over_lcm(qs)
+    for u in enumerate_classes(mv.n, False):
+        s, z = table.row(u), mv.z[u]
+        got = sum(s[j] * q for j, q in zip(cols, qs))
+        if exact:
             if got * z.denominator != s[-1] * den * z.numerator:
                 return False
-        return True
-    qv = [cert.value(w) for w in classes_m]
-    for u, row in zip(targets, rows):
-        got = sum(r * q for r, q in zip(row, qv) if q)
-        if not _close(got, mv.z[u], tol):
+        elif not _close(got / s[-1], z, tol):
             return False
     return True
 

@@ -77,12 +77,15 @@ def _pair_matrix(f: Callable, x: np.ndarray) -> np.ndarray:
 # --- independent ties ---------------------------------------------------------
 
 
-def _dyad_products(pv: Sequence, one) -> np.ndarray:
-    """P(X = x) for every dyad mask x when dyad k is a tie with probability
-    pv[k], independently, as an object array: ``one`` (the empty product)
-    times the factors in colex order, so rational pv stay exact."""
+def _dyad_products(n: int, dyad_probs: Callable, one) -> np.ndarray:
+    """P(X = x) for every dyad mask x on n <= ``MAX_LATTICE_NODES`` nodes
+    when dyad k is a tie with probability ``dyad_probs()[k]``, independently:
+    ``one`` (the empty product) times the factors in colex order, so
+    rational probabilities stay exact.  n is checked first."""
+    if n > MAX_LATTICE_NODES:
+        raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
     probs = np.array([one], dtype=object)
-    for pk in pv:
+    for pk in dyad_probs():
         probs = np.concatenate((probs * (1 - pk), probs * pk))
     return probs
 
@@ -112,9 +115,7 @@ def er_joint(n: int, p) -> JointTable:
     A float p gives the per-dyad product of ``beta_joint``, so the two agree
     bit for bit at a constant tie probability.
     """
-    if n > MAX_LATTICE_NODES:
-        raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
-    return JointTable(n, tuple(_dyad_products([p] * num_dyads(n), p**0)))
+    return JointTable(n, tuple(_dyad_products(n, lambda: [p] * num_dyads(n), p**0)))
 
 
 def er_mobius(n: int, p) -> MobiusVector:
@@ -160,10 +161,7 @@ class BetaSpec:
 
 def beta_joint(spec: BetaSpec) -> JointTable:
     """Exact product over dyads of independent, node-driven tie probabilities."""
-    n = spec.n
-    if n > MAX_LATTICE_NODES:
-        raise SizeCapError(f"joint tables support n <= {MAX_LATTICE_NODES}")
-    return JointTable(n, tuple(_dyad_products(spec.dyad_probs(), 1.0)))
+    return JointTable(spec.n, tuple(_dyad_products(spec.n, spec.dyad_probs, 1.0)))
 
 
 # --- marginal mixture over propensities ----------------------------------------
@@ -233,8 +231,8 @@ def marginal_beta_joint(n: int, mix: MixingSpec) -> JointTable:
             betas, ws = zip(*reversed(combo))
             weight = math.prod(ws)
             if weight != 0.0:
-                pv = BetaSpec(betas).dyad_probs()
-                acc += weight * _dyad_products(pv, 1.0).astype(float)
+                pv = BetaSpec(betas).dyad_probs
+                acc += weight * _dyad_products(n, pv, 1.0).astype(float)
         acc /= acc.sum()
         return JointTable(n, tuple(acc.tolist()))
     raise ValueError(f"unknown mixing kind {mix.kind!r}")
@@ -441,7 +439,7 @@ def _eliminate(phi_grid: np.ndarray, w: np.ndarray, edges, k: int) -> float:
         remaining.remove(v)
         union = sorted(set().union(*(set(vars_) for vars_, _ in touching)))
         out_size = len(w) ** (len(union) - 1)  # v is summed out
-        if len(union) > 5 or out_size > _MAX_QUADRATURE_ENTRIES:
+        if out_size > _MAX_QUADRATURE_ENTRIES:
             raise SizeCapError(
                 "quadrature intermediate too large; lower the resolution"
             )
@@ -568,8 +566,11 @@ def er_characterization_diagnostic(z, eta: float) -> ErDiagnostic:
     """Compare class moments against powers of eta.
 
     ``z`` may be a MobiusVector or a mapping from classes to values; classes
-    with more than four edges are ignored.
+    with more than four edges are ignored.  A level outside [0, 1], NaN
+    included, raises ``InvalidParametersError``.
     """
+    if not 0 <= eta <= 1:
+        raise InvalidParametersError(f"level {eta} is outside [0, 1]")
     values = z.z if isinstance(z, MobiusVector) else z
     worst = None
     worst_dev = 0.0

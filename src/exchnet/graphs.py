@@ -70,6 +70,16 @@ def num_dyads(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _node_relabeling(n: int, keep: Iterable[int]) -> dict:
+    """{v: its rank in keep, from 1} for the nodes ``keep`` of {1..n}; a
+    label outside 1..n or a repeated one raises ``InvalidNetworkError``."""
+    keep = sorted(keep)
+    relab = {v: k + 1 for k, v in enumerate(keep)}
+    if len(relab) < len(keep) or keep and not 1 <= keep[0] <= keep[-1] <= n:
+        raise InvalidNetworkError(f"nodes {keep} are not distinct nodes of 1..{n}")
+    return relab
+
+
 def dyad_label(d: tuple[int, int]) -> str:
     return f"{d[0]}-{d[1]}"
 
@@ -162,21 +172,16 @@ class LabeledNetwork:
 
     def restrict_to_support(self) -> "LabeledNetwork":
         """Relabel the non-isolated vertices to {1..k}, dropping isolated ones."""
-        sup = self.support()
-        relab = {v: k + 1 for k, v in enumerate(sup)}
-        return LabeledNetwork.from_edges(
-            len(sup), [(relab[i], relab[j]) for i, j in self.edges]
-        )
+        return self.induced(self.support())
 
     def induced(self, keep: Sequence[int]) -> "LabeledNetwork":
-        """Subnetwork induced by ``keep``, relabeled to {1..len(keep)}."""
-        keep = sorted(keep)
-        relab = {v: k + 1 for k, v in enumerate(keep)}
-        kept = set(keep)
+        """Subnetwork induced by ``keep``, relabeled to {1..len(keep)}; a
+        label outside 1..n or a repeated one is refused."""
+        relab = _node_relabeling(self.n, keep)
         es = [
-            (relab[i], relab[j]) for i, j in self.edges if i in kept and j in kept
+            (relab[i], relab[j]) for i, j in self.edges if i in relab and j in relab
         ]
-        return LabeledNetwork.from_edges(len(keep), es)
+        return LabeledNetwork.from_edges(len(relab), es)
 
     def permute(self, perm: dict) -> "LabeledNetwork":
         """Relabel nodes by ``perm`` (a dict {old: new} over 1..n)."""
@@ -271,8 +276,6 @@ class UnlabeledClass:
     @classmethod
     def of(cls, g: LabeledNetwork) -> "UnlabeledClass":
         """The class of g, after restriction to its non-isolated vertices."""
-        if not g.edges:
-            return cls.empty()
         sub = g.restrict_to_support()
         return cls(sub.n, canonical_form(sub))
 
@@ -479,16 +482,8 @@ def connected_components(g: LabeledNetwork) -> list:
 
 def component_classes(cls_: UnlabeledClass) -> list:
     """Classes of the connected components of a class representative."""
-    if cls_.is_empty:
-        return []
     rep = cls_.representative()
-    out = []
-    for comp in connected_components(rep):
-        keep = set(comp)
-        sub = LabeledNetwork.from_edges(
-            rep.n, [e for e in rep.edges if e[0] in keep and e[1] in keep]
-        )
-        out.append(UnlabeledClass.of(sub))
+    out = [UnlabeledClass.of(rep.induced(comp)) for comp in connected_components(rep)]
     return sorted(out, key=UnlabeledClass.sort_key)
 
 

@@ -289,9 +289,6 @@ class ClassDistribution:
         u = UnlabeledClass.of(x)
         return self.value(u) / class_size(u, self.n)
 
-    def in_order(self) -> list:
-        return [(u, self.value(u)) for u in enumerate_classes(self.n, True)]
-
     def to_joint(self) -> JointTable:
         probs = {
             u: self.value(u) / class_size(u, self.n)

@@ -861,8 +861,12 @@ class TestGraphonZ:
 
     @pytest.mark.parametrize(
         "cls, r",
-        [("1-2,1-3,1-4,1-5,2-3,2-4,2-5,3-4,3-5,4-5", "512"), ("1-2", "8192")],
-        ids=["k5-elimination", "grid"],
+        [
+            ("1-2,1-3,1-4,1-5,2-3,2-4,2-5,3-4,3-5,4-5", "512"),
+            ("1-2,1-3,1-4,1-5,1-6,2-3,2-4,2-5,2-6,3-4,3-5,3-6,4-5,4-6,5-6", "28"),
+            ("1-2", "8192"),
+        ],
+        ids=["k5-elimination", "k6-elimination", "grid"],
     )
     def test_resolution_past_the_memory_cap_is_size_cap(self, capsys, cls, r):
         code, out = run_cli(

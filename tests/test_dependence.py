@@ -105,10 +105,28 @@ class TestStructures:
                 ),
                 "node counts differ",
             ),
+            (
+                lambda: incidence_graph(4).induced_on_nodes([1, 9]),
+                "nodes \\[1, 9\\] are not distinct nodes of 1..4",
+            ),
+            # the paw's table: dyads 0..5, so bit 10 names no dyad
+            (
+                lambda: ci_test(
+                    ClassDistribution.point_mass(class_from_key("1-4,2-3,2-4,3-4"), 4)
+                    .to_joint(),
+                    1 << 10, 2, 0,
+                ),
+                "a dyad mask has a bit past the last dyad 5",
+            ),
+            (
+                lambda: separates(incidence_graph(4), 1 << 10, 1, 0),
+                "a dyad mask has a bit past the last dyad 5",
+            ),
         ],
         ids=["kind", "adjacency-size", "self-adjacency", "asymmetric", "past-last-dyad",
              "incidence-n2",
-             "kneser-n2", "ci-empty-a", "markov-node-counts"],
+             "kneser-n2", "ci-empty-a", "markov-node-counts", "induced-node-9",
+             "ci-mask-past-last-dyad", "separates-mask-past-last-dyad"],
     )
     def test_malformed_request_is_value_error(self, call, message):
         with pytest.raises(ValueError, match=message):

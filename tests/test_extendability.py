@@ -28,6 +28,7 @@ from exchnet.genmodels import (
     marginal_beta_joint,
 )
 from exchnet.graphs import (
+    InvalidNetworkError,
     InvariantError,
     LabeledNetwork,
     SizeCapError,
@@ -146,6 +147,11 @@ class TestMarginalizeJoint:
         with pytest.raises(ValueError, match="keep must be non-empty"):
             marginalize_joint(er_joint(3, Fraction(1, 3)), [])
 
+    @pytest.mark.parametrize("keep", [[1, 5], [1, 1], [0, 2]])
+    def test_labels_outside_the_table_are_refused(self, keep):
+        with pytest.raises(InvalidNetworkError, match="not distinct nodes of 1..3"):
+            marginalize_joint(er_joint(3, Fraction(1, 3)), keep)
+
     def test_keep_all_is_identity(self):
         jt = er_joint(4, Fraction(1, 3))
         assert marginalize_joint(jt, [1, 2, 3, 4]).probs == jt.probs
@@ -254,6 +260,24 @@ class TestExtendableCheck:
         q[full] = q.get(full, 0) + Fraction(1, 2**80)
         moved = ClassDistribution(6, q)
         assert not extendability._certificate_valid(mv, moved, 0)
+
+    def test_float_certificate_recheck_reads_the_sigma_table(self):
+        mv = er_mobius(4, Fraction(1, 3))
+        cert = extendable_check(mv, 6).certificate
+        image = ClassDistribution(6, {w: float(q) for w, q in cert.q.items()})
+        tol = 1e-9
+        for target, law in ((mv, image), (mv.to_float(), image), (mv.to_float(), cert)):
+            assert extendability._certificate_valid(target, law, tol)
+        # 1000 tol of mass moved from a class W to K_6 raises the edge moment
+        # by 1000 tol (1 - z_edge(W)) >= 1000 tol / 15
+        full = class_table(6).classes[-1]
+        w = max((u for u in image.q if u != full), key=image.q.get)
+        q = dict(image.q)
+        q[w] -= 1000 * tol
+        q[full] = q.get(full, 0.0) + 1000 * tol
+        moved = ClassDistribution(6, q)
+        assert not extendability._certificate_valid(mv.to_float(), moved, tol)
+        assert not extendability._certificate_valid(mv, moved, tol)
 
     def test_failed_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -336,6 +337,21 @@ class TestGraphonMoments:
         fine = graphon_z(uv, star_class(2), r=128)
         assert abs(fine.value - 1 / 12) < abs(coarse.value - 1 / 12)
 
+    def test_k6_quadrature_is_the_lattice_sum(self):
+        # K6's first elimination joins six vertices, an r^5 output: answered
+        # while that is at most 64^4 entries (r <= 27), refused past it
+        phi = parse_graphon_name("product:logistic:0.0,1.0")
+        grid = oracle_midpoint_lattice(oracle_kernel(("logistic", 0.0, 1.0)), 4)
+        pairs = list(itertools.combinations(range(6), 2))
+        want = sum(
+            math.prod(grid[x[a]][x[b]] for a, b in pairs)
+            for x in itertools.product(range(4), repeat=6)
+        ) / 4**6
+        got = graphon_z(phi, complete_class(6), r=4).value
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(SizeCapError, match="lower the resolution"):
+            graphon_z(phi, complete_class(6), r=28)
+
     def test_mc_error_shrinks_with_samples(self):
         uv = Graphon(lambda a, b: a * b, "uv")
         small = graphon_z(uv, edge_class(), method="mc", samples=2000, seed=3)
@@ -383,6 +399,22 @@ class TestGraphonMoments:
                 "unknown mixing kind 'uniform'",
             ),
             (lambda: er_joint(7, 0.5), SizeCapError, "joint tables support n <= 6"),
+            (
+                lambda: beta_joint(BetaSpec((0.0,) * 7)),
+                SizeCapError,
+                "joint tables support n <= 6",
+            ),
+            (
+                lambda: marginal_beta_joint(6, MixingSpec.point_mass(0.0)),
+                SizeCapError,
+                "mixing joints support n <= 5",
+            ),
+            (lambda: Graphon(lambda a, b: a, "asym"), ValueError, "kernel not symmetric at"),
+            (
+                lambda: Graphon(lambda a, b: a + b + 2, "high"),
+                ValueError,
+                "kernel value 2.0 outside \\[0, 1\\]",
+            ),
             (lambda: Graphon.from_grid([[0.5, 0.5]]), ValueError, "grid must be square"),
             (
                 lambda: graphon_z(Graphon.constant(0.3), edge_class(), method="simpson"),
@@ -391,6 +423,7 @@ class TestGraphonMoments:
             ),
         ],
         ids=["gaussian-infinite-mu", "gaussian-atoms", "unknown-kind", "er-joint-n7",
+             "beta-joint-n7", "mixing-joint-n6", "asymmetric-kernel", "kernel-above-1",
              "grid-not-square", "unknown-method"],
     )
     def test_library_refusal(self, call, error, message):
@@ -532,6 +565,11 @@ class TestErDiagnostic:
         diag = er_characterization_diagnostic(mv, 0.25)
         assert diag.residual_two_star == 0
         assert diag.max_deviation == 0
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -0.25, 1.5])
+    def test_level_outside_the_unit_interval_is_refused(self, eta):
+        with pytest.raises(InvalidParametersError, match=r"outside \[0, 1\]"):
+            er_characterization_diagnostic(er_mobius(4, Fraction(1, 4)), eta)
 
     def test_product_kernel_is_flagged(self):
         uv = Graphon(lambda a, b: a * b, "uv")

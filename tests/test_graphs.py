@@ -13,6 +13,7 @@ from oracles import (
 
 from exchnet import graphs
 from exchnet.graphs import (
+    DegreeDistribution,
     InvalidNetworkError,
     InvariantError,
     LabeledNetwork,
@@ -67,6 +68,23 @@ class TestLabeledNetwork:
         sub = g.induced([2, 3, 5])
         assert sub.n == 3
         assert sub.edges == frozenset({(1, 3)})  # 2~5 relabeled to 1~3
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: LabeledNetwork.complete(3).induced([1, 9]), "not distinct nodes of 1..3"),
+            (lambda: LabeledNetwork.complete(3).induced([1, 1]), "not distinct nodes of 1..3"),
+            (lambda: LabeledNetwork.complete(3).induced([0, 2]), "not distinct nodes of 1..3"),
+            (lambda: dyad_index(2, 2), "loop at node 2"),
+            (lambda: LabeledNetwork(-1, frozenset()), "node count must be nonnegative"),
+            (lambda: DegreeDistribution((0, 1)), "odd total degree"),
+        ],
+        ids=["induced-node-9", "induced-repeat", "induced-node-0", "dyad-loop",
+             "negative-n", "odd-total-degree"],
+    )
+    def test_malformed_network_is_refused(self, call, message):
+        with pytest.raises(InvalidNetworkError, match=message):
+            call()
 
 
 class TestCanonicalForm:

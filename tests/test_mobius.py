@@ -26,6 +26,7 @@ from exchnet.graphs import (
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
+    class_from_key,
     class_size,
     dyad_index,
     enumerate_classes,
@@ -215,11 +216,16 @@ class TestExchangeableMoments:
             ),
             (lambda: LabeledMobius(2, (1,)), "need 2 entries for n=2, got 1"),
             (
+                lambda: ClassDistribution(3, {class_from_key("1-4,2-3"): Fraction(1)}),
+                "unknown classes for n=3: \\['1-4,2-3'\\]",
+            ),
+            (
                 lambda: bidirected_joint(empty_dependence_graph(3), {}, 0),
                 "needs a bidirected structure",
             ),
         ],
-        ids=["restrict-up", "joint-wrong-size", "labeled-length", "undirected"],
+        ids=["restrict-up", "joint-wrong-size", "labeled-length", "class-past-n",
+             "undirected"],
     )
     def test_malformed_request_is_value_error(self, call, message):
         with pytest.raises(ValueError, match=message):
