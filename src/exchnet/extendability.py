@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
+import numpy as np
+
 from .counting import class_table, edge_class
 from .genmodels import er_class_distribution
 from .graphs import (
@@ -94,12 +96,17 @@ def _check_sizes(n: int, m: int) -> None:
 
 @lru_cache(maxsize=64)
 def _sigma_rows(m: int, n: int) -> tuple:
-    """The non-empty classes U at n, the classes at m and the LP's constant
-    rows as ``_Row``s: each U's moment row, then normalization (all ones)."""
+    """The non-empty classes U at n, the classes at m and the LP's rows as
+    ``_Row``s: each U's moment row S[U] / |U| as S[U] / g over |U| / g, with
+    g = gcd(|U|, S[U]), then normalization, the empty class's row of ones."""
     table = class_table(m)
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
-    rows = [*map(table.moment_row, targets), (Fraction(1),) * len(table.classes)]
-    return tuple(targets), table.classes, tuple(map(_Row, rows))
+    at = [table.index[u] for u in targets] + [0]
+    g = np.gcd(np.gcd.reduce(table.S[at], axis=1), table.sizes[at])
+    ints, lcms = table.S[at] // g[:, None], table.sizes[at] // g
+    # both below 2^53, so the float quotient is float(Fraction)
+    rows = tuple(_Row(v.tolist(), int(d), v / d) for v, d in zip(ints, lcms))
+    return tuple(targets), table.classes, rows
 
 
 @lru_cache(maxsize=64)
@@ -120,7 +127,7 @@ def _product_terms(m: int, n: int) -> tuple:
         small = tuple(c for c in comps if c.n_vertices <= n)
         row_u = table.moment_row(u)
         row_big = table.moment_row(big[0]) if big else None
-        out.append((u, small, row_u if big else _Row(row_u), row_big))
+        out.append((u, small, row_u if big else _Row.of(row_u), row_big))
     return tuple(out)
 
 

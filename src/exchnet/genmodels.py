@@ -529,9 +529,11 @@ def graphon_z(
 
 
 def graphon_mobius(phi: Graphon, n: int) -> MobiusVector:
-    """Class moments for every class at n, as floats, by ``graphon_z``'s
-    default quadrature (r = 64) on one lattice."""
+    """Class moments at n, as floats, by ``graphon_z``'s quadrature at r = 64 on one
+    lattice; K_n needs 64^(n-1) entries, so n >= 6 takes a constant kernel."""
     grid = phi.midpoint_grid(64)
+    if 64 ** (n - 1) > _MAX_QUADRATURE_ENTRIES and (grid != grid[0, 0]).any():
+        raise SizeCapError(f"kernel moments at n={n} need K_{n} past the cap at r = 64")
     z = {u: _quadrature_value(grid, u) for u in enumerate_classes(n, True)}
     return MobiusVector(n, z)
 

@@ -8,9 +8,10 @@ variable has the smallest index leaves.  The rule cannot cycle.
 Rational data (every coefficient an int or Fraction) get an exact verdict
 while paying for rational arithmetic about once per LP, as in the float
 simplex plus exact check of QSopt_ex (Applegate, Cook, Dash & Espinoza,
-Oper. Res. Lett. 35, 2007).  One pass scales each row to integers (and
-finds out whether the data are rational at all; a row given as a ``_Row``
-brings the part that does not read b); both halves read it:
+Oper. Res. Lett. 35, 2007).  One pass scales each row to integers by the
+lcm of its own denominators (a ``_Row`` brings it), puts b over its common
+denominator D and finds out whether the data are rational at all; both
+halves read it:
 
 1. The pivots run in floats, on coefficients taken as int / scale, which
    is correctly rounded as float(Fraction) is.  Ratios within
@@ -23,13 +24,14 @@ brings the part that does not read b); both halves read it:
 2. The final basis B is checked in rationals.  The check asks for
    x_B = B^-1 b >= 0 and, with y = B^-T c_B for the phase-one costs c, a
    reduced cost c_j - y.A_j >= 0 for every column.  Both solves are
-   fraction-free: Bareiss elimination of [B | b] (of [B^T | c_B] for y)
-   leaves +-det B as its last pivot, det(B) x_B is integral by Cramer's
-   rule, and back substitution computes it in integers with exact
-   divisions, making one Fraction per entry at the end.  Such a basis is
-   optimal, so its sum of artificials is the exact residual: zero means
-   feasible, and x is read off x_B; positive means infeasible, and y is a
-   Farkas certificate (y.A_j <= 0 for every column j, y.b > 0).
+   fraction-free: Bareiss elimination of [B | D b] (of [B^T | c_B] for y;
+   only b carries D, so B's minors are the rows' own) ends on +-det B,
+   det(B) D x_B is integral by Cramer's rule, and back substitution
+   computes it in integers with exact divisions, making one Fraction per
+   entry at the end.  Such a basis is optimal, so its sum of artificials
+   is the exact residual: zero means feasible, and x is read off x_B;
+   positive means infeasible, and y is a Farkas certificate (y.A_j <= 0
+   for every column j, y.b > 0).
 3. If the check fails, exact Bland pivoting in Fractions continues from the
    float basis when that basis is nonsingular and primal feasible, and from
    the artificial basis otherwise.
@@ -46,12 +48,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import InvariantError, _exact_div
+from .mobius import _over_lcm
 
 FLOAT_EPS = 1e-9
 # smallest pivot element in floats: with FLOAT_EPS alone, float pivots were
@@ -92,7 +94,8 @@ def _initial_tableau(a_rows: Sequence, b: Sequence, num) -> tuple:
     dtype = object if num is Fraction else float
     tab = np.full((m + 1, n + m + 1), zero, dtype=dtype)
     for i, (row, bi, s) in enumerate(zip(a_rows, b, signs)):
-        tab[i, :n] = list(map(num, row))
+        row = row.floats if num is float and isinstance(row, _Row) else row
+        tab[i, :n] = row if isinstance(row, np.ndarray) else list(map(num, row))
         if s < 0:
             tab[i, :n] *= -1
         tab[i, n + i] = 1 + zero
@@ -261,51 +264,58 @@ def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
     return Optimum(x, float(obj[-1]), obj[:n].copy(), pivots)
 
 
-class _Row(tuple):
-    """A row of ints and Fractions with the part of its scaling that does
-    not read b: the lcm of its denominators, the row times it, and its
-    floats (int / int is correctly rounded as float(Fraction) is)."""
+class _Row:
+    """A rational row as integers over the lcm of its denominators, with its
+    floats (int / int is correctly rounded as float(Fraction) is); indexed,
+    it gives Fractions.  ``_Row.of`` scales a row of ints and Fractions."""
 
-    def __new__(cls, row):
-        self = super().__new__(cls, row)
-        ratios = [v.as_integer_ratio() for v in self]
-        self.lcm = lcm(*{q for _, q in ratios})
-        self.ints = [p * (self.lcm // q) for p, q in ratios]
-        self.floats = [v / self.lcm for v in self.ints]
-        return self
+    def __init__(self, ints: list, lcm: int, floats):
+        self.ints, self.lcm, self.floats = ints, lcm, floats
+
+    @classmethod
+    def of(cls, row) -> "_Row":
+        ints, den = _over_lcm(row)
+        return cls(ints, den, [v / den for v in ints])
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, j: int) -> Fraction:
+        return Fraction(self.ints[j], self.lcm)
 
 
 @dataclass
 class _Scaled:
-    """Rational rows of A x = b (every coefficient an int or Fraction), row i
-    times sign_i * scale_i: the sign makes b_i >= 0 and the positive scale
-    clears every denominator in the row."""
+    """Rational rows of A x = b (all ints or Fractions), row i times sign_i
+    (making b_i >= 0) and scale_i (the lcm of its denominators), with b over
+    its common denominator ``den``: a solve against ``rhs`` gives den x."""
 
     n: int  # structural columns
     rows: list  # integers
-    rhs: list  # integers >= 0
+    rhs: list  # integers >= 0: sign_i * scale_i * den * b_i
     scales: list
     signs: list
     floats: list  # the caller's rows as floats, for the float pass
+    den: int
 
     @classmethod
     def of(cls, a_rows: Sequence, b: Sequence) -> "_Scaled | None":
         """None unless every coefficient is an int or a Fraction; a ``_Row``
-        brings its own scaling, times scale_i / its lcm here."""
+        brings its own scaling."""
         rat = (int, Fraction)
-        n = len(a_rows[0]) if len(a_rows) else 0
-        system = cls(n, [], [], [], [], [])
-        for row, bi in zip(a_rows, b):
+        if not all(map(isinstance, b, repeat(rat))):
+            return None
+        nums, den = _over_lcm(b)
+        system = cls(len(a_rows[0]) if len(a_rows) else 0, [], [], [], [], [], den)
+        for row, bi, num in zip(a_rows, b, nums):
             if not isinstance(row, _Row) and all(map(isinstance, row, repeat(rat))):
-                row = _Row(row)
-            if not isinstance(bi, rat) or not isinstance(row, _Row):
+                row = _Row.of(row)
+            if not isinstance(row, _Row):
                 return None
-            scale = lcm(row.lcm, bi.denominator)
             sign = -1 if bi < 0 else 1
-            k = sign * (scale // row.lcm)
-            system.rows.append(row.ints if k == 1 else [k * v for v in row.ints])
-            system.rhs.append(bi.numerator * (sign * scale // bi.denominator))
-            system.scales.append(scale)
+            system.rows.append(row.ints if sign > 0 else [-v for v in row.ints])
+            system.rhs.append(sign * row.lcm * num)
+            system.scales.append(row.lcm)
             system.signs.append(sign)
             system.floats.append(row.floats)
         return system
@@ -315,24 +325,27 @@ def _bareiss(mat: list) -> bool:
     """Fraction-free forward elimination of the leading square block of the
     integer matrix ``mat`` (rows may run longer), in place with row swaps.
     Every entry stays an integer (a minor of the input).  Returns False when
-    the block is singular."""
+    the block is singular.  A row with a 0 in the pivot column is left alone,
+    to be caught up from ``last[r]``, the pivot it was last brought to, by one
+    exact division when it is next eliminated or becomes the pivot row."""
     k = len(mat)
-    prev = 1
+    last, prev = [1] * k, 1
     for c in range(k):
         p = next((r for r in range(c, k) if mat[r][c]), None)
         if p is None:
             return False
         mat[c], mat[p] = mat[p], mat[c]
+        last[c], last[p] = last[p], last[c]
         top = mat[c]
+        if last[c] != prev:
+            top[c:] = [a * prev // last[c] for a in top[c:]]
         piv = top[c]
         for r in range(c + 1, k):
             row = mat[r]
             f = row[c]
-            if f:
-                tail = [(piv * a - f * t) // prev for a, t in zip(row[c:], top[c:])]
-            else:
-                tail = [piv * a // prev for a in row[c:]]
-            mat[r] = row[:c] + tail
+            if f:  # (piv * row - f * top) / prev on the row caught up to prev
+                d, last[r] = last[r], piv
+                row[c:] = [(piv * a - f * t) // d for a, t in zip(row[c:], top[c:])]
         prev = piv
     return True
 
@@ -368,11 +381,9 @@ def _reduced_costs_nonnegative(system: _Scaled, w: list) -> bool:
     if any(wi * s > 1 for wi, s in zip(w, system.scales)):
         return False
     # structural column j: cost 0; compare w.A_j <= 0 over a common denominator
-    den = lcm(*(v.denominator for v in w))
     acc = [0] * system.n
-    for row, wi in zip(system.rows, w):
-        if wi:
-            k = wi.numerator * (den // wi.denominator)
+    for row, k in zip(system.rows, _over_lcm(w)[0]):
+        if k:
             acc = [a + k * v for a, v in zip(acc, row)]
     return all(a <= 0 for a in acc)
 
@@ -385,8 +396,7 @@ def _exact_from_basis(
     from it.  ``system`` is ``_Scaled.of(a_rows, b)`` when the caller has
     it."""
     zero = Fraction(0)
-    if system is None:
-        system = _Scaled.of(a_rows, b)
+    system = system or _Scaled.of(a_rows, b)
     n, k = system.n, len(basis)
     # the basis matrix B, where artificial column n + i is scale_i e_i
     rows = [
@@ -394,7 +404,7 @@ def _exact_from_basis(
         for i, (a_i, s_i) in enumerate(zip(system.rows, system.scales))
     ]
     sol = _solve([r + [bi] for r, bi in zip(rows, system.rhs)])
-    xb = None if sol is None else [r[0] for r in sol]
+    xb = None if sol is None else [r[0] / system.den for r in sol]
     if xb is not None and all(v >= 0 for v in xb):
         # w = B^-T c_B for the phase-one costs, by elimination on [B^T | c_B]
         # (w = 0 when no artificial is basic)
@@ -415,6 +425,7 @@ def _exact_from_basis(
             for i, (r, a_i, s_i, bi)
             in enumerate(zip(rows, system.rows, system.scales, system.rhs))
         ])
+        tab[:k, -1] /= system.den
         obj = np.array([zero] * n + [Fraction(1)] * k + [zero], dtype=object)
         for i, j in enumerate(basis):
             if j >= n:

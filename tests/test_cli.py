@@ -627,6 +627,61 @@ class TestExtend:
         assert obj["certificate"]["n"] == m
 
 
+def _extend_inputs():
+    """The moment vectors of the extend digests, by name."""
+    from oracles import oracle_block_moments
+
+    from exchnet.estimation import exch_mle
+    from exchnet.graphs import LabeledNetwork
+    from exchnet.mobius import MobiusVector
+
+    paw = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
+    half, fifth = Fraction(1, 2), Fraction(1, 5)
+    block = oracle_block_moments(
+        enumerate_classes(4, True), (Fraction(1, 3), Fraction(2, 3)),
+        ((half, fifth), (fifth, Fraction(1, 10))),
+    )
+    er4 = er_mobius(4, Fraction(1, 3))
+    return {
+        "er5-3/14": er_mobius(5, Fraction(3, 14)),
+        "er5-5/24": er_mobius(5, Fraction(5, 24)),
+        "er4-1/5": er_mobius(4, Fraction(1, 5)),
+        "paw-mle": exch_mle(paw),
+        "block": MobiusVector(4, block),
+        "er4-float": MobiusVector(4, {u: float(v) for u, v in er4.z.items()}),
+    }
+
+
+# `extend` stdout digests, recorded when every request scaled each LP row by
+# the denominator of its right-hand side and Bareiss rewrote every row at
+# every step: how the exact check is computed must not move a byte.  The
+# paw MLE is infeasible (margins 3/10, 17/18, 227/210), the block moments
+# reach the LP with their product rows, and the last input is float.  S_7
+# comes from a float32 BLAS product, so CI runs these with one BLAS thread.
+EXTEND_DIGESTS = {
+    ("er5-3/14", 6): "de889e652d2c14d9071246425eae43282d970de25ee2f5a0618c56018f0cb51e",
+    ("er5-5/24", 6): "793f26978f1e6269d9c7d629fad78fe9962685e84c9ea3038d8bdf2a2b508ade",
+    ("er4-1/5", 7): "47de4fedf20001cd05bfe1d863013273ff43f5bde6f381868b7ead6a74f7c98e",
+    ("paw-mle", 5): "405a5404d534583070bf4e97a3457147d31a5385bfb499a738b5439b19ed1bae",
+    ("paw-mle", 6): "3841fee45382e6af412b5171dd12f259a8e5490fd68bed2c009b480f6be775f8",
+    ("paw-mle", 7): "c2be5e5180647d8920f65fcdf6b66e9a56acfecbd61ac6b4876d765f70a331b5",
+    ("block", 6, "--dissociated"): "8216067ce5918ffe6214d408d032007b60f55aa80e0e50d0f71926950aff93c0",
+    ("er4-float", 6): "f5ea441dcf195fa2509cf98b852dd61797184f864897b3cae874e59efba4250a",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(EXTEND_DIGESTS), ids=lambda c: "-m".join(map(str, c[:2])) + "".join(c[2:])
+)
+def test_extend_output_bytes(capsys, tmp_path, case):
+    name, m, *flags = case
+    zfile = tmp_path / "z.json"
+    zfile.write_text(dump_json(mobius_to_json(_extend_inputs()[name])))
+    code, out = run_cli(capsys, "extend", str(zfile), "--m", str(m), *flags)
+    assert code == 0
+    assert _digest(out) == EXTEND_DIGESTS[case]
+
+
 class TestSample:
     def test_byte_identical_reruns(self, capsys):
         argv = ["sample", "er", "--n", "4", "--p", "0.5", "--seed", "7", "--count", "2"]

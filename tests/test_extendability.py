@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from hashlib import sha256
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,20 @@ class TestExtendableCheck:
         assert value > 0
         assert value == rep.infeasibility_margin
 
+    # sha256 of the paw MLE's sorted (class key, str(y)) duals, recorded when
+    # every request scaled each row by the denominator of its right-hand side
+    PAW_DUAL_DIGESTS = {
+        5: "64e44f076754826a84114faec1ae097c03934ff0c412d29ab9ecee9e09712d4a",
+        6: "4cdbb246af5db1ba17c58e18230246db6b6acafa55ef5c19d1a44cf9aed9ca29",
+        7: "93bad057751a4c61d255c8112103806afecd9ac590f0973cd1ab8d65c7e5389f",
+    }
+
+    @pytest.mark.parametrize("m", sorted(PAW_DUAL_DIGESTS))
+    def test_paw_mle_duals_are_pinned(self, paw, m):
+        rep = extendable_check(exch_mle(paw), m)
+        text = repr(sorted((k, str(v)) for k, v in rep.dual.items()))
+        assert sha256(text.encode()).hexdigest() == self.PAW_DUAL_DIGESTS[m]
+
     def test_feasible_verdict_carries_no_dual(self):
         rep = extendable_check(er_mobius(4, Fraction(1, 3)), 5)
         assert rep.dual is None
@@ -445,6 +460,24 @@ def component_orders(u):
     for v in parent:
         sizes[find(v)] = sizes.get(find(v), 0) + 1
     return sorted(sizes.values())
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_sigma_rows_are_the_exact_moment_rows(m):
+    # the LP's rows, read off S in integers, against ClassTable.moment_row:
+    # the same integers over the same lcm, and floats as float(Fraction)
+    table = class_table(m)
+    for n in range(1, m + 1):
+        targets, classes, rows = extendability._sigma_rows(m, n)
+        assert classes == table.classes
+        want = [table.moment_row(u) for u in targets]
+        want.append((Fraction(1),) * len(classes))
+        assert len(rows) == len(want) == len(targets) + 1
+        for row, fracs in zip(rows, want):
+            den = lcm(*{q.denominator for q in fracs})
+            assert (row.lcm, row.ints) == (den, [q.numerator * (den // q.denominator) for q in fracs])
+            assert all(type(v) is int for v in [row.lcm, *row.ints])
+            assert [v.hex() for v in row.floats] == [float(q).hex() for q in fracs]
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])

@@ -352,6 +352,23 @@ class TestGraphonMoments:
         with pytest.raises(SizeCapError, match="lower the resolution"):
             graphon_z(phi, complete_class(6), r=28)
 
+    def test_mobius_at_six_nodes_refuses_all_but_constant_kernels(self, monkeypatch):
+        # graphon_mobius takes no resolution: at r = 64 K6 is past the cap,
+        # so a kernel that is not constant is refused before any class
+        calls = []
+        real = genmodels._quadrature_value
+        monkeypatch.setattr(
+            genmodels, "_quadrature_value", lambda *a: calls.append(a) or real(*a)
+        )
+        phi = parse_graphon_name("product:logistic:0.0,1.0")
+        with pytest.raises(SizeCapError, match=r"n=6.*r = 64") as err:
+            graphon_mobius(phi, 6)
+        assert "lower the resolution" not in str(err.value)
+        assert calls == []
+        mv = graphon_mobius(Graphon.constant(0.3), 6)
+        assert mv.z[complete_class(6)] == 0.3**15
+        assert len(calls) == len(enumerate_classes(6, True))
+
     def test_mc_error_shrinks_with_samples(self):
         uv = Graphon(lambda a, b: a * b, "uv")
         small = graphon_z(uv, edge_class(), method="mc", samples=2000, seed=3)

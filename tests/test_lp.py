@@ -303,19 +303,22 @@ def test_float_tableau_from_the_scaled_rows_is_bit_identical(system):
 
 
 def scaled_from_scratch(a_rows, b):
-    """Rows, right-hand sides, scales, signs and float rows of A x = b as
-    ``_Scaled`` defines them: row i times sign(b_i) and the lcm of every
-    denominator in the row and in b_i; floats as float(Fraction) rounds."""
+    """Rows, right-hand sides, scales, signs, float rows and denominator of
+    A x = b as ``_Scaled`` defines them: row i times sign(b_i) and the lcm of
+    the denominators in the row, b over the lcm D of its denominators, so
+    that the right-hand side of row i is sign(b_i) * lcm * D * b_i; floats as
+    float(Fraction) rounds."""
+    den = lcm(*(Fraction(bi).denominator for bi in b))
     rows, rhs, scales, signs = [], [], [], []
     for row, bi in zip(a_rows, b):
-        scale = lcm(Fraction(bi).denominator, *(Fraction(v).denominator for v in row))
+        scale = lcm(*(Fraction(v).denominator for v in row))
         sign = -1 if bi < 0 else 1
         rows.append([sign * scale * Fraction(v) for v in row])
-        rhs.append(sign * scale * Fraction(bi))
+        rhs.append(sign * scale * den * Fraction(bi))
         scales.append(scale)
         signs.append(sign)
     floats = [[float(Fraction(v)).hex() for v in row] for row in a_rows]
-    return rows, rhs, scales, signs, floats
+    return rows, rhs, scales, signs, floats, den
 
 
 # right-hand sides whose denominators often do not divide the rows' lcm
@@ -335,22 +338,22 @@ def test_cached_row_scaling_is_never_stale(system):
     # rows scaled once (``_Row``) and reused for several right-hand sides
     # scale as rows scaled from scratch do; a float b takes the float pass
     a_rows, bs = system
-    cached = [_Row(r) for r in a_rows]
+    cached = [_Row.of(r) for r in a_rows]
     for b in bs:
         want = scaled_from_scratch(a_rows, b)
         for rows in (cached, a_rows):
             got = _Scaled.of(rows, b)
             floats = [[v.hex() for v in r] for r in got.floats]
-            assert (got.rows, got.rhs, got.scales, got.signs, floats) == want
+            assert (got.rows, got.rhs, got.scales, got.signs, floats, got.den) == want
             assert all(type(v) is int for r in got.rows for v in r)
-            assert all(type(v) is int for v in got.rhs)
+            assert all(type(v) is int for v in [*got.rhs, got.den])
         assert _Scaled.of(cached, [float(v) for v in b]) is None
-    assert [r.ints for r in cached] == [_Row(r).ints for r in a_rows]
+    assert [r.ints for r in cached] == [_Row.of(r).ints for r in a_rows]
 
 
 def test_float_rhs_on_cached_rows_takes_the_float_pass():
     a_rows = [[Fraction(1, 2), Fraction(1, 4)], [1, 1]]
-    got = solve_feasibility([_Row(r) for r in a_rows], [0.375, 1.0])
+    got = solve_feasibility([_Row.of(r) for r in a_rows], [0.375, 1.0])
     assert got == solve_feasibility(a_rows, [0.375, 1.0])
     assert all(isinstance(v, float) for v in got.x)
 
@@ -388,6 +391,51 @@ def test_fraction_free_solve_equals_gauss_jordan(system):
         else:
             assert got == [list(r) for r in zip(*want)]
             assert all(type(v) is Fraction for r in got for v in r)
+
+
+nonzero = st.one_of(st.integers(1, 3), st.integers(1, 2**60)).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+
+
+@st.composite
+def sparse_integer_systems(draw):
+    """A square integer B of 2 to 12 rows, at least half of its entries 0,
+    and an integer C of one to three columns; B often has a zero corner or
+    a repeated row.  B has a nonzero entry in every row and column (one per
+    row at a drawn permutation of the columns), so it is often nonsingular.
+    Rows with a 0 in the pivot column are left alone by the elimination, and
+    one of them often becomes a later pivot row while still stale (by a
+    swap, when the row in the pivot position has a 0 there)."""
+    k = draw(st.integers(2, 12))
+    perm = draw(st.permutations(range(k)))
+    extra = draw(st.sets(st.integers(0, k * k - 1), max_size=k * k // 2 - k))
+    cells = {r * k + c for r, c in enumerate(perm)} | extra
+    values = iter(draw(st.lists(nonzero, min_size=len(cells), max_size=len(cells))))
+    b_rows = [[next(values) if r * k + c in cells else 0 for c in range(k)]
+              for r in range(k)]
+    if draw(st.booleans()):
+        b_rows[0][0] = 0
+    if draw(st.booleans()):
+        b_rows[draw(st.integers(1, k - 1))] = list(b_rows[0])
+    width = draw(st.integers(1, 3))
+    return b_rows, [[draw(big) for _ in range(width)] for _ in range(k)]
+
+
+# step 0 (pivot 2) skips row 2 and leaves row 1 with a 0 in column 1, so
+# row 2 is swapped in as the step-1 pivot row while one pivot behind
+@example(([[2, 1, 0, 0], [4, 2, 1, 0], [0, 3, 0, 1], [0, 0, 0, 5]], [[1], [2], [3], [4]]))
+@settings(max_examples=300, deadline=None)
+@given(sparse_integer_systems())
+def test_sparse_solve_equals_gauss_jordan(system):
+    b_rows, c_rows = system
+    got = _solve([r + c for r, c in zip(b_rows, c_rows)])
+    want = [oracle_solve(b_rows, list(col)) for col in zip(*c_rows)]
+    if want[0] is None:
+        assert got is None
+    else:
+        assert got == [list(r) for r in zip(*want)]
+        assert all(type(v) is Fraction for r in got for v in r)
 
 
 def test_inexact_back_substitution_raises(monkeypatch):
