@@ -15,7 +15,6 @@ at a time and serve as its independent check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -185,15 +184,15 @@ class ClassTable:
             return (0,) * len(self.classes)
         return tuple(self.S[self.index[u]].tolist())
 
-    def moment_row(self, u: UnlabeledClass) -> tuple:
-        """S[U][W] / |U| as Fractions for every class W at n, so that the
-        row dotted with a class distribution q is z_U; U has at most n
-        vertices."""
-        denom = int(self.sizes[self.index[u]])
-        row = self.row(u)
-        # one Fraction per distinct count: a row has few
-        frac = {s: Fraction(s, denom) for s in set(row)}
-        return tuple(map(frac.__getitem__, row))
+    def moment_rows(self, classes) -> tuple:
+        """Rows S[U] / |U| (row U dotted with a class distribution q is z_U)
+        of classes on at most n vertices, in one numpy pass: the int lists
+        S[U] / g, the lcms |U| / g with g = gcd(|U|, S[U]), and the floats."""
+        at = [self.index[u] for u in classes]
+        g = np.gcd(np.gcd.reduce(self.S[at], axis=1), self.sizes[at])
+        ints, lcms = self.S[at] // g[:, None], self.sizes[at] // g
+        # both below 2^53, so the float quotient is float(Fraction)
+        return ints.tolist(), lcms.tolist(), ints / lcms[:, None]
 
     def sigmas(self, x: LabeledNetwork) -> tuple:
         """sigma_U(x) for every class U at n: the column of x's class."""

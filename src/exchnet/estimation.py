@@ -142,9 +142,7 @@ class _DissociatedRows:
     @classmethod
     def of(cls, n: int) -> "_DissociatedRows":
         table = class_table(n)
-        moments = np.array(
-            [table.moment_row(u) for u in table.classes], dtype=float
-        )
+        moments = table.moment_rows(table.classes)[2]
         sides = [table.index.get(star_class(1))]
         products = []
         for u, comps in disconnected_classes(n):

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
-
-import numpy as np
+from math import gcd, lcm, prod
 
 from .counting import class_table, edge_class
 from .genmodels import er_class_distribution
@@ -97,38 +95,45 @@ def _check_sizes(n: int, m: int) -> None:
 @lru_cache(maxsize=64)
 def _sigma_rows(m: int, n: int) -> tuple:
     """The non-empty classes U at n, the classes at m and the LP's rows as
-    ``_Row``s: each U's moment row S[U] / |U| as S[U] / g over |U| / g, with
-    g = gcd(|U|, S[U]), then normalization, the empty class's row of ones."""
+    ``_Row``s: each U's moment row (``ClassTable.moment_rows``), then
+    normalization, the empty class's row of ones."""
     table = class_table(m)
     targets = [u for u in enumerate_classes(n, True) if not u.is_empty]
-    at = [table.index[u] for u in targets] + [0]
-    g = np.gcd(np.gcd.reduce(table.S[at], axis=1), table.sizes[at])
-    ints, lcms = table.S[at] // g[:, None], table.sizes[at] // g
-    # both below 2^53, so the float quotient is float(Fraction)
-    rows = tuple(_Row(v.tolist(), int(d), v / d) for v, d in zip(ints, lcms))
-    return tuple(targets), table.classes, rows
+    rows = map(_Row, *table.moment_rows(targets + [table.classes[0]]))
+    return tuple(targets), table.classes, tuple(rows)
 
 
 @lru_cache(maxsize=64)
 def _product_terms(m: int, n: int) -> tuple:
     """For every disconnected class U at m on more than n vertices: U, its
-    components on at most n vertices, U's row (a ``_Row`` if the LP reads it
-    as is) and the row of its one component on more than n, or None."""
-    table = class_table(m)
-    out = []
+    components on at most n vertices, and the ``_Row``s of U and of its one
+    component on more than n (None if it has none), built in one pass."""
+    terms = []
     for u, comps in disconnected_classes(m):
         if u.n_vertices <= n:
             continue
         big = [c for c in comps if c.n_vertices > n]
         if len(big) > 1:
-            raise InvariantError(
-                f"{u.key()} has {len(big)} components on over {n} vertices"
-            )
+            raise InvariantError(f"{u.key()} has {len(big)} components on over {n} vertices")
         small = tuple(c for c in comps if c.n_vertices <= n)
-        row_u = table.moment_row(u)
-        row_big = table.moment_row(big[0]) if big else None
-        out.append((u, small, row_u if big else _Row.of(row_u), row_big))
-    return tuple(out)
+        terms.append((u, small, big[0] if big else None))
+    need = list({c for u, _, big in terms for c in (u, big) if c})
+    rows = dict(zip(need, map(_Row, *class_table(m).moment_rows(need))))
+    return tuple((u, small, rows[u], rows.get(big)) for u, small, big in terms)
+
+
+def _product_row(row_u: _Row, row_big: _Row, c, exact: bool):
+    """The row of z_U - c z_B = 0, B the large component: for exact c a
+    ``_Row`` in integers over c's denominator, reduced by one gcd (as
+    ``_Row.of`` reduces the Fractions a - c b), else the floats a - c b."""
+    if not exact:
+        return row_u.floats - c * row_big.floats
+    den = lcm(row_u.lcm, c.denominator * row_big.lcm)
+    fu, fb = den // row_u.lcm, c.numerator * den // (c.denominator * row_big.lcm)
+    ints = [a * fu - b * fb for a, b in zip(row_u.ints, row_big.ints)]
+    g = gcd(den, *ints)
+    ints, den = [v // g for v in ints], den // g
+    return _Row(ints, den, [v / den for v in ints])
 
 
 def _certificate_valid(
@@ -245,9 +250,7 @@ def dissociated_extendable_check(mv: MobiusVector, m: int) -> ExtendabilityRepor
     # moment rows alone are infeasible otherwise
     for u, small, row_u, row_big in _product_terms(m, n) if n > 2 else ():
         c = prod(mv.z[s] for s in small)
-        if row_big is None:
-            products.append((u.key(), row_u, c))
-        else:
-            row = [a - c * b for a, b in zip(row_u, row_big)]
-            products.append((u.key(), row, 0))
+        if row_big is not None:  # z_U - c z_B = 0
+            row_u, c = _product_row(row_u, row_big, c, mv.is_exact), 0
+        products.append((u.key(), row_u, c))
     return _lp_report(mv, m, products, tol)

@@ -267,7 +267,8 @@ def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
 class _Row:
     """A rational row as integers over the lcm of its denominators, with its
     floats (int / int is correctly rounded as float(Fraction) is); indexed,
-    it gives Fractions.  ``_Row.of`` scales a row of ints and Fractions."""
+    it gives Fractions.  ``ClassTable.moment_rows`` builds moment rows in
+    this format; ``_Row.of`` scales a row of ints and Fractions."""
 
     def __init__(self, ints: list, lcm: int, floats):
         self.ints, self.lcm, self.floats = ints, lcm, floats

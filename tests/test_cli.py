@@ -648,6 +648,7 @@ def _extend_inputs():
         "er4-1/5": er_mobius(4, Fraction(1, 5)),
         "paw-mle": exch_mle(paw),
         "block": MobiusVector(4, block),
+        "block-float": MobiusVector(4, {u: float(v) for u, v in block.items()}),
         "er4-float": MobiusVector(4, {u: float(v) for u, v in er4.z.items()}),
     }
 
@@ -656,8 +657,12 @@ def _extend_inputs():
 # the denominator of its right-hand side and Bareiss rewrote every row at
 # every step: how the exact check is computed must not move a byte.  The
 # paw MLE is infeasible (margins 3/10, 17/18, 227/210), the block moments
-# reach the LP with their product rows, and the last input is float.  S_7
-# comes from a float32 BLAS product, so CI runs these with one BLAS thread.
+# reach the LP with their product rows, and the float inputs take the float
+# pass.  At m = 6 no product row of the block moments has a component on
+# more than 4 vertices; at m = 7 some do (K2 + a 5-vertex class), and their
+# rows z_U - c z_B combine the two moment rows, exact and float; those two
+# digests were recorded when that row was built as Fractions.  S_7 comes
+# from a float32 BLAS product, so CI runs these with one BLAS thread.
 EXTEND_DIGESTS = {
     ("er5-3/14", 6): "de889e652d2c14d9071246425eae43282d970de25ee2f5a0618c56018f0cb51e",
     ("er5-5/24", 6): "793f26978f1e6269d9c7d629fad78fe9962685e84c9ea3038d8bdf2a2b508ade",
@@ -666,6 +671,8 @@ EXTEND_DIGESTS = {
     ("paw-mle", 6): "3841fee45382e6af412b5171dd12f259a8e5490fd68bed2c009b480f6be775f8",
     ("paw-mle", 7): "c2be5e5180647d8920f65fcdf6b66e9a56acfecbd61ac6b4876d765f70a331b5",
     ("block", 6, "--dissociated"): "8216067ce5918ffe6214d408d032007b60f55aa80e0e50d0f71926950aff93c0",
+    ("block", 7, "--dissociated"): "b1e583028770fa0846a92386b5f001730c91d085b2119663b324873a8c98b917",
+    ("block-float", 7, "--dissociated"): "cf45eced039f5a6bee7fc7e99244216613508734af7111d4a3d84d74329eafd6",
     ("er4-float", 6): "f5ea441dcf195fa2509cf98b852dd61797184f864897b3cae874e59efba4250a",
 }
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exchnet.counting import class_table, two_disjoint_edges_class
+from exchnet.counting import class_table, sigma, two_disjoint_edges_class
 from exchnet.dependence import dissociated_check
 from exchnet.estimation import exch_mle
 from exchnet import extendability
@@ -39,6 +39,7 @@ from exchnet.graphs import (
     enumerate_classes,
     num_dyads,
 )
+from exchnet.lp import _Row
 from exchnet.mobius import (
     ClassDistribution,
     InvalidParametersError,
@@ -427,6 +428,20 @@ class TestDissociatedExtendableCheck:
                     lp_verdicts += 1
         assert lp_verdicts == 6
 
+    def test_one_edge_mle_dual_is_pinned(self):
+        # one edge on three nodes at m = 6: the product rows of K2 plus a
+        # class on four vertices combine the rows of U and of that component;
+        # sha256 of the sorted (class key, str(y)) duals, recorded when those
+        # rows were built as Fractions
+        mv = exch_mle(LabeledNetwork.from_edges(3, [(1, 2)]))
+        rep = dissociated_extendable_check(mv, 6)
+        assert not rep.feasible and rep.method == "lp"
+        assert rep.infeasibility_margin == Fraction(92, 405)
+        text = repr(sorted((k, str(v)) for k, v in rep.dual.items()))
+        assert sha256(text.encode()).hexdigest() == (
+            "f64924425d285379632805df538ba4c5060e08f54b7f7b8f12846e5e8a3f0b06"
+        )
+
     def test_failed_product_recheck_raises(self, monkeypatch):
         # a product gap on the 4-node certificate only, not on the input
         real = extendability._product_gap
@@ -462,22 +477,62 @@ def component_orders(u):
     return sorted(sizes.values())
 
 
+def fraction_rows(table, classes):
+    """S[U][W] / |U| as Fractions, one row per class U, read off S here."""
+    return [
+        [Fraction(s, int(table.sizes[table.index[u]])) for s in table.S[table.index[u]].tolist()]
+        for u in classes
+    ]
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_sigma_rows_are_the_exact_moment_rows(m):
-    # the LP's rows, read off S in integers, against ClassTable.moment_row:
-    # the same integers over the same lcm, and floats as float(Fraction)
+    # the LP's rows against S[U][W] / |U| as Fractions (and, for m <= 5,
+    # against sigma counted by backtracking over |U| at m): the same
+    # integers over the same lcm, and floats as float(Fraction)
     table = class_table(m)
     for n in range(1, m + 1):
         targets, classes, rows = extendability._sigma_rows(m, n)
         assert classes == table.classes
-        want = [table.moment_row(u) for u in targets]
-        want.append((Fraction(1),) * len(classes))
+        want = fraction_rows(table, targets)
+        if m <= 5:
+            assert want == [
+                [Fraction(sigma(u, w.padded(m)), class_size(u, m)) for w in classes]
+                for u in targets
+            ]
+        want.append([Fraction(1)] * len(classes))
         assert len(rows) == len(want) == len(targets) + 1
         for row, fracs in zip(rows, want):
             den = lcm(*{q.denominator for q in fracs})
             assert (row.lcm, row.ints) == (den, [q.numerator * (den // q.denominator) for q in fracs])
             assert all(type(v) is int for v in [row.lcm, *row.ints])
             assert [v.hex() for v in row.floats] == [float(q).hex() for q in fracs]
+
+
+@pytest.mark.parametrize("m,n", [(6, 3), (7, 3), (7, 4)])
+def test_product_rows_combine_as_fraction_rows(m, n):
+    # every (m, n) with m <= 7 and 3 <= n < m whose product rows have a
+    # component B on more than n vertices: z_U - c z_B = 0 combined in
+    # integers (exact c) or floats (float c) must be the row that
+    # a - c b over the Fractions a = S[U][W] / |U|, b = S[B][W] / |B| gives
+    table = class_table(m)
+    exact = [Fraction(0), Fraction(1, 9), Fraction(-5, 7), Fraction(2**70 + 1, 3**50)]
+    floats = [0.0, 1 / 9, 0.1234567890123, 3.7e-200]
+    terms = [(u, a, b) for u, _, a, b in _product_terms(m, n) if b is not None]
+    assert terms
+    for u, row_u, row_big in terms:
+        big = next(c for c in component_classes(u) if c.n_vertices > n)
+        fu, fb = fraction_rows(table, [u, big])
+        for c in exact:
+            got = extendability._product_row(row_u, row_big, c, True)
+            want = _Row.of([a - c * b for a, b in zip(fu, fb)])
+            assert (got.lcm, got.ints) == (want.lcm, want.ints), (u.key(), c)
+            assert all(type(v) is int for v in [got.lcm, *got.ints])
+            assert [v.hex() for v in got.floats] == [v.hex() for v in want.floats]
+        for c in floats:
+            got = extendability._product_row(row_u, row_big, c, False)
+            want = [a - c * b for a, b in zip(fu, fb)]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], (u.key(), c)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])

@@ -25,8 +25,7 @@ def _moment_matrix(n):
     """The classes at n and the float moment row of each, one row per
     class."""
     table = class_table(n)
-    rows = [table.moment_row(u) for u in table.classes]
-    return table.classes, np.array(rows, dtype=float)
+    return table.classes, table.moment_rows(table.classes)[2]
 
 
 def _dissociated_constraints(n, classes, a_matrix):
