@@ -10,11 +10,11 @@ while paying for rational arithmetic about once per LP, as in the float
 simplex plus exact check of QSopt_ex (Applegate, Cook, Dash & Espinoza,
 Oper. Res. Lett. 35, 2007).  One pass scales each row to integers by the
 lcm of its own denominators (a ``_Row`` brings it), puts b over its common
-denominator D and finds out whether the data are rational at all; both
-halves read it:
+denominator D and finds out whether the data are rational at all; steps
+2 and 3 read it:
 
-1. The pivots run in floats, on coefficients taken as int / scale, which
-   is correctly rounded as float(Fraction) is.  Ratios within
+1. The pivots run in floats, on the caller's coefficients rounded as
+   float(Fraction) rounds them (a ``_Row`` brings them).  Ratios within
    ``FLOAT_EPS`` of the smallest count as ties, broken by basic index as
    the exact rule breaks them, so the float pass takes the exact pass's
    pivots unless rounding flips a decision.  Pivot elements must exceed
@@ -33,11 +33,11 @@ halves read it:
    positive means infeasible, and y is a Farkas certificate (y.A_j <= 0
    for every column j, y.b > 0).
 3. If the check fails, exact Bland pivoting in Fractions continues from the
-   float basis when that basis is nonsingular and primal feasible, and from
-   the artificial basis otherwise.
+   float basis when that basis is nonsingular and primal feasible, and else,
+   by the same code, from the artificial basis, which is both.
 
-Float data take the float pass alone, with ``FLOAT_EPS`` as feasibility
-tolerance; a repeated basis there raises ``InvariantError``.
+Float data read the verdict off the float pass, with ``FLOAT_EPS`` as
+feasibility tolerance; a repeated basis there raises ``InvariantError``.
 
 ``maximize`` adds an objective, in floats only: phase one is the float pass
 above, and phase two continues on its tableau.
@@ -78,10 +78,11 @@ class FeasibilityResult:
     dual: list
 
 
-def _initial_tableau(a_rows: Sequence, b: Sequence, num) -> tuple:
-    """Phase-one tableau on the artificial basis, with every coefficient
-    converted by ``num`` (``Fraction`` or ``float``) and every row signed so
-    that b >= 0; returns the tableau, the basis and the row signs.
+def _initial_tableau(a_rows: Sequence, b: Sequence) -> tuple:
+    """Float phase-one tableau on the artificial basis, with every row
+    signed so that b >= 0; returns the tableau, the basis and the row signs.
+    A ``_Row`` gives its floats; numpy rounds every other int or Fraction
+    as float() does.
 
     Columns: n structural, m artificial, then the right-hand side.  Rows:
     the m constraints, then the reduced costs of the phase-one objective
@@ -89,21 +90,18 @@ def _initial_tableau(a_rows: Sequence, b: Sequence, num) -> tuple:
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
-    zero = num(0)
     signs = [-1 if bi < 0 else 1 for bi in b]
-    dtype = object if num is Fraction else float
-    tab = np.full((m + 1, n + m + 1), zero, dtype=dtype)
+    tab = np.zeros((m + 1, n + m + 1))
     for i, (row, bi, s) in enumerate(zip(a_rows, b, signs)):
-        row = row.floats if num is float and isinstance(row, _Row) else row
-        tab[i, :n] = row if isinstance(row, np.ndarray) else list(map(num, row))
+        tab[i, :n] = row.floats if isinstance(row, _Row) else row
         if s < 0:
             tab[i, :n] *= -1
-        tab[i, n + i] = 1 + zero
-        tab[i, n + m] = s * num(bi)
+        tab[i, n + i] = 1
+        tab[i, n + m] = s * float(bi)
     for i in range(m):
         tab[m] -= tab[i]
     # artificials start basic at unit cost, so their reduced cost is 0
-    tab[m, n : n + m] = zero
+    tab[m, n : n + m] = 0
     return tab, [n + i for i in range(m)], signs
 
 
@@ -182,28 +180,16 @@ def _result(
 
 
 def _tableau_result(
-    tab: np.ndarray, basis: list, signs: list, exact: bool, pivots: int
+    tab: np.ndarray, basis: list, signs: list, pivots: int
 ) -> FeasibilityResult:
+    """Verdict of an optimal phase-one tableau: exact on Fractions (object
+    dtype), within ``FLOAT_EPS`` on floats."""
     m = len(basis)
     n = tab.shape[1] - 1 - m
     obj = tab[m]
     y = [1 - v for v in obj[n : n + m]]  # reduced cost of artificial i is 1 - y_i
-    return _result(
-        basis, list(tab[:m, -1]), y, signs, n, -obj[-1],
-        Fraction(0) if exact else FLOAT_EPS, pivots,
-    )
-
-
-def _phase_one(a_rows: list, b: list, exact: bool) -> FeasibilityResult:
-    """Bland phase one from the artificial basis, all in Fractions (exact)
-    or all in floats."""
-    num = Fraction if exact else float
-    tab, basis, signs = _initial_tableau(a_rows, b, num)
-    eps, pivot_eps = (0, 0) if exact else (FLOAT_EPS, PIVOT_EPS)
-    pivots, cycled = _bland(tab, basis, eps, pivot_eps)
-    if cycled:
-        raise InvariantError(f"float pivots revisited a basis after {pivots}")
-    return _tableau_result(tab, basis, signs, exact, pivots)
+    tol = Fraction(0) if tab.dtype == object else FLOAT_EPS
+    return _result(basis, list(tab[:m, -1]), y, signs, n, -obj[-1], tol, pivots)
 
 
 @dataclass
@@ -230,7 +216,7 @@ def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
     ``InvariantError`` when a float pass revisits a basis or phase two ends
     with an improving column (an unbounded LP, or one that rounding stalls).
     """
-    tab, basis, _ = _initial_tableau(a_rows, b, float)
+    tab, basis, _ = _initial_tableau(a_rows, b)
     m = len(basis)
     n = tab.shape[1] - 1 - m
     pivots, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
@@ -296,7 +282,6 @@ class _Scaled:
     rhs: list  # integers >= 0: sign_i * scale_i * den * b_i
     scales: list
     signs: list
-    floats: list  # the caller's rows as floats, for the float pass
     den: int
 
     @classmethod
@@ -307,7 +292,7 @@ class _Scaled:
         if not all(map(isinstance, b, repeat(rat))):
             return None
         nums, den = _over_lcm(b)
-        system = cls(len(a_rows[0]) if len(a_rows) else 0, [], [], [], [], [], den)
+        system = cls(len(a_rows[0]) if len(a_rows) else 0, [], [], [], [], den)
         for row, bi, num in zip(a_rows, b, nums):
             if not isinstance(row, _Row) and all(map(isinstance, row, repeat(rat))):
                 row = _Row.of(row)
@@ -318,7 +303,6 @@ class _Scaled:
             system.rhs.append(sign * row.lcm * num)
             system.scales.append(row.lcm)
             system.signs.append(sign)
-            system.floats.append(row.floats)
         return system
 
 
@@ -389,15 +373,13 @@ def _reduced_costs_nonnegative(system: _Scaled, w: list) -> bool:
     return all(a <= 0 for a in acc)
 
 
-def _exact_from_basis(
-    a_rows: Sequence, b: Sequence, basis: list, pivots: int, system=None
-) -> FeasibilityResult:
-    """Exact verdict on rational A x = b from a candidate basis: proved
+def _exact_from_basis(system: _Scaled, basis: list, pivots: int) -> FeasibilityResult:
+    """Exact verdict on the rational system from a candidate basis: proved
     optimal in rationals, or else reached by exact Bland pivoting continued
-    from it.  ``system`` is ``_Scaled.of(a_rows, b)`` when the caller has
-    it."""
+    from it.  A singular basis, or one with a negative basic value, hands
+    over to the artificial basis [n, n + k): nonsingular, and primal
+    feasible since every row is signed so that b >= 0."""
     zero = Fraction(0)
-    system = system or _Scaled.of(a_rows, b)
     n, k = system.n, len(basis)
     # the basis matrix B, where artificial column n + i is scale_i e_i
     rows = [
@@ -406,36 +388,35 @@ def _exact_from_basis(
     ]
     sol = _solve([r + [bi] for r, bi in zip(rows, system.rhs)])
     xb = None if sol is None else [r[0] / system.den for r in sol]
-    if xb is not None and all(v >= 0 for v in xb):
-        # w = B^-T c_B for the phase-one costs, by elimination on [B^T | c_B]
-        # (w = 0 when no artificial is basic)
-        costs = [int(j >= n) for j in basis]
-        w = [zero] * k
-        if any(costs):
-            transposed = [[*col, ci] for col, ci in zip(zip(*rows), costs)]
-            w = [r[0] for r in _solve(transposed)]
-        if _reduced_costs_nonnegative(system, w):
-            residual = sum((v for v, j in zip(xb, basis) if j >= n), zero)
-            y = [wi * s for wi, s in zip(w, system.scales)]
-            return _result(basis, xb, y, system.signs, n, residual, zero, pivots)
-        # primal feasible but not optimal: continue from the tableau
-        # B^-1 [A | I | b] of this basis, with its phase-one costs
-        tab = np.empty((k + 1, n + k + 1), dtype=object)
-        tab[:k] = _solve([
-            r + a_i + [s_i * (t == i) for t in range(k)] + [bi]
-            for i, (r, a_i, s_i, bi)
-            in enumerate(zip(rows, system.rows, system.scales, system.rhs))
-        ])
-        tab[:k, -1] /= system.den
-        obj = np.array([zero] * n + [Fraction(1)] * k + [zero], dtype=object)
-        for i, j in enumerate(basis):
-            if j >= n:
-                obj = obj - tab[i]
-        tab[k] = obj
-    else:
-        tab, basis, _ = _initial_tableau(a_rows, b, Fraction)
+    if xb is None or any(v < 0 for v in xb):
+        return _exact_from_basis(system, [n + i for i in range(k)], pivots)
+    # w = B^-T c_B for the phase-one costs, by elimination on [B^T | c_B]
+    # (w = 0 when no artificial is basic)
+    costs = [int(j >= n) for j in basis]
+    w = [zero] * k
+    if any(costs):
+        transposed = [[*col, ci] for col, ci in zip(zip(*rows), costs)]
+        w = [r[0] for r in _solve(transposed)]
+    if _reduced_costs_nonnegative(system, w):
+        residual = sum((v for v, j in zip(xb, basis) if j >= n), zero)
+        y = [wi * s for wi, s in zip(w, system.scales)]
+        return _result(basis, xb, y, system.signs, n, residual, zero, pivots)
+    # primal feasible but not optimal: continue from the tableau
+    # B^-1 [A | S | b] of this basis, with its phase-one costs
+    tab = np.empty((k + 1, n + k + 1), dtype=object)
+    tab[:k] = _solve([
+        r + a_i + [s_i * (t == i) for t in range(k)] + [bi]
+        for i, (r, a_i, s_i, bi)
+        in enumerate(zip(rows, system.rows, system.scales, system.rhs))
+    ])
+    tab[:k, -1] /= system.den
+    obj = np.array([zero] * n + [Fraction(1)] * k + [zero], dtype=object)
+    for i, j in enumerate(basis):
+        if j >= n:
+            obj = obj - tab[i]
+    tab[k] = obj
     pivots += _bland(tab, basis, zero, zero)[0]
-    return _tableau_result(tab, basis, system.signs, True, pivots)
+    return _tableau_result(tab, basis, system.signs, pivots)
 
 
 def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
@@ -446,9 +427,11 @@ def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
     basis is then proved optimal in rational arithmetic (see the module
     docstring); a float verdict comes from the float pass alone.
     """
+    tab, basis, signs = _initial_tableau(a_rows, b)
+    pivots, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
     system = _Scaled.of(a_rows, b)
-    if system is None:
-        return _phase_one(a_rows, b, False)
-    tab, basis, _ = _initial_tableau(system.floats, b, float)
-    pivots, _ = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
-    return _exact_from_basis(a_rows, b, basis, pivots, system)
+    if system is not None:
+        return _exact_from_basis(system, basis, pivots)
+    if cycled:
+        raise InvariantError(f"float pivots revisited a basis after {pivots}")
+    return _tableau_result(tab, basis, signs, pivots)

@@ -2,10 +2,14 @@
 
 Everything here enumerates permutations or labeled graphs directly, with no
 pruning and no shared code with the package internals, so it can serve as an
-independent check.  The one exception is ``oracle_class_lattice``, the
-breadth-first class enumeration that generates the shipped class atlas: it
+independent check.  There are two exceptions.  ``oracle_class_lattice``, the
+breadth-first class enumeration that generates the shipped class atlas,
 canonicalizes with the package's relabeling tables, which
 ``oracle_canonical_bits`` and ``oracle_aut`` check on their own.
+``oracle_exact_bland``, the all-Fraction Bland phase one that the LP's float
+pass and exact check are compared against, builds its own Fraction tableau
+but pivots it with ``lp._bland`` and reads it with ``lp._tableau_result``;
+the LP tests re-check every exact answer in Fractions on their own.
 """
 
 import math
@@ -19,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from exchnet import lp
 from exchnet.graphs import (
     MAX_NODES,
     InvalidNetworkError,
@@ -522,6 +527,26 @@ def oracle_lp_max(a_rows, b, c):
     values = [sum((Fraction(c[j]) * v for j, v in zip(support, x)), Fraction(0))
               for support, x in _lp_vertices(cols, tuple(b))]
     return max(values, default=None)
+
+
+def oracle_exact_bland(a_rows, b):
+    """Phase one of {x >= 0 : A x = b} by Bland's rule in Fractions all the
+    way, from the artificial basis: every row and b_i times sign(b_i), so
+    that b >= 0, one artificial per row, and the phase-one reduced costs
+    (minus the sum of the rows, 0 on the artificials)."""
+    m, n = len(a_rows), len(a_rows[0])
+    signs = [-1 if bi < 0 else 1 for bi in b]
+    tab = np.full((m + 1, n + m + 1), Fraction(0), dtype=object)
+    for i, (row, bi, s) in enumerate(zip(a_rows, b, signs)):
+        tab[i, :n] = [s * Fraction(v) for v in row]
+        tab[i, n + i] = Fraction(1)
+        tab[i, -1] = s * Fraction(bi)
+        tab[m, :n] -= tab[i, :n]
+        tab[m, -1] -= tab[i, -1]
+    basis = list(range(n, n + m))
+    pivots, cycled = lp._bland(tab, basis, 0, 0)
+    assert not cycled  # exact Bland never revisits a basis
+    return lp._tableau_result(tab, basis, signs, pivots)
 
 
 def oracle_facial_set(stats, x_idx: int) -> list:

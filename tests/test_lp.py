@@ -1,9 +1,11 @@
 """The phase-one LP: the certified float basis against pure exact Bland.
 
 ``solve_feasibility`` on rational data pivots in floats and proves the final
-basis in rationals; ``_phase_one(..., exact=True)`` pivots in Fractions all
-the way.  Both must give the same verdict, residual and point, and every
-exact answer is re-checked here in Fraction arithmetic.
+basis in rationals, continuing by exact Bland pivots from that basis, or
+from the artificial one, when the proof fails; the oracle
+``oracle_exact_bland`` pivots in Fractions all the way.  Both must give the
+same verdict, residual and point, and every exact answer is re-checked here
+in Fraction arithmetic.
 """
 
 from fractions import Fraction
@@ -22,7 +24,6 @@ from exchnet.lp import (
     FLOAT_EPS,
     _bland,
     _exact_from_basis,
-    _phase_one,
     _initial_tableau,
     _Row,
     _Scaled,
@@ -31,7 +32,12 @@ from exchnet.lp import (
     solve_feasibility,
 )
 from exchnet.mobius import MobiusVector
-from oracles import oracle_block_moments, oracle_lp_max, oracle_solve
+from oracles import (
+    oracle_block_moments,
+    oracle_exact_bland,
+    oracle_lp_max,
+    oracle_solve,
+)
 
 PAW = LabeledNetwork.from_edges(4, [(1, 4), (2, 3), (2, 4), (3, 4)])
 
@@ -77,6 +83,15 @@ def assert_same_answer(got, want):
     assert got.x == want.x
 
 
+def assert_same_path(got, want):
+    """The same answer by as many pivots, so from the same basis: the same
+    dual and worst row too."""
+    assert_same_answer(got, want)
+    assert got.pivots == want.pivots
+    assert got.worst_row == want.worst_row
+    assert got.dual == want.dual
+
+
 CASES = (
     [(f"er4-{p}-m{m}", er_mobius(4, p), m)
      for m in (5, 6)
@@ -91,12 +106,8 @@ CASES = (
 def test_certified_equals_exact_bland(mv, m):
     a_rows, b = extension_lp(mv, m)
     got = solve_feasibility(a_rows, b)
-    want = _phase_one(a_rows, b, exact=True)
-    assert_same_answer(got, want)
     # the float pass took the exact pass's path, so the bases agree too
-    assert got.pivots == want.pivots
-    assert got.worst_row == want.worst_row
-    assert got.dual == want.dual
+    assert_same_path(got, oracle_exact_bland(a_rows, b))
     assert_exactly_certified(a_rows, b, got)
 
 
@@ -124,13 +135,13 @@ def test_pivot_counts_on_er_moments_are_pinned(n, p, m, pivots):
     got = solve_feasibility(a_rows, b)
     assert got.feasible and got.pivots == pivots
     if m <= 6:
-        assert _phase_one(a_rows, b, exact=True).pivots == pivots
+        assert oracle_exact_bland(a_rows, b).pivots == pivots
 
 
 def test_an_lp_with_no_columns_takes_no_pivot():
     res = solve_feasibility([], [])
     assert res.feasible and res.pivots == 0 and res.x == []
-    assert _phase_one([], [], exact=False).pivots == 0
+    assert maximize([], [], []).pivots == 0
 
 
 def test_verdicts_of_the_cases():
@@ -147,8 +158,8 @@ class TestForcedFallback:
     def test_artificial_basis_continues_by_exact_pivoting(self):
         a_rows, b = extension_lp(er_mobius(4, Fraction(1, 2)), 5)
         start = [len(a_rows[0]) + i for i in range(len(a_rows))]
-        got = _exact_from_basis(a_rows, b, start, 0)
-        want = _phase_one(a_rows, b, exact=True)
+        got = _exact_from_basis(_Scaled.of(a_rows, b), start, 0)
+        want = oracle_exact_bland(a_rows, b)
         assert got.pivots == want.pivots > 0
         assert_same_answer(got, want)
         assert_exactly_certified(a_rows, b, got)
@@ -162,7 +173,7 @@ class TestForcedFallback:
         got = solve_feasibility(a_rows, b)
         assert got.feasible
         assert got.x == [0, 1]
-        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
+        assert_same_answer(got, oracle_exact_bland(a_rows, b))
 
     def test_ratios_merged_by_rounding_restart_exactly(self):
         # x = 1 + d and x = 1: the float ratio test takes 1 + d and 1 as a
@@ -172,7 +183,7 @@ class TestForcedFallback:
         got = solve_feasibility(a_rows, b)
         assert not got.feasible
         assert got.residual == d
-        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
+        assert_same_answer(got, oracle_exact_bland(a_rows, b))
         assert_exactly_certified(a_rows, b, got)
 
     def test_artificial_with_negative_reduced_cost_continues(self):
@@ -180,25 +191,33 @@ class TestForcedFallback:
         # y = (1, 2), so the nonbasic a1 has reduced cost 1 - 2 < 0.  The
         # optimum is x = 0 with value 2.
         a_rows, b = [[-2], [1]], [Fraction(1), Fraction(1)]
-        got = _exact_from_basis(a_rows, b, [1, 0], 0)
+        got = _exact_from_basis(_Scaled.of(a_rows, b), [1, 0], 0)
         assert got.residual == 2
-        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
+        assert_same_answer(got, oracle_exact_bland(a_rows, b))
         assert_exactly_certified(a_rows, b, got)
+
+    # a start that is not primal feasible, or singular, hands over to the
+    # artificial basis, whose tableau is the oracle's, and exact Bland
+    # continues from it by the oracle's pivots
 
     def test_infeasible_start_restarts_from_artificials(self):
         # x1 + x2 = 1, x1 - x2 = 1/2; the basis {x1, a2} gives a2 = -1/2
         a_rows = [[1, 1], [1, -1]]
         b = [Fraction(1), Fraction(1, 2)]
-        got = _exact_from_basis(a_rows, b, [0, 3], 0)
+        got = _exact_from_basis(_Scaled.of(a_rows, b), [0, 3], 0)
         assert got.feasible
         assert got.x == [Fraction(3, 4), Fraction(1, 4)]
+        assert_same_path(got, oracle_exact_bland(a_rows, b))
 
     def test_singular_start_restarts_from_artificials(self):
-        a_rows, b = extension_lp(exch_mle(PAW), 5)
-        singular = [0] * len(a_rows)  # one column in every position
-        got = _exact_from_basis(a_rows, b, singular, 0)
-        assert_same_answer(got, _phase_one(a_rows, b, exact=True))
-        assert_exactly_certified(a_rows, b, got)
+        for mv, m, pivots in ((exch_mle(PAW), 5, 15),
+                              (er_mobius(4, Fraction(1, 2)), 6, 212)):
+            a_rows, b = extension_lp(mv, m)
+            singular = [0] * len(a_rows)  # one column in every position
+            got = _exact_from_basis(_Scaled.of(a_rows, b), singular, 0)
+            assert got.pivots == pivots
+            assert_same_path(got, oracle_exact_bland(a_rows, b))
+            assert_exactly_certified(a_rows, b, got)
 
 
 def test_negative_rhs_rows_are_signed():
@@ -238,7 +257,7 @@ def rational_systems(draw):
 def test_random_systems_match_exact_bland(system):
     a_rows, b = system
     got = solve_feasibility(a_rows, b)
-    want = _phase_one(a_rows, b, exact=True)
+    want = oracle_exact_bland(a_rows, b)
     assert got.feasible == want.feasible
     # the phase-one optimum is unique even where the optimal basis is not
     assert got.residual == want.residual
@@ -274,7 +293,7 @@ def degenerate_systems(draw):
 def test_degenerate_systems_match_exact_bland(system):
     a_rows, b = system
     got = solve_feasibility(a_rows, b)
-    want = _phase_one(a_rows, b, exact=True)
+    want = oracle_exact_bland(a_rows, b)
     assert_same_answer(got, want)
     assert got.dual == want.dual
     assert_exactly_certified(a_rows, b, got)
@@ -295,19 +314,20 @@ wide = st.one_of(
     st.lists(wide, min_size=m, max_size=m),
 )))
 def test_float_tableau_from_the_scaled_rows_is_bit_identical(system):
+    # a ``_Row``'s floats (int / lcm) are numpy's rounding of its ints and
+    # Fractions, so the float pass is the same from either
     a_rows, b = system
-    want = _initial_tableau(a_rows, b, float)
-    got = _initial_tableau(_Scaled.of(a_rows, b).floats, b, float)
+    want = _initial_tableau(a_rows, b)
+    got = _initial_tableau([_Row.of(r) for r in a_rows], b)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
 
 
 def scaled_from_scratch(a_rows, b):
-    """Rows, right-hand sides, scales, signs, float rows and denominator of
-    A x = b as ``_Scaled`` defines them: row i times sign(b_i) and the lcm of
-    the denominators in the row, b over the lcm D of its denominators, so
-    that the right-hand side of row i is sign(b_i) * lcm * D * b_i; floats as
-    float(Fraction) rounds."""
+    """Rows, right-hand sides, scales, signs and denominator of A x = b as
+    ``_Scaled`` defines them: row i times sign(b_i) and the lcm of the
+    denominators in the row, b over the lcm D of its denominators, so that
+    the right-hand side of row i is sign(b_i) * lcm * D * b_i."""
     den = lcm(*(Fraction(bi).denominator for bi in b))
     rows, rhs, scales, signs = [], [], [], []
     for row, bi in zip(a_rows, b):
@@ -317,8 +337,7 @@ def scaled_from_scratch(a_rows, b):
         rhs.append(sign * scale * den * Fraction(bi))
         scales.append(scale)
         signs.append(sign)
-    floats = [[float(Fraction(v)).hex() for v in row] for row in a_rows]
-    return rows, rhs, scales, signs, floats, den
+    return rows, rhs, scales, signs, den
 
 
 # right-hand sides whose denominators often do not divide the rows' lcm
@@ -343,8 +362,7 @@ def test_cached_row_scaling_is_never_stale(system):
         want = scaled_from_scratch(a_rows, b)
         for rows in (cached, a_rows):
             got = _Scaled.of(rows, b)
-            floats = [[v.hex() for v in r] for r in got.floats]
-            assert (got.rows, got.rhs, got.scales, got.signs, floats, got.den) == want
+            assert (got.rows, got.rhs, got.scales, got.signs, got.den) == want
             assert all(type(v) is int for r in got.rows for v in r)
             assert all(type(v) is int for v in [*got.rhs, got.den])
         assert _Scaled.of(cached, [float(v) for v in b]) is None
@@ -486,7 +504,7 @@ def cycling_lp():
 
 class TestNoisePivots:
     def test_float_pivots_on_noise_cycle(self, cycling_lp):
-        tab, basis, _ = _initial_tableau(*cycling_lp, float)
+        tab, basis, _ = _initial_tableau(*cycling_lp)
         assert _bland(tab, basis, FLOAT_EPS, FLOAT_EPS)[1]
 
     def test_float_basis_is_certified(self, cycling_lp):
