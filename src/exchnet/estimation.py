@@ -62,9 +62,19 @@ MAX_DISSOCIATED_NODES = 5
 # the narrowest box side it splits
 BNB_GAP = 1e-9
 BNB_MIN_WIDTH = 1e-12
-# dissociated_mle: interval at which golden-section search on v(t) stops;
-# largest reduced cost of a column kept on an optimal face (and largest q
-# of a class counted empty); mass off q's support of a distinct maximizer
+# dissociated_mle: relative gap between the branch and bound's upper bound
+# and its best v above which golden-section search refines t.  Of the 45
+# inputs that reach the branch and bound (every class padded to n = 4, 5),
+# 14 close within one ulp, LP rounding, and the smallest other gap is
+# 7.9e-13, so any value between 1e-15 and 5e-13 selects the same inputs.
+# On a closed gap the branch and bound's t already attains the bound, and
+# refining only moves t along a flat top or chases float error (path4's q
+# rose 1.4e-10 above its exact maximum 3/4).
+REFINE_GAP = 1e-13
+# dissociated_mle: interval at which golden-section search on v(t), run
+# only on a gap above REFINE_GAP, stops; largest reduced cost of a column
+# kept on an optimal face (and largest q of a class counted empty); mass
+# off q's support of a distinct maximizer
 GOLDEN_TOL = 1e-10
 FACE_TOL = 1e-9
 DISTINCT_TOL = 1e-4
@@ -332,9 +342,12 @@ def dissociated_mle(x: LabeledNetwork) -> FitReport:
 
     The variables are the class probabilities q.  With t = z_edge fixed,
     every product row z_U = t z_C is linear, so v(t) = max q_x is an LP.
-    ``_branch_and_bound`` brackets max_t v(t) within ``BNB_GAP``, and
-    golden-section search on v over the t interval of its best box refines
-    t*.  At n <= 3 there is no product row, and the fit is one LP.
+    ``_branch_and_bound`` brackets max_t v(t) within ``BNB_GAP``.  When
+    its upper bound exceeds its best v by more than ``REFINE_GAP``
+    (relative), golden-section search on v over the t interval of the best
+    box refines t*; otherwise the branch and bound's own t already attains
+    the proven maximum and is kept.  At n <= 3 there is no product row, and
+    the fit is one LP.
 
     The reported q is the lexicographic maximum over the optimal face at t*
     in class order, a vertex of it: any other point of the face puts mass
@@ -358,13 +371,14 @@ def dissociated_mle(x: LabeledNetwork) -> FitReport:
     unit = np.eye(dim)[x_idx]
     if data.products:
         (best, t_star, (a, b)), upper, nodes = _branch_and_bound(data, x_idx)
+        if upper > best * (1 + REFINE_GAP):
 
-        def v(t):
-            return _lp_value(*data.at(t), unit)
+            def v(t):
+                return _lp_value(*data.at(t), unit)
 
-        t_gold = _golden_max(v, a, b, GOLDEN_TOL)
-        if v(t_gold) >= best:
-            t_star = t_gold
+            t_gold = _golden_max(v, a, b, GOLDEN_TOL)
+            if v(t_gold) >= best:
+                t_star = t_gold
         rows, rhs = data.at(t_star)
     else:
         rows, rhs = np.ones((1, dim)), [1.0]
@@ -399,7 +413,7 @@ def dissociated_mle(x: LabeledNetwork) -> FitReport:
             [abs(q.sum() - 1.0)] + data.envelope_gaps(q)
         ),
         iterations=nodes,
-        log_likelihood_upper=math.log(max(upper / size, lik)),
+        log_likelihood_upper=math.log(upper / size),
     )
 
 

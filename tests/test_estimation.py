@@ -61,6 +61,7 @@ from exchnet.mobius import (
     mobius_from_class_distribution,
     validate_mobius,
 )
+from exchnet.serialize import dump_json, fit_report_to_json
 from oracles import oracle_facial_set, oracle_sub
 
 GOLDEN_MLE = {
@@ -152,6 +153,26 @@ class TestDissociatedMle:
         assert rep.status == "non_unique"
         assert abs(rep.likelihood - 1 / 16) <= 1e-6
 
+    def test_path4_stays_at_its_exact_maximum(self, path4, path4_dissociated_fit):
+        # the branch and bound closes path4 within LP rounding, so no
+        # golden-section step pushes q(path4) past 3/4 (likelihood 1/16)
+        rep = path4_dissociated_fit
+        assert rep.q.value(UnlabeledClass.of(path4)) <= 0.75
+        assert rep.log_likelihood <= math.log(1 / 16)
+
+    @pytest.mark.parametrize(
+        "key, most",
+        [("1-4,2-3,2-4,3-4", 15), ("1-4,2-3,3-4", 11)],
+        ids=["paw", "path4"],
+    )
+    def test_a_closed_gap_skips_refinement(self, monkeypatch, key, most):
+        lps = count_lps(monkeypatch, class_from_key(key).padded(4))
+        assert lps <= most
+
+    def test_an_open_gap_still_refines(self, monkeypatch):
+        # 2K2's branch and bound stops 3.5e-10 (relative) short of its bound
+        assert count_lps(monkeypatch, class_from_key("1-4,2-3").padded(4)) == 74
+
     def test_path4_endpoints_feasible_and_tied(self, path4):
         # both ends of the flat family: the leftover quarter sits entirely on
         # the triangle class or entirely on the 3-star class
@@ -173,6 +194,34 @@ class TestDissociatedMle:
     def test_six_nodes_over_the_cap(self):
         with pytest.raises(SizeCapError):
             dissociated_mle(LabeledNetwork.path(6))
+
+
+def count_lps(monkeypatch, x: LabeledNetwork) -> int:
+    """The number of LPs the dissociated fit of x solves."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = estimation.maximize
+    monkeypatch.setattr(estimation, "maximize", counted)
+    dissociated_mle(x)
+    return len(calls)
+
+
+class TestGoldenMax:
+    @pytest.mark.parametrize(
+        "f, peak",
+        [
+            (lambda t: -((t - 0.3) ** 2), 0.3),
+            (lambda t: -abs(t - 1 / math.sqrt(2)), 1 / math.sqrt(2)),
+        ],
+        ids=["quadratic", "kink"],
+    )
+    def test_finds_the_peak_within_its_tolerance(self, f, peak):
+        tol = estimation.GOLDEN_TOL
+        assert abs(estimation._golden_max(f, 0.0, 1.0, tol) - peak) <= tol
 
 
 def complement(x: LabeledNetwork) -> LabeledNetwork:
@@ -218,6 +267,31 @@ TABLE_N5 = {
 }
 
 
+# The four inputs whose branch and bound closes within LP rounding and whose
+# golden-section refinement moved t (triangle, star3 and path4 at n = 4, and
+# 1-4,1-5,2-3,2-5,3-4,4-5 at n = 5) report the branch and bound's own t; the
+# other 48 reports of every class padded to n = 1..5 are pinned to their
+# bytes from before refinement was skipped, concatenated in class order.
+REFINED_BEFORE = {
+    (4, "1-2,1-3,2-3"),
+    (4, "1-4,2-4,3-4"),
+    (4, "1-4,2-3,3-4"),
+    (5, "1-4,1-5,2-3,2-5,3-4,4-5"),
+}
+UNREFINED_REPORTS_DIGEST = (
+    "1151d97bba58871ed194fc6f0faee419a2a53f16f8366758072e4df83012825f"
+)
+
+
+@pytest.fixture(scope="module")
+def every_dissociated_fit():
+    return {
+        (n, u.key()): dissociated_mle(u.padded(n))
+        for n in range(1, 6)
+        for u in enumerate_classes(n, True)
+    }
+
+
 class TestDissociatedOracles:
     def test_every_class_at_four_against_a_t_grid(self):
         ts = np.linspace(0.0, 1.0, 2001)
@@ -235,7 +309,18 @@ class TestDissociatedOracles:
             assert qx >= grid_v(k, ts).max() - 1e-9, u.key()
             assert abs(grid_v(k, np.array([rep.z.z[edge]]))[0] - qx) <= 1e-8
             assert rep.constraint_residual <= 1e-9
-            assert rep.log_likelihood <= rep.log_likelihood_upper
+
+    def test_every_fit_stays_below_its_bound(self, every_dissociated_fit):
+        assert len(every_dissociated_fit) == 52
+        for key, rep in every_dissociated_fit.items():
+            assert rep.log_likelihood <= rep.log_likelihood_upper, key
+
+    def test_reports_refinement_did_not_move_are_pinned(self, every_dissociated_fit):
+        digest = hashlib.sha256()
+        for key, rep in every_dissociated_fit.items():
+            if key not in REFINED_BEFORE:
+                digest.update(dump_json(fit_report_to_json(rep)).encode())
+        assert digest.hexdigest() == UNREFINED_REPORTS_DIGEST
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_complement_duality_up_to_four(self, n):
