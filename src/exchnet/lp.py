@@ -19,25 +19,28 @@ denominator D and finds out whether the data are rational at all; steps
    the exact rule breaks them, so the float pass takes the exact pass's
    pivots unless rounding flips a decision.  Pivot elements must exceed
    ``PIVOT_EPS``, so that rounding noise is not taken for one, and the pass
-   stops if a basis comes back (exact Bland never revisits one, so the
-   float pivots would be cycling).
+   stops if a basis (a bitmask of its columns, an exact key) comes back:
+   exact Bland never revisits one, so the float pivots would be cycling.
+   Only then the pass is rerun from the artificial basis by Dantzig's rule
+   (most negative reduced cost), and by Bland's after any repeat.
 2. The final basis B is checked in rationals.  The check asks for
    x_B = B^-1 b >= 0 and, with y = B^-T c_B for the phase-one costs c, a
    reduced cost c_j - y.A_j >= 0 for every column.  Both solves are
    fraction-free: Bareiss elimination of [B | D b] (of [B^T | c_B] for y;
    only b carries D, so B's minors are the rows' own) ends on +-det B,
-   det(B) D x_B is integral by Cramer's rule, and back substitution
-   computes it in integers with exact divisions, making one Fraction per
-   entry at the end.  Such a basis is optimal, so its sum of artificials
-   is the exact residual: zero means feasible, and x is read off x_B;
-   positive means infeasible, and y is a Farkas certificate (y.A_j <= 0
-   for every column j, y.b > 0).
+   |det B| D x_B is integral by Cramer's rule, and back substitution
+   computes it in integers with exact divisions.  The tests compare these
+   integers; only the reported x_B, y and residual become Fractions.  Such
+   a basis is optimal, so its sum of artificials is the exact residual:
+   zero means feasible, and x is read off x_B; positive means infeasible,
+   and y is a Farkas certificate (y.A_j <= 0 for every column j, y.b > 0).
 3. If the check fails, exact Bland pivoting in Fractions continues from the
    float basis when that basis is nonsingular and primal feasible, and else,
    by the same code, from the artificial basis, which is both.
 
 Float data read the verdict off the float pass, with ``FLOAT_EPS`` as
-feasibility tolerance; a repeated basis there raises ``InvariantError``.
+feasibility tolerance; a basis repeated by the retry too raises
+``InvariantError``.
 
 ``maximize`` adds an objective, in floats only: phase one is the float pass
 above, and phase two continues on its tableau.
@@ -82,7 +85,7 @@ def _initial_tableau(a_rows: Sequence, b: Sequence) -> tuple:
     """Float phase-one tableau on the artificial basis, with every row
     signed so that b >= 0; returns the tableau, the basis and the row signs.
     A ``_Row`` gives its floats; numpy rounds every other int or Fraction
-    as float() does.
+    as float() does; an ndarray of rows is copied in one assignment.
 
     Columns: n structural, m artificial, then the right-hand side.  Rows:
     the m constraints, then the reduced costs of the phase-one objective
@@ -92,8 +95,12 @@ def _initial_tableau(a_rows: Sequence, b: Sequence) -> tuple:
     n = len(a_rows[0]) if m else 0
     signs = [-1 if bi < 0 else 1 for bi in b]
     tab = np.zeros((m + 1, n + m + 1))
-    for i, (row, bi, s) in enumerate(zip(a_rows, b, signs)):
-        tab[i, :n] = row.floats if isinstance(row, _Row) else row
+    if isinstance(a_rows, np.ndarray):
+        tab[:m, :n] = a_rows
+    else:
+        for i, row in enumerate(a_rows):
+            tab[i, :n] = row.floats if isinstance(row, _Row) else row
+    for i, (bi, s) in enumerate(zip(b, signs)):
         if s < 0:
             tab[i, :n] *= -1
         tab[i, n + i] = 1
@@ -119,47 +126,63 @@ def _pivot(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
     basis[leave] = enter
 
 
-def _bland(tab: np.ndarray, basis: list, eps, pivot_eps) -> tuple:
+def _bland(tab: np.ndarray, basis: list, eps, pivot_eps, dantzig=False) -> tuple:
     """Bland pivots on ``tab`` (updated in place) until no reduced cost is
     below -eps, or until a basis comes back; a pivot element must exceed
     ``pivot_eps``.  Exact pivots never revisit a basis (the rule
     cannot cycle), so in floats a repeat means rounding has turned a
-    decision and the pivots may cycle.  Returns the number of pivots and
-    whether they stopped at a repeat."""
+    decision and the pivots may cycle.  With ``dantzig`` the most negative
+    reduced cost enters instead, and Bland's rule after the first repeat.
+    Returns the number of pivots and whether they stopped at a repeat."""
     m = len(basis)
     width = tab.shape[1] - 1
     obj = tab[m]
+    exact = tab.dtype == object
     pivots = 0
-    seen = {hash(tuple(sorted(basis)))}
+    key = sum(1 << j for j in basis)  # the set of basic columns, exactly
+    seen = {key}
     while width:  # a tableau with no columns is optimal as it stands
-        improving = obj[:width] < -eps
-        enter = int(improving.argmax())
-        if not improving[enter]:
-            break
+        if dantzig:
+            enter = int(obj[:width].argmin())
+            if not obj[enter] < -eps:
+                break
+        else:
+            improving = obj[:width] < -eps
+            enter = int(improving.argmax())
+            if not improving[enter]:
+                break
         # the ratio test in Python: a numpy call costs more than a short column
-        pairs = enumerate(tab[:m, [enter, width]].tolist())
-        ratios = {i: rhs / c for i, (c, rhs) in pairs if c > pivot_eps}
+        col, rhs = tab[:m, enter].tolist(), tab[:m, width].tolist()
+        ratios = [(rhs[i] / c, i) for i, c in enumerate(col) if c > pivot_eps]
         if not ratios:
             # entries in (0, pivot_eps] only, phase one being bounded below:
             # stop; the exact check or ``maximize`` catches a basis not optimal
             return pivots, False
-        low = min(ratios.values()) + eps
-        leave = min((i for i, r in ratios.items() if r <= low), key=basis.__getitem__)
-        _pivot(tab, basis, leave, enter)
+        low = min(r for r, _ in ratios) + eps
+        leave = min((basis[i], i) for r, i in ratios if r <= low)[1]
+        key ^= 1 << basis[leave] | 1 << enter
+        if exact:
+            _pivot(tab, basis, leave, enter)
+        else:  # _pivot in floats, with the pivot element at hand (the
+            # update of row leave itself is overwritten)
+            pivot_row = tab[leave] / col[leave]
+            tab -= np.multiply.outer(tab[:, enter], pivot_row)
+            tab[leave] = pivot_row
+            basis[leave] = enter
         pivots += 1
-        key = hash(tuple(sorted(basis)))
         if key in seen:
-            return pivots, True
+            if not dantzig:
+                return pivots, True
+            dantzig, seen = False, set()
         seen.add(key)
     return pivots, False
 
 
 def _result(
-    basis: list, xb: list, y: list, signs: list, n: int, residual, tol, pivots: int
+    basis: list, xb: list, dual: list, n: int, residual, tol, pivots: int
 ) -> FeasibilityResult:
-    """Verdict of an optimal phase-one basis with values xb and dual y, both
-    for the rows signed so that b >= 0; ``signs`` turns y back to the
-    caller's rows."""
+    """Verdict of an optimal phase-one basis with values xb, for the rows
+    signed so that b >= 0, and the dual in the caller's rows."""
     zero = 0 * residual
     feasible = residual <= tol
     x = None
@@ -175,7 +198,6 @@ def _result(
             if j >= n and v > worst_val:
                 worst_val = v
                 worst = j - n
-    dual = [s * v for s, v in zip(signs, y)]
     return FeasibilityResult(feasible, x, residual, worst, pivots, dual)
 
 
@@ -187,9 +209,10 @@ def _tableau_result(
     m = len(basis)
     n = tab.shape[1] - 1 - m
     obj = tab[m]
-    y = [1 - v for v in obj[n : n + m]]  # reduced cost of artificial i is 1 - y_i
+    # reduced cost of artificial i is 1 - y_i for the signed rows' dual y
+    dual = [s * (1 - v) for s, v in zip(signs, obj[n : n + m])]
     tol = Fraction(0) if tab.dtype == object else FLOAT_EPS
-    return _result(basis, list(tab[:m, -1]), y, signs, n, -obj[-1], tol, pivots)
+    return _result(basis, list(tab[:m, -1]), dual, n, -obj[-1], tol, pivots)
 
 
 @dataclass
@@ -274,8 +297,9 @@ class _Row:
 @dataclass
 class _Scaled:
     """Rational rows of A x = b (all ints or Fractions), row i times sign_i
-    (making b_i >= 0) and scale_i (the lcm of its denominators), with b over
-    its common denominator ``den``: a solve against ``rhs`` gives den x."""
+    (making b_i >= 0) and scale_i (the lcm of its denominators, 1 for a row
+    of ints), with b over its common denominator ``den``: a solve against
+    ``rhs`` gives den x."""
 
     n: int  # structural columns
     rows: list  # integers
@@ -294,14 +318,18 @@ class _Scaled:
         nums, den = _over_lcm(b)
         system = cls(len(a_rows[0]) if len(a_rows) else 0, [], [], [], [], den)
         for row, bi, num in zip(a_rows, b, nums):
-            if not isinstance(row, _Row) and all(map(isinstance, row, repeat(rat))):
-                row = _Row.of(row)
-            if not isinstance(row, _Row):
+            if isinstance(row, _Row):
+                ints, scale = row.ints, row.lcm
+            elif all(map(isinstance, row, repeat(int))):
+                ints, scale = list(row), 1
+            elif all(map(isinstance, row, repeat(rat))):
+                ints, scale = _over_lcm(row)
+            else:
                 return None
             sign = -1 if bi < 0 else 1
-            system.rows.append(row.ints if sign > 0 else [-v for v in row.ints])
-            system.rhs.append(sign * row.lcm * num)
-            system.scales.append(row.lcm)
+            system.rows.append(ints if sign > 0 else [-v for v in ints])
+            system.rhs.append(sign * scale * num)
+            system.scales.append(scale)
             system.signs.append(sign)
         return system
 
@@ -335,20 +363,16 @@ def _bareiss(mat: list) -> bool:
     return True
 
 
-def _solve(mat: list) -> list | None:
-    """X with B X = C for the integer rows ``mat`` = [B | C], B the leading
-    square block, as rows of Fractions; None when B is singular.  ``mat`` is
-    eliminated in place.
-
-    Fraction-free: after Bareiss elimination the last pivot d is +-det B, so
-    d X is integral by Cramer's rule.  Back substitution computes d X in
-    integers, each division exact, and makes one Fraction per entry at the
-    end.
-    """
+def _integer_solve(mat: list) -> tuple | None:
+    """(d, d X) with B X = C for the integer rows ``mat`` = [B | C], B the
+    leading square block, and d = |det B| > 0; None when B is singular.
+    ``mat`` is eliminated in place.  Fraction-free: Bareiss elimination ends
+    on +-det B, d X is integral by Cramer's rule, and back substitution
+    computes it in integers, each division exact."""
     k = len(mat)
     if not _bareiss(mat):
         return None
-    d = mat[-1][k - 1] if k else 1
+    d = abs(mat[-1][k - 1]) if k else 1
     dx: list = [None] * k
     for i in range(k - 1, -1, -1):
         row = mat[i]
@@ -357,19 +381,26 @@ def _solve(mat: list) -> list | None:
             if row[j]:
                 acc = [a - row[j] * x for a, x in zip(acc, dx[j])]
         dx[i] = [_exact_div(a, row[i], "back substitution") for a in acc]
-    return [[Fraction(v, d) for v in r] for r in dx]
+    return d, dx
 
 
-def _reduced_costs_nonnegative(system: _Scaled, w: list) -> bool:
-    """Every phase-one reduced cost c_j - w.(scaled column j) is >= 0."""
+def _solve(mat: list) -> list | None:
+    """``_integer_solve``'s X as rows of Fractions; None when B is singular."""
+    sol = _integer_solve(mat)
+    return sol and [[Fraction(v, sol[0]) for v in r] for r in sol[1]]
+
+
+def _reduced_costs_nonnegative(system: _Scaled, ew: list, e: int) -> bool:
+    """Every phase-one reduced cost c_j - w.(scaled column j) is >= 0, for
+    the dual w = ew / e given by the integers ew and e > 0."""
     # artificial column i: cost 1, scaled column scale_i e_i
-    if any(wi * s > 1 for wi, s in zip(w, system.scales)):
+    if any(v * s > e for v, s in zip(ew, system.scales)):
         return False
-    # structural column j: cost 0; compare w.A_j <= 0 over a common denominator
+    # structural column j: cost 0, so e w.A_j <= 0
     acc = [0] * system.n
-    for row, k in zip(system.rows, _over_lcm(w)[0]):
-        if k:
-            acc = [a + k * v for a, v in zip(acc, row)]
+    for row, v in zip(system.rows, ew):
+        if v:
+            acc = [a + v * x for a, x in zip(acc, row)]
     return all(a <= 0 for a in acc)
 
 
@@ -386,21 +417,25 @@ def _exact_from_basis(system: _Scaled, basis: list, pivots: int) -> FeasibilityR
         [a_i[j] if j < n else s_i * (j - n == i) for j in basis]
         for i, (a_i, s_i) in enumerate(zip(system.rows, system.scales))
     ]
-    sol = _solve([r + [bi] for r, bi in zip(rows, system.rhs)])
-    xb = None if sol is None else [r[0] / system.den for r in sol]
-    if xb is None or any(v < 0 for v in xb):
+    # d den x_B with d > 0, so x_B >= 0 is read off the integers
+    sol = _integer_solve([r + [bi] for r, bi in zip(rows, system.rhs)])
+    if sol is None or any(r[0] < 0 for r in sol[1]):
         return _exact_from_basis(system, [n + i for i in range(k)], pivots)
-    # w = B^-T c_B for the phase-one costs, by elimination on [B^T | c_B]
-    # (w = 0 when no artificial is basic)
+    d, dxb = sol
+    # e w with w = B^-T c_B for the phase-one costs and e > 0, by elimination
+    # on [B^T | c_B] (w = 0 when no artificial is basic)
     costs = [int(j >= n) for j in basis]
-    w = [zero] * k
+    e, ew = 1, [0] * k
     if any(costs):
-        transposed = [[*col, ci] for col, ci in zip(zip(*rows), costs)]
-        w = [r[0] for r in _solve(transposed)]
-    if _reduced_costs_nonnegative(system, w):
-        residual = sum((v for v, j in zip(xb, basis) if j >= n), zero)
-        y = [wi * s for wi, s in zip(w, system.scales)]
-        return _result(basis, xb, y, system.signs, n, residual, zero, pivots)
+        e, dw = _integer_solve([[*col, ci] for col, ci in zip(zip(*rows), costs)])
+        ew = [r[0] for r in dw]
+    if _reduced_costs_nonnegative(system, ew, e):
+        dd = d * system.den
+        xb = [Fraction(r[0], dd) for r in dxb]
+        residual = Fraction(sum(r[0] for r, j in zip(dxb, basis) if j >= n), dd)
+        signed = zip(system.signs, system.scales)
+        dual = [Fraction(g * s * v, e) for (g, s), v in zip(signed, ew)]
+        return _result(basis, xb, dual, n, residual, zero, pivots)
     # primal feasible but not optimal: continue from the tableau
     # B^-1 [A | S | b] of this basis, with its phase-one costs
     tab = np.empty((k + 1, n + k + 1), dtype=object)
@@ -425,10 +460,15 @@ def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
     The verdict is exact when every coefficient is an int or Fraction, and
     float otherwise.  An exact verdict comes from a float pass whose final
     basis is then proved optimal in rational arithmetic (see the module
-    docstring); a float verdict comes from the float pass alone.
+    docstring); a float verdict comes from the float pass alone.  ``pivots``
+    counts a rerun float pass too.
     """
     tab, basis, signs = _initial_tableau(a_rows, b)
     pivots, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
+    if cycled:  # retry from the artificial basis, by Dantzig's rule
+        tab, basis, signs = _initial_tableau(a_rows, b)
+        more, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS, True)
+        pivots += more
     system = _Scaled.of(a_rows, b)
     if system is not None:
         return _exact_from_basis(system, basis, pivots)

@@ -8,6 +8,7 @@ same verdict, residual and point, and every exact answer is re-checked here
 in Fraction arithmetic.
 """
 
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exchnet import extendability, lp
-from exchnet.estimation import exch_mle
+from exchnet.estimation import dissociated_mle, exch_mle
 from exchnet.extendability import _sigma_rows, dissociated_extendable_check
 from exchnet.genmodels import er_mobius
 from exchnet.graphs import InvariantError, LabeledNetwork, enumerate_classes
@@ -136,6 +137,61 @@ def test_pivot_counts_on_er_moments_are_pinned(n, p, m, pivots):
     assert got.feasible and got.pivots == pivots
     if m <= 6:
         assert oracle_exact_bland(a_rows, b).pivots == pivots
+
+
+def float_pass_digest(run) -> str:
+    """sha256 of the pivots, final basis and tableau bytes of every float
+    ``_bland`` pass that run() makes, in order."""
+    real = lp._bland
+    digest = hashlib.sha256()
+
+    def spy(tab, basis, *rule):
+        out = real(tab, basis, *rule)
+        if tab.dtype != object:
+            digest.update(repr((out[0], list(basis))).encode())
+            digest.update(tab.tobytes())
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_bland", spy)
+        run()
+    return digest.hexdigest()
+
+
+TWO_K2 = LabeledNetwork.from_edges(4, [(1, 2), (3, 4)])
+
+
+def extend_lp(mv, m):
+    return lambda: solve_feasibility(*extension_lp(mv, m))
+
+
+# every float pass bit for bit, signed zeros included, recorded before the
+# float pivot ran in line in ``_bland`` with a bitmask basis key: the moment
+# LPs of ER and the paw MLE, and every node LP of two dissociated fits
+FLOAT_PASS_DIGESTS = {
+    "er4-1/3-m5": (extend_lp(er_mobius(4, Fraction(1, 3)), 5),
+                   "35bd49077cdeceedf7a5ee9f1693e6ef589026b781abc5324fa8de0a53acbf72"),
+    "er4-1/2-m6": (extend_lp(er_mobius(4, Fraction(1, 2)), 6),
+                   "3550da5778ea264da8336f4b8cf1b53ef6be56a7f0f8520ea6624f0ccce5e987"),
+    "er4-2/5-m7": (extend_lp(er_mobius(4, Fraction(2, 5)), 7),
+                   "76ba0764da1e2a0e5ab1bece6d566cfc6cb790747e9cb9bb432552b690c11615"),
+    "er5-1/3-m6": (extend_lp(er_mobius(5, Fraction(1, 3)), 6),
+                   "d790bf58c4631cb2f30efe3eb8c53436402f68b6e31c5a3da898f6967fcb7075"),
+    "paw-mle-m5": (extend_lp(exch_mle(PAW), 5),
+                   "cb3fb9264b830ebdedd74527e5aa7747d2db2d4026b48666d88cede502a7f926"),
+    "paw-mle-m6": (extend_lp(exch_mle(PAW), 6),
+                   "80252080fcb981a8454d5b602a960e7d2e366fc0d25f352c7e61959e4922be7b"),
+    "paw-dissociated-fit": (lambda: dissociated_mle(PAW),
+                            "39bdf659c89dff4f2f6a2cf5cac087e426850b4edb47016bfdf80ead505a10f0"),
+    "2k2-dissociated-fit": (lambda: dissociated_mle(TWO_K2),
+                            "b75132d018c6e59eb2afa9b710eae90aafd39a4436fc8bf9a4233d051352710f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_PASS_DIGESTS))
+def test_float_pass_is_pinned_bit_for_bit(name):
+    run, want = FLOAT_PASS_DIGESTS[name]
+    assert float_pass_digest(run) == want
 
 
 def test_an_lp_with_no_columns_takes_no_pivot():
@@ -479,33 +535,49 @@ def test_one_float_coefficient_makes_the_float_pass():
     assert abs(0.5 * res.x[0] + 0.25 * res.x[1] - 0.375) < 1e-12
 
 
-@pytest.fixture(scope="module")
-def cycling_lp():
-    """The rows of a dissociated extension at m = 6 on which the first float
-    pass cycles: it takes rounding noise of ~1e-9 as pivots.  The moments
-    are those at n = 3 of two blocks of weight 1/2, with no ties inside the
-    first block and certain ties elsewhere."""
+def two_block_law():
+    """The moments at n = 3 of two blocks of weight 1/2, with no ties inside
+    the first block and certain ties elsewhere."""
     one = Fraction(1)
     z = oracle_block_moments(
         enumerate_classes(3, True), (one / 2, one / 2), ((0, one), (one, one))
     )
+    return MobiusVector(3, z)
+
+
+def dissociated_lp(mv, m):
+    """The rows and right-hand side of mv's dissociated extension LP at m,
+    its result and the report."""
     seen = []
 
     def spy(a_rows, b):
-        seen.append((a_rows, b))
-        return solve_feasibility(a_rows, b)
+        seen.append((a_rows, b, solve_feasibility(a_rows, b)))
+        return seen[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extendability, "solve_feasibility", spy)
-        dissociated_extendable_check(MobiusVector(3, z), 6)
-    (rows,) = seen
-    return rows
+        report = dissociated_extendable_check(mv, m)
+    (lp_data,) = seen
+    return (*lp_data, report)
+
+
+@pytest.fixture(scope="module")
+def cycling_lp():
+    """The rows of the two-block law's dissociated extension at m = 6, on
+    which the first float pass cycles: it takes rounding noise of ~1e-9 as
+    pivots."""
+    return dissociated_lp(two_block_law(), 6)[:2]
 
 
 class TestNoisePivots:
     def test_float_pivots_on_noise_cycle(self, cycling_lp):
         tab, basis, _ = _initial_tableau(*cycling_lp)
         assert _bland(tab, basis, FLOAT_EPS, FLOAT_EPS)[1]
+
+    def test_repeat_is_seen_at_the_same_pivot(self, cycling_lp):
+        # recorded when the basis key was a hash of the sorted basis
+        tab, basis, _ = _initial_tableau(*cycling_lp)
+        assert _bland(tab, basis, FLOAT_EPS, FLOAT_EPS) == (643, True)
 
     def test_float_basis_is_certified(self, cycling_lp):
         res = solve_feasibility(*cycling_lp)
@@ -521,12 +593,37 @@ class TestNoisePivots:
             assert abs(sum(a * v for a, v in zip(row, res.x)) - bi) <= 1e-9
 
 
-def report_cycles(monkeypatch):
-    """Make every float pass of ``_bland`` report a repeated basis."""
+def test_two_block_law_at_m7_is_decided_by_the_retry(monkeypatch):
+    # the Bland float pass repeats a basis after 2,125 pivots; the retry by
+    # Dantzig's rule ends on a basis that the exact check proves optimal, so
+    # no exact pivot follows (exact Bland from the repeated basis had not
+    # finished after 25 minutes)
+    passes = []
     real = lp._bland
 
-    def cycling(tab, basis, eps, pivot_eps):
-        return real(tab, basis, eps, pivot_eps)[0], eps == FLOAT_EPS
+    def spy(tab, basis, *rule):
+        passes.append((tab.dtype == float, rule[2:], real(tab, basis, *rule)))
+        return passes[-1][-1]
+
+    monkeypatch.setattr(lp, "_bland", spy)
+    a_rows, b, res, report = dissociated_lp(two_block_law(), 7)
+    first, retry = passes
+    assert first == (True, (), (2125, True))
+    retried, cycled = retry[2]
+    assert retry[:2] == (True, (True,)) and not cycled
+    assert retried < 300  # 135 when recorded
+    assert res.pivots == 2125 + retried
+    assert report.feasible
+    assert_exactly_certified(a_rows, b, res)
+
+
+def report_cycles(monkeypatch):
+    """Make every float pass of ``_bland``, the retry too, report a repeated
+    basis."""
+    real = lp._bland
+
+    def cycling(tab, basis, eps, pivot_eps, dantzig=False):
+        return real(tab, basis, eps, pivot_eps, dantzig)[0], eps == FLOAT_EPS
 
     monkeypatch.setattr(lp, "_bland", cycling)
 
