@@ -42,8 +42,8 @@ Float data read the verdict off the float pass, with ``FLOAT_EPS`` as
 feasibility tolerance; a basis repeated by the retry too raises
 ``InvariantError``.
 
-``maximize`` adds an objective, in floats only: phase one is the float pass
-above, and phase two continues on its tableau.
+``maximize`` adds an objective, in floats only: phase one is the first
+Bland pass above, with no retry, and phase two continues on its tableau.
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ def _initial_tableau(a_rows: Sequence, b: Sequence) -> tuple:
 def _pivot(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
     """Column ``enter`` replaces the basic variable of row ``leave``."""
     pivot_row = tab[leave] / tab[leave, enter]
-    factors = tab[:, enter].copy()
-    factors[leave] = 0
     if tab.dtype == object:  # multiply no Fraction by a zero factor
+        factors = tab[:, enter].copy()
+        factors[leave] = 0
         rows = np.flatnonzero(factors)
         tab[rows] -= np.outer(factors[rows], pivot_row)
-    else:  # a zero factor leaves its row's values as they are
-        tab -= factors[:, None] * pivot_row
+    else:  # one temporary; row leave's own update is overwritten below
+        tab -= np.multiply.outer(tab[:, enter], pivot_row)
     tab[leave] = pivot_row
     basis[leave] = enter
 
@@ -137,7 +137,6 @@ def _bland(tab: np.ndarray, basis: list, eps, pivot_eps, dantzig=False) -> tuple
     m = len(basis)
     width = tab.shape[1] - 1
     obj = tab[m]
-    exact = tab.dtype == object
     pivots = 0
     key = sum(1 << j for j in basis)  # the set of basic columns, exactly
     seen = {key}
@@ -161,14 +160,7 @@ def _bland(tab: np.ndarray, basis: list, eps, pivot_eps, dantzig=False) -> tuple
         low = min(r for r, _ in ratios) + eps
         leave = min((basis[i], i) for r, i in ratios if r <= low)[1]
         key ^= 1 << basis[leave] | 1 << enter
-        if exact:
-            _pivot(tab, basis, leave, enter)
-        else:  # _pivot in floats, with the pivot element at hand (the
-            # update of row leave itself is overwritten)
-            pivot_row = tab[leave] / col[leave]
-            tab -= np.multiply.outer(tab[:, enter], pivot_row)
-            tab[leave] = pivot_row
-            basis[leave] = enter
+        _pivot(tab, basis, leave, enter)
         pivots += 1
         if key in seen:
             if not dantzig:
@@ -231,11 +223,12 @@ class Optimum:
 def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
     """Maximize c.x over {x >= 0 : A x = b} in floats; None when infeasible.
 
-    Phase one is the float pass of ``solve_feasibility`` (same tableau, same
-    pivots).  Phase two continues on its tableau: each basic artificial
-    leaves for the structural column with the largest entry in its row (a
-    row with none above ``PIVOT_EPS`` is redundant and is dropped), the
-    artificial columns are dropped, and Bland pivots minimize -c.x.  Raises
+    Phase one is the first float Bland pass of ``solve_feasibility`` (same
+    tableau, same pivots), not retried when it repeats a basis.  Phase two
+    continues on its tableau: each basic artificial leaves for the
+    structural column with the largest entry in its row (a row with none
+    above ``PIVOT_EPS`` is redundant and is dropped), the artificial columns
+    are dropped, and Bland pivots minimize -c.x.  Raises
     ``InvariantError`` when a float pass revisits a basis or phase two ends
     with an improving column (an unbounded LP, or one that rounding stalls).
     """

@@ -166,8 +166,9 @@ def extend_lp(mv, m):
 
 
 # every float pass bit for bit, signed zeros included, recorded before the
-# float pivot ran in line in ``_bland`` with a bitmask basis key: the moment
-# LPs of ER and the paw MLE, and every node LP of two dissociated fits
+# float pivot lost its factor copy and ``_bland`` took a bitmask basis key:
+# the moment LPs of ER and the paw MLE, and every node LP of two dissociated
+# fits
 FLOAT_PASS_DIGESTS = {
     "er4-1/3-m5": (extend_lp(er_mobius(4, Fraction(1, 3)), 5),
                    "35bd49077cdeceedf7a5ee9f1693e6ef589026b781abc5324fa8de0a53acbf72"),
