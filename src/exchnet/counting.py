@@ -26,11 +26,10 @@ from .graphs import (
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
+    _class_lattice,
     _exact_div,
-    class_additions,
     class_aut,
-    class_size,
-    enumerate_classes,
+    class_sizes,
 )
 
 
@@ -131,9 +130,12 @@ class ClassTable:
     is the number of edges of W whose removal leaves class V.  The diagonal
     is 1 and every other entry with e(U) >= e(W) is 0.  b comes by double
     counting, |V| a(V, W) = |W| b(W, V), from the one-edge additions a(V, W)
-    that class enumeration records (``graphs.class_additions``): a(V, W)
-    counts the non-edges of V whose addition gives W, and |.| are class
-    sizes at n.  The same double counting over the pairs (member of U,
+    that class enumeration reads off the atlas (``graphs._class_lattice``,
+    three integer arrays): a(V, W) counts the non-edges of V whose addition
+    gives W, and |.| are the class sizes at n (``graphs.class_sizes``).  b
+    is one numpy division over every addition, and each edge layer's block
+    of it one indexed assignment: no Python loop runs per class or per
+    addition.  The same double counting over the pairs (member of U,
     member of W inside it) gives the supergraph counts
     r(U, x) = |U| S[W][U] / |W| for x in class W.
     """
@@ -142,34 +144,26 @@ class ClassTable:
         if n > MAX_NODES:
             raise SizeCapError(f"class tables support n <= {MAX_NODES}, got {n}")
         self.n = n
-        self.classes = tuple(enumerate_classes(n, True))
-        self.index = {u: k for k, u in enumerate(self.classes)}
-        self.sizes = np.array(
-            [class_size(u, n) for u in self.classes], dtype=np.int64
-        )
-        sizes = self.sizes.tolist()
+        self.classes, self.index, _, _, (v, w, a) = _class_lattice(n)
+        self.sizes = class_sizes(n)
         edges = np.array([u.edge_count for u in self.classes])
         self._odd = edges % 2 == 1
-        # removals[j][k] = b(class j, class k)
-        removals: list = [{} for _ in self.classes]
-        for k, adds in enumerate(class_additions(n)):
-            for j, a in adds.items():
-                removals[j][k] = _exact_div(
-                    sizes[k] * a, sizes[j], "edge removals"
-                )
+        b, rem = np.divmod(self.sizes[v] * a, self.sizes[w])  # b(W, V)
+        if rem.any():
+            raise InvariantError(f"edge removals at n={n}, addition {np.flatnonzero(rem)[0]}")
         # the columns of the classes with e edges from those with e - 1, one
         # float32 product per e.  Exact: every partial sum is an integer of at
         # most 21 * 7! < 2^24 (S <= sub(U, K_7) <= 7!, b's columns sum to e),
         # and a quotient by e - e(U) <= 21 that is not whole stays so
         at = np.searchsorted(edges, np.arange(edges[-1] + 2))
+        cut = np.searchsorted(v, at)  # the additions to classes with e edges
         s = np.eye(len(self.classes), dtype=np.int32)
         for e in range(1, edges[-1] + 1):
             prev, lo, hi = at[e - 1], at[e], at[e + 1]
-            b = np.zeros((lo - prev, hi - lo), dtype=np.float32)
-            for j in range(lo, hi):
-                for k, v in removals[j].items():
-                    b[k - prev, j - lo] = v
-            acc = s[:lo, prev:lo].astype(np.float32) @ b
+            pick = slice(cut[e - 1], cut[e])
+            block = np.zeros((lo - prev, hi - lo), dtype=np.float32)
+            block[v[pick] - prev, w[pick] - lo] = b[pick]
+            acc = s[:lo, prev:lo].astype(np.float32) @ block
             acc /= (e - edges[:lo])[:, None]
             s[:lo, lo:hi] = acc
             bad = np.flatnonzero((s[:lo, lo:hi] != acc).any(axis=0))

@@ -344,12 +344,14 @@ def _atlas() -> tuple:
 @lru_cache(maxsize=None)
 def _class_lattice(n: int) -> tuple:
     """The classes at n in enumeration order (edge count, vertex count,
-    code); for each class V its one-edge additions {index of W: a(V, W)},
-    a(V, W) the non-edges of V padded to n nodes whose addition gives a
-    graph in W; and each class's automorphism count on its support.  All
-    read off the atlas: its classes on at most n vertices, in its order, and
-    a(V, W) = b0 times the placements of W's new vertices among the n - k_V
-    isolated nodes of V: 1, n - k_V or C(n - k_V, 2)."""
+    code), {class: its index}, their vertex counts and their automorphism
+    counts on their supports (int64 arrays), and the one-edge additions as
+    three int64 arrays, grouped by V in that order: the index of V, the
+    index of W and a(V, W), the non-edges of V padded to n nodes whose
+    addition gives a graph in W.  All read off the atlas: its classes on at
+    most n vertices, in its order, and a(V, W) = b0 times the placements of
+    W's new vertices among the n - k_V isolated nodes of V: 1, n - k_V or
+    C(n - k_V, 2).  Only the classes and their index are built per class."""
     if n < 1:
         raise InvalidNetworkError(f"class enumeration needs n >= 1, got {n}")
     if n > MAX_NODES:
@@ -357,20 +359,13 @@ def _class_lattice(n: int) -> tuple:
     rows, pairs = _atlas()
     kept = rows[:, 0] <= n
     index = np.cumsum(kept) - 1
-    v, w, b0 = pairs[kept[pairs[:, 1]]].T  # W on at most n vertices, so V too
+    v, w, b0 = pairs[kept[pairs[:, 1]]].T.astype(np.int64)  # W fits, so V does
     free = n - rows[v, 0]
     a = b0 * np.choose(rows[w, 0] - rows[v, 0], (1, free, free * (free - 1) // 2))
-    classes = tuple(UnlabeledClass(k, code) for k, code in rows[kept, :2].tolist())
-    additions = tuple({} for _ in classes)
-    for i, j, x in zip(index[v].tolist(), index[w].tolist(), a.tolist()):
-        additions[i][j] = x
-    return classes, additions, dict(zip(classes, rows[kept, 2].tolist()))
-
-
-def class_additions(n: int) -> tuple:
-    """a(V, W) for the classes at n: one dict {index of W: a(V, W)} per class
-    V, in ``enumerate_classes(n)`` order, read off the class atlas."""
-    return _class_lattice(n)[1]
+    k, code, aut = rows[kept].T.astype(np.int64)
+    classes = tuple(map(UnlabeledClass, k.tolist(), code.tolist()))
+    at = {u: i for i, u in enumerate(classes)}
+    return classes, at, k, aut, (index[v], index[w], a)
 
 
 def enumerate_classes(n: int, include_empty: bool = True) -> list:
@@ -393,21 +388,31 @@ def class_aut(cls_: UnlabeledClass) -> int:
     the class lattice at its vertex count records it."""
     if cls_.is_empty:
         return 1
-    return _class_lattice(cls_.n_vertices)[2][cls_]
+    _, at, _, aut, _ = _class_lattice(cls_.n_vertices)
+    return int(aut[at[cls_]])
+
+
+@lru_cache(maxsize=None)
+def class_sizes(n: int) -> np.ndarray:
+    """|U| = n! / (aut(U) (n - k_U)!) for every class U at n, in
+    ``enumerate_classes(n)`` order (read-only int64): the labeled graphs on
+    {1..n} in U, isolated nodes allowed."""
+    classes, _, k, aut, _ = _class_lattice(n)
+    falling = np.array([math.perm(n, j) for j in range(n + 1)], dtype=np.int64)
+    sizes, rem = np.divmod(falling[k], aut)
+    if rem.any():
+        bad = classes[np.flatnonzero(rem)[0]]
+        raise InvariantError(f"class size of {bad.key()} at n={n} is not integral")
+    sizes.flags.writeable = False
+    return sizes
 
 
 def class_size(cls_: UnlabeledClass, n: int) -> int:
-    """Number of labeled graphs on {1..n} in the class (isolated nodes allowed)."""
-    k = cls_.n_vertices
-    if k > n:
+    """Number of labeled graphs on {1..n} in the class (isolated nodes
+    allowed), read from ``class_sizes(n)``."""
+    if cls_.n_vertices > n:
         return 0
-    aut_padded = class_aut(cls_) * math.factorial(n - k)
-    size, rem = divmod(math.factorial(n), aut_padded)
-    if rem:
-        raise InvariantError(
-            f"class size of {cls_.key()} at n={n} is not integral"
-        )
-    return size
+    return int(class_sizes(n)[_class_lattice(n)[1][cls_]])
 
 
 @dataclass(frozen=True)

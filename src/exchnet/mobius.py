@@ -25,6 +25,7 @@ from .graphs import (
     LabeledNetwork,
     SizeCapError,
     UnlabeledClass,
+    _class_lattice,
     class_size,
     enumerate_classes,
     mask_components,
@@ -264,8 +265,7 @@ class ClassDistribution:
     is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        classes = set(enumerate_classes(self.n, True))
-        extra = set(self.q) - classes
+        extra = set(self.q) - _class_lattice(self.n)[1].keys()  # {class: index}
         if extra:
             raise ValueError(f"unknown classes for n={self.n}: {sorted(c.key() for c in extra)[:3]}")
         q, exact = _exact_or_float(

@@ -10,6 +10,7 @@ from oracles import oracle_atlas, oracle_aut, oracle_class_lattice, oracle_sub
 
 from exchnet.counting import (
     class_table,
+    complete_class,
     sigma,
     star_class,
     triangle_class,
@@ -22,11 +23,20 @@ from exchnet.graphs import (
     SizeCapError,
     _atlas,
     _class_lattice,
-    class_additions,
     class_aut,
     class_size,
     enumerate_classes,
 )
+
+
+def additions_by_class(n):
+    """The one-edge additions of ``_class_lattice(n)`` as one dict
+    {index of W: a(V, W)} per class V, in the arrays' order."""
+    classes, *_, (v, w, a) = _class_lattice(n)
+    out = tuple({} for _ in classes)
+    for i, j, x in zip(v.tolist(), w.tolist(), a.tolist()):
+        out[i][j] = x
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -140,7 +150,7 @@ SEVEN_NODE_DIGESTS = {
         "3080556565a2f98547d6b4885920a64bf71afff87e92ede0dd414a27859af293",
     ),
     "additions": (
-        lambda: repr([sorted(a.items()) for a in class_additions(7)]),
+        lambda: repr([sorted(a.items()) for a in additions_by_class(7)]),
         "a4d0136952135bf686376b9a1168ccb0c64acae1447bdf3dfc060e38e571b7bc",
     ),
     "auts": (
@@ -168,24 +178,48 @@ def test_seven_node_lattice_bytes(part):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sigma_does_not_depend_on_n(n):
+    """sub(U, W) counts the copies of U in W at any node count, so S_n is
+    S_7 on the classes on at most n vertices, and |U| at n is S_7[U][K_n];
+    a cold table at n reads one lattice, its own."""
+    for cache in (class_table, _class_lattice, graphs.class_sizes):
+        cache.cache_clear()
+    table = class_table(n)
+    assert _class_lattice.cache_info().misses == 1
+    seven = class_table(7)
+    keep = [i for i, u in enumerate(seven.classes) if u.n_vertices <= n]
+    assert table.classes == tuple(seven.classes[i] for i in keep)
+    assert np.array_equal(table.S, seven.S[np.ix_(keep, keep)])
+    assert table.sizes.tolist() == [class_size(u, n) for u in table.classes]
+    kn = seven.index[complete_class(n)]
+    assert table.sizes.tolist() == seven.S[keep, kn].tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_lattice_aut_counts_match_oracle(n):
-    classes, _, auts = _class_lattice(n)
-    assert list(auts) == list(classes)
-    for u in classes[1:]:
-        assert auts[u] == oracle_aut(u.representative()), u.key()
-    assert auts[classes[0]] == 1  # the empty class
+    classes, _, _, auts, _ = _class_lattice(n)
+    assert len(auts) == len(classes)
+    for u, aut in zip(classes[1:], auts[1:].tolist()):
+        assert aut == oracle_aut(u.representative()), u.key()
+    assert auts[0] == 1  # the empty class
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_lattice_read_off_the_atlas_matches_the_enumeration(n):
-    got, want = _class_lattice(n), oracle_class_lattice(n)
-    assert got == want
-    # the same order of additions and automorphisms, and Python ints only
-    assert [list(a.items()) for a in got[1]] == [list(a.items()) for a in want[1]]
-    assert list(got[2].items()) == list(want[2].items())
-    ints = [x for c in got[0] for x in (c.n_vertices, c.code)]
-    ints += [x for a in got[1] for item in a.items() for x in item]
-    assert {type(x) for x in ints + list(got[2].values())} == {int}
+    classes, index, ks, auts, (v, w, a) = _class_lattice(n)
+    want_classes, want_additions, want_auts = oracle_class_lattice(n)
+    assert classes == want_classes
+    assert index == {u: i for i, u in enumerate(want_classes)}
+    assert ks.tolist() == [u.n_vertices for u in want_classes]
+    # every addition in the same order, grouped by V, and every automorphism
+    # count; the arrays are integer, their lists Python ints
+    got = [(i, j, x) for i, j, x in zip(v.tolist(), w.tolist(), a.tolist())]
+    assert got == [(i, j, x) for i, adds in enumerate(want_additions) for j, x in adds.items()]
+    assert additions_by_class(n) == want_additions
+    assert dict(zip(classes, auts.tolist())) == want_auts
+    assert all(np.issubdtype(x.dtype, np.integer) for x in (ks, auts, v, w, a))
+    ints = [x for c in classes for x in (c.n_vertices, c.code)]
+    assert {type(x) for x in ints} == {int}
 
 
 def test_shipped_atlas_is_the_enumeration_at_seven():

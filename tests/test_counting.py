@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from oracles import oracle_inj, oracle_r_count, oracle_sub
 
-from exchnet import counting
+from exchnet import counting, graphs
 from exchnet.counting import (
     complete_class,
     cycle_class,
@@ -240,6 +240,17 @@ class TestDegreeFunctionCounterexamples:
                 assert sigma(u, x1) != sigma(u, x2)
 
 
+def sizes_with(u, size):
+    """``graphs.class_sizes`` with class u's size replaced by ``size``."""
+
+    def sizes(n):
+        out = graphs.class_sizes(n).copy()
+        out[graphs.enumerate_classes(n).index(u)] = size
+        return out
+
+    return sizes
+
+
 class TestInvariantErrors:
     """A broken counting identity raises InvariantError, which ``python -O``
     cannot strip the way it strips an assert."""
@@ -260,24 +271,14 @@ class TestInvariantErrors:
     def test_edge_removal_count_not_integral(self, monkeypatch):
         # with 2 members in the edge class, the 3 edge additions to the
         # empty graph would be 3/2 edge removals from an edge
-        real = counting.class_size
-        monkeypatch.setattr(
-            counting,
-            "class_size",
-            lambda u, n: 2 if u == edge_class() else real(u, n),
-        )
+        monkeypatch.setattr(counting, "class_sizes", sizes_with(edge_class(), 2))
         with pytest.raises(InvariantError, match="edge removals"):
             counting.ClassTable(3)
 
     def test_one_edge_recursion_not_integral(self, monkeypatch):
         # with 2 members in the 2-star class, each 2-star would have 3 edges
         # whose removal leaves an edge, and 2 S[empty][2-star] = 3
-        real = counting.class_size
-        monkeypatch.setattr(
-            counting,
-            "class_size",
-            lambda u, n: 2 if u == star_class(2) else real(u, n),
-        )
+        monkeypatch.setattr(counting, "class_sizes", sizes_with(star_class(2), 2))
         with pytest.raises(InvariantError, match="one-edge recursion"):
             counting.ClassTable(3)
 

@@ -20,8 +20,8 @@ from exchnet.graphs import (
     SizeCapError,
     UnlabeledClass,
     aut_count,
+    _class_lattice,
     canonical_form,
-    class_additions,
     class_size,
     connected_components,
     degree_distribution,
@@ -246,20 +246,31 @@ class TestEnumerateClasses:
         for (v, w), count in additions.items():
             assert count % sizes[v] == 0
             want[v, w] = count // sizes[v]
+        v, w, a = _class_lattice(n)[4]
         got = {
-            (keys[i], keys[j]): a
-            for i, adds in enumerate(class_additions(n))
-            for j, a in adds.items()
+            (keys[i], keys[j]): x
+            for i, j, x in zip(v.tolist(), w.tolist(), a.tolist())
         }
+        assert len(got) == len(v)  # no pair listed twice
         assert got == want
 
 
 class TestClassSizeCheck:
     def test_non_integral_class_size_raises(self, monkeypatch):
-        monkeypatch.setattr(graphs, "class_aut", lambda u: 7)
+        # the sizes at n are n! / (aut (n - k)!) over the lattice's
+        # automorphism counts: an edge with 7 automorphisms has 12/7 members
         edge = UnlabeledClass.of(LabeledNetwork.from_edges(2, [(1, 2)]))
-        with pytest.raises(InvariantError):
-            class_size(edge, 4)
+        classes, at, ks, auts, additions = _class_lattice(4)
+        auts = auts.copy()
+        auts[at[edge]] = 7
+        lattice = (classes, at, ks, auts, additions)
+        monkeypatch.setattr(graphs, "_class_lattice", lambda n: lattice)
+        graphs.class_sizes.cache_clear()
+        try:
+            with pytest.raises(InvariantError, match="class size of 1-2 at n=4"):
+                class_size(edge, 4)
+        finally:
+            graphs.class_sizes.cache_clear()
 
 
 class TestDegreeDistribution:
