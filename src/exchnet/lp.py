@@ -34,9 +34,15 @@ denominator D and finds out whether the data are rational at all; steps
    a basis is optimal, so its sum of artificials is the exact residual:
    zero means feasible, and x is read off x_B; positive means infeasible,
    and y is a Farkas certificate (y.A_j <= 0 for every column j, y.b > 0).
-3. If the check fails, exact Bland pivoting in Fractions continues from the
-   float basis when that basis is nonsingular and primal feasible, and else,
-   by the same code, from the artificial basis, which is both.
+3. If the check fails, exact Bland pivots continue from the float basis
+   when it is nonsingular and primal feasible, else from the artificial
+   basis, which is both, as integer solves with the basis matrix (after
+   Edmonds, J. Res. NBS 71B, 1967; Azulay & Pique, ACM TOMS 27, 2001): the
+   duals of step 2 price the columns, structural before artificial, and the
+   first improving one enters; one elimination of [B | D b | A_enter] gives
+   d D x_B and d u, whose ratios x_i / u_i over u_i > 0 are compared by
+   cross multiplication, ties to the smallest basic index.  No tableau is
+   kept.
 
 Float data read the verdict off the float pass, with ``FLOAT_EPS`` as
 feasibility tolerance; a basis repeated by the retry too raises
@@ -115,24 +121,19 @@ def _initial_tableau(a_rows: Sequence, b: Sequence) -> tuple:
 def _pivot(tab: np.ndarray, basis: list, leave: int, enter: int) -> None:
     """Column ``enter`` replaces the basic variable of row ``leave``."""
     pivot_row = tab[leave] / tab[leave, enter]
-    if tab.dtype == object:  # multiply no Fraction by a zero factor
-        factors = tab[:, enter].copy()
-        factors[leave] = 0
-        rows = np.flatnonzero(factors)
-        tab[rows] -= np.outer(factors[rows], pivot_row)
-    else:  # one temporary; row leave's own update is overwritten below
-        tab -= np.multiply.outer(tab[:, enter], pivot_row)
+    # one temporary; row leave's own update is overwritten below
+    tab -= np.multiply.outer(tab[:, enter], pivot_row)
     tab[leave] = pivot_row
     basis[leave] = enter
 
 
-def _bland(tab: np.ndarray, basis: list, eps, pivot_eps, dantzig=False) -> tuple:
-    """Bland pivots on ``tab`` (updated in place) until no reduced cost is
-    below -eps, or until a basis comes back; a pivot element must exceed
-    ``pivot_eps``.  Exact pivots never revisit a basis (the rule
-    cannot cycle), so in floats a repeat means rounding has turned a
-    decision and the pivots may cycle.  With ``dantzig`` the most negative
-    reduced cost enters instead, and Bland's rule after the first repeat.
+def _bland(tab: np.ndarray, basis: list, eps: float, dantzig=False) -> tuple:
+    """Bland pivots on the float ``tab`` (updated in place) until no reduced
+    cost is below -eps, or until a basis comes back; a pivot element must
+    exceed ``PIVOT_EPS``.  Exact pivots never revisit a basis (the rule
+    cannot cycle), so a repeat means rounding has turned a decision and the
+    pivots may cycle.  With ``dantzig`` the most negative reduced cost
+    enters instead, and Bland's rule after the first repeat.
     Returns the number of pivots and whether they stopped at a repeat."""
     m = len(basis)
     width = tab.shape[1] - 1
@@ -152,9 +153,9 @@ def _bland(tab: np.ndarray, basis: list, eps, pivot_eps, dantzig=False) -> tuple
                 break
         # the ratio test in Python: a numpy call costs more than a short column
         col, rhs = tab[:m, enter].tolist(), tab[:m, width].tolist()
-        ratios = [(rhs[i] / c, i) for i, c in enumerate(col) if c > pivot_eps]
+        ratios = [(rhs[i] / c, i) for i, c in enumerate(col) if c > PIVOT_EPS]
         if not ratios:
-            # entries in (0, pivot_eps] only, phase one being bounded below:
+            # entries in (0, PIVOT_EPS] only, phase one being bounded below:
             # stop; the exact check or ``maximize`` catches a basis not optimal
             return pivots, False
         low = min(r for r, _ in ratios) + eps
@@ -196,15 +197,13 @@ def _result(
 def _tableau_result(
     tab: np.ndarray, basis: list, signs: list, pivots: int
 ) -> FeasibilityResult:
-    """Verdict of an optimal phase-one tableau: exact on Fractions (object
-    dtype), within ``FLOAT_EPS`` on floats."""
+    """Verdict of an optimal float phase-one tableau, within ``FLOAT_EPS``."""
     m = len(basis)
     n = tab.shape[1] - 1 - m
     obj = tab[m]
     # reduced cost of artificial i is 1 - y_i for the signed rows' dual y
     dual = [s * (1 - v) for s, v in zip(signs, obj[n : n + m])]
-    tol = Fraction(0) if tab.dtype == object else FLOAT_EPS
-    return _result(basis, list(tab[:m, -1]), dual, n, -obj[-1], tol, pivots)
+    return _result(basis, list(tab[:m, -1]), dual, n, -obj[-1], FLOAT_EPS, pivots)
 
 
 @dataclass
@@ -235,7 +234,7 @@ def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
     tab, basis, _ = _initial_tableau(a_rows, b)
     m = len(basis)
     n = tab.shape[1] - 1 - m
-    pivots, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
+    pivots, cycled = _bland(tab, basis, FLOAT_EPS)
     if cycled:
         raise InvariantError(f"float pivots revisited a basis after {pivots}")
     if -tab[m, -1] > FLOAT_EPS:
@@ -257,7 +256,7 @@ def maximize(a_rows: Sequence, b: Sequence, c: Sequence) -> Optimum | None:
     obj[:n] = np.negative(c, dtype=float)
     for i, j in enumerate(basis):
         obj -= obj[j] * tab[i]
-    more, cycled = _bland(tab, basis, PHASE_TWO_EPS, PIVOT_EPS)
+    more, cycled = _bland(tab, basis, PHASE_TWO_EPS)
     pivots += more
     if cycled or (obj[:n] < -PHASE_TWO_EPS).any():
         raise InvariantError(f"phase two did not end optimal after {pivots}")
@@ -377,74 +376,73 @@ def _integer_solve(mat: list) -> tuple | None:
     return d, dx
 
 
-def _solve(mat: list) -> list | None:
-    """``_integer_solve``'s X as rows of Fractions; None when B is singular."""
-    sol = _integer_solve(mat)
-    return sol and [[Fraction(v, sol[0]) for v in r] for r in sol[1]]
-
-
-def _reduced_costs_nonnegative(system: _Scaled, ew: list, e: int) -> bool:
-    """Every phase-one reduced cost c_j - w.(scaled column j) is >= 0, for
-    the dual w = ew / e given by the integers ew and e > 0."""
-    # artificial column i: cost 1, scaled column scale_i e_i
-    if any(v * s > e for v, s in zip(ew, system.scales)):
-        return False
-    # structural column j: cost 0, so e w.A_j <= 0
+def _entering(system: _Scaled, ew: list, e: int) -> int | None:
+    """Bland's entering column: the first whose phase-one reduced cost
+    c_j - w.(scaled column j) is negative, structural columns before
+    artificial ones, for the dual w = ew / e given by the integers ew and
+    e > 0; None when every reduced cost is >= 0."""
+    # structural column j: cost 0, so e w.A_j > 0 improves
     acc = [0] * system.n
     for row, v in zip(system.rows, ew):
         if v:
             acc = [a + v * x for a, x in zip(acc, row)]
-    return all(a <= 0 for a in acc)
+    # artificial column i: cost 1, scaled column scale_i e_i
+    improving = [a > 0 for a in acc] + [v * s > e for v, s in zip(ew, system.scales)]
+    return next((j for j, up in enumerate(improving) if up), None)
 
 
 def _exact_from_basis(system: _Scaled, basis: list, pivots: int) -> FeasibilityResult:
-    """Exact verdict on the rational system from a candidate basis: proved
-    optimal in rationals, or else reached by exact Bland pivoting continued
-    from it.  A singular basis, or one with a negative basic value, hands
-    over to the artificial basis [n, n + k): nonsingular, and primal
-    feasible since every row is signed so that b >= 0."""
-    zero = Fraction(0)
+    """Exact verdict on the rational system by exact Bland pivots from a
+    candidate basis until one is proved optimal, each pivot done as integer
+    solves with the basis matrix B.  A singular start, or one with a
+    negative basic value, hands over to the artificial basis [n, n + k):
+    nonsingular, and primal feasible since every row is signed so that
+    b >= 0."""
     n, k = system.n, len(basis)
-    # the basis matrix B, where artificial column n + i is scale_i e_i
-    rows = [
-        [a_i[j] if j < n else s_i * (j - n == i) for j in basis]
-        for i, (a_i, s_i) in enumerate(zip(system.rows, system.scales))
-    ]
-    # d den x_B with d > 0, so x_B >= 0 is read off the integers
-    sol = _integer_solve([r + [bi] for r, bi in zip(rows, system.rhs)])
-    if sol is None or any(r[0] < 0 for r in sol[1]):
-        return _exact_from_basis(system, [n + i for i in range(k)], pivots)
-    d, dxb = sol
-    # e w with w = B^-T c_B for the phase-one costs and e > 0, by elimination
-    # on [B^T | c_B] (w = 0 when no artificial is basic)
-    costs = [int(j >= n) for j in basis]
-    e, ew = 1, [0] * k
-    if any(costs):
-        e, dw = _integer_solve([[*col, ci] for col, ci in zip(zip(*rows), costs)])
-        ew = [r[0] for r in dw]
-    if _reduced_costs_nonnegative(system, ew, e):
-        dd = d * system.den
-        xb = [Fraction(r[0], dd) for r in dxb]
-        residual = Fraction(sum(r[0] for r, j in zip(dxb, basis) if j >= n), dd)
-        signed = zip(system.signs, system.scales)
-        dual = [Fraction(g * s * v, e) for (g, s), v in zip(signed, ew)]
-        return _result(basis, xb, dual, n, residual, zero, pivots)
-    # primal feasible but not optimal: continue from the tableau
-    # B^-1 [A | S | b] of this basis, with its phase-one costs
-    tab = np.empty((k + 1, n + k + 1), dtype=object)
-    tab[:k] = _solve([
-        r + a_i + [s_i * (t == i) for t in range(k)] + [bi]
-        for i, (r, a_i, s_i, bi)
-        in enumerate(zip(rows, system.rows, system.scales, system.rhs))
-    ])
-    tab[:k, -1] /= system.den
-    obj = np.array([zero] * n + [Fraction(1)] * k + [zero], dtype=object)
-    for i, j in enumerate(basis):
-        if j >= n:
-            obj = obj - tab[i]
-    tab[k] = obj
-    pivots += _bland(tab, basis, zero, zero)[0]
-    return _tableau_result(tab, basis, system.signs, pivots)
+
+    def column(j: int) -> list:  # artificial column n + i is scale_i e_i
+        if j < n:
+            return [a_i[j] for a_i in system.rows]
+        return [s * (t == j - n) for t, s in enumerate(system.scales)]
+
+    while True:
+        cols = [column(j) for j in basis]  # the rows of B^T
+        # e w with w = B^-T c_B for the phase-one costs and e > 0, by
+        # elimination on [B^T | c_B] (w = 0 when no artificial is basic)
+        costs = [int(j >= n) for j in basis]
+        sol = (1, [[0]] * k)
+        if any(costs):
+            sol = _integer_solve([c + [ci] for c, ci in zip(cols, costs)])
+        if sol is not None:
+            e, ew = sol[0], [r[0] for r in sol[1]]
+            enter = _entering(system, ew, e)
+            # d D x_B with d = |det B| > 0, and d u with B u = A_enter
+            mat = [[*r, bi] for r, bi in zip(zip(*cols), system.rhs)]
+            if enter is not None:
+                for r, a in zip(mat, column(enter)):
+                    r.append(a)
+            sol = _integer_solve(mat)
+        if sol is None or any(r[0] < 0 for r in sol[1]):
+            basis = [n + i for i in range(k)]
+            continue
+        d, dx = sol
+        if enter is None:
+            break
+        # Bland's ratio test over u_i > 0, ties to the smallest basic index;
+        # x_i / u_i < x_l / u_l when x_i u_l - x_l u_i < 0 (the d's cancel)
+        ratios = [(x, u, i) for i, (x, u) in enumerate(dx) if u > 0]
+        x0, u0, leave = ratios[0]
+        for x, u, i in ratios[1:]:
+            if (x * u0 - x0 * u, basis[i]) < (0, basis[leave]):
+                x0, u0, leave = x, u, i
+        basis[leave] = enter
+        pivots += 1
+    dd = d * system.den
+    xb = [Fraction(r[0], dd) for r in dx]
+    residual = Fraction(sum(r[0] for r, j in zip(dx, basis) if j >= n), dd)
+    signed = zip(system.signs, system.scales)
+    dual = [Fraction(g * s * v, e) for (g, s), v in zip(signed, ew)]
+    return _result(basis, xb, dual, n, residual, 0, pivots)
 
 
 def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
@@ -457,10 +455,10 @@ def solve_feasibility(a_rows: Sequence, b: Sequence) -> FeasibilityResult:
     counts a rerun float pass too.
     """
     tab, basis, signs = _initial_tableau(a_rows, b)
-    pivots, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS)
+    pivots, cycled = _bland(tab, basis, FLOAT_EPS)
     if cycled:  # retry from the artificial basis, by Dantzig's rule
         tab, basis, signs = _initial_tableau(a_rows, b)
-        more, cycled = _bland(tab, basis, FLOAT_EPS, PIVOT_EPS, True)
+        more, cycled = _bland(tab, basis, FLOAT_EPS, True)
         pivots += more
     system = _Scaled.of(a_rows, b)
     if system is not None:

@@ -218,10 +218,10 @@ class MobiusVector:
     is_exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        classes = set(enumerate_classes(self.n, True))
-        missing = classes - set(self.z)
-        extra = set(self.z) - classes
-        if missing or extra:
+        at = _class_lattice(self.n)[1]  # {class: index}
+        extra = [u for u in self.z if u not in at]
+        if extra or len(self.z) < len(at):
+            missing = [u for u in at if u not in self.z]
             raise ValueError(
                 f"class set mismatch at n={self.n}: "
                 f"missing={sorted(c.key() for c in missing)[:3]} "

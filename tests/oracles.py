@@ -2,14 +2,14 @@
 
 Everything here enumerates permutations or labeled graphs directly, with no
 pruning and no shared code with the package internals, so it can serve as an
-independent check.  There are two exceptions.  ``oracle_class_lattice``, the
+independent check.  There is one exception: ``oracle_class_lattice``, the
 breadth-first class enumeration that generates the shipped class atlas,
 canonicalizes with the package's relabeling tables, which
 ``oracle_canonical_bits`` and ``oracle_aut`` check on their own.
 ``oracle_exact_bland``, the all-Fraction Bland phase one that the LP's float
-pass and exact check are compared against, builds its own Fraction tableau
-but pivots it with ``lp._bland`` and reads it with ``lp._tableau_result``;
-the LP tests re-check every exact answer in Fractions on their own.
+pass and integer pivots are compared against, builds, pivots and reads its
+own Fraction tableau, with no code from ``lp``; the LP tests re-check every
+exact answer in Fractions on their own.
 """
 
 import math
@@ -23,7 +23,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from exchnet import lp
 from exchnet.graphs import (
     MAX_NODES,
     InvalidNetworkError,
@@ -533,20 +532,49 @@ def oracle_exact_bland(a_rows, b):
     """Phase one of {x >= 0 : A x = b} by Bland's rule in Fractions all the
     way, from the artificial basis: every row and b_i times sign(b_i), so
     that b >= 0, one artificial per row, and the phase-one reduced costs
-    (minus the sum of the rows, 0 on the artificials)."""
+    (minus the sum of the rows, 0 on the artificials).  The first column
+    with a negative reduced cost enters; of the rows with a positive entry
+    in it, the one with the least ratio leaves, ties going to the smallest
+    basic index.  A pivot updates only the rows with a nonzero factor, and
+    in them only the pivot row's nonzero columns.  The verdict is read with
+    tolerance 0: feasible exactly when the residual is 0."""
     m, n = len(a_rows), len(a_rows[0])
     signs = [-1 if bi < 0 else 1 for bi in b]
-    tab = np.full((m + 1, n + m + 1), Fraction(0), dtype=object)
-    for i, (row, bi, s) in enumerate(zip(a_rows, b, signs)):
-        tab[i, :n] = [s * Fraction(v) for v in row]
-        tab[i, n + i] = Fraction(1)
-        tab[i, -1] = s * Fraction(bi)
-        tab[m, :n] -= tab[i, :n]
-        tab[m, -1] -= tab[i, -1]
+    tab = [[s * Fraction(v) for v in row] + [Fraction(int(t == i)) for t in range(m)]
+           + [s * Fraction(bi)] for i, (row, bi, s) in enumerate(zip(a_rows, b, signs))]
+    obj = [-sum(col) for col in zip(*tab)]
+    obj[n : n + m] = [Fraction(0)] * m
+    tab.append(obj)
     basis = list(range(n, n + m))
-    pivots, cycled = lp._bland(tab, basis, 0, 0)
-    assert not cycled  # exact Bland never revisits a basis
-    return lp._tableau_result(tab, basis, signs, pivots)
+    pivots = 0
+    while (enter := next((j for j in range(n + m) if obj[j] < 0), None)) is not None:
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        top = tab[leave]
+        top[:] = [v / top[enter] for v in top]
+        nonzero = [j for j, v in enumerate(top) if v]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if i != leave and f:
+                for j in nonzero:
+                    row[j] -= f * top[j]
+        basis[leave] = enter
+        pivots += 1
+    residual = -obj[-1]
+    values = [row[-1] for row in tab[:m]]
+    x = worst = None
+    if residual == 0:
+        x = [Fraction(0)] * n
+        for j, v in zip(basis, values):
+            if j < n:
+                x[j] = v
+    else:  # the first artificial in row order with the largest value
+        most = max(v for j, v in zip(basis, values) if j >= n)
+        worst = next(j - n for j, v in zip(basis, values) if j >= n and v == most)
+    # reduced cost of artificial i is 1 - y_i for the signed rows' dual y
+    dual = [s * (1 - v) for s, v in zip(signs, obj[n : n + m])]
+    return SimpleNamespace(feasible=residual == 0, x=x, residual=residual,
+                           worst_row=worst, pivots=pivots, dual=dual)
 
 
 def oracle_facial_set(stats, x_idx: int) -> list:

@@ -1,11 +1,12 @@
 """The phase-one LP: the certified float basis against pure exact Bland.
 
 ``solve_feasibility`` on rational data pivots in floats and proves the final
-basis in rationals, continuing by exact Bland pivots from that basis, or
-from the artificial one, when the proof fails; the oracle
-``oracle_exact_bland`` pivots in Fractions all the way.  Both must give the
-same verdict, residual and point, and every exact answer is re-checked here
-in Fraction arithmetic.
+basis in integers, continuing by exact Bland pivots done as integer solves
+with the basis matrix, from that basis or from the artificial one, when the
+proof fails; the oracle ``oracle_exact_bland`` pivots a Fraction tableau all
+the way, with no code from ``lp``.  Both must give the same verdict,
+residual and point, and every exact answer is re-checked here in Fraction
+arithmetic.
 """
 
 import hashlib
@@ -26,9 +27,9 @@ from exchnet.lp import (
     _bland,
     _exact_from_basis,
     _initial_tableau,
+    _integer_solve,
     _Row,
     _Scaled,
-    _solve,
     maximize,
     solve_feasibility,
 )
@@ -113,9 +114,10 @@ def test_certified_equals_exact_bland(mv, m):
 
 
 # solve_feasibility's pivots on ER moments, recorded before the float pivot
-# loop ran on whole tableaus and a Python ratio test; where the exact Bland
-# reference is rerun (m <= 6, ER(5, 1/2) taking about 17 s) it takes the
-# same pivots, and at m = 7 it takes about 45 s, so there the pin stands alone
+# loop ran on whole tableaus and a Python ratio test.  At m <= 6 the
+# all-Fraction reference takes the same pivots; at m = 7, where it takes
+# about 45 s, the integer pivots from the artificial basis take them (about
+# a second each)
 PINNED_PIVOTS = [
     (4, Fraction(1, 3), 5, 27),
     (4, Fraction(2, 5), 5, 32),
@@ -137,6 +139,11 @@ def test_pivot_counts_on_er_moments_are_pinned(n, p, m, pivots):
     assert got.feasible and got.pivots == pivots
     if m <= 6:
         assert oracle_exact_bland(a_rows, b).pivots == pivots
+    else:
+        start = [len(a_rows[0]) + i for i in range(len(a_rows))]
+        exact = _exact_from_basis(_Scaled.of(a_rows, b), start, 0)
+        assert_same_path(exact, got)
+        assert_exactly_certified(a_rows, b, exact)
 
 
 def float_pass_digest(run) -> str:
@@ -147,9 +154,8 @@ def float_pass_digest(run) -> str:
 
     def spy(tab, basis, *rule):
         out = real(tab, basis, *rule)
-        if tab.dtype != object:
-            digest.update(repr((out[0], list(basis))).encode())
-            digest.update(tab.tobytes())
+        digest.update(repr((out[0], list(basis))).encode())
+        digest.update(tab.tobytes())
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -450,6 +456,18 @@ def integer_systems(draw):
     return b_rows, [[draw(big) for _ in range(width)] for _ in range(k)]
 
 
+def assert_same_solution(got, want):
+    """``_integer_solve``'s (d, d X), in integers with d > 0, is X = the
+    oracle's columns ``want``; None when the oracle finds B singular."""
+    if want[0] is None:
+        assert got is None
+    else:
+        d, dx = got
+        assert type(d) is int and d > 0
+        assert all(type(v) is int for r in dx for v in r)
+        assert [[Fraction(v, d) for v in r] for r in dx] == [list(r) for r in zip(*want)]
+
+
 @example(([[0, 1], [1, 0]], [[3], [5]]))  # a row swap, det B = -1
 @example(([[2, 1], [1, 2]], [[1], [0]]))  # det B = 3: X is not integral
 @settings(max_examples=300, deadline=None)
@@ -459,13 +477,9 @@ def test_fraction_free_solve_equals_gauss_jordan(system):
     transposed = [list(col) for col in zip(*b_rows)]
     # B X = C, and B^T X = C as the dual solve uses it
     for mat in (b_rows, transposed):
-        got = _solve([r + c for r, c in zip(mat, c_rows)])
+        got = _integer_solve([r + c for r, c in zip(mat, c_rows)])
         want = [oracle_solve(mat, list(col)) for col in zip(*c_rows)]
-        if want[0] is None:
-            assert got is None
-        else:
-            assert got == [list(r) for r in zip(*want)]
-            assert all(type(v) is Fraction for r in got for v in r)
+        assert_same_solution(got, want)
 
 
 nonzero = st.one_of(st.integers(1, 3), st.integers(1, 2**60)).flatmap(
@@ -504,13 +518,9 @@ def sparse_integer_systems(draw):
 @given(sparse_integer_systems())
 def test_sparse_solve_equals_gauss_jordan(system):
     b_rows, c_rows = system
-    got = _solve([r + c for r, c in zip(b_rows, c_rows)])
+    got = _integer_solve([r + c for r, c in zip(b_rows, c_rows)])
     want = [oracle_solve(b_rows, list(col)) for col in zip(*c_rows)]
-    if want[0] is None:
-        assert got is None
-    else:
-        assert got == [list(r) for r in zip(*want)]
-        assert all(type(v) is Fraction for r in got for v in r)
+    assert_same_solution(got, want)
 
 
 def test_inexact_back_substitution_raises(monkeypatch):
@@ -518,7 +528,7 @@ def test_inexact_back_substitution_raises(monkeypatch):
     # back substitution meets a division that is not exact
     monkeypatch.setattr(lp, "_bareiss", lambda mat: True)
     with pytest.raises(InvariantError):
-        _solve([[2, 1, 0], [0, 3, 1]])
+        _integer_solve([[2, 1, 0], [0, 3, 1]])
 
 
 def test_float_data_stay_on_the_float_pass():
@@ -571,14 +581,16 @@ def cycling_lp():
 
 
 class TestNoisePivots:
-    def test_float_pivots_on_noise_cycle(self, cycling_lp):
+    def test_float_pivots_on_noise_cycle(self, cycling_lp, monkeypatch):
+        monkeypatch.setattr(lp, "PIVOT_EPS", FLOAT_EPS)
         tab, basis, _ = _initial_tableau(*cycling_lp)
-        assert _bland(tab, basis, FLOAT_EPS, FLOAT_EPS)[1]
+        assert _bland(tab, basis, FLOAT_EPS)[1]
 
-    def test_repeat_is_seen_at_the_same_pivot(self, cycling_lp):
+    def test_repeat_is_seen_at_the_same_pivot(self, cycling_lp, monkeypatch):
         # recorded when the basis key was a hash of the sorted basis
+        monkeypatch.setattr(lp, "PIVOT_EPS", FLOAT_EPS)
         tab, basis, _ = _initial_tableau(*cycling_lp)
-        assert _bland(tab, basis, FLOAT_EPS, FLOAT_EPS) == (643, True)
+        assert _bland(tab, basis, FLOAT_EPS) == (643, True)
 
     def test_float_basis_is_certified(self, cycling_lp):
         res = solve_feasibility(*cycling_lp)
@@ -603,7 +615,7 @@ def test_two_block_law_at_m7_is_decided_by_the_retry(monkeypatch):
     real = lp._bland
 
     def spy(tab, basis, *rule):
-        passes.append((tab.dtype == float, rule[2:], real(tab, basis, *rule)))
+        passes.append((tab.dtype == float, rule[1:], real(tab, basis, *rule)))
         return passes[-1][-1]
 
     monkeypatch.setattr(lp, "_bland", spy)
@@ -623,8 +635,8 @@ def report_cycles(monkeypatch):
     basis."""
     real = lp._bland
 
-    def cycling(tab, basis, eps, pivot_eps, dantzig=False):
-        return real(tab, basis, eps, pivot_eps, dantzig)[0], eps == FLOAT_EPS
+    def cycling(tab, basis, eps, dantzig=False):
+        return real(tab, basis, eps, dantzig)[0], eps == FLOAT_EPS
 
     monkeypatch.setattr(lp, "_bland", cycling)
 
