@@ -260,8 +260,8 @@ class TestForcedFallback:
         assert_exactly_certified(a_rows, b, got)
 
     # a start that is not primal feasible, or singular, hands over to the
-    # artificial basis, whose tableau is the oracle's, and exact Bland
-    # continues from it by the oracle's pivots
+    # artificial basis, the oracle's start, and exact Bland continues from
+    # it by the oracle's pivots
 
     def test_infeasible_start_restarts_from_artificials(self):
         # x1 + x2 = 1, x1 - x2 = 1/2; the basis {x1, a2} gives a2 = -1/2
