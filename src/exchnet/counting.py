@@ -5,8 +5,9 @@ Conventions: the empty graph maps into anything in exactly one way, so
 A pattern larger than its target yields 0.
 
 :func:`class_table` holds the sigma counts between all classes at a node
-count n <= 7, built by a one-edge recursion without any subgraph search.
-Every class-moment computation reads it, and so do :func:`r_count`, the
+count n <= 7, built by a one-edge recursion without any subgraph search, each
+row when first read; a column reader builds them all.  Every
+class-moment computation reads it, and so do :func:`r_count`, the
 supergraph count, and the statistic families of ``estimation`` (degree
 counts aside); :func:`inj`, :func:`sub` and :func:`sigma` search one pattern
 at a time and serve as its independent check.
@@ -121,8 +122,8 @@ class ClassTable:
     Rows and columns follow ``enumerate_classes(n)``, the empty class first
     and K_n last.  A copy of U in K_n is a member of U on n nodes, so
     S[U][K_n] = sub(U, K_n) = |U| (``sizes``) and the class moments of a
-    class distribution q are z = D^-1 S q with D = diag(sizes).  S is built
-    once, column by column in edge-count order, from the one-edge recursion
+    class distribution q are z = D^-1 S q with D = diag(sizes).  Each row
+    comes from the one-edge recursion
 
         (e(W) - e(U)) S[U][W] = sum_V b(W, V) S[U][V]   for e(U) < e(W),
 
@@ -135,9 +136,15 @@ class ClassTable:
     gives W, and |.| are the class sizes at n (``graphs.class_sizes``).  b
     is one numpy division over every addition, and each edge layer's block
     of it one indexed assignment: no Python loop runs per class or per
-    addition.  The same double counting over the pairs (member of U,
-    member of W inside it) gives the supergraph counts
-    r(U, x) = |U| S[W][U] / |W| for x in class W.
+    addition.  The same double counting over the pairs (member of U, member
+    of W inside it) gives the supergraph counts r(U, x) = |U| S[W][U] / |W|
+    for x in class W.
+
+    A row's recursion reads that row alone, so rows are built as they are
+    read and only the rows built are held: ``rows``, ``row``,
+    ``moment_rows`` and the supergraph counts build the rows they read (and
+    the first missing ones, when that many are needed to double the rows
+    held), while ``S``, and so ``sigmas``, builds the rest.
     """
 
     def __init__(self, n: int):
@@ -146,45 +153,86 @@ class ClassTable:
         self.n = n
         self.classes, self.index, _, _, (v, w, a) = _class_lattice(n)
         self.sizes = class_sizes(n)
-        edges = np.array([u.edge_count for u in self.classes])
-        self._odd = edges % 2 == 1
+        self._edges = np.array([u.edge_count for u in self.classes])
+        self._odd = self._edges % 2 == 1
         b, rem = np.divmod(self.sizes[v] * a, self.sizes[w])  # b(W, V)
         if rem.any():
             raise InvariantError(f"edge removals at n={n}, addition {np.flatnonzero(rem)[0]}")
-        # the columns of the classes with e edges from those with e - 1, one
-        # float32 product per e.  Exact: every partial sum is an integer of at
-        # most 21 * 7! < 2^24 (S <= sub(U, K_7) <= 7!, b's columns sum to e),
-        # and a quotient by e - e(U) <= 21 that is not whole stays so
-        at = np.searchsorted(edges, np.arange(edges[-1] + 2))
-        cut = np.searchsorted(v, at)  # the additions to classes with e edges
-        s = np.eye(len(self.classes), dtype=np.int32)
+        self._additions = v, w, b
+        # the rows built so far, in class order, and their class indices
+        self._rows, self._built = np.zeros((0, len(self.classes)), np.int32), np.arange(0)
+
+    @property
+    def S(self) -> np.ndarray:
+        """The whole table, the stored array itself once every row is built."""
+        self._build(slice(None))
+        return self._rows
+
+    def rows(self, at) -> np.ndarray:
+        """S[at] for a class index or an array of them, building the rows
+        not built yet in one pass."""
+        self._build(at)
+        whole = len(self._built) == len(self.classes)
+        return self._rows[at if whole else np.searchsorted(self._built, at)]
+
+    def _build(self, at) -> None:
+        """Build the rows among ``at`` not built yet: the columns of the
+        classes with e edges from those with e - 1, one float32 product per e
+        over the stored rows from the first new one (a built row among them
+        is rebuilt to the same values, so the products read slices).  Exact:
+        every partial sum is an integer of at most 21 * 7! < 2^24 (S <= 7!,
+        b's columns sum to e), and a quotient by e - e(U) <= 21 that is not
+        whole stays so."""
+        if len(self._built) == len(self.classes):
+            return
+        have, want = np.zeros((2, len(self.classes)), dtype=bool)
+        have[self._built] = want[at] = True
+        want &= ~have
+        if not want.any():
+            return
+        # at least double the rows held, adding the first missing ones, so that
+        # rows read one at a time take a few builds, not one each
+        want[np.flatnonzero(~(have | want))[: max(0, len(self._built) - want.sum())]] = True
+        new, keep = np.flatnonzero(want), np.flatnonzero(want | have)
+        s = np.zeros((len(keep), len(self.classes)), dtype=np.int32)
+        s[np.searchsorted(keep, self._built)] = self._rows
+        self._rows, self._built = s, keep
+        s[np.searchsorted(keep, new), new] = 1
+        first = np.searchsorted(keep, new[0])
+        edges, (v, w, b) = self._edges, self._additions
+        layer = np.searchsorted(edges, np.arange(edges[-1] + 2))
+        cut = np.searchsorted(v, layer)  # the additions to classes with e edges
         for e in range(1, edges[-1] + 1):
-            prev, lo, hi = at[e - 1], at[e], at[e + 1]
+            prev, lo, hi = layer[e - 1], layer[e], layer[e + 1]
+            stop = np.searchsorted(keep, lo)  # the stored rows with e(U) < e
+            if stop <= first:
+                continue
             pick = slice(cut[e - 1], cut[e])
             block = np.zeros((lo - prev, hi - lo), dtype=np.float32)
             block[v[pick] - prev, w[pick] - lo] = b[pick]
-            acc = s[:lo, prev:lo].astype(np.float32) @ block
-            acc /= (e - edges[:lo])[:, None]
-            s[:lo, lo:hi] = acc
-            bad = np.flatnonzero((s[:lo, lo:hi] != acc).any(axis=0))
+            acc = s[first:stop, prev:lo].astype(np.float32) @ block
+            acc /= (e - edges[keep[first:stop]])[:, None]
+            s[first:stop, lo:hi] = acc
+            bad = np.flatnonzero((s[first:stop, lo:hi] != acc).any(axis=0))
             if bad.size:
-                raise InvariantError(f"one-edge recursion at n={n}, column {lo + bad[0]}")
-        self.S = s
+                self._rows, self._built = s[:0], keep[:0]  # nothing is built
+                raise InvariantError(f"one-edge recursion at n={self.n}, column {lo + bad[0]}")
 
     def row(self, u: UnlabeledClass) -> tuple:
         """S[U][W] for every class W at n; all zero for a class on more than
         n vertices, which no network on n nodes contains."""
         if u.n_vertices > self.n:
             return (0,) * len(self.classes)
-        return tuple(self.S[self.index[u]].tolist())
+        return tuple(self.rows(self.index[u]).tolist())
 
     def moment_rows(self, classes) -> tuple:
         """Rows S[U] / |U| (row U dotted with a class distribution q is z_U)
         of classes on at most n vertices, in one numpy pass: the int lists
         S[U] / g, the lcms |U| / g with g = gcd(|U|, S[U]), and the floats."""
         at = [self.index[u] for u in classes]
-        g = np.gcd(np.gcd.reduce(self.S[at], axis=1), self.sizes[at])
-        ints, lcms = self.S[at] // g[:, None], self.sizes[at] // g
+        s = self.rows(at)
+        g = np.gcd(np.gcd.reduce(s, axis=1), self.sizes[at])
+        ints, lcms = s // g[:, None], self.sizes[at] // g
         # both below 2^53, so the float quotient is float(Fraction)
         return ints.tolist(), lcms.tolist(), ints / lcms[:, None]
 
@@ -197,7 +245,7 @@ class ClassTable:
     def signed_supergraphs(self, j: int) -> tuple:
         """(-1)^(e(U) - e(W)) r(U, x) for every class U at n, x any network in
         W, the class of index j: the inclusion-exclusion coefficients of P(x)."""
-        r, rem = np.divmod(self.S[j].astype(np.int64) * self.sizes, self.sizes[j])
+        r, rem = np.divmod(self.rows(j).astype(np.int64) * self.sizes, self.sizes[j])
         if rem.any():
             raise InvariantError(f"labeled supergraph counts of {self.classes[j]}")
         r[self._odd != self._odd[j]] *= -1

@@ -475,9 +475,9 @@ def _stat_table(family: str, n: int) -> np.ndarray:
         out = (degrees[:, :, None] == np.arange(1, n)).sum(axis=1)
     else:
         table = class_table(n)
-        idx = [table.index.get(u, -1) for u in _family_table(family, n)[1]]
-        out = table.S[idx]
-        out[np.array(idx) < 0] = 0
+        idx = np.array([table.index.get(u, -1) for u in _family_table(family, n)[1]], dtype=int)
+        out = table.rows(idx.clip(0))
+        out[idx < 0] = 0
         out = out.T
     out.flags.writeable = False
     return out

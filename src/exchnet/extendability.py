@@ -38,8 +38,7 @@ from .mobius import (
     JointTable,
     MobiusVector,
     _close,
-    _over_lcm,
-    mobius_from_class_distribution,
+    _moments,
 )
 
 # float input: the largest gap |z_U - prod z_C| a product constraint may show
@@ -140,31 +139,18 @@ def _certificate_valid(
     mv: MobiusVector, cert: ClassDistribution, tol: float
 ) -> bool:
     """Whether the class distribution ``cert`` at m reproduces every class
-    moment of mv, z_U = sum_W S[U][W] q_W / S[U][K_m] over q's support:
-    exactly when both are exact, else within ``tol``."""
-    table = class_table(cert.n)
-    cols, qs = zip(*((table.index[w], q) for w, q in cert.q.items() if q))
-    exact = mv.is_exact and cert.is_exact
-    if exact:  # q_W = num_W / den: compare in integers
-        qs, den = _over_lcm(qs)
-    for u in enumerate_classes(mv.n, False):
-        s, z = table.row(u), mv.z[u]
-        got = sum(s[j] * q for j, q in zip(cols, qs))
-        if exact:
-            if got * z.denominator != s[-1] * den * z.numerator:
-                return False
-        elif not _close(got / s[-1], z, tol):
-            return False
-    return True
+    moment of mv, z_U = sum_W S[U][W] q_W / |U| over q's support, read from
+    the rows of S alone (``mobius._moments``): exactly when both are exact,
+    else within ``tol``."""
+    targets = enumerate_classes(mv.n, False)
+    z = _moments(cert, targets)
+    return all(_close(z[u], mv.z[u], tol) for u in targets)
 
 
-def _product_gap(mv: MobiusVector) -> tuple:
-    """The largest |z_U - prod z_C| over the disconnected classes U of mv,
-    with C the components of U, and that U; (0, None) when there are none."""
-    gaps = [
-        (abs(mv.z[u] - prod(mv.z[c] for c in comps)), u)
-        for u, comps in disconnected_classes(mv.n)
-    ]
+def _product_gap(z, terms) -> tuple:
+    """The largest |z[U] - prod z[C]| over the (U, components C of U) in
+    ``terms``, and that U; (0, None) when there are none."""
+    gaps = [(abs(z[u] - prod(z[c] for c in comps)), u) for u, comps in terms]
     return max(gaps, key=lambda g: g[0], default=(0, None))
 
 
@@ -196,13 +182,11 @@ def _lp_report(
         raise CertificateError(
             f"extension certificate at m={m} does not reproduce the moments"
         )
-    if (
-        products is not None
-        and _product_gap(mobius_from_class_distribution(cert))[0] > tol
-    ):
-        raise CertificateError(
-            f"extension certificate at m={m} is not dissociated"
-        )
+    if products is not None:
+        terms = disconnected_classes(m)
+        z = _moments(cert, [c for u, comps in terms for c in (u, *comps)])
+        if _product_gap(z, terms)[0] > tol:
+            raise CertificateError(f"extension certificate at m={m} is not dissociated")
     return ExtendabilityReport(True, m, cert, None)
 
 
@@ -242,7 +226,7 @@ def dissociated_extendable_check(mv: MobiusVector, m: int) -> ExtendabilityRepor
         if _certificate_valid(mv, cand, 1e-12):
             return ExtendabilityReport(True, m, cand, None, method="er-candidate")
     tol = 0 if mv.is_exact else PRODUCT_TOL
-    margin, worst = _product_gap(mv)
+    margin, worst = _product_gap(mv.z, disconnected_classes(n))
     if margin > tol:
         return ExtendabilityReport(False, m, None, margin, worst.key())
     products = []

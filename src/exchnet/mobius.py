@@ -346,26 +346,32 @@ def exch_joint_from_mobius(mv: MobiusVector, x: LabeledNetwork):
     return _refuse_negative(p, lambda: f"P({x}) = {p} < 0")
 
 
-def mobius_from_class_distribution(cd: ClassDistribution) -> MobiusVector:
-    """Class moments of a distribution given per-class probabilities.
-
-    z_U = E[sigma_U(X)] / sub(U, K_n), where sub(U, K_n) is the class size
-    |U|: z = D^-1 S q over the sigma table S (``counting.ClassTable``), one
-    sigma value per class since sigma is isomorphism-invariant.  A float z
-    is a running sum of the terms q_W S[U][W] over the support in q's order,
-    the additions of a scalar loop; an exact one sums the integers of q over
-    its common denominator.
-    """
+def _moments(cd: ClassDistribution, classes) -> dict:
+    """z_U = sum_W S[U][W] q_W / |U| for the given classes, from their rows
+    of S alone.  A float z is a running sum of the terms over the support in
+    q's order, the additions of a scalar loop; an exact one sums the
+    integers of q over its common denominator."""
     table = class_table(cd.n)
+    at = [table.index[u] for u in classes]
     support = [(table.index[w], q) for w, q in cd.q.items() if q]
-    cols = table.S[:, [j for j, _ in support]]
+    cols = table.rows(at)[:, [j for j, _ in support]]
     qs = [q for _, q in support]
     if cd.is_exact:
         nums, den = _over_lcm(qs)
         sums = [Fraction(sum(map(operator.mul, nums, r)), den) for r in cols.tolist()]
     else:
         sums = np.cumsum(cols * np.array(qs), axis=1)[:, -1].tolist()
-    z = {u: a / d for u, a, d in zip(table.classes, sums, table.sizes.tolist())}
+    return {u: a / d for u, a, d in zip(classes, sums, table.sizes[at].tolist())}
+
+
+def mobius_from_class_distribution(cd: ClassDistribution) -> MobiusVector:
+    """Class moments of a distribution given per-class probabilities.
+
+    z_U = E[sigma_U(X)] / sub(U, K_n), where sub(U, K_n) is the class size
+    |U|: z = D^-1 S q over the whole sigma table S (``counting.ClassTable``),
+    one sigma value per class since sigma is isomorphism-invariant.
+    """
+    z = _moments(cd, class_table(cd.n).classes)
     z[UnlabeledClass.empty()] = Fraction(1) if cd.is_exact else 1.0
     return MobiusVector(cd.n, z)
 

@@ -1,14 +1,20 @@
 """The sigma table S[U][W] = sigma_U(W padded to n) against brute force."""
 
 import hashlib
+import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import oracle_atlas, oracle_aut, oracle_class_lattice, oracle_sub
 
+from exchnet import extendability
 from exchnet.counting import (
+    ClassTable,
     class_table,
     complete_class,
     sigma,
@@ -25,6 +31,7 @@ from exchnet.graphs import (
     _class_lattice,
     class_aut,
     class_size,
+    class_sizes,
     enumerate_classes,
 )
 
@@ -175,6 +182,90 @@ def test_seven_node_lattice_bytes(part):
     if isinstance(data, str):
         data = data.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_rows_in_any_order_and_grouping_equal_the_full_build(data):
+    """Rows are built when first read, each from its own recursion, so any
+    batches of them, in any order, equal the rows of a table built whole;
+    the rest are built when S is read, and S is then the stored array."""
+    n = data.draw(st.sampled_from([5, 6, 7]), label="n")
+    full = class_table(n).S
+    index = st.integers(0, len(full) - 1)
+    batches = data.draw(st.lists(st.lists(index, min_size=1, max_size=30), max_size=4), label="batches")
+    table = ClassTable(n)
+    for at in batches:
+        assert np.array_equal(table.rows(at), full[at])
+    assert np.array_equal(table.S, full)
+    assert table.S is table.S
+
+
+def test_seven_node_sigma_bytes_after_a_partial_build():
+    """S_7 completed after the rows one extend at m = 7 reads has the
+    digest of a table built whole."""
+    class_table.cache_clear()
+    extendability._sigma_rows.cache_clear()
+    extendability._sigma_rows(7, 4)
+    assert len(class_table(7)._built) < len(class_table(7).classes)
+    value, digest = SEVEN_NODE_DIGESTS["sigma"]
+    assert hashlib.sha256(value()).hexdigest() == digest
+
+
+def test_rows_read_one_at_a_time_take_a_few_builds(monkeypatch):
+    """Each build at least doubles the rows held, so reading every row of
+    S_7 one at a time, in any order (as ``validate_mobius`` does), takes
+    about log2(1,044) builds, not one build and one copy of the stored rows
+    per row."""
+    builds = []
+    real = ClassTable._build
+
+    def counted(self, at):
+        before = len(self._built)
+        real(self, at)
+        builds.extend([len(self._built)] * (len(self._built) > before))
+
+    monkeypatch.setattr(ClassTable, "_build", counted)
+    full = class_table(7).S
+    table = ClassTable(7)
+    order = list(range(len(full)))
+    random.Random(20261022).shuffle(order)
+    for j in order:
+        assert np.array_equal(table.rows(j), full[j])
+    assert len(builds) <= math.ceil(math.log2(len(full))) + 1
+    assert builds[-1] == len(full)
+
+
+def traced(build) -> tuple:
+    """The memory ``build`` leaves allocated and its peak, in bytes."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_partial_build_holds_its_rows_alone():
+    """A cold ``_sigma_rows(7, 4)`` keeps the 11 rows it reads, not S_7
+    (4.4 MB of int32); completing the table after a partial read peaks no
+    higher than building it whole, so the partial rows are not held beside
+    a second full matrix."""
+    _class_lattice(4), _class_lattice(7), class_sizes(7)
+    class_table.cache_clear()
+    extendability._sigma_rows.cache_clear()
+    kept, _ = traced(lambda: extendability._sigma_rows(7, 4))
+    assert kept < 1 << 20
+    small = [i for i, u in enumerate(_class_lattice(7)[0]) if u.n_vertices <= 4]
+
+    def partial_then_whole():
+        table = ClassTable(7)
+        table.rows(small)
+        return table.S
+
+    _, whole = traced(lambda: ClassTable(7).S)
+    _, completed = traced(partial_then_whole)
+    assert completed <= whole
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

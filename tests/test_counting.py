@@ -277,10 +277,21 @@ class TestInvariantErrors:
 
     def test_one_edge_recursion_not_integral(self, monkeypatch):
         # with 2 members in the 2-star class, each 2-star would have 3 edges
-        # whose removal leaves an edge, and 2 S[empty][2-star] = 3
+        # whose removal leaves an edge, and 2 S[empty][2-star] = 3; rows are
+        # built when first read, so reading S raises
         monkeypatch.setattr(counting, "class_sizes", sizes_with(star_class(2), 2))
+        table = counting.ClassTable(3)
         with pytest.raises(InvariantError, match="one-edge recursion"):
-            counting.ClassTable(3)
+            table.S
+
+    def test_one_edge_recursion_not_integral_in_a_partial_read(self, monkeypatch):
+        # the empty class's row alone meets the same 3/2, and a second read
+        # raises again instead of returning the half-built row
+        monkeypatch.setattr(counting, "class_sizes", sizes_with(star_class(2), 2))
+        table = counting.ClassTable(3)
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="one-edge recursion"):
+                table.rows([0])
 
     def test_odd_total_degree(self, monkeypatch):
         monkeypatch.setattr(DegreeDistribution, "__post_init__", lambda self: None)

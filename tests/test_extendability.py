@@ -443,12 +443,13 @@ class TestDissociatedExtendableCheck:
         )
 
     def test_failed_product_recheck_raises(self, monkeypatch):
-        # a product gap on the 4-node certificate only, not on the input
+        # a product gap on the 4-node certificate only, not on the 3-node
+        # input, which has no disconnected class
         real = extendability._product_gap
         monkeypatch.setattr(
             extendability,
             "_product_gap",
-            lambda mv: (1, None) if mv.n == 4 else real(mv),
+            lambda z, terms: (1, None) if terms else real(z, terms),
         )
         with pytest.raises(CertificateError):
             dissociated_extendable_check(block_moments("grid2", 3), 4)
